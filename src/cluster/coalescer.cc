@@ -1,21 +1,20 @@
 #include "cluster/coalescer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "cluster/node.h"
+#include "cluster/round_trip.h"
 #include "cluster/router.h"
 #include "storage/engine.h"
 
 namespace scads {
 
 void ReadCoalescer::Submit(PendingRead read) {
-  // Called with the submitting router's lock held; only coalescer state is
-  // touched here (no router re-entry), so the router->coalescer lock order
-  // holds.
+  // Routers submit with no lock held; only coalescer state is touched here.
   std::lock_guard<std::mutex> lock(mu_);
   auto it = inflight_.find(read.key);
   if (it != inflight_.end()) {
@@ -84,42 +83,26 @@ void ReadCoalescer::Flush(NodeId target) {
     return;
   }
 
-  struct Guard {
-    std::atomic<bool> done{false};
-    Executor::TaskId timeout_event = Executor::kInvalidTask;
-    bool Claim() { return !done.exchange(true, std::memory_order_acq_rel); }
-  };
-  auto guard = std::make_shared<Guard>();
   auto shared_keys = std::make_shared<std::vector<std::string>>(std::move(keys));
-  guard->timeout_event = loop_->ScheduleAfter(
-      sender->config().request_timeout, [this, guard, shared_keys, target] {
-        if (!guard->Claim()) return;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.batch_timeouts;
+  RoundTrip<MultiGetReply>(
+      loop_, network_, sender->client_id(), target, request_bytes,
+      sender->config().request_timeout,
+      [node, priority, shared_keys](auto respond) {
+        node->HandleMultiGet(*shared_keys, priority, std::move(respond));
+      },
+      [this, target, shared_keys](std::optional<MultiGetReply> reply) {
+        if (!reply) {
+          {
+            std::lock_guard<std::mutex> lock(mu_);
+            ++stats_.batch_timeouts;
+          }
+          for (const std::string& key : *shared_keys) FailOverKey(key, target);
+          return;
         }
-        for (const std::string& key : *shared_keys) FailOverKey(key, target);
-      });
-
-  NodeId self = sender->client_id();
-  network_->Send(self, target, request_bytes,
-                 [this, node, target, self, priority, guard, shared_keys]() mutable {
-    node->HandleMultiGet(*shared_keys, priority,
-                         [this, target, self, guard, shared_keys](MultiGetReply reply) mutable {
-      int64_t reply_bytes = 0;
-      for (const Result<Record>& r : reply.results) {
-        reply_bytes += r.ok() ? WireSize(*r) : 8;
-      }
-      network_->Send(target, self,
-                     reply_bytes, [this, guard, shared_keys, reply = std::move(reply)]() mutable {
-        if (!guard->Claim()) return;
-        loop_->Cancel(guard->timeout_event);
-        for (size_t i = 0; i < shared_keys->size() && i < reply.results.size(); ++i) {
-          CompleteKey((*shared_keys)[i], std::move(reply.results[i]), reply.as_of[i]);
+        for (size_t i = 0; i < shared_keys->size() && i < reply->results.size(); ++i) {
+          CompleteKey((*shared_keys)[i], std::move(reply->results[i]), reply->as_of[i]);
         }
       });
-    });
-  });
 }
 
 bool ReadCoalescer::FollowerServable(const PendingRead& follower, const Result<Record>& result,
@@ -181,7 +164,7 @@ void ReadCoalescer::CompleteKey(const std::string& key, Result<Record> result, T
     }
   }
   // Members collected; resolve them outside mu_ — these calls take router
-  // locks (the coalescer lock is ordered after them, never around them).
+  // locks and run user callbacks, which may submit to this coalescer again.
   Time now = loop_->Now();
   int64_t expired = 0, errors = 0, served = 0, detached = 0;
 
@@ -249,63 +232,6 @@ void ReadCoalescer::FailOverKey(const std::string& key, NodeId failed) {
     follower.router->RedispatchCoalesced(key, follower.options, follower.start, failed,
                                          std::move(follower.callback));
   }
-}
-
-// ------------------------------------------------------------ WriteCoalescer
-
-void WriteCoalescer::Submit(PendingWrite write) {
-  // Called with the submitting router's lock held; touches only coalescer
-  // state (router->coalescer lock order).
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::string key = write.record.key;
-  auto it = inflight_.find(key);
-  if (it != inflight_.end()) {
-    KeyEntry& entry = it->second;
-    ++stats_.merged_writes;
-    // Last-write-wins by version stamp, not arrival order: the merged
-    // record must be the one the engine would have kept had each put been
-    // sent separately, or a member's session floor could outrun the store.
-    // An exact version tie (same client, same instant) goes to the later
-    // arrival — that is the order the client issued them in.
-    if (write.record.version >= entry.winner.version) entry.winner = write.record;
-    entry.ack = std::max(entry.ack, write.ack);
-    entry.members.push_back(std::move(write));
-    return;
-  }
-  ++stats_.leader_writes;
-  KeyEntry entry;
-  entry.winner = write.record;
-  entry.ack = write.ack;
-  entry.members.push_back(std::move(write));
-  entry.flush_event = loop_->ScheduleAfter(config_.window, [this, key] { Flush(key); });
-  inflight_.emplace(key, std::move(entry));
-}
-
-void WriteCoalescer::Flush(const std::string& key) {
-  KeyEntry entry;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = inflight_.find(key);
-    if (it == inflight_.end()) return;
-    entry = std::move(it->second);
-    // Erased before dispatch: a put arriving while the merged record is on
-    // the wire cannot change it, so it must open a fresh entry.
-    inflight_.erase(it);
-    ++stats_.batches_sent;
-  }
-  // Dispatch outside mu_: DispatchCoalescedWrite takes the router's lock.
-  auto members = std::make_shared<std::vector<PendingWrite>>(std::move(entry.members));
-  auto winner = std::make_shared<WalRecord>(std::move(entry.winner));
-  members->front().router->DispatchCoalescedWrite(
-      *winner, entry.ack, members->front().options, [members, winner](Status status) {
-        // One replication ack settles every member: window accounting and
-        // cache refresh per member (with the winning record), then the
-        // member's own callback.
-        for (PendingWrite& member : *members) {
-          member.router->FinishCoalescedWrite(member.start, status, *winner);
-          member.callback(status);
-        }
-      });
 }
 
 }  // namespace scads

@@ -99,12 +99,12 @@ struct CoalescerStats {
 /// window accounting and cache.
 ///
 /// Thread safety: an internal mutex guards the hold-window state
-/// (inflight_, held_, stats_). The lock is ordered strictly AFTER any
-/// router lock: Submit is called with the submitting router's lock held,
-/// while completion paths collect members under this lock, release it,
-/// and only then call back into routers — so no thread ever holds the
-/// coalescer lock while acquiring a router lock, and a shared coalescer
-/// cannot deadlock two routers against each other.
+/// (inflight_, held_, stats_). It is never held while calling into a
+/// router or the fabric, and routers never call in while holding theirs:
+/// they Submit after releasing it, and completion paths collect members
+/// under this lock, release it, and only then call back into routers — so
+/// a shared coalescer cannot deadlock two routers against each other, and
+/// a member's callback may re-enter either.
 class ReadCoalescer {
  public:
   /// One point read inside the coalescer. Routers build these in Get()
@@ -174,96 +174,11 @@ class ReadCoalescer {
   ClusterState* cluster_;
   CoalescerConfig config_;
   /// Guards inflight_, held_, and stats_. Never held while calling into a
-  /// Router (see class comment).
+  /// Router or the fabric (see class comment).
   std::mutex mu_;
   CoalescerStats stats_;
   std::map<std::string, KeyEntry> inflight_;   // key -> leader + followers
   std::map<NodeId, NodeBatch> held_;           // node -> leaders awaiting flush
-};
-
-/// WriteCoalescer tunables.
-struct WriteCoalescerConfig {
-  /// Off by default at the facade, like read coalescing: the hold window
-  /// trades a little write latency for primary round trips, the right
-  /// trade only for hot-key write mixes. Benches and deployments opt in.
-  bool enabled = false;
-  /// Merge window: the first put of a key holds at most this long for
-  /// same-key puts before the merged record ships. 0 still merges puts
-  /// that arrive within the same event-loop instant.
-  Duration window = 100;  // us
-};
-
-/// Cumulative write-coalescing statistics.
-struct WriteCoalescerStats {
-  int64_t leader_writes = 0;   ///< Puts that opened a merge entry.
-  int64_t merged_writes = 0;   ///< Puts that joined an in-flight entry.
-  int64_t batches_sent = 0;    ///< Merged primary round trips shipped.
-};
-
-/// Cross-router coalescing of concurrent same-key puts — the write-side
-/// sibling of ReadCoalescer. Puts of one key submitted within the merge
-/// window collapse to a single primary round trip carrying the LAST-WRITE-
-/// WINS record (highest version stamp among the members — the exact record
-/// the engine would have kept had they been sent separately), under the
-/// STRICTEST requested ack mode. Every member is acked off that one
-/// replication ack: each settles its own router-window accounting and
-/// cache refresh (with the winning record) via Router::FinishCoalescedWrite,
-/// then runs its own callback.
-///
-/// Only plain puts coalesce. Deletes, conditional puts, and MultiWrite keep
-/// their own serve — merging across operation kinds would reorder intent —
-/// and RequestOptions::allow_coalesce opts any put out. Puts arriving after
-/// the merged record shipped open a NEW entry (they cannot change a record
-/// already on the wire).
-class WriteCoalescer {
- public:
-  /// One put inside the coalescer. Routers build these in SendWrite;
-  /// `options` is already armed and `record.version` already stamped.
-  struct PendingWrite {
-    Router* router = nullptr;
-    WalRecord record;
-    AckMode ack = AckMode::kPrimary;
-    RequestOptions options;
-    Time start = 0;
-    std::function<void(Status)> callback;
-  };
-
-  WriteCoalescer(Executor* loop, WriteCoalescerConfig config)
-      : loop_(loop), config_(config) {}
-
-  WriteCoalescer(const WriteCoalescer&) = delete;
-  WriteCoalescer& operator=(const WriteCoalescer&) = delete;
-
-  /// Submits a put. Same-key puts inside the merge window join the
-  /// in-flight entry; a fresh key opens one and schedules its flush.
-  void Submit(PendingWrite write);
-
-  bool enabled() const { return config_.enabled; }
-  /// Mutate config before traffic starts; request-path reads are unguarded.
-  WriteCoalescerConfig* mutable_config() { return &config_; }
-  /// Read after quiescing (stats mutate under the internal lock).
-  const WriteCoalescerStats& stats() const { return stats_; }
-
- private:
-  struct KeyEntry {
-    std::vector<PendingWrite> members;
-    /// Running last-write-wins winner among the members' records.
-    WalRecord winner;
-    /// Strictest ack mode any member asked for.
-    AckMode ack = AckMode::kPrimary;
-    Executor::TaskId flush_event = Executor::kInvalidTask;
-  };
-
-  /// Ships `key`'s merged record through the first member's router.
-  void Flush(const std::string& key);
-
-  Executor* loop_;
-  WriteCoalescerConfig config_;
-  /// Guards inflight_ and stats_; same router-before-coalescer ordering as
-  /// ReadCoalescer (never held across a router call).
-  std::mutex mu_;
-  WriteCoalescerStats stats_;
-  std::map<std::string, KeyEntry> inflight_;  // key -> pending merge
 };
 
 }  // namespace scads

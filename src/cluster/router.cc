@@ -1,6 +1,7 @@
 #include "cluster/router.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <optional>
@@ -8,6 +9,7 @@
 
 #include "cache/cache_directory.h"
 #include "cluster/coalescer.h"
+#include "cluster/round_trip.h"
 #include "common/strings.h"
 
 namespace scads {
@@ -33,10 +35,9 @@ Router::Router(NodeId client_id, Executor* loop, MessageFabric* network, Cluster
       network_(network),
       cluster_(cluster),
       config_(config),
-      breaker_(std::make_unique<CircuitBreaker>(cluster, loop->clock(), config.breaker,
-                                               seed ^ 0x62726b72ULL)),
+      breaker_(cluster, loop->clock(), config.breaker, seed ^ 0x62726b72ULL),
       selector_(MakeSelector(config.selector, cluster, seed ^ 0x73656c65ULL)) {
-  selector_->set_breaker(breaker_.get());
+  selector_->set_breaker(&breaker_);
 }
 
 void Router::CountPick(const ReplicaPick& pick) {
@@ -64,46 +65,44 @@ std::vector<NodeId> Router::ReadCandidates(const PartitionInfo& partition,
 
 NodeId Router::PickAmong(const std::vector<NodeId>& candidates) {
   if (candidates.empty()) return kInvalidNode;
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   // Prefer nodes whose breaker would admit a request right now; when every
   // candidate is refused there is nothing better to do than pick normally
   // (the caller's attempt chain still bounds the damage).
-  if (breaker_ != nullptr) {
-    std::vector<NodeId> healthy;
-    healthy.reserve(candidates.size());
-    for (NodeId id : candidates) {
-      if (breaker_->Healthy(id)) healthy.push_back(id);
-    }
-    if (!healthy.empty() && healthy.size() < candidates.size()) {
-      ReplicaPick pick = selector_->Pick(healthy);
-      CountPick(pick);
-      return pick.node;
-    }
+  std::vector<NodeId> healthy;
+  healthy.reserve(candidates.size());
+  for (NodeId id : candidates) {
+    if (breaker_.Healthy(id)) healthy.push_back(id);
   }
-  ReplicaPick pick = selector_->Pick(candidates);
+  ReplicaPick pick = selector_->Pick(
+      !healthy.empty() && healthy.size() < candidates.size() ? healthy : candidates);
   CountPick(pick);
   return pick.node;
 }
 
-void Router::FinishRead(Time start, bool ok) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  window_.read_latency.Record(loop_->Now() - start);
+void Router::Account(Op op, Time start, bool ok, const Status& status) {
+  bool read = op == Op::kRead;
+  (read ? window_.read_latency : window_.write_latency).Record(loop_->Now() - start);
   if (ok) {
-    ++window_.reads_ok;
-  } else {
-    ++window_.reads_failed;
+    ++(read ? window_.reads_ok : window_.writes_ok);
+    return;
   }
+  ++(read ? window_.reads_failed : window_.writes_failed);
+  if (IsDeadlineExceeded(status)) ++window_.deadline_exceeded;
 }
 
-void Router::FinishWrite(Time start, bool ok) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  window_.write_latency.Record(loop_->Now() - start);
-  if (ok) {
-    ++window_.writes_ok;
-  } else {
-    ++window_.writes_failed;
-  }
+void Router::Settle(Op op, Time start, bool ok, const Status& status) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Account(op, start, ok, status);
 }
+
+template <typename Callback>
+void Router::Fail(Op op, Time start, Status status, const Callback& callback) {
+  Settle(op, start, false, status);
+  callback(std::move(status));
+}
+
+void Router::CountCacheServedRead(Time start) { Settle(Op::kRead, start, true, Status::Ok()); }
 
 size_t Router::SubBatchLimit(NodeId target, const RequestOptions& options, Time now) const {
   const AdaptiveBatchConfig& ab = config_.adaptive_batch;
@@ -144,109 +143,94 @@ Status Router::TimeoutStatus(bool budget_bound, std::string_view what) {
   return UnavailableError(std::string(what) + " timeout");
 }
 
-void Router::ShedRead(Time start, std::string_view what,
-                      const std::function<void(Result<Record>)>& callback) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  FinishRead(start, false);
-  ++window_.deadline_exceeded;
-  callback(TimeoutStatus(/*budget_bound=*/true, what));
-}
-
-void Router::ShedWrite(Time start, std::string_view what,
-                       const std::function<void(Status)>& callback) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  FinishWrite(start, false);
-  ++window_.deadline_exceeded;
-  callback(TimeoutStatus(/*budget_bound=*/true, what));
-}
-
 void Router::MaybeCacheRead(const std::string& key, Time as_of, const Result<Record>& result) {
   if (cache_ == nullptr || !result.ok() || result->tombstone) return;
   cache_->StorePoint(key, result->value, result->version, as_of);
 }
 
-void Router::GetAttempt(const std::string& key, std::vector<NodeId> candidates, size_t index,
-                        Time start, RequestOptions options,
-                        std::function<void(Result<Record>)> callback) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  // Budget check precedes the candidate check: a retry whose budget is gone
-  // sheds with the deadline error, not a synthetic unreachability error.
-  if (options.Expired(loop_->Now())) {
-    ShedRead(start, "read", callback);
-    return;
+void Router::CacheWrite(bool tombstone, const std::string& key, const std::string& value,
+                        Version version) {
+  if (cache_ == nullptr) return;
+  if (tombstone) {
+    cache_->OnDelete(key, version, loop_->Now());
+  } else {
+    cache_->OnPut(key, value, version, loop_->Now());
   }
-  if (index >= candidates.size()) {
-    FinishRead(start, false);
-    callback(UnavailableError("all replicas unreachable"));
+}
+
+void Router::GetAttempt(const std::string& key, std::vector<NodeId> candidates, size_t index,
+                        Time start, RequestOptions options, ReadCallback callback) {
+  StorageNode* node = nullptr;
+  Status failure;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Budget check precedes the candidate check: a retry whose budget is
+    // gone sheds with the deadline error, not a synthetic unreachability
+    // error.
+    if (options.Expired(loop_->Now())) {
+      failure = TimeoutStatus(/*budget_bound=*/true, "read");
+    } else {
+      for (; index < candidates.size(); ++index) {
+        node = cluster_->GetNode(candidates[index]);
+        if (node == nullptr) continue;
+        // O(1) failover: an open breaker refuses the attempt outright, so
+        // this read moves to the next replica without paying the timeout a
+        // dead node would cost.
+        if (breaker_.TryAcquire(candidates[index])) break;
+        ++window_.breaker_skips;
+        node = nullptr;
+      }
+      if (node == nullptr) failure = UnavailableError("all replicas unreachable");
+    }
+  }
+  if (!failure.ok()) {
+    Fail(Op::kRead, start, std::move(failure), callback);
     return;
   }
   NodeId target = candidates[index];
-  StorageNode* node = cluster_->GetNode(target);
-  if (node == nullptr) {
-    GetAttempt(key, std::move(candidates), index + 1, start, std::move(options),
-               std::move(callback));
-    return;
-  }
-  // O(1) failover: an open breaker refuses the attempt outright, so this
-  // read moves to the next replica without paying the timeout a dead node
-  // would cost.
-  if (breaker_ != nullptr && !breaker_->TryAcquire(target)) {
-    ++window_.breaker_skips;
-    GetAttempt(key, std::move(candidates), index + 1, start, std::move(options),
-               std::move(callback));
-    return;
-  }
-  auto state = std::make_shared<Pending>();
-  auto respond = [this, state, key, target, start, callback](Result<Record> result, Time as_of) {
-    if (!state->Claim()) return;
-    std::lock_guard<std::recursive_mutex> relock(mu_);
-    if (state->timeout_event != Executor::kInvalidTask) loop_->Cancel(state->timeout_event);
-    // Any reply — even an error reply — proves the node alive.
-    if (breaker_ != nullptr) breaker_->RecordSuccess(target);
-    // NotFound counts as a successful (answered) read.
-    bool ok = result.ok() || IsNotFound(result.status());
-    FinishRead(start, ok);
-    MaybeCacheRead(key, as_of, result);
-    callback(std::move(result));
-  };
   // Each attempt may wait at most the remaining deadline budget; the retry
-  // it hands off to then sees an expired budget and sheds. The timer is
-  // armed before the request ships: the fabric enqueue's release then makes
-  // state->timeout_event visible to the responding worker.
+  // it hands off to then sees an expired budget and sheds.
   bool budget_bound = false;
   Duration timeout = ClampedTimeout(options, loop_->Now(), &budget_bound);
-  state->timeout_event = loop_->ScheduleAfter(
-      timeout,
-      [this, state, key, candidates, index, target, budget_bound, start, options,
-       callback]() mutable {
-        if (!state->Claim()) return;
-        std::lock_guard<std::recursive_mutex> relock(mu_);
-        // A full attempt timeout is transport-level evidence of death; a
-        // budget-clamped timeout is the deadline running out, which says
-        // nothing about the node.
-        if (breaker_ != nullptr && !budget_bound) breaker_->RecordFailure(target);
-        // Try the next replica; the attempt budget is candidates.size().
-        GetAttempt(key, std::move(candidates), index + 1, start, std::move(options),
-                   std::move(callback));
+  RoundTrip<PointReply>(
+      loop_, network_, client_id_, target, static_cast<int64_t>(key.size()) + 4, timeout,
+      [this, node, key, priority = options.priority](auto respond) {
+        node->HandleGet(key, priority,
+                        [this, node, key, respond = std::move(respond)](Result<Record> result) {
+          // Snapshot the freshness watermark at serve time, not response
+          // time: a write acked while this response is on the wire must not
+          // lend the (predecessor) value a fresh staleness lease.
+          Time as_of = node->replicated_through(cluster_->partitions()->ForKey(key).id);
+          respond(PointReply{std::move(result), as_of});
+        });
+      },
+      [this, key, target, budget_bound, start, candidates = std::move(candidates), index,
+       options = std::move(options),
+       callback = std::move(callback)](std::optional<PointReply> reply) mutable {
+        if (!reply) {
+          {
+            std::lock_guard<std::mutex> lock(mu_);
+            // A full attempt timeout is transport-level evidence of death;
+            // a budget-clamped timeout is the deadline running out, which
+            // says nothing about the node.
+            if (!budget_bound) breaker_.RecordFailure(target);
+          }
+          // Try the next replica; the attempt budget is candidates.size().
+          GetAttempt(key, std::move(candidates), index + 1, start, std::move(options),
+                     std::move(callback));
+          return;
+        }
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          // Any reply — even an error reply — proves the node alive.
+          breaker_.RecordSuccess(target);
+          // NotFound counts as a successful (answered) read.
+          const Status& status = reply->result.status();
+          Account(Op::kRead, start, status.ok() || IsNotFound(status), status);
+        }
+        MaybeCacheRead(key, reply->as_of, reply->result);
+        callback(std::move(reply->result));
       });
-  NodeId self = client_id_;
-  RequestPriority priority = options.priority;
-  int64_t request_bytes = static_cast<int64_t>(key.size()) + 4;
-  network_->Send(self, target, request_bytes,
-                 [this, node, key, priority, target, self, respond]() mutable {
-    node->HandleGet(key, priority,
-                    [this, node, key, target, self, respond](Result<Record> result) mutable {
-      // Snapshot the freshness watermark at serve time, not response time:
-      // a write acked while this response is on the wire must not lend the
-      // (predecessor) value a fresh staleness lease.
-      Time as_of = node->replicated_through(cluster_->partitions()->ForKey(key).id);
-      int64_t reply_bytes = result.ok() ? WireSize(*result) : 8;
-      network_->Send(target, self, reply_bytes,
-                     [respond, as_of, result = std::move(result)]() mutable {
-        respond(std::move(result), as_of);
-      });
-    });
-  });
 }
 
 bool Router::CacheEligible(const RequestOptions& options) const {
@@ -270,15 +254,15 @@ void Router::Get(const std::string& key, RequestOptions options,
                  std::function<void(Result<Record>)> callback) {
   options.Arm(loop_->Now());
   if (options.Expired(loop_->Now())) {
-    ShedRead(loop_->Now(), "read", callback);
+    Fail(Op::kRead, loop_->Now(), TimeoutStatus(/*budget_bound=*/true, "read"), callback);
     return;
   }
-  // Cache hot path, consulted BEFORE the router mutex: the directory's
+  // Cache hot path, consulted without the router mutex: the directory's
   // shard locks are leaves (see cache_directory.h), so a hit on one client
-  // thread never contends with this router's in-flight completion claims.
+  // thread never contends with this router's in-flight completions.
   // Entries are served fresh under the *request's* effective staleness
   // bound (and at or above its session version floor) without touching a
-  // storage node; misses fall through to the locked path unchanged.
+  // storage node; misses fall through to dispatch unchanged.
   if (CacheEligible(options)) {
     Record cached;
     if (cache_->LookupPoint(key, loop_->Now(), options, &cached)) {
@@ -286,20 +270,22 @@ void Router::Get(const std::string& key, RequestOptions options,
       loop_->ScheduleAfter(cache_->hit_service_time(),
                            [this, start, cached = std::move(cached),
                             callback = std::move(callback)]() mutable {
-        FinishRead(start, true);
+        CountCacheServedRead(start);
         callback(std::move(cached));
       });
       return;
     }
   }
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   const PartitionInfo& partition = cluster_->partitions()->ForKey(key);
   if (partition.replicas.empty()) {
-    FinishRead(loop_->Now(), false);
-    callback(UnavailableError("partition has no replicas"));
+    Fail(Op::kRead, loop_->Now(), UnavailableError("partition has no replicas"), callback);
     return;
   }
-  std::vector<NodeId> candidates = ReadCandidates(partition, options);
+  std::vector<NodeId> candidates;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    candidates = ReadCandidates(partition, options);
+  }
   // Coalescing: concurrent reads of the same key share one node round
   // trip, and same-node leaders within the hold window share one message.
   // Pinned reads keep their own serve (their semantics demand it).
@@ -322,29 +308,29 @@ void Router::Get(const std::string& key, RequestOptions options,
 void Router::FinishCoalescedRead(const std::string& key, Time start, Result<Record> result,
                                  Time as_of, bool store_in_cache,
                                  const std::function<void(Result<Record>)>& callback) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  bool ok = result.ok() || IsNotFound(result.status());
-  FinishRead(start, ok);
-  if (!ok && IsDeadlineExceeded(result.status())) ++window_.deadline_exceeded;
+  const Status& status = result.status();
+  Settle(Op::kRead, start, status.ok() || IsNotFound(status), status);
   if (store_in_cache) MaybeCacheRead(key, as_of, result);
   callback(std::move(result));
 }
 
 void Router::RedispatchCoalesced(const std::string& key, RequestOptions options, Time start,
                                  NodeId exclude, std::function<void(Result<Record>)> callback) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   const PartitionInfo& partition = cluster_->partitions()->ForKey(key);
   if (partition.replicas.empty()) {
-    FinishRead(start, false);
-    callback(UnavailableError("partition has no replicas"));
+    Fail(Op::kRead, start, UnavailableError("partition has no replicas"), callback);
     return;
   }
   // Candidates come straight from the selector, NOT via ReadCandidates:
   // this read was already counted as a pick when it first dispatched, and
   // counting the re-dispatch would inflate the pick/steer window exactly
   // during failure windows, when the Director most needs the signal clean.
-  std::vector<NodeId> candidates = selector_->ReadCandidates(
-      partition, options, config_.read_target, config_.read_retries);
+  std::vector<NodeId> candidates;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    candidates = selector_->ReadCandidates(partition, options, config_.read_target,
+                                           config_.read_retries);
+  }
   if (exclude != kInvalidNode) {
     std::vector<NodeId> kept;
     for (NodeId candidate : candidates) {
@@ -394,13 +380,14 @@ struct Router::MultiGetState {
 };
 
 void Router::FinishMultiGet(const std::shared_ptr<MultiGetState>& state) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  // Every logical read in the batch is accounted individually, so the SLA
-  // monitor and Director see the same read volume batched or not.
-  for (const auto& slot : state->results) {
-    bool ok = slot->ok() || IsNotFound(slot->status());
-    FinishRead(state->start, ok);
-    if (!ok && IsDeadlineExceeded(slot->status())) ++window_.deadline_exceeded;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Every logical read in the batch is accounted individually, so the SLA
+    // monitor and Director see the same read volume batched or not.
+    for (const auto& slot : state->results) {
+      const Status& status = slot->status();
+      Account(Op::kRead, state->start, status.ok() || IsNotFound(status), status);
+    }
   }
   std::vector<Result<Record>> out;
   out.reserve(state->results.size());
@@ -410,50 +397,51 @@ void Router::FinishMultiGet(const std::shared_ptr<MultiGetState>& state) {
 
 void Router::DispatchMultiGet(const std::shared_ptr<MultiGetState>& state,
                               std::vector<size_t> fetch_ids) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  // Budget-exhausted shedding mid-fan-out: keys already answered keep their
-  // results; everything still pending (first dispatch or a redirect after a
-  // timed-out/shed sub-batch) resolves kDeadlineExceeded.
-  if (state->options.Expired(loop_->Now())) {
-    for (size_t fetch_id : fetch_ids) {
-      state->Resolve(fetch_id,
-                     DeadlineExceededError("multiget: deadline budget exhausted mid-fan-out"));
-    }
-    if (state->unresolved == 0) FinishMultiGet(state);
-    return;
-  }
-  // Group the still-pending fetches by the node that should serve them now.
-  // The breaker verdict is memoized per dispatch: TryAcquire consumes the
-  // half-open probe token, and one dispatch probing a recovering node with
-  // one key per sub-batch is exactly the intended dose.
   std::map<NodeId, std::vector<size_t>> by_node;
-  std::map<NodeId, bool> admitted;
-  for (size_t fetch_id : fetch_ids) {
-    MultiGetState::Fetch& fetch = state->fetches[fetch_id];
-    if (fetch.resolved) continue;
-    bool placed = false;
-    while (fetch.next_candidate < fetch.candidates.size()) {
-      NodeId target = fetch.candidates[fetch.next_candidate];
-      if (cluster_->GetNode(target) == nullptr) {
-        ++fetch.next_candidate;  // unregistered node: skip without a timeout
-        continue;
+  bool finished = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Budget-exhausted shedding mid-fan-out: keys already answered keep
+    // their results; everything still pending (first dispatch or a redirect
+    // after a timed-out/shed sub-batch) resolves kDeadlineExceeded.
+    if (state->options.Expired(loop_->Now())) {
+      for (size_t fetch_id : fetch_ids) {
+        state->Resolve(fetch_id,
+                       DeadlineExceededError("multiget: deadline budget exhausted mid-fan-out"));
       }
-      if (breaker_ != nullptr) {
+      fetch_ids.clear();
+    }
+    // Group the still-pending fetches by the node that should serve them
+    // now. The breaker verdict is memoized per dispatch: TryAcquire consumes
+    // the half-open probe token, and one dispatch probing a recovering node
+    // with one key per sub-batch is exactly the intended dose.
+    std::map<NodeId, bool> admitted;
+    for (size_t fetch_id : fetch_ids) {
+      MultiGetState::Fetch& fetch = state->fetches[fetch_id];
+      if (fetch.resolved) continue;
+      bool placed = false;
+      while (fetch.next_candidate < fetch.candidates.size()) {
+        NodeId target = fetch.candidates[fetch.next_candidate];
+        if (cluster_->GetNode(target) == nullptr) {
+          ++fetch.next_candidate;  // unregistered node: skip without a timeout
+          continue;
+        }
         auto [it, fresh] = admitted.try_emplace(target, false);
-        if (fresh) it->second = breaker_->TryAcquire(target);
+        if (fresh) it->second = breaker_.TryAcquire(target);
         if (!it->second) {
           ++window_.breaker_skips;
           ++fetch.next_candidate;  // open breaker: fail over without a timeout
           continue;
         }
+        by_node[target].push_back(fetch_id);
+        placed = true;
+        break;
       }
-      by_node[target].push_back(fetch_id);
-      placed = true;
-      break;
+      if (!placed) state->Resolve(fetch_id, UnavailableError("all replicas unreachable"));
     }
-    if (!placed) state->Resolve(fetch_id, UnavailableError("all replicas unreachable"));
+    finished = state->unresolved == 0;
   }
-  if (state->unresolved == 0) {
+  if (finished) {
     FinishMultiGet(state);
     return;
   }
@@ -476,7 +464,6 @@ void Router::DispatchMultiGet(const std::shared_ptr<MultiGetState>& state,
 
 void Router::SendMultiGetSubBatch(const std::shared_ptr<MultiGetState>& state, NodeId target,
                                   std::vector<size_t> group) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   StorageNode* node = cluster_->GetNode(target);
   std::vector<std::string> batch_keys;
   int64_t request_bytes = 0;
@@ -486,85 +473,64 @@ void Router::SendMultiGetSubBatch(const std::shared_ptr<MultiGetState>& state, N
     batch_keys.push_back(key);
     request_bytes += static_cast<int64_t>(key.size()) + 4;
   }
-  auto pending = std::make_shared<Pending>();
-  auto respond = [this, state, group](MultiGetReply reply) {
-    // Shed keys (node overload) move to their next replica candidate;
-    // answered keys resolve and populate the cache.
-    std::vector<size_t> retry;
-    for (size_t i = 0; i < group.size(); ++i) {
-      size_t fetch_id = group[i];
-      MultiGetState::Fetch& fetch = state->fetches[fetch_id];
-      if (fetch.resolved) continue;
-      Result<Record>& result = reply.results[i];
-      if (!result.ok() && result.status().code() == StatusCode::kResourceExhausted) {
-        ++fetch.next_candidate;
-        if (fetch.next_candidate >= fetch.candidates.size()) {
-          // Every candidate shed: surface the overload itself (matching
-          // single-Get semantics), not a synthetic unreachability error.
-          state->Resolve(fetch_id, std::move(result));
-        } else {
-          retry.push_back(fetch_id);
-        }
-        continue;
-      }
-      MaybeCacheRead(fetch.key, reply.as_of[i], result);
-      state->Resolve(fetch_id, std::move(result));
-    }
-    if (!retry.empty()) {
-      DispatchMultiGet(state, std::move(retry));
-    } else if (state->unresolved == 0) {
-      FinishMultiGet(state);
-    }
-  };
-  auto guarded = [this, pending, target, respond = std::move(respond)](MultiGetReply reply) {
-    if (!pending->Claim()) return;
-    std::lock_guard<std::recursive_mutex> relock(mu_);
-    if (pending->timeout_event != Executor::kInvalidTask) loop_->Cancel(pending->timeout_event);
-    // Any reply proves the node alive.
-    if (breaker_ != nullptr) breaker_->RecordSuccess(target);
-    respond(std::move(reply));
-  };
   bool budget_bound = false;
   Duration timeout = ClampedTimeout(state->options, loop_->Now(), &budget_bound);
-  pending->timeout_event = loop_->ScheduleAfter(
-      timeout,
-      [this, state, group, target, budget_bound, pending]() {
-        if (!pending->Claim()) return;
-        std::lock_guard<std::recursive_mutex> relock(mu_);
-        // Transport-level evidence only: a budget-clamped timeout is the
-        // deadline running out, not the node's fault.
-        if (breaker_ != nullptr && !budget_bound) breaker_->RecordFailure(target);
-        // The node (or the path to it) is unresponsive: move the whole
-        // sub-batch to each key's next replica candidate.
+  RoundTrip<MultiGetReply>(
+      loop_, network_, client_id_, target, request_bytes, timeout,
+      [node, priority = state->options.priority,
+       batch_keys = std::move(batch_keys)](auto respond) {
+        node->HandleMultiGet(batch_keys, priority, std::move(respond));
+      },
+      [this, state, target, budget_bound,
+       group = std::move(group)](std::optional<MultiGetReply> reply) {
         std::vector<size_t> retry;
-        for (size_t fetch_id : group) {
-          MultiGetState::Fetch& fetch = state->fetches[fetch_id];
-          if (fetch.resolved) continue;
-          ++fetch.next_candidate;
-          retry.push_back(fetch_id);
-        }
-        if (!retry.empty()) DispatchMultiGet(state, std::move(retry));
-      });
-  NodeId self = client_id_;
-  RequestPriority priority = state->options.priority;
-  network_->Send(
-      self, target, request_bytes,
-      [this, node, target, self, priority, batch_keys = std::move(batch_keys),
-       guarded = std::move(guarded)]() mutable {
-        node->HandleMultiGet(
-            batch_keys, priority,
-            [this, target, self, guarded = std::move(guarded)](
-                MultiGetReply reply) mutable {
-              int64_t reply_bytes = 0;
-              for (const Result<Record>& r : reply.results) {
-                reply_bytes += r.ok() ? WireSize(*r) : 8;
+        bool finished = false;
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          if (!reply) {
+            // Transport-level evidence only: a budget-clamped timeout is the
+            // deadline running out, not the node's fault.
+            if (!budget_bound) breaker_.RecordFailure(target);
+          } else {
+            // Any reply proves the node alive.
+            breaker_.RecordSuccess(target);
+          }
+          for (size_t i = 0; i < group.size(); ++i) {
+            size_t fetch_id = group[i];
+            MultiGetState::Fetch& fetch = state->fetches[fetch_id];
+            if (fetch.resolved) continue;
+            // Timeout: the node (or the path to it) is unresponsive, so the
+            // whole sub-batch moves to each key's next replica candidate.
+            if (!reply) {
+              ++fetch.next_candidate;
+              retry.push_back(fetch_id);
+              continue;
+            }
+            // Shed keys (node overload) move to their next replica
+            // candidate; answered keys resolve and populate the cache.
+            Result<Record>& result = reply->results[i];
+            if (!result.ok() && result.status().code() == StatusCode::kResourceExhausted) {
+              ++fetch.next_candidate;
+              if (fetch.next_candidate >= fetch.candidates.size()) {
+                // Every candidate shed: surface the overload itself
+                // (matching single-Get semantics), not a synthetic
+                // unreachability error.
+                state->Resolve(fetch_id, std::move(result));
+              } else {
+                retry.push_back(fetch_id);
               }
-              network_->Send(target, self, reply_bytes,
-                             [guarded = std::move(guarded),
-                              reply = std::move(reply)]() mutable {
-                               guarded(std::move(reply));
-                             });
-            });
+              continue;
+            }
+            MaybeCacheRead(fetch.key, reply->as_of[i], result);
+            state->Resolve(fetch_id, std::move(result));
+          }
+          finished = reply && retry.empty() && state->unresolved == 0;
+        }
+        if (!retry.empty()) {
+          DispatchMultiGet(state, std::move(retry));
+        } else if (finished) {
+          FinishMultiGet(state);
+        }
       });
 }
 
@@ -630,10 +596,13 @@ void Router::MultiGet(const std::vector<std::string>& keys, RequestOptions optio
     return;
   }
   // Pass 2, under the router mutex: each miss's replica candidate list from
-  // one ClusterState lookup, then the pre-existing dispatch path unchanged.
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  for (MultiGetState::Fetch& fetch : state->fetches) {
-    fetch.candidates = ReadCandidates(cluster_->partitions()->ForKey(fetch.key), state->options);
+  // one ClusterState lookup.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (MultiGetState::Fetch& fetch : state->fetches) {
+      fetch.candidates =
+          ReadCandidates(cluster_->partitions()->ForKey(fetch.key), state->options);
+    }
   }
   std::vector<size_t> all(state->fetches.size());
   for (size_t i = 0; i < all.size(); ++i) all[i] = i;
@@ -642,167 +611,113 @@ void Router::MultiGet(const std::vector<std::string>& keys, RequestOptions optio
 
 void Router::Scan(const std::string& start, const std::string& end, size_t limit,
                   RequestOptions options, std::function<void(Result<std::vector<Record>>)> callback) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   Time started = loop_->Now();
   options.Arm(started);
-  if (options.Expired(started)) {
-    FinishRead(started, false);
-    ++window_.deadline_exceeded;
-    callback(DeadlineExceededError("scan: deadline budget exhausted"));
-    return;
-  }
   const PartitionInfo& partition = cluster_->partitions()->ForKey(start);
-  if (!end.empty() && !(partition.end.empty() || end <= partition.end)) {
-    FinishRead(started, false);
-    callback(InvalidArgumentError("scan range spans partitions; fan out at the query layer"));
+  NodeId target = kInvalidNode;
+  StorageNode* node = nullptr;
+  Status failure;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (options.Expired(started)) {
+      failure = TimeoutStatus(/*budget_bound=*/true, "scan");
+    } else if (!end.empty() && !(partition.end.empty() || end <= partition.end)) {
+      failure = InvalidArgumentError("scan range spans partitions; fan out at the query layer");
+    } else {
+      target = ChooseReadReplica(partition, options);
+      node = cluster_->GetNode(target);
+      if (node == nullptr) failure = UnavailableError("replica not registered");
+    }
+  }
+  if (!failure.ok()) {
+    Fail(Op::kRead, started, std::move(failure), callback);
     return;
   }
-  NodeId target = ChooseReadReplica(partition, options);
-  StorageNode* node = cluster_->GetNode(target);
-  if (node == nullptr) {
-    FinishRead(started, false);
-    callback(UnavailableError("replica not registered"));
-    return;
-  }
-  auto state = std::make_shared<Pending>();
-  auto respond = [this, state, started, callback](Result<std::vector<Record>> result) {
-    if (!state->Claim()) return;
-    std::lock_guard<std::recursive_mutex> relock(mu_);
-    if (state->timeout_event != Executor::kInvalidTask) loop_->Cancel(state->timeout_event);
-    FinishRead(started, result.ok());
-    if (!result.ok() && IsDeadlineExceeded(result.status())) ++window_.deadline_exceeded;
-    callback(std::move(result));
-  };
   bool budget_bound = false;
   Duration timeout = ClampedTimeout(options, started, &budget_bound);
-  state->timeout_event =
-      loop_->ScheduleAfter(timeout, [respond, budget_bound]() mutable {
-        respond(TimeoutStatus(budget_bound, "scan"));
+  RoundTrip<Result<std::vector<Record>>>(
+      loop_, network_, client_id_, target, static_cast<int64_t>(start.size() + end.size()) + 16,
+      timeout,
+      [node, start, end, limit, priority = options.priority](auto respond) {
+        node->HandleScan(start, end, limit, priority, std::move(respond));
+      },
+      [this, started, budget_bound,
+       callback = std::move(callback)](std::optional<Result<std::vector<Record>>> reply) {
+        Result<std::vector<Record>> rows =
+            reply ? std::move(*reply)
+                  : Result<std::vector<Record>>(TimeoutStatus(budget_bound, "scan"));
+        Settle(Op::kRead, started, rows.ok(), rows.status());
+        callback(std::move(rows));
       });
-  NodeId self = client_id_;
-  RequestPriority priority = options.priority;
-  int64_t request_bytes = static_cast<int64_t>(start.size() + end.size()) + 16;
-  network_->Send(self, target, request_bytes,
-                 [this, node, start, end, limit, priority, target, self, respond]() mutable {
-    node->HandleScan(start, end, limit, priority,
-                     [this, target, self, respond](Result<std::vector<Record>> rows) mutable {
-                       int64_t reply_bytes = 8;
-                       if (rows.ok()) {
-                         for (const Record& row : *rows) reply_bytes += WireSize(row);
-                       }
-                       network_->Send(target, self, reply_bytes,
-                                      [respond, rows = std::move(rows)]() mutable {
-                                        respond(std::move(rows));
-                                      });
-                     });
-  });
 }
 
-void Router::SendWrite(const WalRecord& record, AckMode ack, const RequestOptions& options,
-                       std::function<void(Status)> callback) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+void Router::Write(const WriteOp& op, AckMode ack, RequestOptions options,
+                   std::function<void(Result<Version>)> callback) {
   Time started = loop_->Now();
-  // Write coalescing: concurrent puts of the same key merge (last-write-
-  // wins) into one primary round trip. Deletes keep their own serve —
-  // merging a put over a delete (or vice versa) would reorder intent.
-  if (write_coalescer_ != nullptr && write_coalescer_->enabled() && options.allow_coalesce &&
-      record.type == WalRecord::Type::kPut && !options.Expired(started)) {
-    WriteCoalescer::PendingWrite write;
-    write.router = this;
-    write.record = record;
-    write.ack = ack;
-    write.options = options;
-    write.start = started;
-    write.callback = std::move(callback);
-    write_coalescer_->Submit(std::move(write));
-    return;
-  }
-  SendWriteImpl(record, ack, options, started, /*account=*/true, std::move(callback));
-}
-
-void Router::DispatchCoalescedWrite(const WalRecord& record, AckMode ack,
-                                    const RequestOptions& options,
-                                    std::function<void(Status)> callback) {
-  SendWriteImpl(record, ack, options, loop_->Now(), /*account=*/false, std::move(callback));
-}
-
-void Router::FinishCoalescedWrite(Time start, const Status& status, const WalRecord& winner) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  FinishWrite(start, status.ok());
-  if (!status.ok() && IsDeadlineExceeded(status)) ++window_.deadline_exceeded;
-  // Cache coherence with the *winning* record: it is what the primary
-  // stored, and its version is >= every member's own stamp.
-  if (cache_ != nullptr && status.ok()) {
-    if (winner.type == WalRecord::Type::kPut) {
-      cache_->OnPut(winner.key, winner.value, winner.version, loop_->Now());
-    } else {
-      cache_->OnDelete(winner.key, winner.version, loop_->Now());
-    }
-  }
-}
-
-void Router::SendWriteImpl(const WalRecord& record, AckMode ack, const RequestOptions& options,
-                           Time started, bool account, std::function<void(Status)> callback) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (options.Expired(loop_->Now())) {
-    if (account) {
-      ShedWrite(started, "write", callback);
-    } else {
-      callback(TimeoutStatus(/*budget_bound=*/true, "write"));
-    }
-    return;
-  }
-  const PartitionInfo& partition = cluster_->partitions()->ForKey(record.key);
+  options.Arm(started);
+  // Shared, not copied per closure: the node handler and the cache hook
+  // both read the one record.
+  auto record = std::make_shared<WalRecord>();
+  record->type = op.kind == WriteOp::Kind::kPut ? WalRecord::Type::kPut : WalRecord::Type::kDelete;
+  record->key = op.key;
+  if (op.kind == WriteOp::Kind::kPut) record->value = op.value;
+  record->version = Version{started, client_id_};
+  const PartitionInfo& partition = cluster_->partitions()->ForKey(record->key);
   NodeId target = partition.primary();
   StorageNode* node = cluster_->GetNode(target);
-  if (node == nullptr) {
-    if (account) FinishWrite(started, false);
-    callback(UnavailableError("primary not registered"));
+  Status failure;
+  if (options.Expired(started)) {
+    failure = TimeoutStatus(/*budget_bound=*/true, "write");
+  } else if (node == nullptr) {
+    failure = UnavailableError("primary not registered");
+  }
+  if (!failure.ok()) {
+    Fail(Op::kWrite, started, std::move(failure), callback);
     return;
   }
-  auto state = std::make_shared<Pending>();
-  // Shared, not copied per closure: the record's value payload would
-  // otherwise ride in both the respond and timeout lambdas.
-  auto acked = std::make_shared<WalRecord>(record);
-  auto respond = [this, state, started, account, acked, callback](Status status) {
-    if (!state->Claim()) return;
-    std::lock_guard<std::recursive_mutex> relock(mu_);
-    if (state->timeout_event != Executor::kInvalidTask) loop_->Cancel(state->timeout_event);
-    if (account) {
-      FinishWrite(started, status.ok());
-      if (!status.ok() && IsDeadlineExceeded(status)) ++window_.deadline_exceeded;
-      // Synchronous cache coherence: the entry is refreshed/invalidated
-      // before the client learns the write committed, so no later read
-      // through this router can see the predecessor value from cache.
-      if (cache_ != nullptr && status.ok()) {
-        if (acked->type == WalRecord::Type::kPut) {
-          cache_->OnPut(acked->key, acked->value, acked->version, loop_->Now());
-        } else {
-          cache_->OnDelete(acked->key, acked->version, loop_->Now());
-        }
-      }
-    }
-    callback(std::move(status));
-  };
   bool budget_bound = false;
   Duration timeout = ClampedTimeout(options, started, &budget_bound);
-  state->timeout_event =
-      loop_->ScheduleAfter(timeout, [respond, budget_bound]() mutable {
+  RoundTrip<Status>(
+      loop_, network_, client_id_, target, WireSize(*record), timeout,
+      [node, pid = partition.id, record, ack, priority = options.priority](auto respond) {
+        node->HandleWrite(pid, *record, ack, priority, std::move(respond));
+      },
+      [this, started, budget_bound, record,
+       callback = std::move(callback)](std::optional<Status> reply) {
         // Writes never retry (no idempotence token).
-        respond(TimeoutStatus(budget_bound, "write"));
+        Status status = reply ? std::move(*reply) : TimeoutStatus(budget_bound, "write");
+        Settle(Op::kWrite, started, status.ok(), status);
+        if (!status.ok()) {
+          callback(std::move(status));
+          return;
+        }
+        CacheWrite(record->type == WalRecord::Type::kDelete, record->key, record->value,
+                   record->version);
+        callback(record->version);
       });
-  PartitionId pid = partition.id;
-  NodeId self = client_id_;
-  RequestPriority priority = options.priority;
-  network_->Send(self, target, WireSize(record),
-                 [this, node, pid, record, ack, priority, target, self, respond]() mutable {
-    node->HandleWrite(pid, record, ack, priority,
-                      [this, target, self, respond](Status status) mutable {
-      network_->Send(target, self, 4, [respond, status = std::move(status)]() mutable {
-        respond(std::move(status));
-      });
-    });
-  });
+}
+
+namespace {
+
+/// Adapts a status-only callback to Write's versioned one.
+std::function<void(Result<Version>)> StatusOnly(std::function<void(Status)> callback) {
+  return [callback = std::move(callback)](Result<Version> result) {
+    callback(result.status());
+  };
+}
+
+}  // namespace
+
+void Router::Put(const std::string& key, const std::string& value, AckMode ack,
+                 RequestOptions options, std::function<void(Status)> callback) {
+  Write({WriteOp::Kind::kPut, key, value}, ack, std::move(options),
+        StatusOnly(std::move(callback)));
+}
+
+void Router::Delete(const std::string& key, AckMode ack, RequestOptions options,
+                    std::function<void(Status)> callback) {
+  Write({WriteOp::Kind::kDelete, key, {}}, ack, std::move(options),
+        StatusOnly(std::move(callback)));
 }
 
 void Router::MultiWrite(std::vector<WriteOp> ops, AckMode ack, RequestOptions options,
@@ -812,16 +727,13 @@ void Router::MultiWrite(std::vector<WriteOp> ops, AckMode ack, RequestOptions op
     return;
   }
   const size_t n = ops.size();
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   Time started = loop_->Now();
   options.Arm(started);
   if (options.Expired(started)) {
-    std::vector<Status> shed;
-    shed.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      FinishWrite(started, false);
-      ++window_.deadline_exceeded;
-      shed.push_back(TimeoutStatus(/*budget_bound=*/true, "multiwrite"));
+    std::vector<Status> shed(n, TimeoutStatus(/*budget_bound=*/true, "multiwrite"));
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (const Status& status : shed) Account(Op::kWrite, started, false, status);
     }
     callback(std::move(shed));
     return;
@@ -845,15 +757,17 @@ void Router::MultiWrite(std::vector<WriteOp> ops, AckMode ack, RequestOptions op
   for (size_t i = 0; i < n; ++i) state->winner_of[state->ops[i].key] = i;
 
   auto finalize = [this, state, started]() {
-    // Coalesced losers inherit their winner's outcome; then every logical
-    // write is accounted individually, batched or not.
-    for (size_t i = 0; i < state->ops.size(); ++i) {
-      auto it = state->winner_of.find(state->ops[i].key);
-      if (it->second != i) state->statuses[i] = state->statuses[it->second];
-    }
-    for (const Status& status : state->statuses) {
-      FinishWrite(started, status.ok());
-      if (!status.ok() && IsDeadlineExceeded(status)) ++window_.deadline_exceeded;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      // Coalesced losers inherit their winner's outcome; then every logical
+      // write is accounted individually, batched or not.
+      for (size_t i = 0; i < state->ops.size(); ++i) {
+        auto it = state->winner_of.find(state->ops[i].key);
+        if (it->second != i) state->statuses[i] = state->statuses[it->second];
+      }
+      for (const Status& status : state->statuses) {
+        Account(Op::kWrite, started, status.ok(), status);
+      }
     }
     state->callback(std::move(state->statuses));
   };
@@ -862,7 +776,7 @@ void Router::MultiWrite(std::vector<WriteOp> ops, AckMode ack, RequestOptions op
   struct Group {
     std::vector<size_t> op_ids;
     std::vector<MultiWriteItem> items;
-    int64_t bytes = 0;
+    size_t limit = 0;
   };
   std::map<NodeId, Group> groups;
   for (const auto& [key, op_id] : state->winner_of) {
@@ -887,7 +801,6 @@ void Router::MultiWrite(std::vector<WriteOp> ops, AckMode ack, RequestOptions op
     if (op.kind == WriteOp::Kind::kPut) item.record.value = op.value;
     item.record.version = version;
     Group& group = groups[target];
-    group.bytes += WireSize(item.record);
     group.op_ids.push_back(op_id);
     group.items.push_back(std::move(item));
   }
@@ -896,198 +809,102 @@ void Router::MultiWrite(std::vector<WriteOp> ops, AckMode ack, RequestOptions op
     return;
   }
 
-  // Load-adaptive sizing: each primary's ops ship as sub-batches capped by
-  // its load signal and the remaining deadline budget, the same rule as
+  // Load-adaptive sizing: each primary's ops ship as chunks capped by its
+  // load signal and the remaining deadline budget, the same rule as
   // MultiGet (SubBatchLimit). Writes do not redirect — a shed or timed-out
-  // chunk fails only its own ops.
-  struct Chunk {
-    NodeId target = kInvalidNode;
-    std::vector<size_t> op_ids;
-    std::vector<MultiWriteItem> items;
-    int64_t bytes = 0;
-  };
-  std::vector<Chunk> chunks;
+  // chunk fails only its own ops. Every chunk is counted before the first
+  // ships, since its reply may land on another worker mid-loop.
   Time now = loop_->Now();
   for (auto& [target, group] : groups) {
-    size_t limit = SubBatchLimit(target, options, now);
-    for (size_t offset = 0; offset < group.op_ids.size(); offset += limit) {
-      size_t count = std::min(limit, group.op_ids.size() - offset);
-      Chunk chunk;
-      chunk.target = target;
-      chunk.op_ids.reserve(count);
-      chunk.items.reserve(count);
-      for (size_t i = offset; i < offset + count; ++i) {
-        chunk.bytes += WireSize(group.items[i].record);
-        chunk.op_ids.push_back(group.op_ids[i]);
-        chunk.items.push_back(std::move(group.items[i]));
-      }
-      chunks.push_back(std::move(chunk));
-    }
+    group.limit = SubBatchLimit(target, options, now);
+    state->groups_pending += 1 + (group.items.size() - 1) / group.limit;
   }
-  state->groups_pending = chunks.size();
-
-  for (auto& chunk : chunks) {
-    NodeId target = chunk.target;
+  for (auto& [target, group] : groups) {
     StorageNode* node = cluster_->GetNode(target);
-    auto pending = std::make_shared<Pending>();
-    auto respond = [this, state, op_ids = chunk.op_ids, version, finalize,
-                    pending](std::vector<Status> statuses) {
-      if (!pending->Claim()) return;
-      std::lock_guard<std::recursive_mutex> relock(mu_);
-      if (pending->timeout_event != Executor::kInvalidTask) loop_->Cancel(pending->timeout_event);
-      for (size_t i = 0; i < op_ids.size(); ++i) {
-        Status status = i < statuses.size() ? std::move(statuses[i])
-                                            : InternalError("short multi-write reply");
-        const WriteOp& op = state->ops[op_ids[i]];
-        // Synchronous cache coherence, same as single writes: refresh or
-        // invalidate before the caller learns the op committed.
-        if (cache_ != nullptr && status.ok()) {
-          if (op.kind == WriteOp::Kind::kPut) {
-            cache_->OnPut(op.key, op.value, version, loop_->Now());
-          } else {
-            cache_->OnDelete(op.key, version, loop_->Now());
-          }
-        }
-        state->statuses[op_ids[i]] = std::move(status);
-      }
-      if (--state->groups_pending == 0) finalize();
-    };
-    bool budget_bound = false;
-    Duration timeout = ClampedTimeout(options, loop_->Now(), &budget_bound);
-    pending->timeout_event =
-        loop_->ScheduleAfter(timeout, [respond, budget_bound, size = chunk.op_ids.size()] {
-          // Writes never retry (no idempotence token): the node's whole
-          // sub-batch fails; other nodes' sub-batches are unaffected.
-          respond(std::vector<Status>(size, TimeoutStatus(budget_bound, "write")));
-        });
-    NodeId self = client_id_;
-    RequestPriority priority = options.priority;
-    network_->Send(self, target, chunk.bytes,
-                   [this, node, target, self, items = std::move(chunk.items), ack, priority,
-                    respond = std::move(respond)]() mutable {
-                     node->HandleMultiWrite(
-                         std::move(items), ack, priority,
-                         [this, target, self, respond = std::move(respond)](
-                             std::vector<Status> statuses) mutable {
-                           network_->Send(target, self,
-                                          static_cast<int64_t>(statuses.size()) * 4,
-                                          [respond = std::move(respond),
-                                           statuses = std::move(statuses)]() mutable {
-                                            respond(std::move(statuses));
-                                          });
-                         });
-                   });
+    for (size_t offset = 0; offset < group.items.size(); offset += group.limit) {
+      size_t count = std::min(group.limit, group.items.size() - offset);
+      auto first = static_cast<ptrdiff_t>(offset);
+      auto last = static_cast<ptrdiff_t>(offset + count);
+      std::vector<size_t> op_ids(group.op_ids.begin() + first, group.op_ids.begin() + last);
+      std::vector<MultiWriteItem> items(std::make_move_iterator(group.items.begin() + first),
+                                        std::make_move_iterator(group.items.begin() + last));
+      int64_t request_bytes = 0;
+      for (const MultiWriteItem& item : items) request_bytes += WireSize(item.record);
+      bool budget_bound = false;
+      Duration timeout = ClampedTimeout(options, loop_->Now(), &budget_bound);
+      RoundTrip<std::vector<Status>>(
+          loop_, network_, client_id_, target, request_bytes, timeout,
+          [node, items = std::move(items), ack, priority = options.priority](auto respond) mutable {
+            node->HandleMultiWrite(std::move(items), ack, priority, std::move(respond));
+          },
+          [this, state, version, budget_bound, finalize,
+           op_ids = std::move(op_ids)](std::optional<std::vector<Status>> reply) {
+            // Writes never retry (no idempotence token): a timed-out chunk
+            // fails its own ops; other chunks are unaffected.
+            std::vector<Status> statuses =
+                reply ? std::move(*reply)
+                      : std::vector<Status>(op_ids.size(), TimeoutStatus(budget_bound, "write"));
+            bool last_chunk = false;
+            {
+              std::lock_guard<std::mutex> lock(mu_);
+              for (size_t i = 0; i < op_ids.size(); ++i) {
+                Status status = i < statuses.size() ? std::move(statuses[i])
+                                                    : InternalError("short multi-write reply");
+                const WriteOp& op = state->ops[op_ids[i]];
+                if (status.ok()) {
+                  CacheWrite(op.kind == WriteOp::Kind::kDelete, op.key, op.value, version);
+                }
+                state->statuses[op_ids[i]] = std::move(status);
+              }
+              last_chunk = --state->groups_pending == 0;
+            }
+            if (last_chunk) finalize();
+          });
+    }
   }
-}
-
-void Router::Put(const std::string& key, const std::string& value, AckMode ack,
-                 RequestOptions options, std::function<void(Status)> callback) {
-  PutWithVersion(key, value, ack, std::move(options),
-                 [callback = std::move(callback)](Result<Version> result) {
-                   callback(result.ok() ? Status::Ok() : result.status());
-                 });
-}
-
-void Router::PutWithVersion(const std::string& key, const std::string& value, AckMode ack,
-                            RequestOptions options,
-                            std::function<void(Result<Version>)> callback) {
-  options.Arm(loop_->Now());
-  WalRecord record;
-  record.type = WalRecord::Type::kPut;
-  record.key = key;
-  record.value = value;
-  record.version = Version{loop_->Now(), client_id_};
-  Version stamped = record.version;
-  SendWrite(record, ack, options, [stamped, callback = std::move(callback)](Status status) {
-    if (status.ok()) {
-      callback(stamped);
-    } else {
-      callback(std::move(status));
-    }
-  });
-}
-
-void Router::Delete(const std::string& key, AckMode ack, RequestOptions options,
-                    std::function<void(Status)> callback) {
-  DeleteWithVersion(key, ack, std::move(options),
-                    [callback = std::move(callback)](Result<Version> result) {
-                      callback(result.ok() ? Status::Ok() : result.status());
-                    });
-}
-
-void Router::DeleteWithVersion(const std::string& key, AckMode ack, RequestOptions options,
-                               std::function<void(Result<Version>)> callback) {
-  options.Arm(loop_->Now());
-  WalRecord record;
-  record.type = WalRecord::Type::kDelete;
-  record.key = key;
-  record.version = Version{loop_->Now(), client_id_};
-  Version stamped = record.version;
-  SendWrite(record, ack, options, [stamped, callback = std::move(callback)](Status status) {
-    if (status.ok()) {
-      callback(stamped);
-    } else {
-      callback(std::move(status));
-    }
-  });
 }
 
 void Router::ConditionalPut(const std::string& key, const std::string& value,
                             std::optional<Version> expected, AckMode ack,
                             RequestOptions options, std::function<void(Status)> callback) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   Time started = loop_->Now();
   options.Arm(started);
-  if (options.Expired(started)) {
-    ShedWrite(started, "conditional put", callback);
-    return;
-  }
   const PartitionInfo& partition = cluster_->partitions()->ForKey(key);
   NodeId target = partition.primary();
   StorageNode* node = cluster_->GetNode(target);
-  if (node == nullptr) {
-    FinishWrite(started, false);
-    callback(UnavailableError("primary not registered"));
+  Status failure;
+  if (options.Expired(started)) {
+    failure = TimeoutStatus(/*budget_bound=*/true, "conditional put");
+  } else if (node == nullptr) {
+    failure = UnavailableError("primary not registered");
+  }
+  if (!failure.ok()) {
+    Fail(Op::kWrite, started, std::move(failure), callback);
     return;
   }
-  Version new_version{loop_->Now(), client_id_};
-  auto state = std::make_shared<Pending>();
-  auto respond = [this, state, started, key, value, new_version, callback](Status status) {
-    if (!state->Claim()) return;
-    std::lock_guard<std::recursive_mutex> relock(mu_);
-    if (state->timeout_event != Executor::kInvalidTask) loop_->Cancel(state->timeout_event);
-    // kAborted is an answered request: the system worked, the CAS lost.
-    FinishWrite(started, status.ok() || IsAborted(status));
-    if (!status.ok() && IsDeadlineExceeded(status)) ++window_.deadline_exceeded;
-    if (cache_ != nullptr && status.ok()) cache_->OnPut(key, value, new_version, loop_->Now());
-    callback(std::move(status));
-  };
+  Version new_version{started, client_id_};
   bool budget_bound = false;
   Duration timeout = ClampedTimeout(options, started, &budget_bound);
-  state->timeout_event =
-      loop_->ScheduleAfter(timeout, [respond, budget_bound]() mutable {
-        respond(TimeoutStatus(budget_bound, "write"));
+  RoundTrip<Status>(
+      loop_, network_, client_id_, target, static_cast<int64_t>(key.size() + value.size()) + 29,
+      timeout,
+      [node, pid = partition.id, key, value, expected, new_version, ack,
+       priority = options.priority](auto respond) {
+        node->HandleConditionalPut(pid, key, value, expected, new_version, ack, priority,
+                                   std::move(respond));
+      },
+      [this, started, budget_bound, key, value, new_version,
+       callback = std::move(callback)](std::optional<Status> reply) {
+        Status status = reply ? std::move(*reply) : TimeoutStatus(budget_bound, "write");
+        // kAborted is an answered request: the system worked, the CAS lost.
+        Settle(Op::kWrite, started, status.ok() || IsAborted(status), status);
+        if (status.ok()) CacheWrite(/*tombstone=*/false, key, value, new_version);
+        callback(std::move(status));
       });
-  PartitionId pid = partition.id;
-  NodeId self = client_id_;
-  RequestPriority priority = options.priority;
-  int64_t request_bytes = static_cast<int64_t>(key.size() + value.size()) + 29;
-  network_->Send(self, target, request_bytes,
-                 [this, node, pid, key, value, expected, new_version, ack, priority, target,
-                  self, respond]() mutable {
-                   node->HandleConditionalPut(
-                       pid, key, value, expected, new_version, ack, priority,
-                       [this, target, self, respond](Status status) mutable {
-                         network_->Send(target, self, 4,
-                                        [respond, status = std::move(status)]() mutable {
-                                          respond(std::move(status));
-                                        });
-                       });
-                 });
 }
 
 RouterWindow Router::TakeWindow() {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   RouterWindow out = std::move(window_);
   window_ = RouterWindow{};
   return out;

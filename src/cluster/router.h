@@ -6,21 +6,21 @@
 // one application server; experiments may run several.
 //
 // Thread safety: a Router may be driven from any thread on any
-// ExecutionBackend. One recursive mutex serializes all of its mutable
-// state — the window, the selector/breaker (stateful policies), and every
-// in-flight request's bookkeeping. Response and timeout continuations
-// re-acquire it when they fire (they may run on different workers under
-// ThreadedRuntime), so a request's two racing completions are resolved by
-// an atomic claim on its Pending record plus the lock. The lock is held
-// while enqueuing into the MessageFabric (fabric queues have their own
-// locks, ordered after the router's) but never across a storage node's
-// service work — deliveries run on the node's owner worker, lock-free
-// with respect to the router.
-
+// ExecutionBackend. One plain mutex guards its mutable state — the window,
+// the selector and breaker (stateful policies), and the in-flight MultiGet
+// and MultiWrite fan-out bookkeeping. Every node exchange runs on
+// RoundTrip (cluster/round_trip.h), whose atomic claim resolves the race
+// between a reply and its timeout, so no lock is held across one. The lock
+// is taken only to read or update that state: user callbacks, coalescer
+// calls and fabric sends all run after it is released, so a callback may
+// re-enter this router (or any other) from any completion path. The only
+// locks taken under it are leaves that never wait on a router: cache
+// shards (MultiGet replies and MultiWrite acks update the cache) and the
+// ClusterState registry (node lookups and load signals for the selector
+// and breaker).
 #ifndef SCADS_CLUSTER_ROUTER_H_
 #define SCADS_CLUSTER_ROUTER_H_
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -41,7 +41,6 @@ namespace scads {
 
 class CacheDirectory;
 class ReadCoalescer;
-class WriteCoalescer;
 
 /// Load-adaptive sub-batch sizing (MultiGet/MultiWrite). A node's sub-batch
 /// is capped by a size derived from its exported load signal: idle nodes
@@ -137,11 +136,11 @@ class Router {
   /// age is within the spec's staleness bound; successful reads populate
   /// it, and every acked write refreshes/invalidates it synchronously
   /// (before the write callback), so the cache can never serve a value
-  /// older than the declared bound. Hits are validated BEFORE this router's
-  /// mutex is taken (the lock-free hot path in Get/MultiGet); write hooks
-  /// run under it — both are safe because cache locks never wait on a
-  /// router (lock order: cache shard → router → coalescer, each a one-way
-  /// edge). Attach before traffic starts, like the coalescers.
+  /// older than the declared bound. Hits are validated without this
+  /// router's mutex (the lock-free hot path in Get/MultiGet); batched
+  /// replies update it under the mutex, which is safe because cache shard
+  /// locks are leaves that never wait on a router. Attach before traffic
+  /// starts, like the coalescer.
   void set_cache(CacheDirectory* cache) { cache_ = cache; }
   CacheDirectory* cache() { return cache_; }
 
@@ -151,25 +150,19 @@ class Router {
   void set_coalescer(ReadCoalescer* coalescer) { coalescer_ = coalescer; }
   ReadCoalescer* coalescer() { return coalescer_; }
 
-  /// Attaches the cross-router write coalescer (may be shared by several
-  /// Routers). Coalesce-eligible puts then hold for its merge window and
-  /// ship as one last-write-wins record; see cluster/coalescer.h.
-  void set_write_coalescer(WriteCoalescer* coalescer) { write_coalescer_ = coalescer; }
-  WriteCoalescer* write_coalescer() { return write_coalescer_; }
-
   /// Swaps in a custom read-routing policy (zone-aware, deadline-aware,
   /// ...). The Router builds the configured default (RouterConfig::
   /// selector) at construction; dispatch code never changes per policy.
   void set_selector(std::unique_ptr<ReplicaSelector> selector) {
     if (selector != nullptr) {
       selector_ = std::move(selector);
-      selector_->set_breaker(breaker_.get());
+      selector_->set_breaker(&breaker_);
     }
   }
   ReplicaSelector* selector() { return selector_.get(); }
 
   /// The per-node circuit breaker guarding this router's read path.
-  CircuitBreaker* breaker() { return breaker_.get(); }
+  CircuitBreaker* breaker() { return &breaker_; }
 
   /// Picks one node among `candidates` (non-empty) with the read-routing
   /// policy, counting the pick in the window. The consistency layer uses
@@ -220,6 +213,21 @@ class Router {
     std::string value;  ///< Ignored for kDelete.
   };
 
+  /// Single-key write (put or tombstone) with the given ack mode. The
+  /// version is stamped here — {loop->Now(), client_id}: last-write-wins
+  /// order is wall-clock time, writer id breaks ties — and reported on
+  /// success (session guarantees keep it as their token). An acked write
+  /// refreshes/invalidates the cache before the callback runs. Writes do
+  /// not retry automatically (no idempotence token at this layer).
+  void Write(const WriteOp& op, AckMode ack, RequestOptions options,
+             std::function<void(Result<Version>)> callback);
+
+  /// Write of a kPut / kDelete op that reports only its status.
+  void Put(const std::string& key, const std::string& value, AckMode ack,
+           RequestOptions options, std::function<void(Status)> callback);
+  void Delete(const std::string& key, AckMode ack, RequestOptions options,
+              std::function<void(Status)> callback);
+
   /// Batched writes: ops are grouped by primary node and shipped as one
   /// message per node (or several, under the same load-adaptive sub-batch
   /// cap as MultiGet); each node WAL-logs its sub-batch with one group-
@@ -237,25 +245,6 @@ class Router {
   void Scan(const std::string& start, const std::string& end, size_t limit,
             RequestOptions options, std::function<void(Result<std::vector<Record>>)> callback);
 
-  /// Write with the given ack mode. The version is stamped here:
-  /// {loop->Now(), client_id} — last-write-wins order is wall-clock time,
-  /// writer id breaks ties.
-  void Put(const std::string& key, const std::string& value, AckMode ack,
-           RequestOptions options, std::function<void(Status)> callback);
-
-  /// Like Put, but reports the stamped version on success (session
-  /// guarantees keep it as their token).
-  void PutWithVersion(const std::string& key, const std::string& value, AckMode ack,
-                      RequestOptions options, std::function<void(Result<Version>)> callback);
-
-  /// Tombstone write.
-  void Delete(const std::string& key, AckMode ack, RequestOptions options,
-              std::function<void(Status)> callback);
-
-  /// Like Delete, but reports the stamped version on success.
-  void DeleteWithVersion(const std::string& key, AckMode ack, RequestOptions options,
-                         std::function<void(Result<Version>)> callback);
-
   /// Compare-and-set (serializable writes). `expected` empty = "must not
   /// exist".
   void ConditionalPut(const std::string& key, const std::string& value,
@@ -271,7 +260,7 @@ class Router {
   /// Records a read that was served from cache outside the Router (the
   /// staleness controller's hit path), so RouterWindow — the SLA monitor's
   /// and Director's view — still sees every read.
-  void CountCacheServedRead(Time start) { FinishRead(start, true); }
+  void CountCacheServedRead(Time start);
 
   // --- ReadCoalescer plumbing --------------------------------------------
   //
@@ -296,21 +285,6 @@ class Router {
   void RedispatchCoalesced(const std::string& key, RequestOptions options, Time start,
                            NodeId exclude, std::function<void(Result<Record>)> callback);
 
-  // --- WriteCoalescer plumbing -------------------------------------------
-
-  /// Ships one merged (last-write-wins) record on behalf of a write-
-  /// coalescing group. No window accounting and no cache update happen here
-  /// — each member settles its own via FinishCoalescedWrite, so the merged
-  /// write still shows up once per member in telemetry.
-  void DispatchCoalescedWrite(const WalRecord& record, AckMode ack,
-                              const RequestOptions& options, std::function<void(Status)> callback);
-
-  /// Completes one member of a coalesced write: window accounting with the
-  /// member's original start time, plus a cache refresh with the *winning*
-  /// record (the value actually stored — refreshing with the member's own
-  /// superseded record could roll the cache backwards).
-  void FinishCoalescedWrite(Time start, const Status& status, const WalRecord& winner);
-
   /// Statistics since the last TakeWindow call. Safe to call while workers
   /// are completing requests: the swap happens under the router lock, so a
   /// concurrent completion lands wholly in the old window or wholly in the
@@ -321,22 +295,14 @@ class Router {
   const RouterWindow& window() const { return window_; }
 
  private:
-  /// One in-flight attempt's completion bookkeeping. `done` is the claim:
-  /// exactly one of the response / timeout continuations wins the exchange
-  /// and runs; the loser returns without touching anything. The claim is
-  /// atomic (not lock-guarded) because the two continuations may fire on
-  /// different workers in the same instant; everything after the claim runs
-  /// under the router lock.
-  struct Pending {
-    std::atomic<bool> done{false};
-    Executor::TaskId timeout_event = Executor::kInvalidTask;
+  using ReadCallback = std::function<void(Result<Record>)>;
+  enum class Op { kRead, kWrite };
 
-    /// True exactly once, for the first claimant.
-    bool Claim() { return !done.exchange(true, std::memory_order_acq_rel); }
-  };
-
+  /// Tries `candidates` from `index` on: skips unregistered nodes and
+  /// breaker-refused ones, then sends one attempt; its timeout moves on to
+  /// the next candidate.
   void GetAttempt(const std::string& key, std::vector<NodeId> candidates, size_t index, Time start,
-                  RequestOptions options, std::function<void(Result<Record>)> callback);
+                  RequestOptions options, ReadCallback callback);
 
   struct MultiGetState;  // scatter-gather bookkeeping (defined in router.cc)
   /// Groups the given pending fetches by their current replica candidate and
@@ -358,14 +324,17 @@ class Router {
   /// adaptive batching is disabled.
   size_t SubBatchLimit(NodeId target, const RequestOptions& options, Time now) const;
   void FinishMultiGet(const std::shared_ptr<MultiGetState>& state);
-  void FinishRead(Time start, bool ok);
-  void FinishWrite(Time start, bool ok);
-  /// Fails a read with kDeadlineExceeded, counting the shed.
-  void ShedRead(Time start, std::string_view what,
-                const std::function<void(Result<Record>)>& callback);
-  /// Write-side twin of ShedRead (invokes `callback` synchronously).
-  void ShedWrite(Time start, std::string_view what,
-                 const std::function<void(Status)>& callback);
+
+  /// Window accounting for one finished request: its latency since `start`,
+  /// ok or failed, and a deadline shed when a failure carries
+  /// kDeadlineExceeded. Caller holds mu_.
+  void Account(Op op, Time start, bool ok, const Status& status);
+  /// Account under a mu_ it takes itself.
+  void Settle(Op op, Time start, bool ok, const Status& status);
+  /// Settles a request that failed without a reply, then runs `callback`
+  /// with `status` after the lock is released.
+  template <typename Callback>
+  void Fail(Op op, Time start, Status status, const Callback& callback);
 
   /// May this request be answered from the attached cache?
   bool CacheEligible(const RequestOptions& options) const;
@@ -379,43 +348,36 @@ class Router {
 
   /// Both delegate to the selector policy and count policy picks/steers in
   /// the window. Shared by Get, MultiGet, Scan, and the coalescer
-  /// redispatch path, so every read picks replicas identically.
+  /// redispatch path, so every read picks replicas identically. Caller
+  /// holds mu_.
   NodeId ChooseReadReplica(const PartitionInfo& partition, const RequestOptions& options);
   std::vector<NodeId> ReadCandidates(const PartitionInfo& partition,
                                      const RequestOptions& options);
-  /// Window accounting for one selector decision.
+  /// Window accounting for one selector decision. Caller holds mu_.
   void CountPick(const ReplicaPick& pick);
-  void SendWrite(const WalRecord& record, AckMode ack, const RequestOptions& options,
-                 std::function<void(Status)> callback);
-  /// The actual write dispatch. `account` gates window accounting and the
-  /// synchronous cache refresh — false for coalesced dispatches, whose
-  /// members settle both through FinishCoalescedWrite.
-  void SendWriteImpl(const WalRecord& record, AckMode ack, const RequestOptions& options,
-                     Time started, bool account, std::function<void(Status)> callback);
 
   /// Caches `result` if it is a live record. `as_of` is the serving node's
   /// replication watermark snapshotted when it served the read.
   void MaybeCacheRead(const std::string& key, Time as_of, const Result<Record>& result);
+  /// The cache write hook for an acked write: refreshes a put's entry or
+  /// invalidates a tombstone's, before the writer's callback runs, so no
+  /// later read through the cache can see the predecessor value.
+  void CacheWrite(bool tombstone, const std::string& key, const std::string& value,
+                  Version version);
 
   NodeId client_id_;
   Executor* loop_;
   MessageFabric* network_;
   ClusterState* cluster_;
   RouterConfig config_;
-  /// The big router lock: guards window_, selector_, breaker_, and all
-  /// per-request dispatch state. Recursive because completions invoke user
-  /// callbacks that may legally re-enter this router (session chains,
-  /// coalescer redispatch). Ordering: router lock -> fabric queue lock;
-  /// never taken by storage-node-side code. Cache shard locks sit before
-  /// this one in the order (the hit path probes the CacheDirectory with no
-  /// router lock held) and are leaves — cache code never waits on a router
-  /// — so the write hooks may still call into the cache under this lock.
-  mutable std::recursive_mutex mu_;
+  /// Guards window_, breaker_, selector_, and in-flight MultiGetState /
+  /// MultiWrite bookkeeping. Never held across a callback, a coalescer
+  /// call, or a fabric send (see the file comment).
+  std::mutex mu_;
   RouterWindow window_;
   CacheDirectory* cache_ = nullptr;
   ReadCoalescer* coalescer_ = nullptr;
-  WriteCoalescer* write_coalescer_ = nullptr;
-  std::unique_ptr<CircuitBreaker> breaker_;
+  CircuitBreaker breaker_;
   std::unique_ptr<ReplicaSelector> selector_;
 };
 

@@ -6,8 +6,8 @@ namespace scads {
 
 void SessionClient::Put(const std::string& key, const std::string& value, AckMode ack,
                         RequestOptions options, std::function<void(Status)> callback) {
-  client_.router()->PutWithVersion(
-      key, value, ack, std::move(options),
+  client_.router()->Write(
+      {Router::WriteOp::Kind::kPut, key, value}, ack, std::move(options),
       [this, key, callback = std::move(callback)](Result<Version> result) {
         if (result.ok() && guarantees_.read_your_writes) {
           write_tokens_[key] = WriteToken{*result, /*was_delete=*/false};
@@ -18,8 +18,8 @@ void SessionClient::Put(const std::string& key, const std::string& value, AckMod
 
 void SessionClient::Delete(const std::string& key, AckMode ack, RequestOptions options,
                            std::function<void(Status)> callback) {
-  client_.router()->DeleteWithVersion(
-      key, ack, std::move(options),
+  client_.router()->Write(
+      {Router::WriteOp::Kind::kDelete, key, {}}, ack, std::move(options),
       [this, key, callback = std::move(callback)](Result<Version> result) {
         if (result.ok() && guarantees_.read_your_writes) {
           write_tokens_[key] = WriteToken{*result, /*was_delete=*/true};

@@ -64,8 +64,6 @@ Result<std::unique_ptr<Scads>> Scads::Create(ScadsOptions options) {
   }
   scads->coalescer_ = std::make_unique<ReadCoalescer>(&scads->loop_, &scads->network_,
                                                       &scads->cluster_, coalescer_config);
-  scads->write_coalescer_ =
-      std::make_unique<WriteCoalescer>(&scads->loop_, options.write_coalescer_config);
   // Paged storage is a per-node engine choice; the deployment-level config
   // simply fans out to every node built from node_config.
   if (options.paged_storage_config.enabled) {
@@ -76,7 +74,6 @@ Result<std::unique_ptr<Scads>> Scads::Create(ScadsOptions options) {
                                             options.seed ^ 0x726f7574ULL);
   scads->router_->set_cache(scads->cache_.get());
   scads->router_->set_coalescer(scads->coalescer_.get());
-  scads->router_->set_write_coalescer(scads->write_coalescer_.get());
   scads->rebalancer_ =
       std::make_unique<Rebalancer>(&scads->loop_, &scads->network_, &scads->cluster_);
   scads->write_policy_ = std::make_unique<WritePolicy>(scads->router_.get(), spec.writes,

@@ -84,11 +84,6 @@ struct ScadsOptions {
   /// staleness/min_version/deadline bounds still hold). staleness_bound is
   /// filled from the consistency spec unless set explicitly.
   CoalescerConfig coalescer_config;
-  /// Cross-request write coalescing (off by default; when enabled,
-  /// concurrent puts to the same key within the hold window collapse to one
-  /// replicated write of the last-writer-wins winner, acked to every
-  /// caller under the strictest requested ack mode).
-  WriteCoalescerConfig write_coalescer_config;
   /// Measured liveness (on by default): the heartbeat failure detector is
   /// armed at Start(), so a silent node is treated as dead even when no
   /// oracle flipped its flag. Disable for experiments that want purely
@@ -201,7 +196,6 @@ class Scads {
   TemplateSlaAccountant* template_sla() { return &template_sla_; }
   CacheDirectory* cache() { return cache_.get(); }
   ReadCoalescer* coalescer() { return coalescer_.get(); }
-  WriteCoalescer* write_coalescer() { return write_coalescer_.get(); }
   /// Deployment-wide registry (cache.point.* / cache.scan.* counters live
   /// here; per-engine counters stay on the nodes).
   MetricRegistry* metrics() { return &metrics_; }
@@ -239,7 +233,6 @@ class Scads {
 
   std::unique_ptr<CacheDirectory> cache_;
   std::unique_ptr<ReadCoalescer> coalescer_;
-  std::unique_ptr<WriteCoalescer> write_coalescer_;
   std::unique_ptr<Router> router_;
   std::unique_ptr<Rebalancer> rebalancer_;
   std::unique_ptr<WritePolicy> write_policy_;

@@ -105,15 +105,18 @@ void SocialWorkloadDriver::Run(std::function<void()> done) {
     std::vector<int64_t> indices;
   };
   auto chain = std::make_shared<Chain>(Chain{std::move(mutations), std::move(mutation_index)});
-  // Recursive lambda via shared holder (std::function self-capture).
+  // Recursive lambda via shared holder. The step holds itself weakly (a
+  // strong self-capture is a cycle that leaks); each in-flight `next` keeps
+  // it alive until the chain ends.
   auto step_holder = std::make_shared<std::function<void(size_t)>>();
-  *step_holder = [this, chain, finish, step_holder](size_t i) {
+  std::weak_ptr<std::function<void(size_t)>> weak_step = step_holder;
+  *step_holder = [this, chain, finish, weak_step](size_t i) {
     if (i >= chain->ops.size()) {
       finish();
       return;
     }
     const Op& op = chain->ops[i];
-    auto next = [this, finish, step_holder, i](Status status) {
+    auto next = [this, finish, step_holder = weak_step.lock(), i](Status status) {
       if (status.ok()) {
         ++stats_.mutations_ok;
       } else {
@@ -139,7 +142,7 @@ void SocialWorkloadDriver::Run(std::function<void()> done) {
         break;
       }
       case OpKind::kFeed:
-        (*step_holder)(i + 1);  // unreachable; feeds went to the other lane
+        (*weak_step.lock())(i + 1);  // unreachable; feeds went to the other lane
         break;
     }
   };

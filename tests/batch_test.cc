@@ -3,6 +3,7 @@
 // Router MultiGet/MultiWrite edge cases, and sub-batch failover.
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -473,6 +474,94 @@ TEST(RouterMultiWriteTest, CacheSeesNewValueBeforeAck) {
   auto out = tc.MultiGetSync({"apple"});
   ASSERT_TRUE(out[0].ok());
   EXPECT_EQ(out[0]->value, "new");
+}
+
+// ----------------------------------------------------------- wire bytes --
+
+// Every router exchange charges its request payload, its reply payload,
+// and one framing overhead per message. One node, rf 1, no heartbeats:
+// only the exchange under test sends anything.
+TEST(RouterWireBytesTest, EachExchangeChargesRequestReplyAndFraming) {
+  NodeConfig node_config;
+  node_config.watermark_heartbeat = 0;
+  TestCluster tc(1, 1, node_config);
+  ASSERT_TRUE(tc.PutSync("apple", "1").ok());
+  ASSERT_TRUE(tc.PutSync("grape", "22").ok());
+  constexpr int64_t kRecord = kRecordWireOverheadBytes;  // version + framing per record
+  using Done = std::function<void()>;
+  struct Row {
+    const char* op;
+    std::function<void(Router*, Done)> start;
+    int64_t request_bytes;
+    int64_t reply_bytes;
+  };
+  const std::vector<Row> rows = {
+      {"Get",
+       [](Router* r, Done done) {
+         r->Get("apple", RequestOptions{}, [done](Result<Record> got) {
+           EXPECT_TRUE(got.ok());
+           done();
+         });
+       },
+       5 + 4, 5 + 1 + kRecord},
+      {"MultiGet",
+       [](Router* r, Done done) {
+         r->MultiGet({"apple", "grape"}, RequestOptions{},
+                     [done](std::vector<Result<Record>> got) {
+                       EXPECT_TRUE(got[0].ok() && got[1].ok());
+                       done();
+                     });
+       },
+       (5 + 4) * 2, (5 + 1 + kRecord) + (5 + 2 + kRecord)},
+      {"Scan",
+       [](Router* r, Done done) {
+         r->Scan("a", "b", 0, RequestOptions{}, [done](Result<std::vector<Record>> rows) {
+           EXPECT_TRUE(rows.ok() && rows->size() == 1);
+           done();
+         });
+       },
+       1 + 1 + 16, 8 + (5 + 1 + kRecord)},
+      {"Put",
+       [](Router* r, Done done) {
+         r->Put("kiwi", "333", AckMode::kPrimary, RequestOptions{}, [done](Status status) {
+           EXPECT_TRUE(status.ok());
+           done();
+         });
+       },
+       4 + 3 + kRecord, 4},
+      {"ConditionalPut",
+       [](Router* r, Done done) {
+         r->ConditionalPut("melon", "4444", std::nullopt, AckMode::kPrimary, RequestOptions{},
+                           [done](Status status) {
+                             EXPECT_TRUE(status.ok());
+                             done();
+                           });
+       },
+       5 + 4 + 29, 4},
+      {"MultiWrite",
+       [](Router* r, Done done) {
+         std::vector<Router::WriteOp> ops = {{Router::WriteOp::Kind::kPut, "a1", "v1"},
+                                             {Router::WriteOp::Kind::kPut, "h1", "v1"},
+                                             {Router::WriteOp::Kind::kDelete, "q1", {}}};
+         r->MultiWrite(std::move(ops), AckMode::kPrimary, RequestOptions{},
+                       [done](std::vector<Status> statuses) {
+                         for (const Status& status : statuses) EXPECT_TRUE(status.ok());
+                         done();
+                       });
+       },
+       (2 + 2 + kRecord) * 2 + (2 + kRecord), 3 * 4},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.op);
+    int64_t sent_before = tc.network.sent_count();
+    int64_t bytes_before = tc.network.bytes_sent();
+    bool done = false;
+    row.start(tc.router.get(), [&done] { done = true; });
+    tc.RunUntil(done);
+    EXPECT_EQ(tc.network.sent_count() - sent_before, 2);  // one request, one reply
+    EXPECT_EQ(tc.network.bytes_sent() - bytes_before,
+              row.request_bytes + row.reply_bytes + 2 * MessageFabric::kMessageOverheadBytes);
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Chaos scenario suite (ISSUE 7 tentpole e): the self-healing loop under a
 // seed x scenario matrix — crash+restart, permanent node loss, network
 // partition + heal, gray/slow node — plus unit coverage for the failure
-// detector, the one-path liveness consolidation, the router's circuit
-// breaker, and write-side coalescing.
+// detector, the one-path liveness consolidation, and the router's circuit
+// breaker.
 //
 // The invariant every scenario asserts: ZERO acked-write loss. The harness
 // writes monotonically increasing values round-robin over a fixed key set
@@ -356,36 +356,6 @@ TEST(CircuitBreakerTest, SuspicionTripsWithoutTimeouts) {
   loop.RunFor(10 * kSecond);  // silence
   EXPECT_FALSE(breaker.Healthy(1)) << "suspicion did not trip the breaker";
   EXPECT_GE(breaker.stats().suspicion_opens, 1);
-}
-
-// ------------------------------------------------------ write coalescing --
-
-TEST(WriteCoalescerTest, SameKeyPutsCollapseToOneReplicatedWrite) {
-  ScadsOptions options = BaseOptions(9);
-  options.write_coalescer_config.enabled = true;
-  options.write_coalescer_config.window = 5 * kMillisecond;
-  ChaosHarness chaos(options);
-
-  // Three same-key puts inside one hold window: one replicated write, the
-  // last-write-wins winner acked to all three callers.
-  std::vector<Status> results;
-  for (int i = 0; i < 3; ++i) {
-    chaos.db->router()->Put("burst/key", "v" + std::to_string(i), AckMode::kPrimary, RequestOptions{},
-                            [&results](Status status) { results.push_back(status); });
-  }
-  chaos.db->RunFor(kSecond);
-  ASSERT_EQ(results.size(), 3u);
-  for (const Status& status : results) EXPECT_TRUE(status.ok());
-
-  WriteCoalescer* coalescer = chaos.db->write_coalescer();
-  ASSERT_NE(coalescer, nullptr);
-  EXPECT_EQ(coalescer->stats().leader_writes, 1);
-  EXPECT_EQ(coalescer->stats().merged_writes, 2);
-  EXPECT_EQ(coalescer->stats().batches_sent, 1);
-
-  Result<Record> got = chaos.Read("burst/key", /*pin_primary=*/true);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->value, "v2") << "coalescing must keep the last write, not the first";
 }
 
 }  // namespace

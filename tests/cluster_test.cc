@@ -341,6 +341,35 @@ TEST(RouterTest, ConditionalPutEnforcesVersionCheck) {
   EXPECT_EQ(stale.code(), StatusCode::kAborted);
 }
 
+TEST(RouterTest, TimedOutRequestsLeaveNoStaleCancellation) {
+  // The node accepts every message and never answers, so each request ends
+  // on its timeout. A timeout must not cancel its own (already fired)
+  // timer: the event loop would keep that id as a cancellation forever and
+  // under-count pending events. No heartbeats, so the loop can drain.
+  NodeConfig node_config;
+  node_config.watermark_heartbeat = 0;
+  TestCluster tc(1, 1, node_config);
+  tc.nodes[0]->set_alive(false);
+  std::vector<Status> statuses;
+  auto record = [&statuses](Status status) { statuses.push_back(std::move(status)); };
+  tc.router->Get("a", RequestOptions{}, [&](Result<Record> r) { record(r.status()); });
+  tc.router->MultiGet({"a", "b"}, RequestOptions{},
+                      [&](std::vector<Result<Record>> r) { record(r[0].status()); });
+  tc.router->Scan("a", "b", 0, RequestOptions{},
+                  [&](Result<std::vector<Record>> r) { record(r.status()); });
+  tc.router->Put("a", "v", AckMode::kPrimary, RequestOptions{}, record);
+  tc.router->Delete("b", AckMode::kPrimary, RequestOptions{}, record);
+  tc.router->ConditionalPut("c", "v", std::nullopt, AckMode::kPrimary, RequestOptions{}, record);
+  tc.router->MultiWrite({{Router::WriteOp::Kind::kPut, "d", "v"}}, AckMode::kPrimary,
+                        RequestOptions{}, [&](std::vector<Status> s) { record(s[0]); });
+  tc.loop.RunAll();
+  ASSERT_EQ(statuses.size(), 7u);
+  for (const Status& status : statuses) {
+    EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
+  }
+  EXPECT_EQ(tc.loop.pending_count(), 0u);
+}
+
 TEST(RouterTest, DeletePropagates) {
   TestCluster tc(3, 3);
   ASSERT_TRUE(tc.PutSync("k", "v").ok());

@@ -3,10 +3,11 @@
 // node, ReadMode/priority pass-through, retry-candidate dedup/cap, the
 // coalescer's follower staleness/min_version/deadline detach paths,
 // leader-error fan-out, the in-flight priority upgrade on shed, cross-
-// request cache isolation, and the rebalancer's least-loaded drain
-// destinations.
+// request cache isolation, callbacks re-entering the router from every
+// completion path, and the rebalancer's least-loaded drain destinations.
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -578,6 +579,160 @@ TEST(CoalescerTest, PinnedReadsAndOptOutsBypassTheCoalescer) {
   EXPECT_EQ(h.network.sent_to(1) - before, 2);
   EXPECT_EQ(h.coalescer->stats().leader_reads, 0);
   EXPECT_EQ(h.coalescer->stats().follower_joins, 0);
+}
+
+// ------------------------------------------------------ re-entrancy --
+
+// Every way a router request can complete must run its callback with no
+// router (or coalescer) lock held: the callback below sends a second
+// request on the same router, which would deadlock on the plain router
+// mutex otherwise. One row per entry point and applicable way to finish.
+enum class Finish { kAnswered, kNotFound, kShedAtEntry, kTimedOut, kBreakerSkipped, kCached,
+                    kFollower };
+constexpr const char* kFinishNames[] = {"answered",  "not found",       "shed at entry",
+                                        "timed out", "breaker-skipped", "served from cache",
+                                        "coalesced follower"};
+
+struct EntryPoint {
+  const char* name;
+  std::vector<Finish> finishes;
+  std::function<void(Router*, const std::string&, RequestOptions, std::function<void(Status)>)>
+      start;
+};
+
+const std::vector<EntryPoint>& EntryPoints() {
+  using F = Finish;
+  using Done = std::function<void(Status)>;
+  // Every entry point can be answered, shed at entry, or time out; point
+  // reads can also miss, skip an open breaker, and hit the cache.
+  const std::vector<F> any = {F::kAnswered, F::kShedAtEntry, F::kTimedOut};
+  const std::vector<F> reads = {F::kAnswered, F::kNotFound,       F::kShedAtEntry,
+                                F::kTimedOut, F::kBreakerSkipped};
+  std::vector<F> get = reads;
+  get.push_back(F::kCached);
+  get.push_back(F::kFollower);
+  std::vector<F> multiget = reads;
+  multiget.push_back(F::kCached);
+  static const std::vector<EntryPoint> entries = {
+      {"Get", get,
+       [](Router* r, const std::string& key, RequestOptions o, Done done) {
+         r->Get(key, o, [done](Result<Record> got) { done(got.status()); });
+       }},
+      {"GetFromReplica", reads,
+       [](Router* r, const std::string& key, RequestOptions o, Done done) {
+         r->GetFromReplica(key, 1, o, [done](Result<Record> got) { done(got.status()); });
+       }},
+      {"MultiGet", multiget,
+       [](Router* r, const std::string& key, RequestOptions o, Done done) {
+         r->MultiGet({key}, o, [done](std::vector<Result<Record>> got) { done(got[0].status()); });
+       }},
+      {"Scan", any,
+       [](Router* r, const std::string& key, RequestOptions o, Done done) {
+         r->Scan(key, "", 0, o, [done](Result<std::vector<Record>> rows) { done(rows.status()); });
+       }},
+      {"Put", any,
+       [](Router* r, const std::string& key, RequestOptions o, Done done) {
+         r->Put(key, "v2", AckMode::kPrimary, o, done);
+       }},
+      {"Delete", any,
+       [](Router* r, const std::string& key, RequestOptions o, Done done) {
+         r->Delete(key, AckMode::kPrimary, o, done);
+       }},
+      {"Write", any,
+       [](Router* r, const std::string& key, RequestOptions o, Done done) {
+         r->Write({Router::WriteOp::Kind::kPut, key, "v2"}, AckMode::kPrimary, o,
+                  [done](Result<Version> version) { done(version.status()); });
+       }},
+      {"MultiWrite", any,
+       [](Router* r, const std::string& key, RequestOptions o, Done done) {
+         r->MultiWrite({{Router::WriteOp::Kind::kPut, key, "v2"}}, AckMode::kPrimary, o,
+                       [done](std::vector<Status> statuses) { done(statuses[0]); });
+       }},
+      {"ConditionalPut", any,
+       [](Router* r, const std::string& key, RequestOptions o, Done done) {
+         // Expects the version Harness::Seed wrote.
+         r->ConditionalPut(key, "v2", Version{1, 0}, AckMode::kPrimary, o, done);
+       }},
+  };
+  return entries;
+}
+
+StatusCode ExpectedCode(Finish finish) {
+  switch (finish) {
+    case Finish::kNotFound:
+      return StatusCode::kNotFound;
+    case Finish::kShedAtEntry:
+      return StatusCode::kDeadlineExceeded;
+    case Finish::kTimedOut:
+    case Finish::kBreakerSkipped:
+      return StatusCode::kUnavailable;
+    default:
+      return StatusCode::kOk;
+  }
+}
+
+TEST(RouterReentryTest, CallbacksMayReenterTheRouterFromEveryCompletionPath) {
+  for (const EntryPoint& entry : EntryPoints()) {
+    for (Finish finish : entry.finishes) {
+      SCOPED_TRACE(std::string(entry.name) + ", " + kFinishNames[static_cast<int>(finish)]);
+      Harness h(1);
+      h.Seed("k", "v");
+      MetricRegistry metrics;
+      CacheConfig cache_config;
+      cache_config.enabled = true;
+      CacheDirectory cache(cache_config, /*staleness_bound=*/kMinute, &metrics);
+      ReadCoalescer coalescer(&h.loop, &h.network, &h.cluster, CoalesceHarness::DefaultConfig());
+      RequestOptions options;
+      int leader_done = 0;
+      switch (finish) {
+        case Finish::kShedAtEntry:
+          h.loop.RunFor(kMillisecond);
+          options.deadline_at = 1;  // armed in the past
+          break;
+        case Finish::kTimedOut:
+          h.node(1)->set_alive(false);  // accepts every message, never answers
+          break;
+        case Finish::kBreakerSkipped:
+          for (int i = 0; i < RouterConfig{}.breaker.failure_threshold; ++i) {
+            h.router->breaker()->RecordFailure(1);
+          }
+          break;
+        case Finish::kCached:
+          h.router->set_cache(&cache);
+          cache.StorePoint("k", "v", Version{1, 0}, h.loop.Now());
+          break;
+        case Finish::kFollower:
+          h.router->set_coalescer(&coalescer);
+          h.router->Get("k", RequestOptions{}, [&](Result<Record>) { ++leader_done; });
+          break;
+        default:
+          break;
+      }
+      const std::string key = finish == Finish::kNotFound ? "ghost" : "k";
+      int done = 0;
+      int reentered = 0;
+      Status outcome;
+      entry.start(h.router.get(), key, options, [&](Status status) {
+        ++done;
+        outcome = std::move(status);
+        h.router->Get("other", RequestOptions{}, [&](Result<Record>) { ++reentered; });
+      });
+      h.loop.RunFor(30 * kSecond);
+      EXPECT_EQ(done, 1);
+      EXPECT_EQ(reentered, 1);
+      EXPECT_EQ(outcome.code(), ExpectedCode(finish)) << outcome.ToString();
+      if (finish == Finish::kBreakerSkipped) {
+        EXPECT_GE(h.router->window().breaker_skips, 1);
+      }
+      if (finish == Finish::kCached) {
+        EXPECT_EQ(metrics.CounterValue("cache.point.hits"), 1);
+      }
+      if (finish == Finish::kFollower) {
+        EXPECT_EQ(leader_done, 1);
+        EXPECT_EQ(coalescer.stats().follower_joins, 1);
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------------- rebalancer --

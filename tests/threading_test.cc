@@ -14,6 +14,8 @@
 #include <set>
 #include <string>
 #include <chrono>
+#include <functional>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -583,6 +585,88 @@ TEST(ThreadedDataPlaneTest, ConcurrentHarvestConservesPickMap) {
   EXPECT_EQ(pick_sum, total.replica_picks);
   EXPECT_EQ(total.reads_ok + total.reads_failed,
             static_cast<int64_t>(kThreads) * kReadsPerThread);
+}
+
+// ---------------------------------------- callbacks re-entering routers --
+
+// ThreadedRuntime twin of RouterReentryTest (routing_test.cc): replies and
+// timeouts complete on worker threads, and each callback sends a second
+// request on the same router from there. A callback left under the router
+// mutex would hang its worker on the relock.
+TEST(ThreadedDataPlaneTest, CallbacksReenterTheRouterFromWorkerThreads) {
+  RouterConfig router_config;
+  router_config.request_timeout = 100 * kMillisecond;
+  // Open breakers would fail reads on the calling thread without a timeout.
+  router_config.breaker.enabled = false;
+  ThreadedCluster tc(1, 1, NodeConfig{}, router_config);
+  ASSERT_TRUE(tc.client().PutSync("hot/key", "v").ok());
+  using Done = std::function<void(Status)>;
+  struct Row {
+    const char* name;
+    std::function<void(Router*, Done)> start;
+  };
+  const std::vector<Row> rows = {
+      {"Get",
+       [](Router* r, Done done) {
+         r->Get("hot/key", RequestOptions{}, [done](Result<Record> got) { done(got.status()); });
+       }},
+      {"MultiGet",
+       [](Router* r, Done done) {
+         r->MultiGet({"hot/key"}, RequestOptions{},
+                     [done](std::vector<Result<Record>> got) { done(got[0].status()); });
+       }},
+      {"Scan",
+       [](Router* r, Done done) {
+         r->Scan("hot/", "", 0, RequestOptions{},
+                 [done](Result<std::vector<Record>> rows) { done(rows.status()); });
+       }},
+      {"Put",
+       [](Router* r, Done done) {
+         r->Put("hot/key", "v2", AckMode::kPrimary, RequestOptions{}, done);
+       }},
+      {"Write",
+       [](Router* r, Done done) {
+         r->Write({Router::WriteOp::Kind::kDelete, "cold/key", {}}, AckMode::kPrimary,
+                  RequestOptions{}, [done](Result<Version> version) { done(version.status()); });
+       }},
+      {"MultiWrite",
+       [](Router* r, Done done) {
+         r->MultiWrite({{Router::WriteOp::Kind::kPut, "hot/key", "v3"}}, AckMode::kPrimary,
+                       RequestOptions{}, [done](std::vector<Status> s) { done(s[0]); });
+       }},
+      {"ConditionalPut",
+       [](Router* r, Done done) {
+         r->ConditionalPut("cas/key", "v", std::nullopt, AckMode::kPrimary, RequestOptions{},
+                           done);
+       }},
+  };
+  const std::thread::id test_thread = std::this_thread::get_id();
+  for (bool silent : {false, true}) {
+    // A silent node accepts every message and never answers: each request
+    // then completes on its timeout instead of its reply.
+    tc.nodes[0]->set_alive(!silent);
+    for (const Row& row : rows) {
+      SCOPED_TRACE(std::string(row.name) + (silent ? " (timed out)" : " (answered)"));
+      struct Outcome {
+        std::thread::id callback_thread;
+        Status status;
+        std::promise<void> reentered;
+      };
+      auto outcome = std::make_shared<Outcome>();
+      std::future<void> reentered = outcome->reentered.get_future();
+      Router* router = tc.router.get();
+      row.start(router, [router, outcome](Status status) {
+        outcome->callback_thread = std::this_thread::get_id();
+        outcome->status = std::move(status);
+        router->Get("other/key", RequestOptions{},
+                    [outcome](Result<Record>) { outcome->reentered.set_value(); });
+      });
+      ASSERT_EQ(reentered.wait_for(std::chrono::seconds(30)), std::future_status::ready);
+      EXPECT_NE(outcome->callback_thread, test_thread);
+      EXPECT_EQ(outcome->status.code(), silent ? StatusCode::kUnavailable : StatusCode::kOk)
+          << outcome->status.ToString();
+    }
+  }
 }
 
 // ------------------------------------------- backend equivalence check --
