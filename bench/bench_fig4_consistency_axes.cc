@@ -63,8 +63,8 @@ bool AxisWriteConsistency() {
   // Serializable: concurrent CAS writers serialize; conflicts retried.
   WritePolicy serializable(db->router(), WriteConsistency::kSerializable);
   Status a = InternalError("pending"), b = InternalError("pending");
-  serializable.Put("doc", "writer-a", AckMode::kPrimary, RequestOptions{}, [&](Status s) { a = s; });
-  serializable.Put("doc", "writer-b", AckMode::kPrimary, RequestOptions{}, [&](Status s) { b = s; });
+  serializable.Put("doc", "writer-a", AckMode::kPrimary, RequestOptions{}, [&](Result<PutOutcome> r) { a = r.status(); });
+  serializable.Put("doc", "writer-b", AckMode::kPrimary, RequestOptions{}, [&](Result<PutOutcome> r) { b = r.status(); });
   db->RunFor(3 * kSecond);
   bool serializable_ok = a.ok() && b.ok() && serializable.stats().conflicts_retried >= 1;
   std::printf("  serializable: both writers committed after %lld retried conflicts -> %s\n",
@@ -77,8 +77,8 @@ bool AxisWriteConsistency() {
                        return std::string(stored) + "," + std::string(incoming);
                      });
   Status m1 = InternalError("pending"), m2 = InternalError("pending");
-  merger.Put("cart", "milk", AckMode::kPrimary, RequestOptions{}, [&](Status s) { m1 = s; });
-  merger.Put("cart", "eggs", AckMode::kPrimary, RequestOptions{}, [&](Status s) { m2 = s; });
+  merger.Put("cart", "milk", AckMode::kPrimary, RequestOptions{}, [&](Result<PutOutcome> r) { m1 = r.status(); });
+  merger.Put("cart", "eggs", AckMode::kPrimary, RequestOptions{}, [&](Result<PutOutcome> r) { m2 = r.status(); });
   db->RunFor(3 * kSecond);
   Result<Record> cart(InternalError("pending"));
   db->router()->Get("cart", RequestOptions::PrimaryOnly(), [&](Result<Record> r) { cart = std::move(r); });
@@ -92,9 +92,9 @@ bool AxisWriteConsistency() {
   // Last write wins: replicas converge on the newest version.
   WritePolicy lww(db->router(), WriteConsistency::kLastWriteWins);
   Status w = InternalError("pending");
-  lww.Put("status", "old", AckMode::kPrimary, RequestOptions{}, [&](Status s) { w = s; });
+  lww.Put("status", "old", AckMode::kPrimary, RequestOptions{}, [&](Result<PutOutcome> r) { w = r.status(); });
   db->RunFor(100 * kMillisecond);
-  lww.Put("status", "new", AckMode::kPrimary, RequestOptions{}, [&](Status s) { w = s; });
+  lww.Put("status", "new", AckMode::kPrimary, RequestOptions{}, [&](Result<PutOutcome> r) { w = r.status(); });
   db->RunFor(3 * kSecond);
   Result<Record> status_value(InternalError("pending"));
   db->router()->Get("status", RequestOptions::PrimaryOnly(), [&](Result<Record> r) { status_value = std::move(r); });

@@ -29,8 +29,8 @@ void DemoWritePolicies() {
   // function keeps both updates.
   WritePolicy& merge_policy = *db->write_policy();
   Status s1 = InternalError("pending"), s2 = InternalError("pending");
-  merge_policy.Put("cart/42", "milk", AckMode::kPrimary, RequestOptions{}, [&](Status s) { s1 = s; });
-  merge_policy.Put("cart/42", "eggs", AckMode::kPrimary, RequestOptions{}, [&](Status s) { s2 = s; });
+  merge_policy.Put("cart/42", "milk", AckMode::kPrimary, RequestOptions{}, [&](Result<PutOutcome> r) { s1 = r.status(); });
+  merge_policy.Put("cart/42", "eggs", AckMode::kPrimary, RequestOptions{}, [&](Result<PutOutcome> r) { s2 = r.status(); });
   db->RunFor(2 * kSecond);
   Result<Record> cart(InternalError("pending"));
   db->router()->Get("cart/42", RequestOptions::PrimaryOnly(), [&](Result<Record> r) { cart = std::move(r); });
@@ -42,8 +42,8 @@ void DemoWritePolicies() {
   // Serializable: a CAS race — one writer must retry.
   WritePolicy serializable(db->router(), WriteConsistency::kSerializable);
   Status a = InternalError("pending"), b = InternalError("pending");
-  serializable.Put("doc/1", "draft-a", AckMode::kPrimary, RequestOptions{}, [&](Status s) { a = s; });
-  serializable.Put("doc/1", "draft-b", AckMode::kPrimary, RequestOptions{}, [&](Status s) { b = s; });
+  serializable.Put("doc/1", "draft-a", AckMode::kPrimary, RequestOptions{}, [&](Result<PutOutcome> r) { a = r.status(); });
+  serializable.Put("doc/1", "draft-b", AckMode::kPrimary, RequestOptions{}, [&](Result<PutOutcome> r) { b = r.status(); });
   db->RunFor(2 * kSecond);
   std::printf("serializable: both committed (a=%s b=%s), conflicts retried=%lld\n",
               a.ToString().c_str(), b.ToString().c_str(),

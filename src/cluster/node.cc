@@ -382,17 +382,29 @@ void StorageNode::ApplyAndReplicate(PartitionId pid, const WalRecord& record, Ac
 }
 
 void StorageNode::HandleWrite(PartitionId pid, const WalRecord& record, AckMode ack,
-                              RequestPriority priority, std::function<void(Status)> respond) {
+                              RequestPriority priority, bool return_prior,
+                              std::function<void(WriteReply)> respond) {
   if (!alive_) return;
   std::optional<Duration> sojourn = Admit(config_.put_service_time, priority);
   if (!sojourn.has_value()) {
-    respond(ResourceExhaustedError("node overloaded"));
+    respond({ResourceExhaustedError("node overloaded"), std::nullopt});
     return;
   }
-  loop_->ScheduleAfter(*sojourn, [this, pid, record, ack, respond = std::move(respond)] {
+  loop_->ScheduleAfter(*sojourn, [this, pid, record, ack, return_prior,
+                                  respond = std::move(respond)]() mutable {
     if (!alive_) return;
     ++stats_.ops_completed;
-    ApplyAndReplicate(pid, record, ack, respond);
+    // Read in the step that applies the write: the primary serializes this
+    // partition's writers, so no other write lands in between. No extra
+    // service time, since a put already locates its key to check the
+    // version; a page fault here is charged with the apply's.
+    std::optional<Record> prior;
+    if (return_prior) prior = engine_->GetRaw(record.key);
+    ApplyAndReplicate(pid, record, ack,
+                      [respond = std::move(respond),
+                       prior = std::move(prior)](Status status) mutable {
+      respond({std::move(status), std::move(prior)});
+    });
   });
 }
 

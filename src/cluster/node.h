@@ -117,6 +117,14 @@ struct MultiGetReply {
   std::vector<Time> as_of;
 };
 
+/// Response to a single-key write: its status plus, when the request asked
+/// for it, the record the write replaced (tombstones included; empty when
+/// the key held nothing).
+struct WriteReply {
+  Status status;
+  std::optional<Record> prior;
+};
+
 /// One mutation of a batched write; the partition id rides along because a
 /// node-batch may span every partition the node is primary for.
 struct MultiWriteItem {
@@ -210,13 +218,12 @@ class StorageNode {
 
   /// Write (put or tombstone) for partition `pid`. This node must be the
   /// partition's primary; it applies locally then drives replication.
-  /// `respond` fires according to `ack`.
+  /// `respond` fires according to `ack`. With `return_prior`, the reply
+  /// carries the record the write replaced, read in the service step that
+  /// applies the write, so it is the write's exact predecessor.
   void HandleWrite(PartitionId pid, const WalRecord& record, AckMode ack,
-                   RequestPriority priority, std::function<void(Status)> respond);
-  void HandleWrite(PartitionId pid, const WalRecord& record, AckMode ack,
-                   std::function<void(Status)> respond) {
-    HandleWrite(pid, record, ack, RequestPriority::kNormal, std::move(respond));
-  }
+                   RequestPriority priority, bool return_prior,
+                   std::function<void(WriteReply)> respond);
 
   /// Compare-and-set put used by the serializable write policy: applies
   /// only when the stored version equals `expected` (absent = expect no

@@ -44,6 +44,10 @@ struct PointReply {
 /// Reply payload bytes, one overload per reply type (the fabric adds its
 /// per-message framing on top).
 inline int64_t ReplyBytes(const Status&) { return 4; }
+/// A write's replaced record is charged only when the reply carries one.
+inline int64_t ReplyBytes(const WriteReply& reply) {
+  return ReplyBytes(reply.status) + (reply.prior ? WireSize(*reply.prior) : 0);
+}
 inline int64_t ReplyBytes(const std::vector<Status>& statuses) {
   return static_cast<int64_t>(statuses.size()) * 4;
 }

@@ -652,7 +652,7 @@ void Router::Scan(const std::string& start, const std::string& end, size_t limit
 }
 
 void Router::Write(const WriteOp& op, AckMode ack, RequestOptions options,
-                   std::function<void(Result<Version>)> callback) {
+                   std::function<void(Result<WriteAck>)> callback) {
   Time started = loop_->Now();
   options.Arm(started);
   // Shared, not copied per closure: the node handler and the cache hook
@@ -677,15 +677,16 @@ void Router::Write(const WriteOp& op, AckMode ack, RequestOptions options,
   }
   bool budget_bound = false;
   Duration timeout = ClampedTimeout(options, started, &budget_bound);
-  RoundTrip<Status>(
+  RoundTrip<WriteReply>(
       loop_, network_, client_id_, target, WireSize(*record), timeout,
-      [node, pid = partition.id, record, ack, priority = options.priority](auto respond) {
-        node->HandleWrite(pid, *record, ack, priority, std::move(respond));
+      [node, pid = partition.id, record, ack, priority = options.priority,
+       return_prior = op.return_prior](auto respond) {
+        node->HandleWrite(pid, *record, ack, priority, return_prior, std::move(respond));
       },
       [this, started, budget_bound, record,
-       callback = std::move(callback)](std::optional<Status> reply) {
+       callback = std::move(callback)](std::optional<WriteReply> reply) {
         // Writes never retry (no idempotence token).
-        Status status = reply ? std::move(*reply) : TimeoutStatus(budget_bound, "write");
+        Status status = reply ? std::move(reply->status) : TimeoutStatus(budget_bound, "write");
         Settle(Op::kWrite, started, status.ok(), status);
         if (!status.ok()) {
           callback(std::move(status));
@@ -693,15 +694,15 @@ void Router::Write(const WriteOp& op, AckMode ack, RequestOptions options,
         }
         CacheWrite(record->type == WalRecord::Type::kDelete, record->key, record->value,
                    record->version);
-        callback(record->version);
+        callback(WriteAck{record->version, std::move(reply->prior)});
       });
 }
 
 namespace {
 
-/// Adapts a status-only callback to Write's versioned one.
-std::function<void(Result<Version>)> StatusOnly(std::function<void(Status)> callback) {
-  return [callback = std::move(callback)](Result<Version> result) {
+/// Adapts a status-only callback to Write's acked one.
+std::function<void(Result<Router::WriteAck>)> StatusOnly(std::function<void(Status)> callback) {
+  return [callback = std::move(callback)](Result<Router::WriteAck> result) {
     callback(result.status());
   };
 }
@@ -865,8 +866,8 @@ void Router::MultiWrite(std::vector<WriteOp> ops, AckMode ack, RequestOptions op
 }
 
 void Router::ConditionalPut(const std::string& key, const std::string& value,
-                            std::optional<Version> expected, AckMode ack,
-                            RequestOptions options, std::function<void(Status)> callback) {
+                            std::optional<Version> expected, AckMode ack, RequestOptions options,
+                            std::function<void(Result<Version>)> callback) {
   Time started = loop_->Now();
   options.Arm(started);
   const PartitionInfo& partition = cluster_->partitions()->ForKey(key);
@@ -899,7 +900,7 @@ void Router::ConditionalPut(const std::string& key, const std::string& value,
         // kAborted is an answered request: the system worked, the CAS lost.
         Settle(Op::kWrite, started, status.ok() || IsAborted(status), status);
         if (status.ok()) CacheWrite(/*tombstone=*/false, key, value, new_version);
-        callback(std::move(status));
+        callback(status.ok() ? Result<Version>(new_version) : Result<Version>(std::move(status)));
       });
 }
 

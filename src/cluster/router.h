@@ -205,12 +205,26 @@ class Router {
   void MultiGet(const std::vector<std::string>& keys, RequestOptions options,
                 std::function<void(std::vector<Result<Record>>)> callback);
 
-  /// One mutation of a batched write (MultiWrite stamps the version).
+  /// One mutation of a single or batched write (MultiWrite stamps the
+  /// version).
   struct WriteOp {
     enum class Kind { kPut, kDelete };
     Kind kind = Kind::kPut;
     std::string key;
     std::string value;  ///< Ignored for kDelete.
+    /// Single writes only (MultiWrite ignores it): ask the primary for the
+    /// record this write replaces, reported as WriteAck::prior.
+    bool return_prior = false;
+  };
+
+  /// What an acked single-key write reports.
+  struct WriteAck {
+    Version version;  ///< The stamp the write carried.
+    /// With WriteOp::return_prior: the record the write replaced at the
+    /// primary, tombstones included; empty when the key held nothing. The
+    /// primary reads it in the step that applies the write, so a prior at
+    /// or past `version` means the engine dropped the write as superseded.
+    std::optional<Record> prior;
   };
 
   /// Single-key write (put or tombstone) with the given ack mode. The
@@ -220,7 +234,7 @@ class Router {
   /// refreshes/invalidates the cache before the callback runs. Writes do
   /// not retry automatically (no idempotence token at this layer).
   void Write(const WriteOp& op, AckMode ack, RequestOptions options,
-             std::function<void(Result<Version>)> callback);
+             std::function<void(Result<WriteAck>)> callback);
 
   /// Write of a kPut / kDelete op that reports only its status.
   void Put(const std::string& key, const std::string& value, AckMode ack,
@@ -246,10 +260,10 @@ class Router {
             RequestOptions options, std::function<void(Result<std::vector<Record>>)> callback);
 
   /// Compare-and-set (serializable writes). `expected` empty = "must not
-  /// exist".
+  /// exist". Stamps the version like Write and reports it on success.
   void ConditionalPut(const std::string& key, const std::string& value,
                       std::optional<Version> expected, AckMode ack, RequestOptions options,
-                      std::function<void(Status)> callback);
+                      std::function<void(Result<Version>)> callback);
 
   /// Read directly from a chosen replica (consistency layer uses this for
   /// staleness-bounded and availability-prioritized reads). The options

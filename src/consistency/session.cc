@@ -8,9 +8,9 @@ void SessionClient::Put(const std::string& key, const std::string& value, AckMod
                         RequestOptions options, std::function<void(Status)> callback) {
   client_.router()->Write(
       {Router::WriteOp::Kind::kPut, key, value}, ack, std::move(options),
-      [this, key, callback = std::move(callback)](Result<Version> result) {
+      [this, key, callback = std::move(callback)](Result<Router::WriteAck> result) {
         if (result.ok() && guarantees_.read_your_writes) {
-          write_tokens_[key] = WriteToken{*result, /*was_delete=*/false};
+          write_tokens_[key] = WriteToken{result->version, /*was_delete=*/false};
         }
         callback(result.ok() ? Status::Ok() : result.status());
       });
@@ -20,9 +20,9 @@ void SessionClient::Delete(const std::string& key, AckMode ack, RequestOptions o
                            std::function<void(Status)> callback) {
   client_.router()->Write(
       {Router::WriteOp::Kind::kDelete, key, {}}, ack, std::move(options),
-      [this, key, callback = std::move(callback)](Result<Version> result) {
+      [this, key, callback = std::move(callback)](Result<Router::WriteAck> result) {
         if (result.ok() && guarantees_.read_your_writes) {
-          write_tokens_[key] = WriteToken{*result, /*was_delete=*/true};
+          write_tokens_[key] = WriteToken{result->version, /*was_delete=*/true};
         }
         callback(result.ok() ? Status::Ok() : result.status());
       });

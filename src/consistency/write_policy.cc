@@ -7,108 +7,87 @@
 namespace scads {
 
 void WritePolicy::Put(const std::string& key, const std::string& value, AckMode ack,
-                      RequestOptions options, std::function<void(Status)> callback) {
+                      RequestOptions options, std::function<void(Result<PutOutcome>)> callback) {
   ++stats_.writes_attempted;
   // Arm here so one budget spans the read, the CAS, and every retry — a
   // retry attempt must not re-arm a fresh budget.
   options.Arm(router_->loop()->Now());
   switch (mode_) {
     case WriteConsistency::kLastWriteWins:
-      router_->Put(key, value, ack, std::move(options),
-                   [this, callback = std::move(callback)](Status status) {
-        if (status.ok()) ++stats_.writes_committed;
-        callback(std::move(status));
+      router_->Write({Router::WriteOp::Kind::kPut, key, value, /*return_prior=*/true}, ack,
+                     std::move(options),
+                     [this, key, value,
+                      callback = std::move(callback)](Result<Router::WriteAck> written) mutable {
+        if (!written.ok()) {
+          callback(written.status());
+          return;
+        }
+        ++stats_.writes_committed;
+        callback(PutOutcome{std::move(written->prior),
+                            Record{std::move(key), std::move(value), written->version}});
       });
       return;
     case WriteConsistency::kSerializable:
-      SerializableAttempt(key, value, ack, std::move(options), max_retries_,
-                          std::move(callback));
+      CasAttempt(key, value, ack, std::move(options), max_retries_, std::move(callback));
       return;
     case WriteConsistency::kMergeFunction:
       SCADS_CHECK(merge_ != nullptr);
-      MergeAttempt(key, value, ack, std::move(options), max_retries_, std::move(callback));
+      CasAttempt(key, value, ack, std::move(options), max_retries_, std::move(callback));
       return;
   }
 }
 
-void WritePolicy::SerializableAttempt(const std::string& key, const std::string& value,
-                                      AckMode ack, RequestOptions options, int attempts_left,
-                                      std::function<void(Status)> callback) {
-  // Serializable writes are CAS against the version this writer last saw;
-  // we read from the primary, then install conditioned on that version. The
-  // options deadline budget spans the read, the CAS, and every retry.
+void WritePolicy::CasAttempt(const std::string& key, const std::string& value, AckMode ack,
+                             RequestOptions options, int attempts_left,
+                             std::function<void(Result<PutOutcome>)> callback) {
+  // CAS against the version this writer saw: read from the primary, then
+  // install conditioned on that version (merge mode first folds `value`
+  // into the stored one). The options deadline budget spans the read, the
+  // CAS, and every retry.
   RequestOptions read_options = options;
   read_options.read_mode = ReadMode::kPrimaryOnly;
   router_->Get(
       key, std::move(read_options),
       [this, key, value, ack, options = std::move(options), attempts_left,
        callback = std::move(callback)](Result<Record> current) mutable {
-        std::optional<Version> expected;
+        std::optional<Record> replaced;
         if (current.ok()) {
-          expected = current->version;
+          replaced = std::move(current).value();
         } else if (!IsNotFound(current.status())) {
           callback(current.status());
           return;
         }
-        router_->ConditionalPut(
-            key, value, expected, ack, options,
-            [this, key, value, ack, options, attempts_left,
-             callback = std::move(callback)](Status status) mutable {
-              if (status.ok()) {
-                ++stats_.writes_committed;
-                callback(Status::Ok());
-                return;
-              }
-              if (IsAborted(status) && attempts_left > 0) {
-                ++stats_.conflicts_retried;
-                SerializableAttempt(key, value, ack, std::move(options), attempts_left - 1,
-                                    std::move(callback));
-                return;
-              }
-              if (IsAborted(status)) ++stats_.conflicts_failed;
-              callback(std::move(status));
-            });
-      });
-}
-
-void WritePolicy::MergeAttempt(const std::string& key, const std::string& value, AckMode ack,
-                               RequestOptions options, int attempts_left,
-                               std::function<void(Status)> callback) {
-  RequestOptions read_options = options;
-  read_options.read_mode = ReadMode::kPrimaryOnly;
-  router_->Get(
-      key, std::move(read_options),
-      [this, key, value, ack, options = std::move(options), attempts_left,
-       callback = std::move(callback)](Result<Record> current) mutable {
         std::optional<Version> expected;
         std::string to_write = value;
-        if (current.ok()) {
-          expected = current->version;
-          to_write = merge_(current->value, value);
-          ++stats_.merges_performed;
-        } else if (!IsNotFound(current.status())) {
-          callback(current.status());
-          return;
+        if (replaced.has_value()) {
+          expected = replaced->version;
+          if (mode_ == WriteConsistency::kMergeFunction) {
+            to_write = merge_(replaced->value, value);
+            ++stats_.merges_performed;
+          }
         }
         router_->ConditionalPut(
             key, to_write, expected, ack, options,
-            [this, key, value, ack, options, attempts_left,
-             callback = std::move(callback)](Status status) mutable {
-              if (status.ok()) {
+            [this, key, value, to_write, ack, options, attempts_left,
+             replaced = std::move(replaced),
+             callback = std::move(callback)](Result<Version> written) mutable {
+              if (written.ok()) {
+                // The CAS landed, so `replaced` was the write's predecessor.
                 ++stats_.writes_committed;
-                callback(Status::Ok());
+                callback(PutOutcome{std::move(replaced),
+                                    Record{key, std::move(to_write), *written}});
                 return;
               }
-              if (IsAborted(status) && attempts_left > 0) {
-                // Someone raced us: re-read, re-merge, retry. No update is
-                // lost — the merge folds our value into the newer state.
+              if (IsAborted(written.status()) && attempts_left > 0) {
+                // Someone raced us: re-read and retry. Under merge no update
+                // is lost — the merge folds our value into the newer state.
                 ++stats_.conflicts_retried;
-                MergeAttempt(key, value, ack, std::move(options), attempts_left - 1,
-                             std::move(callback));
+                CasAttempt(key, value, ack, std::move(options), attempts_left - 1,
+                           std::move(callback));
                 return;
               }
-              if (IsAborted(status)) ++stats_.conflicts_failed;
-              callback(std::move(status));
+              if (IsAborted(written.status())) ++stats_.conflicts_failed;
+              callback(written.status());
             });
       });
 }

@@ -1,16 +1,22 @@
 // Write-consistency policies (Figure 4, "Write Consistency").
 //
-//  * last-write-wins — plain routed Put; replicas converge on the highest
+//  * last-write-wins — one routed write; replicas converge on the highest
 //    (timestamp, writer) version.
 //  * serializable — compare-and-set through the partition primary; a lost
 //    race surfaces as kAborted after bounded retries.
 //  * merge — optimistic read-merge-CAS loop with a developer-provided merge
 //    function; conflicting writers converge without losing either update.
+//
+// Every mode reports the record a write replaced and the image it stored
+// (index maintenance needs both). Last-write-wins has the primary return
+// the replaced record in the write's own reply; the CAS modes already read
+// it, and a CAS that lands proves that read was the predecessor.
 
 #ifndef SCADS_CONSISTENCY_WRITE_POLICY_H_
 #define SCADS_CONSISTENCY_WRITE_POLICY_H_
 
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "cluster/router.h"
@@ -27,6 +33,17 @@ struct WritePolicyStats {
   int64_t merges_performed = 0;
 };
 
+/// What a committed write did at the primary.
+struct PutOutcome {
+  /// The record the write replaced: tombstones included under
+  /// last-write-wins, live records only under the CAS modes; empty when
+  /// there was none.
+  std::optional<Record> replaced;
+  /// The image the primary stored, stamped with the write's version: the
+  /// caller's value, or merge(stored, value) under kMergeFunction.
+  Record stored;
+};
+
 /// Applies the configured WriteConsistency to every write.
 class WritePolicy {
  public:
@@ -35,28 +52,25 @@ class WritePolicy {
               int max_retries = 4)
       : router_(router), mode_(mode), merge_(std::move(merge)), max_retries_(max_retries) {}
 
-  /// Writes `value` to `key` under the policy. For kSerializable the write
-  /// fails with kAborted when it loses the race `max_retries` times; for
-  /// kMergeFunction the merge loop retries until the CAS lands (or budget
-  /// exhausts). The options deadline budget spans the whole loop — read,
-  /// CAS, and retries — so a bounded write cannot spiral under contention.
+  /// Writes `value` to `key` under the policy and reports the PutOutcome.
+  /// Last-write-wins takes one exchange, the CAS modes two (a primary read,
+  /// then the CAS). For kSerializable the write fails with kAborted when
+  /// it loses the race `max_retries` times; for kMergeFunction the merge
+  /// loop retries until the CAS lands (or budget exhausts). The options
+  /// deadline budget spans the whole loop — read, CAS, and retries — so a
+  /// bounded write cannot spiral under contention.
   void Put(const std::string& key, const std::string& value, AckMode ack,
-           RequestOptions options, std::function<void(Status)> callback);
-  void Put(const std::string& key, const std::string& value, AckMode ack,
-           std::function<void(Status)> callback) {
-    Put(key, value, ack, RequestOptions{}, std::move(callback));
-  }
+           RequestOptions options, std::function<void(Result<PutOutcome>)> callback);
 
   const WritePolicyStats& stats() const { return stats_; }
   WriteConsistency mode() const { return mode_; }
 
  private:
-  void SerializableAttempt(const std::string& key, const std::string& value, AckMode ack,
-                           RequestOptions options, int attempts_left,
-                           std::function<void(Status)> callback);
-  void MergeAttempt(const std::string& key, const std::string& value, AckMode ack,
-                    RequestOptions options, int attempts_left,
-                    std::function<void(Status)> callback);
+  /// One read-then-CAS attempt of either CAS mode; a lost race re-reads
+  /// and retries while `attempts_left` allows.
+  void CasAttempt(const std::string& key, const std::string& value, AckMode ack,
+                  RequestOptions options, int attempts_left,
+                  std::function<void(Result<PutOutcome>)> callback);
 
   Router* router_;
   WriteConsistency mode_;

@@ -9,6 +9,22 @@ namespace scads {
 
 namespace {
 constexpr NodeId kRouterClientId = 1 << 20;  // outside the instance id range
+
+/// The live row `record` holds: empty for no record, a tombstone, or an
+/// image that does not decode.
+std::optional<Row> LiveRow(const EntityDef& entity, const std::optional<Record>& record) {
+  if (!record.has_value() || record->tombstone) return std::nullopt;
+  Result<Row> row = DecodeRow(entity, record->value);
+  if (!row.ok()) return std::nullopt;
+  return std::move(row).value();
+}
+
+/// The engine applies a write only when its version is strictly newer than
+/// the stored one, so a replaced record at or past the write's stamp means
+/// the primary dropped the write as superseded: it changed nothing.
+bool Superseded(const std::optional<Record>& replaced, Version stamp) {
+  return replaced.has_value() && !(stamp > replaced->version);
+}
 }  // namespace
 
 void Scads::ClampStaleness(RequestOptions* options) const {
@@ -220,31 +236,27 @@ void Scads::PutRow(const std::string& entity_name, const Row& row, RequestOption
     callback(key.status());
     return;
   }
-  // One budget spans the whole read-modify-write chain.
   options.Arm(loop_.Now());
-  // Read the old image (index maintenance needs it), then write through the
-  // spec's write policy, then fan out maintenance.
-  RequestOptions read_options = options;
-  read_options.read_mode = ReadMode::kPrimaryOnly;
-  router_->Get(*key, std::move(read_options),
-               [this, entity, row, key = *key, options = std::move(options),
-                callback = std::move(callback)](Result<Record> old_record) mutable {
-                 std::optional<Row> old_row;
-                 if (old_record.ok()) {
-                   Result<Row> decoded = DecodeRow(*entity, old_record->value);
-                   if (decoded.ok()) old_row = std::move(decoded).value();
-                 }
-                 write_policy_->Put(
-                     key, EncodeRow(*entity, row), durability_plan_.ack_mode,
+  // The write policy reports the record the write replaced, so index
+  // maintenance needs no read of its own.
+  write_policy_->Put(*key, EncodeRow(*entity, row), durability_plan_.ack_mode,
                      std::move(options),
-                     [this, entity, row, old_row = std::move(old_row),
-                      callback = std::move(callback)](Status status) mutable {
-                       if (status.ok()) {
-                         maintainer_->OnBaseWrite(entity->name, std::move(old_row), row);
-                       }
-                       callback(std::move(status));
-                     });
-               });
+                     [this, entity, callback = std::move(callback)](Result<PutOutcome> outcome) {
+    if (!outcome.ok()) {
+      callback(outcome.status());
+      return;
+    }
+    if (!Superseded(outcome->replaced, outcome->stored.version)) {
+      // Maintain from the image the primary stored: under merge it is
+      // merge(stored, row), not the caller's row.
+      Result<Row> stored = DecodeRow(*entity, outcome->stored.value);
+      if (stored.ok()) {
+        maintainer_->OnBaseWrite(entity->name, LiveRow(*entity, outcome->replaced),
+                                 std::move(stored).value());
+      }
+    }
+    callback(Status::Ok());
+  });
 }
 
 void Scads::DeleteRow(const std::string& entity_name, const Row& row, RequestOptions options,
@@ -260,26 +272,19 @@ void Scads::DeleteRow(const std::string& entity_name, const Row& row, RequestOpt
     return;
   }
   options.Arm(loop_.Now());
-  RequestOptions read_options = options;
-  read_options.read_mode = ReadMode::kPrimaryOnly;
-  router_->Get(*key, std::move(read_options),
-               [this, entity, key = *key, options = std::move(options),
-                callback = std::move(callback)](Result<Record> old_record) mutable {
-                 std::optional<Row> old_row;
-                 if (old_record.ok()) {
-                   Result<Row> decoded = DecodeRow(*entity, old_record->value);
-                   if (decoded.ok()) old_row = std::move(decoded).value();
-                 }
-                 router_->Delete(key, durability_plan_.ack_mode, std::move(options),
-                                 [this, entity, old_row = std::move(old_row),
-                                  callback = std::move(callback)](Status status) mutable {
-                                   if (status.ok() && old_row.has_value()) {
-                                     maintainer_->OnBaseWrite(entity->name, std::move(old_row),
-                                                              std::nullopt);
-                                   }
-                                   callback(std::move(status));
-                                 });
-               });
+  router_->Write({Router::WriteOp::Kind::kDelete, *key, {}, /*return_prior=*/true},
+                 durability_plan_.ack_mode, std::move(options),
+                 [this, entity, callback = std::move(callback)](Result<Router::WriteAck> written) {
+    if (!written.ok()) {
+      callback(written.status());
+      return;
+    }
+    std::optional<Row> old_row = LiveRow(*entity, written->prior);
+    if (old_row.has_value() && !Superseded(written->prior, written->version)) {
+      maintainer_->OnBaseWrite(entity->name, std::move(old_row), std::nullopt);
+    }
+    callback(Status::Ok());
+  });
 }
 
 void Scads::GetRow(const std::string& entity_name, const Row& key_row, RequestOptions options,

@@ -143,12 +143,20 @@ class Scads {
   // callback fires.
 
   /// Upserts a row (write policy per the consistency spec) and triggers
-  /// index maintenance. The deadline budget spans the read-modify-write.
+  /// index maintenance from the record the write replaced and the image it
+  /// stored, both reported by the write itself. A last-write-wins write
+  /// makes one client->node exchange; the CAS modes (serializable, merge)
+  /// make two, since their CAS read is the old image. A write the primary
+  /// dropped as superseded (its version was not newer than the stored
+  /// one) triggers no maintenance. The deadline budget spans every
+  /// exchange.
   void PutRow(const std::string& entity, const Row& row, RequestOptions options,
               std::function<void(Status)> callback);
   Status PutRowSync(const std::string& entity, const Row& row, RequestOptions options);
 
-  /// Deletes a row by its key fields.
+  /// Deletes a row by its key fields in one exchange; the tombstone's
+  /// reply carries the row it replaced, which index maintenance removes. A
+  /// superseded delete triggers no maintenance.
   void DeleteRow(const std::string& entity, const Row& row, RequestOptions options,
                  std::function<void(Status)> callback);
   Status DeleteRowSync(const std::string& entity, const Row& row, RequestOptions options);

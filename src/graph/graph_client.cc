@@ -228,7 +228,8 @@ void GraphClient::MutateRecord(const std::string& key,
         }
         client_.router()->ConditionalPut(
             key, encoded, expected, config_.ack, options,
-            [this, key, mutate, options, retries_left, callback](Status status) {
+            [this, key, mutate, options, retries_left, callback](Result<Version> written) {
+              const Status& status = written.status();
               if (IsAborted(status) && retries_left != 0) {
                 // Lost the race: re-read the winner's record and re-apply.
                 ++stats_.cas_conflicts;

@@ -127,6 +127,26 @@ class EngineInterface {
   virtual Duration io_backlog() const { return 0; }
 };
 
+/// The counters both engines bump, resolved once from the engine's registry
+/// when it is built: a lookup by name takes the registry mutex and walks a
+/// std::map, too much for every Get.
+struct EngineCounters {
+  explicit EngineCounters(MetricRegistry* registry);
+
+  Counter* puts;
+  Counter* puts_superseded;
+  Counter* deletes;
+  Counter* deletes_superseded;
+  Counter* gets;
+  Counter* get_misses;
+  Counter* multigets;
+  Counter* scans;
+  Counter* scan_rows;
+  Counter* wal_appends;
+  Counter* wal_batch_syncs;
+  Counter* bytes_resident;  ///< A gauge, kept by each engine's SyncResidentMetric.
+};
+
 /// Single-node RAM-only storage engine. Not thread-safe (one simulated
 /// node == one logical thread).
 class StorageEngine : public EngineInterface {
@@ -221,6 +241,7 @@ class StorageEngine : public EngineInterface {
   // Read paths (logically const) still count: counters are observability,
   // not state, so the registry is mutable rather than const_cast at use.
   mutable MetricRegistry metrics_;
+  EngineCounters counters_;
   size_t live_count_ = 0;
 };
 

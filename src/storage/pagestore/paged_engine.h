@@ -162,6 +162,21 @@ class PagedEngine : public EngineInterface {
 
   void SyncResidentMetric() const;
 
+  /// The page tier's own counters, resolved once like EngineCounters.
+  struct PageCounters {
+    explicit PageCounters(MetricRegistry* registry);
+
+    Counter* page_faults;
+    Counter* pages_prefetched;
+    Counter* prefetch_skips;
+    Counter* pool_evictions;
+    Counter* budget_overruns;
+    Counter* forced_writebacks;
+    Counter* pages_written_back;
+    Counter* spills;
+    Counter* page_splits;
+  };
+
   Executor* loop_;
   PagedEngineOptions options_;
   std::unique_ptr<PageFile> owned_file_;
@@ -188,6 +203,8 @@ class PagedEngine : public EngineInterface {
 
   mutable Duration accrued_io_ = 0;
   mutable MetricRegistry metrics_;
+  EngineCounters counters_;
+  PageCounters page_counters_;
   size_t live_count_ = 0;
   size_t total_count_ = 0;
 };

@@ -532,8 +532,8 @@ TEST(RouterWireBytesTest, EachExchangeChargesRequestReplyAndFraming) {
       {"ConditionalPut",
        [](Router* r, Done done) {
          r->ConditionalPut("melon", "4444", std::nullopt, AckMode::kPrimary, RequestOptions{},
-                           [done](Status status) {
-                             EXPECT_TRUE(status.ok());
+                           [done](Result<Version> written) {
+                             EXPECT_TRUE(written.ok());
                              done();
                            });
        },
@@ -550,6 +550,27 @@ TEST(RouterWireBytesTest, EachExchangeChargesRequestReplyAndFraming) {
                        });
        },
        (2 + 2 + kRecord) * 2 + (2 + kRecord), 3 * 4},
+      // A write that asks for the record it replaces is charged that
+      // record in its reply, and only when there is one.
+      {"Write returning a prior",
+       [](Router* r, Done done) {
+         r->Write({Router::WriteOp::Kind::kPut, "apple", "9", /*return_prior=*/true},
+                  AckMode::kPrimary, RequestOptions{}, [done](Result<Router::WriteAck> written) {
+           EXPECT_TRUE(written.ok() && written->prior.has_value() &&
+                       written->prior->value == "1");
+           done();
+         });
+       },
+       5 + 1 + kRecord, 4 + (5 + 1 + kRecord)},
+      {"Write returning no prior",
+       [](Router* r, Done done) {
+         r->Write({Router::WriteOp::Kind::kDelete, "fig", {}, /*return_prior=*/true},
+                  AckMode::kPrimary, RequestOptions{}, [done](Result<Router::WriteAck> written) {
+           EXPECT_TRUE(written.ok() && !written->prior.has_value());
+           done();
+         });
+       },
+       3 + kRecord, 4},
   };
   for (const Row& row : rows) {
     SCOPED_TRACE(row.op);

@@ -312,14 +312,14 @@ TEST(RouterTest, ConditionalPutEnforcesVersionCheck) {
   // Create: expect-absent succeeds once.
   Status created = InternalError("pending");
   tc.router->ConditionalPut("cas", "v1", std::nullopt, AckMode::kPrimary, RequestOptions{},
-                            [&](Status s) { created = std::move(s); });
+                            [&](Result<Version> r) { created = r.status(); });
   tc.loop.RunFor(kSecond);
   ASSERT_TRUE(created.ok());
 
   // Second expect-absent aborts.
   Status conflict = InternalError("pending");
   tc.router->ConditionalPut("cas", "v2", std::nullopt, AckMode::kPrimary, RequestOptions{},
-                            [&](Status s) { conflict = std::move(s); });
+                            [&](Result<Version> r) { conflict = r.status(); });
   tc.loop.RunFor(kSecond);
   EXPECT_EQ(conflict.code(), StatusCode::kAborted);
 
@@ -328,7 +328,7 @@ TEST(RouterTest, ConditionalPutEnforcesVersionCheck) {
   ASSERT_TRUE(current.ok());
   Status updated = InternalError("pending");
   tc.router->ConditionalPut("cas", "v2", current->version, AckMode::kPrimary, RequestOptions{},
-                            [&](Status s) { updated = std::move(s); });
+                            [&](Result<Version> r) { updated = r.status(); });
   tc.loop.RunFor(kSecond);
   ASSERT_TRUE(updated.ok());
   EXPECT_EQ(tc.GetSync("cas", true)->value, "v2");
@@ -336,7 +336,7 @@ TEST(RouterTest, ConditionalPutEnforcesVersionCheck) {
   // Stale version now aborts.
   Status stale = InternalError("pending");
   tc.router->ConditionalPut("cas", "v3", current->version, AckMode::kPrimary, RequestOptions{},
-                            [&](Status s) { stale = std::move(s); });
+                            [&](Result<Version> r) { stale = r.status(); });
   tc.loop.RunFor(kSecond);
   EXPECT_EQ(stale.code(), StatusCode::kAborted);
 }
@@ -359,7 +359,8 @@ TEST(RouterTest, TimedOutRequestsLeaveNoStaleCancellation) {
                   [&](Result<std::vector<Record>> r) { record(r.status()); });
   tc.router->Put("a", "v", AckMode::kPrimary, RequestOptions{}, record);
   tc.router->Delete("b", AckMode::kPrimary, RequestOptions{}, record);
-  tc.router->ConditionalPut("c", "v", std::nullopt, AckMode::kPrimary, RequestOptions{}, record);
+  tc.router->ConditionalPut("c", "v", std::nullopt, AckMode::kPrimary, RequestOptions{},
+                            [&](Result<Version> r) { record(r.status()); });
   tc.router->MultiWrite({{Router::WriteOp::Kind::kPut, "d", "v"}}, AckMode::kPrimary,
                         RequestOptions{}, [&](std::vector<Status> s) { record(s[0]); });
   tc.loop.RunAll();

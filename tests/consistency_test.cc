@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cluster/cluster_state.h"
 #include "cluster/node.h"
@@ -354,7 +355,7 @@ TEST(WritePolicyTest, LastWriteWinsCommits) {
   ConsistencyCluster cc(2, 2);
   WritePolicy policy(cc.router.get(), WriteConsistency::kLastWriteWins);
   Status status = InternalError("pending");
-  policy.Put("k", "v", AckMode::kPrimary, RequestOptions{}, [&](Status s) { status = std::move(s); });
+  policy.Put("k", "v", AckMode::kPrimary, RequestOptions{}, [&](Result<PutOutcome> r) { status = r.status(); });
   cc.Settle();
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(policy.stats().writes_committed, 1);
@@ -364,10 +365,10 @@ TEST(WritePolicyTest, SerializableCreatesAndUpdates) {
   ConsistencyCluster cc(2, 2);
   WritePolicy policy(cc.router.get(), WriteConsistency::kSerializable);
   Status status = InternalError("pending");
-  policy.Put("doc", "v1", AckMode::kPrimary, RequestOptions{}, [&](Status s) { status = std::move(s); });
+  policy.Put("doc", "v1", AckMode::kPrimary, RequestOptions{}, [&](Result<PutOutcome> r) { status = r.status(); });
   cc.Settle();
   ASSERT_TRUE(status.ok());
-  policy.Put("doc", "v2", AckMode::kPrimary, RequestOptions{}, [&](Status s) { status = std::move(s); });
+  policy.Put("doc", "v2", AckMode::kPrimary, RequestOptions{}, [&](Result<PutOutcome> r) { status = r.status(); });
   cc.Settle();
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(policy.stats().writes_committed, 2);
@@ -380,8 +381,8 @@ TEST(WritePolicyTest, SerializableConflictRetriesThenWins) {
   Status sa = InternalError("pending"), sb = InternalError("pending");
   // Two writers race on the same key; both must eventually commit (their
   // CAS loops serialize through the primary).
-  a.Put("race", "from-a", AckMode::kPrimary, RequestOptions{}, [&](Status s) { sa = std::move(s); });
-  b.Put("race", "from-b", AckMode::kPrimary, RequestOptions{}, [&](Status s) { sb = std::move(s); });
+  a.Put("race", "from-a", AckMode::kPrimary, RequestOptions{}, [&](Result<PutOutcome> r) { sa = r.status(); });
+  b.Put("race", "from-b", AckMode::kPrimary, RequestOptions{}, [&](Result<PutOutcome> r) { sb = r.status(); });
   cc.Settle(5 * kSecond);
   EXPECT_TRUE(sa.ok()) << sa;
   EXPECT_TRUE(sb.ok()) << sb;
@@ -397,10 +398,10 @@ TEST(WritePolicyTest, MergePreservesBothWriters) {
   WritePolicy a(cc.router.get(), WriteConsistency::kMergeFunction, merge);
   WritePolicy b(cc.router.get(), WriteConsistency::kMergeFunction, merge);
   Status sa = InternalError("pending"), sb = InternalError("pending");
-  a.Put("cart", "apples", AckMode::kPrimary, RequestOptions{}, [&](Status s) { sa = std::move(s); });
+  a.Put("cart", "apples", AckMode::kPrimary, RequestOptions{}, [&](Result<PutOutcome> r) { sa = r.status(); });
   cc.Settle();
   ASSERT_TRUE(sa.ok());
-  b.Put("cart", "bread", AckMode::kPrimary, RequestOptions{}, [&](Status s) { sb = std::move(s); });
+  b.Put("cart", "bread", AckMode::kPrimary, RequestOptions{}, [&](Result<PutOutcome> r) { sb = r.status(); });
   cc.Settle();
   ASSERT_TRUE(sb.ok());
   // Final value contains both updates.
@@ -415,6 +416,45 @@ TEST(WritePolicyTest, MergePreservesBothWriters) {
   ASSERT_TRUE(got.ok());
   EXPECT_NE(got->value.find("apples"), std::string::npos);
   EXPECT_NE(got->value.find("bread"), std::string::npos);
+}
+
+TEST(WritePolicyTest, EveryModeReportsTheReplacedRecordAndTheStoredImage) {
+  MergeFunction merge = [](std::string_view stored, std::string_view incoming) {
+    return std::string(stored) + "|" + std::string(incoming);
+  };
+  for (WriteConsistency mode : {WriteConsistency::kLastWriteWins,
+                                WriteConsistency::kSerializable,
+                                WriteConsistency::kMergeFunction}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    ConsistencyCluster cc(2, 2);
+    WritePolicy policy(cc.router.get(), mode, merge);
+    std::vector<PutOutcome> outcomes;
+    for (const char* value : {"a", "b"}) {
+      policy.Put("k", value, AckMode::kPrimary, RequestOptions{},
+                 [&](Result<PutOutcome> outcome) {
+                   ASSERT_TRUE(outcome.ok()) << outcome.status();
+                   outcomes.push_back(std::move(outcome).value());
+                 });
+      cc.Settle();
+    }
+    ASSERT_EQ(outcomes.size(), 2u);
+    EXPECT_FALSE(outcomes[0].replaced.has_value());
+    EXPECT_EQ(outcomes[0].stored.value, "a");
+    ASSERT_TRUE(outcomes[1].replaced.has_value());
+    EXPECT_EQ(outcomes[1].replaced->value, "a");
+    EXPECT_EQ(outcomes[1].replaced->version, outcomes[0].stored.version);
+    EXPECT_EQ(outcomes[1].stored.value,
+              mode == WriteConsistency::kMergeFunction ? "a|b" : "b");
+    // The reported image is the one the primary holds.
+    Result<Record> got(InternalError("pending"));
+    cc.router->Get("k", RequestOptions::PrimaryOnly(),
+                   [&](Result<Record> r) { got = std::move(r); });
+    cc.Settle();
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got->value, outcomes[1].stored.value);
+    EXPECT_EQ(got->version, outcomes[1].stored.version);
+    EXPECT_EQ(policy.stats().writes_committed, 2);
+  }
 }
 
 // -------------------------------------------------------------- Durability --

@@ -3,6 +3,9 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "baseline/adhoc.h"
 #include "baseline/appside.h"
@@ -32,11 +35,13 @@ EntityDef FriendshipsEntity(int64_t cap = 100) {
   return friendships;
 }
 
-std::unique_ptr<Scads> MakeSocialScads(std::string spec_text = "") {
+std::unique_ptr<Scads> MakeSocialScads(std::string spec_text = "",
+                                       MergeFunction merge = nullptr) {
   ScadsOptions options;
   options.initial_nodes = 3;
   options.partitions = 8;
   options.consistency_spec = std::move(spec_text);
+  options.merge_function = std::move(merge);
   auto scads = Scads::Create(options);
   EXPECT_TRUE(scads.ok()) << scads.status();
   auto instance = std::move(scads).value();
@@ -175,6 +180,110 @@ TEST(ScadsTest, SerializableSpecAppliesCasWrites) {
   ASSERT_TRUE(row.ok());
   EXPECT_EQ(row->GetString("name"), "v2");
   EXPECT_GT(scads->write_policy()->stats().writes_committed, 0);
+}
+
+constexpr char kBirthdayQuery[] =
+    "SELECT p.* FROM friendships f JOIN profiles p ON f.f2 = p.user_id "
+    "WHERE f.f1 = <user_id> OR f.f2 = <user_id> ORDER BY p.bday";
+
+/// Keeps what is stored: a merge-mode write to an existing row changes
+/// nothing but its version.
+std::string KeepStored(std::string_view stored, std::string_view /*incoming*/) {
+  return std::string(stored);
+}
+
+/// The bdays birthday(<user_id>) lists for `friend_id`.
+std::vector<int64_t> ListedBdays(Scads* scads, int64_t user_id, int64_t friend_id) {
+  auto rows = scads->QuerySync("birthday", {{"user_id", Value(user_id)}}, RequestOptions{});
+  EXPECT_TRUE(rows.ok()) << rows.status();
+  std::vector<int64_t> bdays;
+  if (!rows.ok()) return bdays;
+  for (const Row& row : *rows) {
+    if (row.GetInt("user_id") == friend_id) bdays.push_back(row.GetInt("bday"));
+  }
+  return bdays;
+}
+
+/// The bday the partition primary stores for `user_id`.
+int64_t StoredBday(Scads* scads, int64_t user_id) {
+  Row key;
+  key.SetInt("user_id", user_id);
+  auto row = scads->GetRowSync("profiles", key, RequestOptions::PrimaryOnly());
+  EXPECT_TRUE(row.ok()) << row.status();
+  return row.ok() ? row->GetInt("bday") : -1;
+}
+
+TEST(ScadsTest, PutRowMakesOneExchangeUnderLwwAndTwoUnderCas) {
+  // The write reports the record it replaced, so PutRow reads nothing of
+  // its own: last-write-wins makes one exchange, and the CAS modes two (the
+  // CAS read is the old image). The row is one no registered index covers,
+  // so index maintenance reads nothing either.
+  const std::vector<std::pair<std::string, int64_t>> cases = {
+      {"", 0}, {"writes: serializable\n", 1}, {"writes: merge\n", 1}};
+  for (const auto& [spec, reads_per_put] : cases) {
+    SCOPED_TRACE(spec);
+    auto scads = MakeSocialScads(spec, KeepStored);
+    EntityDef settings;
+    settings.name = "settings";
+    settings.fields = {{"user_id", FieldType::kInt64}, {"theme", FieldType::kString}};
+    settings.key_fields = {"user_id"};
+    ASSERT_TRUE(scads->DefineEntity(settings).ok());
+    ASSERT_TRUE(scads->RegisterQuery("birthday", kBirthdayQuery).ok());
+    ASSERT_TRUE(scads->Start().ok());
+    for (const char* theme : {"dark", "light"}) {  // create, then update
+      Row row;
+      row.SetInt("user_id", 7);
+      row.SetString("theme", theme);
+      const RouterWindow& window = scads->router()->window();
+      const int64_t reads = window.reads_ok + window.reads_failed;
+      const int64_t writes = window.writes_ok + window.writes_failed;
+      ASSERT_TRUE(scads->PutRowSync("settings", row, RequestOptions{}).ok());
+      scads->DrainIndexQueue();
+      EXPECT_EQ(window.reads_ok + window.reads_failed - reads, reads_per_put);
+      EXPECT_EQ(window.writes_ok + window.writes_failed - writes, 1);
+    }
+  }
+}
+
+TEST(ScadsTest, SameStampPutRowsIndexOnlyTheWriteThatApplied) {
+  auto scads = MakeSocialScads("staleness: 5s\n");
+  ASSERT_TRUE(scads->RegisterQuery("birthday", kBirthdayQuery).ok());
+  ASSERT_TRUE(scads->Start().ok());
+  ASSERT_TRUE(scads->PutRowSync("profiles", Profile(1, "alice", 300), RequestOptions{}).ok());
+  ASSERT_TRUE(scads->PutRowSync("profiles", Profile(2, "bob", 100), RequestOptions{}).ok());
+  ASSERT_TRUE(scads->PutRowSync("friendships", Edge(1, 2), RequestOptions{}).ok());
+  scads->DrainIndexQueue();
+  ASSERT_EQ(ListedBdays(scads.get(), 1, 2), std::vector<int64_t>{100});
+  // Both writes leave before the loop runs, so they carry one version
+  // stamp: the primary applies whichever arrives first and drops the other
+  // as superseded. Only the applied one may reach the index.
+  Status first = InternalError("pending");
+  Status second = InternalError("pending");
+  scads->PutRow("profiles", Profile(2, "bob50", 50), RequestOptions{},
+                [&](Status s) { first = std::move(s); });
+  scads->PutRow("profiles", Profile(2, "bob70", 70), RequestOptions{},
+                [&](Status s) { second = std::move(s); });
+  scads->RunFor(kSecond);
+  ASSERT_TRUE(first.ok()) << first;
+  ASSERT_TRUE(second.ok()) << second;
+  scads->DrainIndexQueue();
+  EXPECT_EQ(ListedBdays(scads.get(), 1, 2), std::vector<int64_t>{StoredBday(scads.get(), 2)});
+}
+
+TEST(ScadsTest, MergePutRowIndexesTheRowItStored) {
+  auto scads = MakeSocialScads("writes: merge\n", KeepStored);
+  ASSERT_TRUE(scads->RegisterQuery("birthday", kBirthdayQuery).ok());
+  ASSERT_TRUE(scads->Start().ok());
+  ASSERT_TRUE(scads->PutRowSync("profiles", Profile(1, "alice", 300), RequestOptions{}).ok());
+  ASSERT_TRUE(scads->PutRowSync("profiles", Profile(2, "bob", 200), RequestOptions{}).ok());
+  ASSERT_TRUE(scads->PutRowSync("friendships", Edge(1, 2), RequestOptions{}).ok());
+  scads->DrainIndexQueue();
+  // The merge keeps bday 200; the index must follow what was stored, not
+  // the caller's row.
+  ASSERT_TRUE(scads->PutRowSync("profiles", Profile(2, "bob", 50), RequestOptions{}).ok());
+  scads->DrainIndexQueue();
+  EXPECT_EQ(StoredBday(scads.get(), 2), 200);
+  EXPECT_EQ(ListedBdays(scads.get(), 1, 2), std::vector<int64_t>{200});
 }
 
 TEST(ScadsTest, DurabilitySpecRaisesReplication) {

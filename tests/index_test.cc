@@ -200,51 +200,37 @@ struct MiniScads {
     queries.emplace(name, std::move(plan).value());
   }
 
-  // Upsert a base row: read old image, write new, trigger maintenance.
+  // Upsert a base row the way the Scads facade does: one write whose reply
+  // carries the record it replaced, then maintenance from that record.
   void PutRow(const std::string& entity_name, const Row& row) {
-    const EntityDef* entity = catalog.Get(entity_name);
-    ASSERT_NE(entity, nullptr);
-    auto key = EncodePrimaryKey(*entity, row);
-    ASSERT_TRUE(key.ok());
-    bool done = false;
-    RequestOptions pinned;
-    pinned.read_mode = ReadMode::kPrimaryOnly;
-    router->Get(*key, pinned, [&](Result<Record> old_record) {
-      std::optional<Row> old_row;
-      if (old_record.ok()) {
-        auto decoded = DecodeRow(*entity, old_record->value);
-        if (decoded.ok()) old_row = *decoded;
-      }
-      router->Put(*key, EncodeRow(*entity, row), AckMode::kPrimary, RequestOptions{},
-                  [&, old_row](Status status) {
-                    ASSERT_TRUE(status.ok());
-                    maintainer->OnBaseWrite(entity->name, old_row, row);
-                    done = true;
-                  });
-    });
-    loop.RunFor(kSecond);
-    ASSERT_TRUE(done);
+    WriteRow(entity_name, row, Router::WriteOp::Kind::kPut);
   }
 
   void DeleteRow(const std::string& entity_name, const Row& row) {
+    WriteRow(entity_name, row, Router::WriteOp::Kind::kDelete);
+  }
+
+  void WriteRow(const std::string& entity_name, const Row& row, Router::WriteOp::Kind kind) {
     const EntityDef* entity = catalog.Get(entity_name);
     ASSERT_NE(entity, nullptr);
     auto key = EncodePrimaryKey(*entity, row);
     ASSERT_TRUE(key.ok());
+    const bool put = kind == Router::WriteOp::Kind::kPut;
     bool done = false;
-    RequestOptions pinned;
-    pinned.read_mode = ReadMode::kPrimaryOnly;
-    router->Get(*key, pinned, [&](Result<Record> old_record) {
+    router->Write({kind, *key, put ? EncodeRow(*entity, row) : "", /*return_prior=*/true},
+                  AckMode::kPrimary, RequestOptions{}, [&](Result<Router::WriteAck> written) {
+      ASSERT_TRUE(written.ok());
+      done = true;
+      const std::optional<Record>& prior = written->prior;
+      // A prior at or past the write's stamp: the primary dropped the write.
+      if (prior.has_value() && !(written->version > prior->version)) return;
       std::optional<Row> old_row;
-      if (old_record.ok()) {
-        auto decoded = DecodeRow(*entity, old_record->value);
+      if (prior.has_value() && !prior->tombstone) {
+        auto decoded = DecodeRow(*entity, prior->value);
         if (decoded.ok()) old_row = *decoded;
       }
-      router->Delete(*key, AckMode::kPrimary, RequestOptions{}, [&, old_row](Status status) {
-        ASSERT_TRUE(status.ok());
-        maintainer->OnBaseWrite(entity->name, old_row, std::nullopt);
-        done = true;
-      });
+      if (!put && !old_row.has_value()) return;
+      maintainer->OnBaseWrite(entity->name, old_row, put ? std::optional<Row>(row) : std::nullopt);
     });
     loop.RunFor(kSecond);
     ASSERT_TRUE(done);

@@ -641,7 +641,7 @@ const std::vector<EntryPoint>& EntryPoints() {
       {"Write", any,
        [](Router* r, const std::string& key, RequestOptions o, Done done) {
          r->Write({Router::WriteOp::Kind::kPut, key, "v2"}, AckMode::kPrimary, o,
-                  [done](Result<Version> version) { done(version.status()); });
+                  [done](Result<Router::WriteAck> written) { done(written.status()); });
        }},
       {"MultiWrite", any,
        [](Router* r, const std::string& key, RequestOptions o, Done done) {
@@ -651,7 +651,8 @@ const std::vector<EntryPoint>& EntryPoints() {
       {"ConditionalPut", any,
        [](Router* r, const std::string& key, RequestOptions o, Done done) {
          // Expects the version Harness::Seed wrote.
-         r->ConditionalPut(key, "v2", Version{1, 0}, AckMode::kPrimary, o, done);
+         r->ConditionalPut(key, "v2", Version{1, 0}, AckMode::kPrimary, o,
+                           [done](Result<Version> written) { done(written.status()); });
        }},
   };
   return entries;

@@ -627,7 +627,8 @@ TEST(ThreadedDataPlaneTest, CallbacksReenterTheRouterFromWorkerThreads) {
       {"Write",
        [](Router* r, Done done) {
          r->Write({Router::WriteOp::Kind::kDelete, "cold/key", {}}, AckMode::kPrimary,
-                  RequestOptions{}, [done](Result<Version> version) { done(version.status()); });
+                  RequestOptions{},
+                  [done](Result<Router::WriteAck> written) { done(written.status()); });
        }},
       {"MultiWrite",
        [](Router* r, Done done) {
@@ -637,7 +638,7 @@ TEST(ThreadedDataPlaneTest, CallbacksReenterTheRouterFromWorkerThreads) {
       {"ConditionalPut",
        [](Router* r, Done done) {
          r->ConditionalPut("cas/key", "v", std::nullopt, AckMode::kPrimary, RequestOptions{},
-                           done);
+                           [done](Result<Version> written) { done(written.status()); });
        }},
   };
   const std::thread::id test_thread = std::this_thread::get_id();
