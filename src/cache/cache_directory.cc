@@ -56,7 +56,6 @@ bool CacheDirectory::LookupPoint(const std::string& key, Time now, const Request
     return false;
   }
   point_hits_->Increment();
-  TrackHotKey(key);
   out->key = key;
   out->value = std::move(entry.value);
   out->version = entry.version;
@@ -148,33 +147,6 @@ void CacheDirectory::OnDelete(const std::string& key, const Version& version, Ti
   if (!config_.enabled) return;
   if (points_.MarkInvalidated(key, version, now)) point_invalidations_->Increment();
   if (config_.cache_scan_results) InvalidateScansFor(key);
-}
-
-void CacheDirectory::TrackHotKey(const std::string& key) {
-  std::lock_guard<std::mutex> lock(hot_mu_);
-  ++hot_total_;
-  auto it = hot_hits_.find(key);
-  if (it != hot_hits_.end()) {
-    ++it->second;
-    return;
-  }
-  if (hot_hits_.size() >= kHotKeyCap) return;
-  hot_hits_.emplace(key, 1);
-}
-
-CacheDirectory::HotKeyReport CacheDirectory::TakeHotKeys(size_t n) {
-  std::lock_guard<std::mutex> lock(hot_mu_);
-  HotKeyReport report;
-  report.total_hits = hot_total_;
-  report.top.assign(hot_hits_.begin(), hot_hits_.end());
-  std::sort(report.top.begin(), report.top.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;  // deterministic across runs
-  });
-  if (report.top.size() > n) report.top.resize(n);
-  hot_hits_.clear();
-  hot_total_ = 0;
-  return report;
 }
 
 }  // namespace scads

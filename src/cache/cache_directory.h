@@ -12,13 +12,13 @@
 //    cache. Index-entry writes flow through the same Router chokepoint, so
 //    scan results invalidate on index maintenance too.
 //  * Counters surface through the deployment's MetricRegistry
-//    (cache.point.* / cache.scan.*), and per-key hit counts accumulate into
-//    a hot-key report the Director weighs when splitting partitions.
+//    (cache.point.* / cache.scan.*); the Director rolls the point hit and
+//    miss totals into its snapshots.
 //
 // Thread safety: one CacheDirectory may be shared by every Router in a
 // ThreadedRuntime deployment. The underlying caches carry their own shard
-// locks (see read_cache.h), counters are atomic, and the hot-key window and
-// scan-lease table here are guarded by their own mutexes. All of these are
+// locks (see read_cache.h), counters are atomic, and the scan-lease table
+// here is guarded by its own mutex. All of these are
 // leaf locks — no directory or cache method calls out while holding one —
 // so the directory may be consulted before the router mutex (the lock-free
 // hit path) and mutated under it (synchronous write invalidation) without
@@ -30,7 +30,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -60,7 +59,7 @@ class CacheDirectory {
   // --- read path ---------------------------------------------------------
 
   /// Fresh cache hit for `key`? On true, `out` holds the record (never a
-  /// tombstone) and the hit is charged to the hot-key signal. Stale entries
+  /// tombstone). Stale entries
   /// are rejected (counted under cache.point.stale_rejects) and dropped —
   /// but only when they are also past the deployment bound; an entry merely
   /// too old for a tighter per-request bound stays cached for laxer
@@ -109,17 +108,6 @@ class CacheDirectory {
   /// An acked Delete of `key`: marker the point entry, drop covering scans.
   void OnDelete(const std::string& key, const Version& version, Time now);
 
-  // --- hot-key signal ----------------------------------------------------
-
-  struct HotKeyReport {
-    int64_t total_hits = 0;  ///< All point hits in the window.
-    std::vector<std::pair<std::string, int64_t>> top;  ///< Descending by hits.
-  };
-
-  /// Top `n` keys by cache hits since the last call, then resets the
-  /// window. The Director calls this once per control interval.
-  HotKeyReport TakeHotKeys(size_t n);
-
   // --- introspection -----------------------------------------------------
 
   ReadCache* point_cache() { return &points_; }
@@ -131,7 +119,6 @@ class CacheDirectory {
   int64_t point_miss_total() const { return point_misses_->value(); }
 
  private:
-  void TrackHotKey(const std::string& key);
   /// Drops cached scans covering `key` and dirties in-flight scan leases.
   void InvalidateScansFor(const std::string& key);
 
@@ -139,16 +126,6 @@ class CacheDirectory {
   Duration bound_;
   ReadCache points_;
   ScanCache scans_;
-
-  // Hot-key window (reset by TakeHotKeys). Size-capped: once full, new keys
-  // stop being tracked until the next window; already-hot keys keep
-  // counting, which is exactly the signal the Director needs. Guarded by
-  // hot_mu_ (a leaf lock) so concurrent hits from many routers do not lose
-  // updates.
-  static constexpr size_t kHotKeyCap = 4096;
-  mutable std::mutex hot_mu_;
-  std::unordered_map<std::string, int64_t> hot_hits_;
-  int64_t hot_total_ = 0;
 
   // In-flight scan leases (bounded by concurrent scans). Guarded by
   // leases_mu_ (a leaf lock): a write dirtying leases and a scan

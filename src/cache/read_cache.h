@@ -25,8 +25,8 @@
 // shared LRU list, which keeps the hot path O(1) under the shard lock and
 // contention proportional to 1/shards.
 //
-// Policy coordination (what to serve, when to invalidate, counters, the
-// hot-key signal) lives in cache/cache_directory.h.
+// Policy coordination (what to serve, when to invalidate, counters) lives
+// in cache/cache_directory.h.
 
 #ifndef SCADS_CACHE_READ_CACHE_H_
 #define SCADS_CACHE_READ_CACHE_H_

@@ -32,9 +32,8 @@
 // actually waiting on it.
 //
 // What never coalesces: kPrimaryOnly-pinned reads (session fallbacks,
-// read-modify-write — their semantics demand their own serve), targeted
-// GetFromReplica reads, and requests that opt out via
-// RequestOptions::allow_coalesce.
+// read-modify-write — their semantics demand their own serve) and targeted
+// GetFromReplica reads.
 
 #ifndef SCADS_CLUSTER_COALESCER_H_
 #define SCADS_CLUSTER_COALESCER_H_

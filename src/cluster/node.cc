@@ -383,6 +383,7 @@ void StorageNode::ApplyAndReplicate(PartitionId pid, const WalRecord& record, Ac
 
 void StorageNode::HandleWrite(PartitionId pid, const WalRecord& record, AckMode ack,
                               RequestPriority priority, bool return_prior,
+                              const std::optional<WriteCondition>& condition,
                               std::function<void(WriteReply)> respond) {
   if (!alive_) return;
   std::optional<Duration> sojourn = Admit(config_.put_service_time, priority);
@@ -390,59 +391,43 @@ void StorageNode::HandleWrite(PartitionId pid, const WalRecord& record, AckMode 
     respond({ResourceExhaustedError("node overloaded"), std::nullopt});
     return;
   }
-  loop_->ScheduleAfter(*sojourn, [this, pid, record, ack, return_prior,
+  loop_->ScheduleAfter(*sojourn, [this, pid, record, ack, return_prior, condition,
                                   respond = std::move(respond)]() mutable {
     if (!alive_) return;
     ++stats_.ops_completed;
     // Read in the step that applies the write: the primary serializes this
-    // partition's writers, so no other write lands in between. No extra
+    // partition's writers, so no other write lands in between, and a
+    // condition checked here holds when the write applies. No extra
     // service time, since a put already locates its key to check the
-    // version; a page fault here is charged with the apply's.
+    // version.
     std::optional<Record> prior;
-    if (return_prior) prior = engine_->GetRaw(record.key);
+    if (return_prior || condition.has_value()) {
+      prior = engine_->GetRaw(record.key);
+      ChargeEngineIo();  // the read may fault the covering page
+    }
+    if (condition.has_value()) {
+      bool live = prior.has_value() && !prior->tombstone;
+      Status failed;
+      if (condition->version.has_value() && !(live && prior->version == *condition->version)) {
+        failed = AbortedError("version mismatch");
+      } else if (!condition->version.has_value() && live) {
+        failed = AbortedError("key already exists");
+      } else if (prior.has_value() && !(record.version > prior->version)) {
+        // The engine would drop this write as superseded (say, behind a
+        // newer tombstone): a CAS must not report a write it did not make.
+        failed = AbortedError("superseded by a newer version");
+      }
+      if (!failed.ok()) {
+        respond({std::move(failed), std::nullopt});
+        return;
+      }
+      if (!return_prior) prior.reset();  // read only to check the condition
+    }
     ApplyAndReplicate(pid, record, ack,
                       [respond = std::move(respond),
                        prior = std::move(prior)](Status status) mutable {
       respond({std::move(status), std::move(prior)});
     });
-  });
-}
-
-void StorageNode::HandleConditionalPut(PartitionId pid, const std::string& key,
-                                       const std::string& value, std::optional<Version> expected,
-                                       Version new_version, AckMode ack,
-                                       RequestPriority priority,
-                                       std::function<void(Status)> respond) {
-  if (!alive_) return;
-  std::optional<Duration> sojourn = Admit(config_.put_service_time, priority);
-  if (!sojourn.has_value()) {
-    respond(ResourceExhaustedError("node overloaded"));
-    return;
-  }
-  loop_->ScheduleAfter(*sojourn, [this, pid, key, value, expected, new_version, ack,
-                                  respond = std::move(respond)] {
-    if (!alive_) return;
-    ++stats_.ops_completed;
-    // The primary serializes all writers of this partition, so read-check-
-    // write here is atomic.
-    std::optional<Record> current = engine_->GetRaw(key);
-    ChargeEngineIo();  // the version check may fault the covering page
-    bool exists_live = current.has_value() && !current->tombstone;
-    if (expected.has_value()) {
-      if (!exists_live || !(current->version == *expected)) {
-        respond(AbortedError("version mismatch"));
-        return;
-      }
-    } else if (exists_live) {
-      respond(AbortedError("key already exists"));
-      return;
-    }
-    WalRecord record;
-    record.type = WalRecord::Type::kPut;
-    record.key = key;
-    record.value = value;
-    record.version = new_version;
-    ApplyAndReplicate(pid, record, ack, respond);
   });
 }
 

@@ -125,6 +125,13 @@ struct WriteReply {
   std::optional<Record> prior;
 };
 
+/// A single-key write's compare-and-set precondition (serializable writes):
+/// the key's live record must carry `version`; with no version, the key
+/// must hold no live record (absent or tombstoned).
+struct WriteCondition {
+  std::optional<Version> version;
+};
+
 /// One mutation of a batched write; the partition id rides along because a
 /// node-batch may span every partition the node is primary for.
 struct MultiWriteItem {
@@ -173,15 +180,11 @@ class StorageNode {
   // --- request handlers -----------------------------------------------
   //
   // Every request handler takes the request's RequestPriority so admission
-  // can shed kLow work first under overload; the priority-less overloads
-  // (kNormal) keep internal callers and older call sites unchanged.
+  // can shed kLow work first under overload.
 
   /// Point read of `key`.
   void HandleGet(const std::string& key, RequestPriority priority,
                  std::function<void(Result<Record>)> respond);
-  void HandleGet(const std::string& key, std::function<void(Result<Record>)> respond) {
-    HandleGet(key, RequestPriority::kNormal, std::move(respond));
-  }
 
   /// Batched point reads: one admission (base get cost + a smaller marginal
   /// cost per extra key) and one engine MultiGet over the whole key set.
@@ -189,10 +192,6 @@ class StorageNode {
   /// redirect the sub-batch.
   void HandleMultiGet(const std::vector<std::string>& keys, RequestPriority priority,
                       std::function<void(MultiGetReply)> respond);
-  void HandleMultiGet(const std::vector<std::string>& keys,
-                      std::function<void(MultiGetReply)> respond) {
-    HandleMultiGet(keys, RequestPriority::kNormal, std::move(respond));
-  }
 
   /// Batched writes: the whole batch is WAL-logged with one group-commit
   /// sync, applied, then each record replicates on the normal streams.
@@ -202,41 +201,25 @@ class StorageNode {
   void HandleMultiWrite(std::vector<MultiWriteItem> items, AckMode ack,
                         RequestPriority priority,
                         std::function<void(std::vector<Status>)> respond);
-  void HandleMultiWrite(std::vector<MultiWriteItem> items, AckMode ack,
-                        std::function<void(std::vector<Status>)> respond) {
-    HandleMultiWrite(std::move(items), ack, RequestPriority::kNormal, std::move(respond));
-  }
 
   /// Range read [start, end) with limit.
   void HandleScan(const std::string& start, const std::string& end, size_t limit,
                   RequestPriority priority,
                   std::function<void(Result<std::vector<Record>>)> respond);
-  void HandleScan(const std::string& start, const std::string& end, size_t limit,
-                  std::function<void(Result<std::vector<Record>>)> respond) {
-    HandleScan(start, end, limit, RequestPriority::kNormal, std::move(respond));
-  }
 
   /// Write (put or tombstone) for partition `pid`. This node must be the
   /// partition's primary; it applies locally then drives replication.
   /// `respond` fires according to `ack`. With `return_prior`, the reply
   /// carries the record the write replaced, read in the service step that
-  /// applies the write, so it is the write's exact predecessor.
+  /// applies the write, so it is the write's exact predecessor. With a
+  /// `condition` (compare-and-set), the write applies only when the
+  /// condition holds on that same read and the write's stamp is newer than
+  /// the key's record, so the engine cannot drop it as superseded;
+  /// otherwise it answers kAborted and writes nothing.
   void HandleWrite(PartitionId pid, const WalRecord& record, AckMode ack,
                    RequestPriority priority, bool return_prior,
+                   const std::optional<WriteCondition>& condition,
                    std::function<void(WriteReply)> respond);
-
-  /// Compare-and-set put used by the serializable write policy: applies
-  /// only when the stored version equals `expected` (absent = expect no
-  /// record or tombstone). kAborted on mismatch.
-  void HandleConditionalPut(PartitionId pid, const std::string& key, const std::string& value,
-                            std::optional<Version> expected, Version new_version, AckMode ack,
-                            RequestPriority priority, std::function<void(Status)> respond);
-  void HandleConditionalPut(PartitionId pid, const std::string& key, const std::string& value,
-                            std::optional<Version> expected, Version new_version, AckMode ack,
-                            std::function<void(Status)> respond) {
-    HandleConditionalPut(pid, key, value, expected, new_version, ack,
-                         RequestPriority::kNormal, std::move(respond));
-  }
 
   /// Replication batch arrival (secondary side). Applies records with
   /// sequence numbers in (last_applied, ...] and acks cumulatively.

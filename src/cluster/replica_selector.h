@@ -27,8 +27,8 @@
 //     the first sample, so an idle fleet behaves exactly like uniform.
 //
 // Future policies (zone/locality-aware, deadline-aware) subclass
-// ReplicaSelector and drop in via Router::set_selector without touching
-// dispatch code.
+// ReplicaSelector and get a SelectorKind that MakeSelector builds, without
+// touching dispatch code.
 
 #ifndef SCADS_CLUSTER_REPLICA_SELECTOR_H_
 #define SCADS_CLUSTER_REPLICA_SELECTOR_H_

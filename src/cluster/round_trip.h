@@ -1,10 +1,10 @@
 // RoundTrip: one client -> storage node request/reply exchange with a
 // timeout — the only way the cluster layer talks to a node.
 //
-// Router's point reads, MultiGet sub-batches, scans, writes, MultiWrite
-// chunks and conditional puts, and the ReadCoalescer's merged reads all
-// run on it: arm the timer, ship the request, let the node serve it, ship
-// the reply back. Exactly one of the reply and the timer claims the
+// Router's point reads, MultiGet sub-batches, scans, single-key writes
+// (conditional or not), MultiWrite chunks, and the ReadCoalescer's merged
+// reads all run on it: arm the timer, ship the request, let the node serve
+// it, ship the reply back. Exactly one of the reply and the timer claims the
 // exchange and runs `done`; the other is dropped. The claim is atomic, not
 // lock-guarded, because the two may fire on different ThreadedRuntime
 // workers in the same instant.

@@ -289,7 +289,7 @@ void Router::Get(const std::string& key, RequestOptions options,
   // Coalescing: concurrent reads of the same key share one node round
   // trip, and same-node leaders within the hold window share one message.
   // Pinned reads keep their own serve (their semantics demand it).
-  if (coalescer_ != nullptr && coalescer_->enabled() && options.allow_coalesce &&
+  if (coalescer_ != nullptr && coalescer_->enabled() &&
       options.read_mode != ReadMode::kPrimaryOnly && !candidates.empty()) {
     ReadCoalescer::PendingRead read;
     read.router = this;
@@ -677,17 +677,21 @@ void Router::Write(const WriteOp& op, AckMode ack, RequestOptions options,
   }
   bool budget_bound = false;
   Duration timeout = ClampedTimeout(options, started, &budget_bound);
+  // A condition adds 16 bytes: its expected version and that field's framing.
+  int64_t request_bytes = WireSize(*record) + (op.condition.has_value() ? 16 : 0);
   RoundTrip<WriteReply>(
-      loop_, network_, client_id_, target, WireSize(*record), timeout,
+      loop_, network_, client_id_, target, request_bytes, timeout,
       [node, pid = partition.id, record, ack, priority = options.priority,
-       return_prior = op.return_prior](auto respond) {
-        node->HandleWrite(pid, *record, ack, priority, return_prior, std::move(respond));
+       return_prior = op.return_prior, condition = op.condition](auto respond) {
+        node->HandleWrite(pid, *record, ack, priority, return_prior, condition,
+                          std::move(respond));
       },
       [this, started, budget_bound, record,
        callback = std::move(callback)](std::optional<WriteReply> reply) {
         // Writes never retry (no idempotence token).
         Status status = reply ? std::move(reply->status) : TimeoutStatus(budget_bound, "write");
-        Settle(Op::kWrite, started, status.ok(), status);
+        // kAborted is an answered request: the system worked, the CAS lost.
+        Settle(Op::kWrite, started, status.ok() || IsAborted(status), status);
         if (!status.ok()) {
           callback(std::move(status));
           return;
@@ -754,8 +758,16 @@ void Router::MultiWrite(std::vector<WriteOp> ops, AckMode ack, RequestOptions op
   // Same-key ops coalesce to the last one: the whole batch carries one
   // version stamp, so "apply in order" degenerates to "last op wins" anyway;
   // shipping only the winner keeps that outcome instead of letting the
-  // engine's newer-version rule drop the later op as superseded.
-  for (size_t i = 0; i < n; ++i) state->winner_of[state->ops[i].key] = i;
+  // engine's newer-version rule drop the later op as superseded. A
+  // conditioned op is rejected instead: a batch checks no condition, so
+  // shipping it would apply it unconditionally.
+  for (size_t i = 0; i < n; ++i) {
+    if (state->ops[i].condition.has_value()) {
+      state->statuses[i] = InvalidArgumentError("conditional write in a batch");
+    } else {
+      state->winner_of[state->ops[i].key] = i;
+    }
+  }
 
   auto finalize = [this, state, started]() {
     {
@@ -763,6 +775,7 @@ void Router::MultiWrite(std::vector<WriteOp> ops, AckMode ack, RequestOptions op
       // Coalesced losers inherit their winner's outcome; then every logical
       // write is accounted individually, batched or not.
       for (size_t i = 0; i < state->ops.size(); ++i) {
+        if (state->ops[i].condition.has_value()) continue;  // rejected above
         auto it = state->winner_of.find(state->ops[i].key);
         if (it->second != i) state->statuses[i] = state->statuses[it->second];
       }
@@ -863,45 +876,6 @@ void Router::MultiWrite(std::vector<WriteOp> ops, AckMode ack, RequestOptions op
           });
     }
   }
-}
-
-void Router::ConditionalPut(const std::string& key, const std::string& value,
-                            std::optional<Version> expected, AckMode ack, RequestOptions options,
-                            std::function<void(Result<Version>)> callback) {
-  Time started = loop_->Now();
-  options.Arm(started);
-  const PartitionInfo& partition = cluster_->partitions()->ForKey(key);
-  NodeId target = partition.primary();
-  StorageNode* node = cluster_->GetNode(target);
-  Status failure;
-  if (options.Expired(started)) {
-    failure = TimeoutStatus(/*budget_bound=*/true, "conditional put");
-  } else if (node == nullptr) {
-    failure = UnavailableError("primary not registered");
-  }
-  if (!failure.ok()) {
-    Fail(Op::kWrite, started, std::move(failure), callback);
-    return;
-  }
-  Version new_version{started, client_id_};
-  bool budget_bound = false;
-  Duration timeout = ClampedTimeout(options, started, &budget_bound);
-  RoundTrip<Status>(
-      loop_, network_, client_id_, target, static_cast<int64_t>(key.size() + value.size()) + 29,
-      timeout,
-      [node, pid = partition.id, key, value, expected, new_version, ack,
-       priority = options.priority](auto respond) {
-        node->HandleConditionalPut(pid, key, value, expected, new_version, ack, priority,
-                                   std::move(respond));
-      },
-      [this, started, budget_bound, key, value, new_version,
-       callback = std::move(callback)](std::optional<Status> reply) {
-        Status status = reply ? std::move(*reply) : TimeoutStatus(budget_bound, "write");
-        // kAborted is an answered request: the system worked, the CAS lost.
-        Settle(Op::kWrite, started, status.ok() || IsAborted(status), status);
-        if (status.ok()) CacheWrite(/*tombstone=*/false, key, value, new_version);
-        callback(status.ok() ? Result<Version>(new_version) : Result<Version>(std::move(status)));
-      });
 }
 
 RouterWindow Router::TakeWindow() {

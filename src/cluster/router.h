@@ -145,20 +145,13 @@ class Router {
   CacheDirectory* cache() { return cache_; }
 
   /// Attaches the cross-router read coalescer (may be shared by several
-  /// Routers). Non-pinned, coalesce-eligible point reads that miss the
-  /// cache then route through it; see cluster/coalescer.h.
+  /// Routers). Non-pinned point reads that miss the cache then route
+  /// through it; see cluster/coalescer.h.
   void set_coalescer(ReadCoalescer* coalescer) { coalescer_ = coalescer; }
   ReadCoalescer* coalescer() { return coalescer_; }
 
-  /// Swaps in a custom read-routing policy (zone-aware, deadline-aware,
-  /// ...). The Router builds the configured default (RouterConfig::
-  /// selector) at construction; dispatch code never changes per policy.
-  void set_selector(std::unique_ptr<ReplicaSelector> selector) {
-    if (selector != nullptr) {
-      selector_ = std::move(selector);
-      selector_->set_breaker(&breaker_);
-    }
-  }
+  /// The read-routing policy, built from RouterConfig::selector at
+  /// construction.
   ReplicaSelector* selector() { return selector_.get(); }
 
   /// The per-node circuit breaker guarding this router's read path.
@@ -215,6 +208,10 @@ class Router {
     /// Single writes only (MultiWrite ignores it): ask the primary for the
     /// record this write replaces, reported as WriteAck::prior.
     bool return_prior = false;
+    /// Single writes only (MultiWrite rejects the op): compare-and-set.
+    /// The primary applies the write only when the condition holds, else
+    /// the write fails with kAborted and changes nothing.
+    std::optional<WriteCondition> condition = std::nullopt;
   };
 
   /// What an acked single-key write reports.
@@ -227,12 +224,16 @@ class Router {
     std::optional<Record> prior;
   };
 
-  /// Single-key write (put or tombstone) with the given ack mode. The
-  /// version is stamped here — {loop->Now(), client_id}: last-write-wins
-  /// order is wall-clock time, writer id breaks ties — and reported on
-  /// success (session guarantees keep it as their token). An acked write
-  /// refreshes/invalidates the cache before the callback runs. Writes do
-  /// not retry automatically (no idempotence token at this layer).
+  /// Single-key write (put or tombstone) with the given ack mode: the one
+  /// single-key write entry point, conditional or not. The version is
+  /// stamped here — {loop->Now(), client_id}: last-write-wins order is
+  /// wall-clock time, writer id breaks ties — and reported on success
+  /// (session guarantees keep it as their token). An acked write
+  /// refreshes/invalidates the cache before the callback runs. A failed
+  /// condition (kAborted) is an answered write in the window: the system
+  /// worked, the CAS lost. Writes do not retry automatically (no
+  /// idempotence token at this layer); ReadModifyWrite
+  /// (consistency/write_policy.h) is the CAS retry loop.
   void Write(const WriteOp& op, AckMode ack, RequestOptions options,
              std::function<void(Result<WriteAck>)> callback);
 
@@ -248,8 +249,11 @@ class Router {
   /// commit sync. One status per op, in op order. Ops on the same key
   /// coalesce to the last one (the whole batch carries one version stamp,
   /// so "apply in order" and "last wins" are the same outcome); the earlier
-  /// ops report the winner's status. Writes do not retry (same contract as
-  /// Put). Acked ops refresh/invalidate the cache before the callback runs.
+  /// ops report the winner's status. A conditioned op fails with
+  /// kInvalidArgument and takes no part in that coalescing: a batch checks
+  /// no preconditions, so it must not apply one unconditionally. Writes do
+  /// not retry (same contract as Put). Acked ops refresh/invalidate the
+  /// cache before the callback runs.
   void MultiWrite(std::vector<WriteOp> ops, AckMode ack, RequestOptions options,
                   std::function<void(std::vector<Status>)> callback);
 
@@ -258,12 +262,6 @@ class Router {
   /// the query layer).
   void Scan(const std::string& start, const std::string& end, size_t limit,
             RequestOptions options, std::function<void(Result<std::vector<Record>>)> callback);
-
-  /// Compare-and-set (serializable writes). `expected` empty = "must not
-  /// exist". Stamps the version like Write and reports it on success.
-  void ConditionalPut(const std::string& key, const std::string& value,
-                      std::optional<Version> expected, AckMode ack, RequestOptions options,
-                      std::function<void(Result<Version>)> callback);
 
   /// Read directly from a chosen replica (consistency layer uses this for
   /// staleness-bounded and availability-prioritized reads). The options

@@ -76,15 +76,6 @@ struct RequestOptions {
 
   RequestPriority priority = RequestPriority::kNormal;
 
-  /// May this point read merge with concurrent reads of the same key (and
-  /// ride a merged same-node message) in the ReadCoalescer? Merging never
-  /// weakens the request's own bounds — a follower is served from a shared
-  /// reply only while its staleness bound, min_version floor, and deadline
-  /// all still hold — so this stays on by default; it exists for callers
-  /// that need their read to be its own node round trip (e.g. fault
-  /// probes). kPrimaryOnly reads never coalesce regardless.
-  bool allow_coalesce = true;
-
   /// Absolute expiry in simulated time; 0 = not armed / no deadline.
   /// Treated as an implementation detail — set it via Arm().
   Time deadline_at = 0;

@@ -11,6 +11,9 @@
 // (index maintenance needs both). Last-write-wins has the primary return
 // the replaced record in the write's own reply; the CAS modes already read
 // it, and a CAS that lands proves that read was the predecessor.
+//
+// Both CAS modes run on ReadModifyWrite, the one compare-and-set retry loop
+// (GraphClient's Follow/Unfollow/Post use it too).
 
 #ifndef SCADS_CONSISTENCY_WRITE_POLICY_H_
 #define SCADS_CONSISTENCY_WRITE_POLICY_H_
@@ -23,6 +26,40 @@
 #include "consistency/spec.h"
 
 namespace scads {
+
+/// Computes the value a read-modify-write stores from the key's current
+/// live record (`current`, empty when there is none). `*value` holds the
+/// current value (empty when none) on entry and the value to store on
+/// return. Returning false declines: nothing is written.
+using CasMutation =
+    std::function<bool(const std::optional<Record>& current, std::string* value)>;
+
+/// What a read-modify-write did.
+struct CasResult {
+  /// OK when the write landed or the mutation declined; otherwise the read
+  /// or write failure that ended the loop (kAborted once the retry budget
+  /// ran out).
+  Status status;
+  /// Lost races that were retried: each re-read the key and re-ran the
+  /// mutation.
+  int conflicts = 0;
+  /// The live record the last attempt read; when the write landed, the
+  /// record it replaced.
+  std::optional<Record> current;
+  /// What the write stored, stamped with its version; empty unless the
+  /// write landed.
+  std::optional<Record> stored;
+};
+
+/// The compare-and-set retry loop: reads `key` pinned to the primary, lets
+/// `mutate` compute the new value from the record read, and writes it with
+/// a WriteCondition on the version read (no live record: expect none). A
+/// lost race (kAborted) re-reads and retries while `retries` allows; a
+/// negative budget retries until the options deadline sheds the read. One
+/// deadline budget spans every read, write and retry.
+void ReadModifyWrite(Router* router, const std::string& key, AckMode ack,
+                     RequestOptions options, int retries, CasMutation mutate,
+                     std::function<void(CasResult)> done);
 
 /// Statistics for a write policy instance.
 struct WritePolicyStats {
@@ -66,12 +103,6 @@ class WritePolicy {
   WriteConsistency mode() const { return mode_; }
 
  private:
-  /// One read-then-CAS attempt of either CAS mode; a lost race re-reads
-  /// and retries while `attempts_left` allows.
-  void CasAttempt(const std::string& key, const std::string& value, AckMode ack,
-                  RequestOptions options, int attempts_left,
-                  std::function<void(Result<PutOutcome>)> callback);
-
   Router* router_;
   WriteConsistency mode_;
   MergeFunction merge_;

@@ -330,8 +330,6 @@ void Director::ControlTick() {
                        static_cast<long long>(snapshot.sheds_high)));
   }
   history_.push_back(snapshot);
-
-  MaybeSplitHotKeys();
 }
 
 int Director::CountUnderReplicated() const {
@@ -446,30 +444,6 @@ void Director::MaybeRepairReplicas() {
                                             std::string(status.message()));
             }
           });
-    }
-  }
-}
-
-void Director::MaybeSplitHotKeys() {
-  if (cache_ == nullptr || !config_.hot_key_splits) return;
-  CacheDirectory::HotKeyReport report = cache_->TakeHotKeys(3);
-  for (const auto& [key, hits] : report.top) {
-    if (hits < config_.hot_key_min_hits) continue;
-    if (report.total_hits <= 0 ||
-        static_cast<double>(hits) <
-            config_.hot_key_split_fraction * static_cast<double>(report.total_hits)) {
-      continue;
-    }
-    if (!hot_splits_attempted_.insert(key).second) continue;
-    const PartitionInfo& partition = cluster_->partitions()->ForKey(key);
-    if (partition.start == key) continue;  // already the head of its own range
-    PartitionId split_pid = partition.id;  // Split invalidates the reference
-    Result<PartitionId> split = cluster_->partitions()->Split(key);
-    if (split.ok()) {
-      LogEvent("hot_key_split",
-               StrFormat("key drew %lld of %lld cache hits this window; split partition %d at it",
-                         static_cast<long long>(hits),
-                         static_cast<long long>(report.total_hits), split_pid));
     }
   }
 }

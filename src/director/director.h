@@ -61,13 +61,6 @@ struct DirectorConfig {
   int max_step_down = 4;
   /// Ablation switch: false = reactive policy (no forecasting).
   bool use_forecasting = true;
-  /// Hot-key mitigation from the read cache's per-key hit rates: when one
-  /// key draws at least hot_key_split_fraction of a control window's cache
-  /// hits (and at least hot_key_min_hits absolute), split its partition at
-  /// that key so the rebalancer can move the hot range on its own.
-  bool hot_key_splits = false;
-  double hot_key_split_fraction = 0.2;
-  int64_t hot_key_min_hits = 100;
   /// Self-healing: when a replica's node stays dead (administratively or by
   /// the failure detector) past repair_after_fraction of
   /// re_replication_time, the Director drops it from the replica set
@@ -167,8 +160,8 @@ class Director {
   /// Optional: index update queue to watch for deadline pressure.
   void set_update_queue(UpdateQueue* queue) { update_queue_ = queue; }
 
-  /// Optional: read cache whose per-key hit rates feed the hot-key
-  /// partition-split policy (config.hot_key_splits).
+  /// Optional: read cache whose point hit/miss totals roll into each
+  /// snapshot (cache_point_hits / cache_point_misses).
   void set_cache(CacheDirectory* cache) { cache_ = cache; }
 
   /// Arms the control loop and wires the cloud-ready callback. Also brings
@@ -192,7 +185,6 @@ class Director {
   void ControlTick();
   void MaybeRepairReplicas();
   int CountUnderReplicated() const;
-  void MaybeSplitHotKeys();
   void OnInstanceReady(NodeId id);
   void RebalanceOnto(NodeId new_node);
   void ScaleUp(int count);
@@ -210,7 +202,6 @@ class Director {
   std::function<double()> offered_rate_probe_;
   UpdateQueue* update_queue_ = nullptr;
   CacheDirectory* cache_ = nullptr;
-  std::set<std::string> hot_splits_attempted_;
 
   SlaMonitor sla_monitor_;
   HoltForecaster forecaster_;

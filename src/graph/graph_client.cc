@@ -171,81 +171,48 @@ void GraphClient::Feed(uint64_t user, size_t k, RequestOptions options,
 
 void GraphClient::Follow(uint64_t user, uint64_t target, RequestOptions options,
                          std::function<void(Status)> callback) {
-  MutateRecord(
-      AdjacencyKey(user),
-      [target](std::string* encoded) { return AdjacencyCodec::Append(encoded, target); },
-      options, config_.cas_retries, std::move(callback));
+  Mutate(AdjacencyKey(user),
+         [target](const std::optional<Record>&, std::string* encoded) {
+           return AdjacencyCodec::Append(encoded, target);
+         },
+         std::move(options), std::move(callback));
 }
 
 void GraphClient::Unfollow(uint64_t user, uint64_t target, RequestOptions options,
                            std::function<void(Status)> callback) {
-  MutateRecord(
-      AdjacencyKey(user),
-      [target](std::string* encoded) { return AdjacencyCodec::Remove(encoded, target); },
-      options, config_.cas_retries, std::move(callback));
+  Mutate(AdjacencyKey(user),
+         [target](const std::optional<Record>&, std::string* encoded) {
+           return AdjacencyCodec::Remove(encoded, target);
+         },
+         std::move(options), std::move(callback));
 }
 
 void GraphClient::Post(uint64_t user, PostRef post, RequestOptions options,
                        std::function<void(Status)> callback) {
   size_t cap = config_.post_run_cap;
-  MutateRecord(
-      PostsKey(user),
-      [post, cap](std::string* encoded) { return PostLogCodec::Append(encoded, post, cap); },
-      options, config_.cas_retries, std::move(callback));
+  Mutate(PostsKey(user),
+         [post, cap](const std::optional<Record>&, std::string* encoded) {
+           return PostLogCodec::Append(encoded, post, cap);
+         },
+         std::move(options), std::move(callback));
 }
 
-void GraphClient::MutateRecord(const std::string& key,
-                               std::function<bool(std::string*)> mutate,
-                               RequestOptions options, int retries_left,
-                               std::function<void(Status)> callback) {
-  options.Arm(client_.loop()->Now());
-  // The read half of the RMW must see the freshest copy and must be this
-  // request's own round trip — a coalesced or replica-served read could
-  // hand back a version the primary has already superseded, turning every
-  // CAS into a guaranteed conflict.
-  RequestOptions read = options;
-  read.read_mode = ReadMode::kPrimaryOnly;
-  read.allow_coalesce = false;
-  client_.router()->Get(
-      key, read,
-      [this, key, mutate, options, retries_left, callback](Result<Record> current) {
-        std::string encoded;
-        std::optional<Version> expected;  // absent record: create-if-missing
-        if (current.ok()) {
-          encoded = current->value;
-          expected = current->version;
-        } else if (!IsNotFound(current.status())) {
-          ++stats_.mutations_failed;
-          callback(current.status());
-          return;
-        }
-        if (!mutate(&encoded)) {
-          // Idempotent no-op (edge/post already in the state we want) —
-          // don't spend a write on it.
-          ++stats_.mutations_noop;
-          callback(Status::Ok());
-          return;
-        }
-        client_.router()->ConditionalPut(
-            key, encoded, expected, config_.ack, options,
-            [this, key, mutate, options, retries_left, callback](Result<Version> written) {
-              const Status& status = written.status();
-              if (IsAborted(status) && retries_left != 0) {
-                // Lost the race: re-read the winner's record and re-apply.
-                ++stats_.cas_conflicts;
-                MutateRecord(key, mutate, options,
-                             retries_left > 0 ? retries_left - 1 : retries_left,
-                             callback);
-                return;
-              }
-              if (status.ok()) {
-                ++stats_.mutations_ok;
-              } else {
-                ++stats_.mutations_failed;
-              }
-              callback(status);
-            });
-      });
+void GraphClient::Mutate(const std::string& key, CasMutation mutate, RequestOptions options,
+                         std::function<void(Status)> callback) {
+  ReadModifyWrite(client_.router(), key, config_.ack, std::move(options), config_.cas_retries,
+                  std::move(mutate), [this, callback = std::move(callback)](CasResult result) {
+    stats_.cas_conflicts += result.conflicts;
+    if (!result.status.ok()) {
+      ++stats_.mutations_failed;
+    } else if (!result.stored.has_value()) {
+      // Idempotent no-op (edge/post already in the state we want): no
+      // write was spent on it.
+      ++stats_.mutations_noop;
+    } else {
+      ++stats_.mutations_ok;
+    }
+    callback(std::move(result.status));
+  });
 }
 
 }  // namespace scads

@@ -21,11 +21,12 @@
 // fetch, and cache/coalescer eligibility is decided per read exactly as
 // for any other traffic.
 //
-// Follow/Unfollow/Post are read-modify-write mutations of one record:
-// pinned-primary read, codec append/remove (idempotent no-ops skip the
-// write), ConditionalPut on the read version, bounded re-read retries on
-// CAS conflict. Losing a race never loses an edge — the retry re-reads
-// the winner's list and re-applies.
+// Follow/Unfollow/Post are read-modify-write mutations of one record on
+// ReadModifyWrite (consistency/write_policy.h): pinned-primary read, codec
+// append/remove (idempotent no-ops skip the write), a write conditioned on
+// the read version, bounded re-read retries on CAS conflict. Losing a race
+// never loses an edge — the retry re-reads the winner's list and
+// re-applies.
 
 #ifndef SCADS_GRAPH_GRAPH_CLIENT_H_
 #define SCADS_GRAPH_GRAPH_CLIENT_H_
@@ -39,6 +40,7 @@
 #include "cluster/router.h"
 #include "common/request_options.h"
 #include "common/result.h"
+#include "consistency/write_policy.h"
 #include "core/scads_client.h"
 #include "graph/adjacency_codec.h"
 
@@ -119,11 +121,11 @@ class GraphClient {
   const GraphClientConfig& config() const { return config_; }
 
  private:
-  /// Pinned read -> mutate -> CAS with bounded re-read retries. `mutate`
+  /// Runs `mutate` on `key` through ReadModifyWrite with this client's ack
+  /// mode and retry budget, and books the outcome in the stats. `mutate`
   /// returns false for an idempotent no-op (no write is sent).
-  void MutateRecord(const std::string& key, std::function<bool(std::string*)> mutate,
-                    RequestOptions options, int retries_left,
-                    std::function<void(Status)> callback);
+  void Mutate(const std::string& key, CasMutation mutate, RequestOptions options,
+              std::function<void(Status)> callback);
 
   ScadsClient client_;
   GraphClientConfig config_;

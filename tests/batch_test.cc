@@ -529,15 +529,18 @@ TEST(RouterWireBytesTest, EachExchangeChargesRequestReplyAndFraming) {
          });
        },
        4 + 3 + kRecord, 4},
-      {"ConditionalPut",
+      // A condition adds its expected version to the request.
+      {"Conditional write",
        [](Router* r, Done done) {
-         r->ConditionalPut("melon", "4444", std::nullopt, AckMode::kPrimary, RequestOptions{},
-                           [done](Result<Version> written) {
-                             EXPECT_TRUE(written.ok());
-                             done();
-                           });
+         Router::WriteOp op{Router::WriteOp::Kind::kPut, "melon", "4444"};
+         op.condition = WriteCondition{};  // expect no live record
+         r->Write(op, AckMode::kPrimary, RequestOptions{},
+                  [done](Result<Router::WriteAck> written) {
+                    EXPECT_TRUE(written.ok());
+                    done();
+                  });
        },
-       5 + 4 + 29, 4},
+       5 + 4 + kRecord + 16, 4},
       {"MultiWrite",
        [](Router* r, Done done) {
          std::vector<Router::WriteOp> ops = {{Router::WriteOp::Kind::kPut, "a1", "v1"},

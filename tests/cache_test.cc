@@ -349,25 +349,6 @@ TEST(CacheDirectoryTest, ScanLeaseDirtiedByCoveredWrite) {
   EXPECT_FALSE(directory.EndScan(clean_lease));
 }
 
-TEST(CacheDirectoryTest, HotKeyReportRanksAndResets) {
-  MetricRegistry metrics;
-  CacheDirectory directory(EnabledConfig(), 0, &metrics);
-  directory.StorePoint("hot", "v", V(1), 0);
-  directory.StorePoint("warm", "v", V(1), 0);
-  Record out;
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(directory.LookupPoint("hot", 0, &out));
-  ASSERT_TRUE(directory.LookupPoint("warm", 0, &out));
-  CacheDirectory::HotKeyReport report = directory.TakeHotKeys(2);
-  EXPECT_EQ(report.total_hits, 4);
-  ASSERT_EQ(report.top.size(), 2u);
-  EXPECT_EQ(report.top[0].first, "hot");
-  EXPECT_EQ(report.top[0].second, 3);
-  // The window resets.
-  report = directory.TakeHotKeys(2);
-  EXPECT_EQ(report.total_hits, 0);
-  EXPECT_TRUE(report.top.empty());
-}
-
 TEST(CacheDirectoryTest, ConcurrentLookupsConserveOutcomeCounters) {
   MetricRegistry metrics;
   CacheDirectory directory(EnabledConfig(), /*staleness_bound=*/0, &metrics);
@@ -397,8 +378,6 @@ TEST(CacheDirectoryTest, ConcurrentLookupsConserveOutcomeCounters) {
                 metrics.CounterValue("cache.point.stale_rejects") +
                 metrics.CounterValue("cache.point.version_bypasses"),
             static_cast<int64_t>(kThreads) * kOps);
-  // The hot-key window counted the same hits the counter did.
-  EXPECT_EQ(directory.TakeHotKeys(kKeys).total_hits, hits);
   EXPECT_GT(hits, 0);
 }
 
@@ -592,7 +571,7 @@ TEST(CacheSystemTest, ScanResultsCachedAndInvalidatedByIndexMaintenance) {
   EXPECT_EQ(third->size(), 6u);
 }
 
-TEST(CacheSystemTest, DirectorSplitsPartitionOnHotKeySignal) {
+TEST(CacheSystemTest, DirectorSnapshotsRollUpCacheHits) {
   ScadsOptions options;
   options.initial_nodes = 3;
   options.partitions = 4;
@@ -600,13 +579,9 @@ TEST(CacheSystemTest, DirectorSplitsPartitionOnHotKeySignal) {
   options.cache_config.enabled = true;
   options.enable_director = true;
   options.director_config.control_interval = 5 * kSecond;
-  options.director_config.hot_key_splits = true;
-  options.director_config.hot_key_min_hits = 50;
-  options.director_config.hot_key_split_fraction = 0.5;
   auto db = std::move(Scads::Create(options)).value();
   ASSERT_TRUE(db->DefineEntity(ProfilesEntity()).ok());
   ASSERT_TRUE(db->Start().ok());
-  size_t partitions_before = db->cluster()->partitions()->size();
 
   ASSERT_TRUE(db->PutRowSync("profiles", Profile(7, "celebrity"), RequestOptions{}).ok());
   for (int i = 0; i < 120; ++i) {
@@ -614,15 +589,7 @@ TEST(CacheSystemTest, DirectorSplitsPartitionOnHotKeySignal) {
   }
   db->RunFor(12 * kSecond);  // at least two control ticks
 
-  bool split_logged = false;
-  for (const DirectorEvent& event : db->director()->events()) {
-    if (event.kind == "hot_key_split") split_logged = true;
-  }
-  EXPECT_TRUE(split_logged);
-  EXPECT_GT(db->cluster()->partitions()->size(), partitions_before);
-
-  // The control-loop snapshots rolled up the directory's hit/miss deltas
-  // alongside the hot-key signal.
+  // The control-loop snapshots rolled up the directory's hit/miss deltas.
   int64_t snapshot_hits = 0;
   for (const DirectorSnapshot& snapshot : db->director()->history()) {
     snapshot_hits += snapshot.cache_point_hits;

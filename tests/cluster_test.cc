@@ -3,6 +3,7 @@
 // rebalancing.
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -307,38 +308,81 @@ TEST(RouterTest, ScanWithinPartition) {
   EXPECT_EQ((*rows)[1].key, "row:b");
 }
 
-TEST(RouterTest, ConditionalPutEnforcesVersionCheck) {
-  TestCluster tc(2, 2);
-  // Create: expect-absent succeeds once.
-  Status created = InternalError("pending");
-  tc.router->ConditionalPut("cas", "v1", std::nullopt, AckMode::kPrimary, RequestOptions{},
-                            [&](Result<Version> r) { created = r.status(); });
-  tc.loop.RunFor(kSecond);
-  ASSERT_TRUE(created.ok());
+// A compare-and-set put: applies only while `key`'s live record carries
+// `expected` (std::nullopt: while the key holds no live record).
+Router::WriteOp CasPut(const std::string& key, const std::string& value,
+                       std::optional<Version> expected) {
+  Router::WriteOp op{Router::WriteOp::Kind::kPut, key, value};
+  op.condition = WriteCondition{expected};
+  return op;
+}
 
+TEST(RouterTest, ConditionalWriteEnforcesVersionCheck) {
+  TestCluster tc(2, 2);
+  Status status = InternalError("pending");
+  auto write = [&](const Router::WriteOp& op) {
+    status = InternalError("pending");
+    tc.router->Write(op, AckMode::kPrimary, RequestOptions{},
+                     [&](Result<Router::WriteAck> r) { status = r.status(); });
+    tc.loop.RunFor(kSecond);
+    return status;
+  };
+  // Create: expect-absent succeeds once.
+  ASSERT_TRUE(write(CasPut("cas", "v1", std::nullopt)).ok());
   // Second expect-absent aborts.
-  Status conflict = InternalError("pending");
-  tc.router->ConditionalPut("cas", "v2", std::nullopt, AckMode::kPrimary, RequestOptions{},
-                            [&](Result<Version> r) { conflict = r.status(); });
-  tc.loop.RunFor(kSecond);
-  EXPECT_EQ(conflict.code(), StatusCode::kAborted);
+  EXPECT_EQ(write(CasPut("cas", "v2", std::nullopt)).code(), StatusCode::kAborted);
 
   // Read-modify-write with the right version succeeds.
   auto current = tc.GetSync("cas", /*pin_primary=*/true);
   ASSERT_TRUE(current.ok());
-  Status updated = InternalError("pending");
-  tc.router->ConditionalPut("cas", "v2", current->version, AckMode::kPrimary, RequestOptions{},
-                            [&](Result<Version> r) { updated = r.status(); });
-  tc.loop.RunFor(kSecond);
-  ASSERT_TRUE(updated.ok());
+  ASSERT_TRUE(write(CasPut("cas", "v2", current->version)).ok());
   EXPECT_EQ(tc.GetSync("cas", true)->value, "v2");
 
   // Stale version now aborts.
-  Status stale = InternalError("pending");
-  tc.router->ConditionalPut("cas", "v3", current->version, AckMode::kPrimary, RequestOptions{},
-                            [&](Result<Version> r) { stale = r.status(); });
+  EXPECT_EQ(write(CasPut("cas", "v3", current->version)).code(), StatusCode::kAborted);
+  EXPECT_EQ(tc.GetSync("cas", true)->value, "v2");
+  // A lost CAS is an answered write: the system worked, the CAS lost.
+  EXPECT_EQ(tc.router->window().writes_failed, 0);
+}
+
+TEST(RouterTest, ConditionalWriteTheEngineWouldDropReportsAborted) {
+  // One node, rf 1, no jitter: messages sent in one instant land in send
+  // order.
+  NetworkConfig net_config;
+  net_config.jitter_mean = 0;
+  TestCluster tc(1, 1, NodeConfig{}, RouterConfig{}, net_config);
+  Router deleter(kClient + 1, &tc.loop, &tc.network, &tc.cluster, RouterConfig{}, 98);
+  Status deleted = InternalError("pending");
+  Status cas = InternalError("pending");
+  // The delete lands first, stamped {t, kClient + 1}; the CAS follows with
+  // the older stamp {t, kClient}. Its expect-absent check passes over the
+  // tombstone, but the engine would drop it as superseded.
+  deleter.Delete("k", AckMode::kPrimary, RequestOptions{}, [&](Status s) { deleted = s; });
+  tc.router->Write(CasPut("k", "v", std::nullopt), AckMode::kPrimary, RequestOptions{},
+                   [&](Result<Router::WriteAck> r) { cas = r.status(); });
   tc.loop.RunFor(kSecond);
-  EXPECT_EQ(stale.code(), StatusCode::kAborted);
+  ASSERT_TRUE(deleted.ok()) << deleted.ToString();
+  EXPECT_EQ(cas.code(), StatusCode::kAborted) << cas.ToString();
+  EXPECT_EQ(tc.nodes[0]->engine()->Get("k").status().code(), StatusCode::kNotFound);
+}
+
+TEST(RouterTest, MultiWriteRejectsConditionalOps) {
+  TestCluster tc(1, 1);
+  std::vector<Status> statuses;
+  std::vector<Router::WriteOp> ops = {CasPut("a", "cas", std::nullopt),
+                                      {Router::WriteOp::Kind::kPut, "a", "plain"},
+                                      CasPut("b", "cas", std::nullopt)};
+  tc.router->MultiWrite(std::move(ops), AckMode::kPrimary, RequestOptions{},
+                        [&](std::vector<Status> s) { statuses = std::move(s); });
+  tc.loop.RunFor(kSecond);
+  // A batch checks no condition, so its conditioned ops are refused, not
+  // applied unconditionally; the plain op on the same key still lands.
+  ASSERT_EQ(statuses.size(), 3u);
+  EXPECT_EQ(statuses[0].code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(statuses[1].ok()) << statuses[1].ToString();
+  EXPECT_EQ(statuses[2].code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(tc.nodes[0]->engine()->Get("a")->value, "plain");
+  EXPECT_EQ(tc.nodes[0]->engine()->Get("b").status().code(), StatusCode::kNotFound);
 }
 
 TEST(RouterTest, TimedOutRequestsLeaveNoStaleCancellation) {
@@ -359,8 +403,8 @@ TEST(RouterTest, TimedOutRequestsLeaveNoStaleCancellation) {
                   [&](Result<std::vector<Record>> r) { record(r.status()); });
   tc.router->Put("a", "v", AckMode::kPrimary, RequestOptions{}, record);
   tc.router->Delete("b", AckMode::kPrimary, RequestOptions{}, record);
-  tc.router->ConditionalPut("c", "v", std::nullopt, AckMode::kPrimary, RequestOptions{},
-                            [&](Result<Version> r) { record(r.status()); });
+  tc.router->Write(CasPut("c", "v", std::nullopt), AckMode::kPrimary, RequestOptions{},
+                   [&](Result<Router::WriteAck> r) { record(r.status()); });
   tc.router->MultiWrite({{Router::WriteOp::Kind::kPut, "d", "v"}}, AckMode::kPrimary,
                         RequestOptions{}, [&](std::vector<Status> s) { record(s[0]); });
   tc.loop.RunAll();
@@ -392,7 +436,7 @@ TEST(NodeModelTest, LatencyGrowsWithQueueDepth) {
   // Saturate: submit a burst far above per-request service time.
   int completed = 0;
   for (int i = 0; i < 100; ++i) {
-    node->HandleGet("k", [&](Result<Record>) { ++completed; });
+    node->HandleGet("k", RequestPriority::kNormal, [&](Result<Record>) { ++completed; });
   }
   // Queue delay should now be ~100 * service_time.
   EXPECT_GE(node->queue_delay(), 99 * node->config().get_service_time);
@@ -410,7 +454,7 @@ TEST(NodeModelTest, OverloadShedsRequests) {
   StorageNode* node = tc.nodes[0].get();
   int shed = 0, served = 0;
   for (int i = 0; i < 1000; ++i) {
-    node->HandleGet("k", [&](Result<Record> r) {
+    node->HandleGet("k", RequestPriority::kNormal, [&](Result<Record> r) {
       if (!r.ok() && r.status().code() == StatusCode::kResourceExhausted) {
         ++shed;
       } else {
@@ -430,7 +474,7 @@ TEST(NodeModelTest, DeadNodeIgnoresRequests) {
   StorageNode* node = tc.nodes[0].get();
   node->set_alive(false);
   bool called = false;
-  node->HandleGet("k", [&](Result<Record>) { called = true; });
+  node->HandleGet("k", RequestPriority::kNormal, [&](Result<Record>) { called = true; });
   tc.loop.RunFor(kSecond);
   EXPECT_FALSE(called);
 }

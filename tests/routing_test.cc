@@ -562,17 +562,15 @@ TEST(CoalescerTest, MergedMessageTimeoutFailsOverEveryMember) {
   EXPECT_EQ(h.coalescer->stats().batch_timeouts, 1);
 }
 
-TEST(CoalescerTest, PinnedReadsAndOptOutsBypassTheCoalescer) {
+TEST(CoalescerTest, PinnedReadsBypassTheCoalescer) {
   CoalesceHarness h(1);
   h.Seed("k", "v");
   int64_t before = h.network.sent_to(1);
   int done = 0;
   RequestOptions pinned;
   pinned.read_mode = ReadMode::kPrimaryOnly;
-  RequestOptions opted_out;
-  opted_out.allow_coalesce = false;
   h.router->Get("k", pinned, [&](Result<Record>) { ++done; });
-  h.router->Get("k", opted_out, [&](Result<Record>) { ++done; });
+  h.router->Get("k", pinned, [&](Result<Record>) { ++done; });
   h.loop.RunFor(kSecond);
   EXPECT_EQ(done, 2);
   // Two reads, two messages: neither entered the coalescer.
@@ -648,11 +646,12 @@ const std::vector<EntryPoint>& EntryPoints() {
          r->MultiWrite({{Router::WriteOp::Kind::kPut, key, "v2"}}, AckMode::kPrimary, o,
                        [done](std::vector<Status> statuses) { done(statuses[0]); });
        }},
-      {"ConditionalPut", any,
+      {"Conditional write", any,
        [](Router* r, const std::string& key, RequestOptions o, Done done) {
-         // Expects the version Harness::Seed wrote.
-         r->ConditionalPut(key, "v2", Version{1, 0}, AckMode::kPrimary, o,
-                           [done](Result<Version> written) { done(written.status()); });
+         Router::WriteOp op{Router::WriteOp::Kind::kPut, key, "v2"};
+         op.condition = WriteCondition{Version{1, 0}};  // the version Harness::Seed wrote
+         r->Write(op, AckMode::kPrimary, o,
+                  [done](Result<Router::WriteAck> written) { done(written.status()); });
        }},
   };
   return entries;
@@ -678,6 +677,8 @@ TEST(RouterReentryTest, CallbacksMayReenterTheRouterFromEveryCompletionPath) {
       SCOPED_TRACE(std::string(entry.name) + ", " + kFinishNames[static_cast<int>(finish)]);
       Harness h(1);
       h.Seed("k", "v");
+      // Stamp every write past the seed's version, so each one applies.
+      h.loop.RunFor(kMillisecond);
       MetricRegistry metrics;
       CacheConfig cache_config;
       cache_config.enabled = true;

@@ -635,10 +635,12 @@ TEST(ThreadedDataPlaneTest, CallbacksReenterTheRouterFromWorkerThreads) {
          r->MultiWrite({{Router::WriteOp::Kind::kPut, "hot/key", "v3"}}, AckMode::kPrimary,
                        RequestOptions{}, [done](std::vector<Status> s) { done(s[0]); });
        }},
-      {"ConditionalPut",
+      {"Conditional write",
        [](Router* r, Done done) {
-         r->ConditionalPut("cas/key", "v", std::nullopt, AckMode::kPrimary, RequestOptions{},
-                           [done](Result<Version> written) { done(written.status()); });
+         Router::WriteOp op{Router::WriteOp::Kind::kPut, "cas/key", "v"};
+         op.condition = WriteCondition{};  // expect no live record
+         r->Write(op, AckMode::kPrimary, RequestOptions{},
+                  [done](Result<Router::WriteAck> written) { done(written.status()); });
        }},
   };
   const std::thread::id test_thread = std::this_thread::get_id();
