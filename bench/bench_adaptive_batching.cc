@@ -8,9 +8,10 @@
 // and at a busy server the queueing delay a request suffers scales with
 // the lump it arrives in, so every fan-out eats the hot node's heavy tail.
 // Adaptive sizing reads the per-node load signal (ClusterState::NodeLoad)
-// and caps the hot node's sub-batches near min_sub_batch while idle nodes
-// keep amortized full-size batches: many small lumps have a far lighter
-// maximum than one big one, which is exactly the fan-out's completion time.
+// and caps the hot node's sub-batches near Router::kMinSubBatch while idle
+// nodes keep amortized full-size batches: many small lumps have a far
+// lighter maximum than one big one, which is exactly the fan-out's
+// completion time.
 //
 // Shape claim: adaptive sizing cuts fan-out p99 by >= 1.5x (measured well
 // above 2x) at equal result correctness, trading a modest message increase

@@ -42,7 +42,7 @@ RunOutcome RunDiurnal(bool elastic, int static_fleet_size) {
   SimCloud cloud(&loop, 32);
   ClusterState cluster;
   Router router(1 << 20, &loop, &network, &cluster, RouterConfig{}, 33);
-  Rebalancer rebalancer(&loop, &network, &cluster);
+  Rebalancer rebalancer(&loop, &cluster);
   std::map<NodeId, std::unique_ptr<StorageNode>> nodes;
   NodeConfig node_config;
   node_config.watermark_heartbeat = 0;

@@ -37,7 +37,7 @@ int main() {
   SimCloud cloud(&loop, 2, cloud_config);
   ClusterState cluster;
   Router router(1 << 20, &loop, &network, &cluster, RouterConfig{}, 3);
-  Rebalancer rebalancer(&loop, &network, &cluster);
+  Rebalancer rebalancer(&loop, &cluster);
 
   std::map<NodeId, std::unique_ptr<StorageNode>> nodes;
   NodeConfig node_config;

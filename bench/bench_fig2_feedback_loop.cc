@@ -42,7 +42,7 @@ RunResult RunSurge(bool use_forecasting, bool print_trace) {
   SimCloud cloud(&loop, 12, cloud_config);
   ClusterState cluster;
   Router router(1 << 20, &loop, &network, &cluster, RouterConfig{}, 13);
-  Rebalancer rebalancer(&loop, &network, &cluster);
+  Rebalancer rebalancer(&loop, &cluster);
   std::map<NodeId, std::unique_ptr<StorageNode>> nodes;
   NodeConfig node_config;
   node_config.watermark_heartbeat = 0;

@@ -72,8 +72,7 @@ int main() {
   // Counterfactual: hold the peak fleet all day.
   int peak = 0;
   for (const auto& snap : db->director()->history()) peak = std::max(peak, snap.running);
-  int64_t static_cost = static_cast<int64_t>(peak) * 24 *
-                        db->cloud()->config().price_per_period_micros;
+  int64_t static_cost = static_cast<int64_t>(peak) * 24 * SimCloud::kPricePerPeriodMicros;
   std::printf("\npeak fleet: %d nodes\n", peak);
   std::printf("elastic bill (scale up AND down): %s\n", FormatMoneyMicros(elastic_cost).c_str());
   std::printf("static bill (peak-provisioned):   %s\n", FormatMoneyMicros(static_cost).c_str());

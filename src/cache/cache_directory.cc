@@ -5,12 +5,19 @@
 
 namespace scads {
 
+namespace {
+// Point-cache shards (each its own leaf lock) and the bounded-scan cache's
+// byte budget. The scan cache is on whenever the directory is.
+constexpr size_t kPointShards = 8;
+constexpr size_t kScanCapacityBytes = 4u << 20;
+}  // namespace
+
 CacheDirectory::CacheDirectory(CacheConfig config, Duration staleness_bound,
                                MetricRegistry* metrics)
     : config_(config),
       bound_(staleness_bound),
-      points_(config.capacity_bytes, config.shards, metrics->GetCounter("cache.point.evictions")),
-      scans_(config.scan_capacity_bytes, metrics->GetCounter("cache.scan.evictions")),
+      points_(config.capacity_bytes, kPointShards, metrics->GetCounter("cache.point.evictions")),
+      scans_(kScanCapacityBytes, metrics->GetCounter("cache.scan.evictions")),
       point_hits_(metrics->GetCounter("cache.point.hits")),
       point_misses_(metrics->GetCounter("cache.point.misses")),
       point_stale_rejects_(metrics->GetCounter("cache.point.stale_rejects")),
@@ -71,7 +78,7 @@ void CacheDirectory::StorePoint(const std::string& key, std::string_view value,
 
 bool CacheDirectory::LookupScan(const std::string& prefix, size_t limit, Time now,
                                 const RequestOptions& options, std::vector<Record>* out) {
-  if (!scan_caching()) return false;
+  if (!config_.enabled) return false;
   // A session version floor cannot be checked per covered key against a
   // whole cached result set — bypass the scan cache conservatively so
   // read-your-writes holds on the scan path too.
@@ -95,7 +102,7 @@ bool CacheDirectory::LookupScan(const std::string& prefix, size_t limit, Time no
 }
 
 uint64_t CacheDirectory::BeginScan(const std::string& prefix) {
-  if (!scan_caching()) return 0;
+  if (!config_.enabled) return 0;
   std::lock_guard<std::mutex> lock(leases_mu_);
   uint64_t token = next_scan_token_++;
   pending_scans_.push_back(PendingScan{token, prefix, false});
@@ -116,7 +123,7 @@ bool CacheDirectory::EndScan(uint64_t token) {
 
 void CacheDirectory::StoreScan(const std::string& prefix, size_t limit,
                                const std::vector<Record>& records, Time as_of) {
-  if (!scan_caching()) return;
+  if (!config_.enabled) return;
   scans_.Insert(prefix, limit, records, as_of);
 }
 
@@ -140,13 +147,13 @@ void CacheDirectory::OnPut(const std::string& key, std::string_view value,
   } else if (points_.MarkInvalidated(key, version, now)) {
     point_invalidations_->Increment();
   }
-  if (config_.cache_scan_results) InvalidateScansFor(key);
+  InvalidateScansFor(key);
 }
 
 void CacheDirectory::OnDelete(const std::string& key, const Version& version, Time now) {
   if (!config_.enabled) return;
   if (points_.MarkInvalidated(key, version, now)) point_invalidations_->Increment();
-  if (config_.cache_scan_results) InvalidateScansFor(key);
+  InvalidateScansFor(key);
 }
 
 }  // namespace scads

@@ -51,7 +51,6 @@ class CacheDirectory {
   CacheDirectory(CacheConfig config, Duration staleness_bound, MetricRegistry* metrics);
 
   bool enabled() const { return config_.enabled; }
-  bool scan_caching() const { return config_.enabled && config_.cache_scan_results; }
   Duration bound() const { return bound_; }
   Duration hit_service_time() const { return config_.hit_service_time; }
   const CacheConfig& config() const { return config_; }
@@ -90,7 +89,7 @@ class CacheDirectory {
   /// EndScan when it completes. EndScan returns false when a write covered
   /// by `prefix` acked in between — the result is the predecessor of an
   /// acknowledged write and must not be cached. Tokens are single-use;
-  /// 0 is returned (and accepted as a no-op) when scan caching is off.
+  /// 0 is returned (and accepted as a no-op) when the cache is off.
   uint64_t BeginScan(const std::string& prefix);
   bool EndScan(uint64_t token);
 

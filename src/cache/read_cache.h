@@ -60,11 +60,7 @@ struct CacheConfig {
   /// Point-cache capacity in bytes (keys + values + bookkeeping), split
   /// uniformly across shards.
   size_t capacity_bytes = 8u << 20;
-  size_t shards = 8;
   CacheWriteMode write_mode = CacheWriteMode::kWriteThrough;
-  /// Cache bounded index-scan results in the query executor.
-  bool cache_scan_results = true;
-  size_t scan_capacity_bytes = 4u << 20;
   /// Simulated local service time for serving a hit (hash probe + copy);
   /// keeps cache-served latency nonzero and honest in experiments.
   Duration hit_service_time = 5;  // microseconds

@@ -4,9 +4,14 @@
 
 namespace scads {
 
+namespace {
+// Cap on the doubling open period.
+constexpr Duration kMaxBackoff = 5 * kSecond;
+}  // namespace
+
 void CircuitBreaker::Open(NodeState* node, bool from_suspicion) {
   Duration base = node->backoff == 0 ? config_.open_backoff
-                                     : std::min(config_.max_backoff, node->backoff * 2);
+                                     : std::min(kMaxBackoff, node->backoff * 2);
   node->backoff = base;
   // Jitter each open period so independent routers don't probe a
   // recovering node in lockstep.
@@ -23,7 +28,9 @@ void CircuitBreaker::Open(NodeState* node, bool from_suspicion) {
 void CircuitBreaker::MaybeTripOnSuspicion(NodeId id, NodeState* node) {
   if (node->state != State::kClosed) return;
   if (cluster_ == nullptr) return;
-  if (cluster_->Suspicion(id) >= config_.suspicion_trip) {
+  // The detector's declared-dead level opens the breaker without waiting
+  // for a timeout.
+  if (cluster_->Suspicion(id) >= ClusterState::kDeclaredDead) {
     Open(node, /*from_suspicion=*/true);
   }
 }

@@ -59,12 +59,8 @@ struct CircuitBreakerConfig {
   int failure_threshold = 2;
   /// First open period; doubles per consecutive reopen.
   Duration open_backoff = 200 * kMillisecond;
-  Duration max_backoff = 5 * kSecond;
   /// Multiplicative jitter on each open period, +/- this fraction.
   double jitter = 0.2;
-  /// Failure-detector suspicion at or above this opens the breaker without
-  /// waiting for a timeout (1.0 = the detector's own declared-dead level).
-  double suspicion_trip = 1.0;
 };
 
 /// Cumulative breaker statistics (Router telemetry).

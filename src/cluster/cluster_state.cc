@@ -8,6 +8,11 @@
 
 namespace scads {
 
+namespace {
+// EWMA smoothing for the heartbeat inter-arrival estimate.
+constexpr double kIntervalEwmaAlpha = 0.2;
+}  // namespace
+
 Status ClusterState::AddNode(NodeId id, StorageNode* node) {
   std::unique_lock lock(mu_);
   auto [it, inserted] = nodes_.emplace(id, NodeEntry{node, true});
@@ -48,7 +53,7 @@ void ClusterState::SetNodeAlive(NodeId id, bool alive) {
 bool ClusterState::IsAlive(NodeId id) const {
   std::shared_lock lock(mu_);
   auto it = nodes_.find(id);
-  return it != nodes_.end() && it->second.alive && SuspicionLocked(it->second) < 1.0;
+  return it != nodes_.end() && it->second.alive && SuspicionLocked(it->second) < kDeclaredDead;
 }
 
 StorageNode* ClusterState::GetNode(NodeId id) const {
@@ -77,8 +82,8 @@ void ClusterState::RecordHeartbeat(NodeId id, Time now) {
     // far that the next real failure goes undetected.
     Duration expected = std::max(entry.ewma_interval, suspicion_.min_interval);
     gap = std::min(gap, 4 * expected);
-    entry.ewma_interval = static_cast<Duration>(suspicion_.ewma_alpha * gap +
-                                                (1.0 - suspicion_.ewma_alpha) * entry.ewma_interval);
+    entry.ewma_interval = static_cast<Duration>(kIntervalEwmaAlpha * gap +
+                                                (1.0 - kIntervalEwmaAlpha) * entry.ewma_interval);
   }
   entry.last_heartbeat = now;
   ++entry.heard;
@@ -105,7 +110,7 @@ int ClusterState::SuspectedCount() const {
   std::shared_lock lock(mu_);
   int count = 0;
   for (const auto& [id, entry] : nodes_) {
-    if (SuspicionLocked(entry) >= 1.0) ++count;
+    if (SuspicionLocked(entry) >= kDeclaredDead) ++count;
   }
   return count;
 }
@@ -125,7 +130,7 @@ std::vector<NodeId> ClusterState::AliveNodes() const {
   std::shared_lock lock(mu_);
   std::vector<NodeId> out;
   for (const auto& [id, entry] : nodes_) {
-    if (entry.alive && SuspicionLocked(entry) < 1.0) out.push_back(id);
+    if (entry.alive && SuspicionLocked(entry) < kDeclaredDead) out.push_back(id);
   }
   return out;
 }

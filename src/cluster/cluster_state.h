@@ -53,8 +53,6 @@ struct SuspicionConfig {
   /// Silence of `timeout_multiple` expected intervals = suspicion 1.0
   /// (declared dead). 3x tolerates two dropped/late beacons.
   double timeout_multiple = 3.0;
-  /// EWMA smoothing for the inter-arrival estimate.
-  double ewma_alpha = 0.2;
 };
 
 /// Registry of storage nodes plus the partition map.
@@ -64,6 +62,10 @@ class ClusterState {
   /// this id over the simulated network (so partitions, gray delays, and
   /// crashes shape detection), and the delivery records a heartbeat here.
   static constexpr NodeId kControlPlane = (1 << 20) - 1;
+
+  /// Suspicion at which the detector declares a node dead: `IsAlive` and
+  /// `AliveNodes` leave it out, and a closed circuit breaker opens on it.
+  static constexpr double kDeclaredDead = 1.0;
 
   /// Registers a node (does not take ownership).
   Status AddNode(NodeId id, StorageNode* node);
@@ -104,8 +106,8 @@ class ClusterState {
   /// going-quiet nodes before the detector commits.
   double Suspicion(NodeId id) const;
 
-  /// Suspicion >= 1.0.
-  bool Suspected(NodeId id) const { return Suspicion(id) >= 1.0; }
+  /// Suspicion >= kDeclaredDead.
+  bool Suspected(NodeId id) const { return Suspicion(id) >= kDeclaredDead; }
 
   /// Number of registered nodes currently suspected (Director telemetry).
   int SuspectedCount() const;

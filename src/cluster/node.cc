@@ -10,7 +10,17 @@
 namespace scads {
 
 namespace {
+// Unacked replication batches retransmit after kReplicationRetryBase,
+// doubling up to kMaxRetryDelay under sustained partition.
+constexpr Duration kReplicationRetryBase = 50 * kMillisecond;
 constexpr Duration kMaxRetryDelay = kSecond;
+// Max records per replication batch.
+constexpr size_t kReplicationBatchMax = 128;
+// Priority admission: kLow work is shed once the queue backlog exceeds
+// this fraction of max_queue_delay, so an overloaded node drops background
+// traffic before it queues kNormal/kHigh work (the paper's per-request
+// performance dial, enforced server-side).
+constexpr double kLowPriorityShedFraction = 0.5;
 // Smoothing factor for the load-signal EWMAs (sojourn, shed fraction).
 constexpr double kLoadEwmaAlpha = 0.2;
 
@@ -115,7 +125,7 @@ std::optional<Duration> StorageNode::Admit(Duration service, RequestPriority pri
   Duration shed_at = config_.max_queue_delay;
   if (priority == RequestPriority::kLow) {
     shed_at = static_cast<Duration>(static_cast<double>(config_.max_queue_delay) *
-                                    config_.low_priority_shed_fraction);
+                                    kLowPriorityShedFraction);
   }
   // Background (unsampled) traffic: M/M/1-style delay rising steeply as
   // utilization approaches 1; past saturation the overload fraction sheds.
@@ -507,7 +517,7 @@ void StorageNode::SendBatch(PartitionId pid, NodeId to, ReplicationStream* strea
   size_t count = 0;
   for (const auto& [seq, record] : stream->pending) {
     if (seq < first_seq) continue;
-    if (count == config_.replication_batch_max) break;
+    if (count == kReplicationBatchMax) break;
     batch.push_back(record);
     ++count;
   }
@@ -533,7 +543,7 @@ void StorageNode::SendBatch(PartitionId pid, NodeId to, ReplicationStream* strea
                    });
   }
   // Arm retransmission with exponential backoff.
-  Duration delay = stream->current_retry_delay == 0 ? config_.replication_retry_base
+  Duration delay = stream->current_retry_delay == 0 ? kReplicationRetryBase
                                                     : stream->current_retry_delay;
   stream->retry_event = loop_->ScheduleAfter(delay, [this, pid, to] {
     auto it = streams_.find({pid, to});
@@ -551,7 +561,7 @@ void StorageNode::SendBatch(PartitionId pid, NodeId to, ReplicationStream* strea
     s.inflight = false;
     s.current_retry_delay =
         std::min<Duration>(kMaxRetryDelay, (s.current_retry_delay == 0
-                                                ? config_.replication_retry_base
+                                                ? kReplicationRetryBase
                                                 : s.current_retry_delay) *
                                                2);
     if (alive_) SendBatch(pid, to, &s);

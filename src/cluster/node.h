@@ -58,24 +58,15 @@ struct NodeConfig {
   /// amortizes the WAL sync the same way).
   Duration multiwrite_service_per_record = 60;
   /// Overload shedding: requests that would wait longer than this are
-  /// rejected immediately with kResourceExhausted.
+  /// rejected immediately with kResourceExhausted. kLow work sheds at half
+  /// of it (see StorageNode::Admit).
   Duration max_queue_delay = 2 * kSecond;
-  /// Priority admission: kLow work is shed once the queue backlog exceeds
-  /// this fraction of max_queue_delay, so an overloaded node drops
-  /// background traffic before it queues kNormal/kHigh work (the paper's
-  /// per-request performance dial, enforced server-side).
-  double low_priority_shed_fraction = 0.5;
   /// Replication batching window (group commit for the streams).
   Duration replication_flush_interval = 2 * kMillisecond;
-  /// Retransmit unacked replication batches after this long (doubles up to
-  /// 1s under sustained partition).
-  Duration replication_retry_base = 50 * kMillisecond;
   /// Idle streams send watermark heartbeats at this period so staleness
   /// bounds stay measurable without writes. 0 disables the timer (large
   /// fleet simulations with rf=1 need no watermarks).
   Duration watermark_heartbeat = 500 * kMillisecond;
-  /// Max records per replication batch.
-  size_t replication_batch_max = 128;
   /// Larger-than-memory tier: when paged_storage.enabled the node runs a
   /// PagedEngine (skiplist memtable over a paged cold tier) instead of the
   /// RAM-only StorageEngine; engine IO latency is charged to busy time and
@@ -304,7 +295,7 @@ class StorageNode {
 
   /// Admission + FIFO queue: reserves `service` capacity, returns total
   /// sojourn (wait+service), or nullopt when shedding. Priority steers the
-  /// shed order: kLow sheds at low_priority_shed_fraction of the queue cap
+  /// shed order: kLow sheds at half the queue cap
   /// (and outright under background saturation), kNormal at the cap, kHigh
   /// at the cap but exempt from the saturation admission lottery.
   /// `client` requests book into the per-priority counters; internal

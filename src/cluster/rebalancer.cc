@@ -7,9 +7,15 @@
 
 namespace scads {
 
-Rebalancer::Rebalancer(EventLoop* loop, SimNetwork* network, ClusterState* cluster,
-                       RebalancerConfig config)
-    : loop_(loop), network_(network), cluster_(cluster), config_(config) {}
+namespace {
+// Snapshot streaming: records per batch, modelled throughput, and a floor
+// on each batch's transfer time.
+constexpr size_t kBatchRecords = 256;
+constexpr int64_t kStreamBandwidthBytesPerSec = 50'000'000;
+constexpr Duration kMinBatchLatency = kMillisecond;
+}  // namespace
+
+Rebalancer::Rebalancer(EventLoop* loop, ClusterState* cluster) : loop_(loop), cluster_(cluster) {}
 
 void Rebalancer::MoveReplica(PartitionId pid, NodeId from, NodeId to,
                              std::function<void(Status)> done) {
@@ -104,7 +110,7 @@ void Rebalancer::StreamNext(PartitionId pid, NodeId from, NodeId to, std::string
     return;
   }
   std::vector<Record> batch =
-      source->engine()->ScanRaw(cursor, partition->end, config_.batch_records);
+      source->engine()->ScanRaw(cursor, partition->end, kBatchRecords);
   if (batch.empty()) {
     FinishMove(pid, from, to, remove_source, std::move(done));
     return;
@@ -113,12 +119,11 @@ void Rebalancer::StreamNext(PartitionId pid, NodeId from, NodeId to, std::string
   for (const Record& r : batch) {
     bytes += static_cast<int64_t>(r.key.size() + r.value.size() + 16);
   }
-  Duration transfer = std::max<Duration>(
-      config_.min_batch_latency,
-      bytes * kSecond / std::max<int64_t>(1, config_.stream_bandwidth_bytes_per_sec));
+  Duration transfer =
+      std::max<Duration>(kMinBatchLatency, bytes * kSecond / kStreamBandwidthBytesPerSec);
   std::string next_cursor = batch.back().key + std::string(1, '\0');  // resume strictly after
   records_streamed_ += static_cast<int64_t>(batch.size());
-  bool more = batch.size() == config_.batch_records;
+  bool more = batch.size() == kBatchRecords;
   loop_->ScheduleAfter(transfer, [this, pid, from, to, target, batch = std::move(batch),
                                   next_cursor = std::move(next_cursor), more, remove_source,
                                   done = std::move(done)]() mutable {
@@ -201,8 +206,7 @@ void Rebalancer::DrainNode(NodeId node, std::vector<NodeId> targets,
       if (cluster_->GetNode(candidate) == nullptr || !cluster_->IsAlive(candidate)) continue;
       const auto& replicas = partition->replicas;
       if (std::find(replicas.begin(), replicas.end(), candidate) != replicas.end()) continue;
-      double pressure = cluster_->NodeLoad(candidate)
-                            .Pressure(config_.load_backlog_ref, config_.load_sojourn_ref);
+      double pressure = cluster_->NodeLoad(candidate).Pressure();
       size_t candidate_assigned = assigned[candidate];
       if (target == kInvalidNode || pressure < best_pressure ||
           (pressure == best_pressure && candidate_assigned < best_assigned)) {

@@ -23,31 +23,13 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "sim/event_loop.h"
-#include "sim/network.h"
 
 namespace scads {
-
-/// Data-movement tunables.
-struct RebalancerConfig {
-  /// Records per streamed batch.
-  size_t batch_records = 256;
-  /// Modelled streaming throughput (bytes/second) for snapshot transfer.
-  int64_t stream_bandwidth_bytes_per_sec = 50'000'000;
-  /// Floor per-batch transfer time.
-  Duration min_batch_latency = kMillisecond;
-  /// Pressure normalization for destination choice (same vocabulary as the
-  /// Router's SelectorConfig): a drain prefers the least-loaded live
-  /// target by ClusterState::NodeLoad pressure, so an evacuation never
-  /// piles partitions onto a node already in trouble.
-  Duration load_backlog_ref = 200 * kMillisecond;
-  Duration load_sojourn_ref = 20 * kMillisecond;
-};
 
 /// Moves partition replicas between nodes while serving traffic.
 class Rebalancer {
  public:
-  Rebalancer(EventLoop* loop, SimNetwork* network, ClusterState* cluster,
-             RebalancerConfig config = {});
+  Rebalancer(EventLoop* loop, ClusterState* cluster);
 
   /// Moves `pid`'s replica from `from` to `to`. `done` fires when ownership
   /// has switched. Fails fast when preconditions don't hold (unknown
@@ -70,9 +52,11 @@ class Rebalancer {
 
   /// Moves every replica held by `node` onto `targets`, leaving the node
   /// empty (pre-terminate drain). Each partition goes to the least-loaded
-  /// eligible live target by NodeLoad pressure (ties broken by how many
-  /// partitions this drain already assigned, then round-robin order, so an
-  /// idle fleet still spreads evenly). `done` fires after the last move.
+  /// eligible live target by NodeLoad pressure, so an evacuation never
+  /// piles partitions onto a node already in trouble; ties break by how
+  /// many partitions this drain already assigned, then round-robin order,
+  /// so an idle fleet still spreads evenly. `done` fires after the last
+  /// move.
   void DrainNode(NodeId node, std::vector<NodeId> targets, std::function<void(Status)> done);
 
   /// True while `pid` has a move in flight.
@@ -89,9 +73,7 @@ class Rebalancer {
                   std::function<void(Status)> done);
 
   EventLoop* loop_;
-  SimNetwork* network_;
   ClusterState* cluster_;
-  RebalancerConfig config_;
   std::set<PartitionId> moving_;
   int64_t moves_completed_ = 0;
   int64_t copies_completed_ = 0;

@@ -65,7 +65,7 @@ ReplicaPick UniformSelector::Pick(const std::vector<NodeId>& replicas) {
 }
 
 double PowerOfTwoSelector::PressureOf(NodeId node) const {
-  return cluster_->NodeLoad(node).Pressure(config_.backlog_ref, config_.sojourn_ref);
+  return cluster_->NodeLoad(node).Pressure();
 }
 
 ReplicaPick PowerOfTwoSelector::Pick(const std::vector<NodeId>& replicas) {
@@ -95,9 +95,9 @@ std::unique_ptr<ReplicaSelector> MakeSelector(const SelectorConfig& config,
     case SelectorKind::kUniform:
       return std::make_unique<UniformSelector>(seed);
     case SelectorKind::kPowerOfTwo:
-      return std::make_unique<PowerOfTwoSelector>(cluster, config, seed);
+      return std::make_unique<PowerOfTwoSelector>(cluster, seed);
   }
-  return std::make_unique<PowerOfTwoSelector>(cluster, config, seed);
+  return std::make_unique<PowerOfTwoSelector>(cluster, seed);
 }
 
 }  // namespace scads

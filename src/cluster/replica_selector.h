@@ -62,11 +62,6 @@ enum class SelectorKind {
 /// Selection-policy tunables (part of RouterConfig).
 struct SelectorConfig {
   SelectorKind kind = SelectorKind::kPowerOfTwo;
-  /// Pressure normalization references for load-aware policies — the same
-  /// vocabulary AdaptiveBatchConfig uses, so "pressure 1.0" means the same
-  /// thing to batch sizing and replica steering.
-  Duration backlog_ref = 200 * kMillisecond;
-  Duration sojourn_ref = 20 * kMillisecond;
 };
 
 /// One pick's outcome.
@@ -151,8 +146,7 @@ class UniformSelector : public ReplicaSelector {
 /// two mechanisms steer consistently.
 class PowerOfTwoSelector : public ReplicaSelector {
  public:
-  PowerOfTwoSelector(const ClusterState* cluster, SelectorConfig config, uint64_t seed)
-      : cluster_(cluster), config_(config), rng_(seed) {}
+  PowerOfTwoSelector(const ClusterState* cluster, uint64_t seed) : cluster_(cluster), rng_(seed) {}
   std::string_view name() const override { return "p2c"; }
   ReplicaPick Pick(const std::vector<NodeId>& replicas) override;
 
@@ -163,7 +157,6 @@ class PowerOfTwoSelector : public ReplicaSelector {
   double PressureOf(NodeId node) const;
 
   const ClusterState* cluster_;
-  SelectorConfig config_;
   Rng rng_;
 };
 

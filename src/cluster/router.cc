@@ -14,6 +14,11 @@
 
 namespace scads {
 
+namespace {
+// Adaptive batching's cap for an idle node's sub-batch.
+constexpr size_t kMaxSubBatch = 128;
+}  // namespace
+
 void RouterWindow::MergeFrom(const RouterWindow& other) {
   read_latency.Merge(other.read_latency);
   write_latency.Merge(other.write_latency);
@@ -105,17 +110,14 @@ void Router::Fail(Op op, Time start, Status status, const Callback& callback) {
 void Router::CountCacheServedRead(Time start) { Settle(Op::kRead, start, true, Status::Ok()); }
 
 size_t Router::SubBatchLimit(NodeId target, const RequestOptions& options, Time now) const {
-  const AdaptiveBatchConfig& ab = config_.adaptive_batch;
-  if (!ab.enabled) return std::numeric_limits<size_t>::max();
-  size_t min_batch = std::max<size_t>(1, ab.min_sub_batch);
-  size_t max_batch = std::max(min_batch, ab.max_sub_batch);
+  if (!config_.adaptive_batch.enabled) return std::numeric_limits<size_t>::max();
   // Quadratic shrink: at a busy server the sojourn of a batch scales with
   // its service lump, so the cap must fall faster than the pressure rises
   // for the completion tail to actually flatten.
-  double pressure = cluster_->NodeLoad(target).Pressure(ab.backlog_ref, ab.sojourn_ref);
+  double pressure = cluster_->NodeLoad(target).Pressure();
   double idle = (1.0 - pressure) * (1.0 - pressure);
-  double size = static_cast<double>(min_batch) +
-                idle * static_cast<double>(max_batch - min_batch);
+  double size = static_cast<double>(kMinSubBatch) +
+                idle * static_cast<double>(kMaxSubBatch - kMinSubBatch);
   // Deadline weighting: a request whose budget is mostly gone sends small,
   // shed-eligible batches — if they shed, little is lost; if they land,
   // they are served soonest.
@@ -123,10 +125,10 @@ size_t Router::SubBatchLimit(NodeId target, const RequestOptions& options, Time 
     double remaining = static_cast<double>(options.deadline_at - now) /
                        static_cast<double>(options.deadline);
     remaining = std::clamp(remaining, 0.0, 1.0);
-    size = static_cast<double>(min_batch) +
-           remaining * (size - static_cast<double>(min_batch));
+    size = static_cast<double>(kMinSubBatch) +
+           remaining * (size - static_cast<double>(kMinSubBatch));
   }
-  return std::clamp(static_cast<size_t>(size), min_batch, max_batch);
+  return std::clamp(static_cast<size_t>(size), kMinSubBatch, kMaxSubBatch);
 }
 
 Duration Router::ClampedTimeout(const RequestOptions& options, Time now,
@@ -236,8 +238,6 @@ void Router::GetAttempt(const std::string& key, std::vector<NodeId> candidates, 
 bool Router::CacheEligible(const RequestOptions& options) const {
   if (cache_ == nullptr) return false;
   switch (options.read_mode) {
-    case ReadMode::kCacheOk:
-      return true;
     // Pinned/replica reads (session fallbacks, read-modify-write) always
     // reach a storage node, and a deployment configured for primary-only
     // reads opted for freshness over load spreading — honor that too.

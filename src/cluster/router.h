@@ -44,9 +44,9 @@ class ReadCoalescer;
 
 /// Load-adaptive sub-batch sizing (MultiGet/MultiWrite). A node's sub-batch
 /// is capped by a size derived from its exported load signal: idle nodes
-/// get up to max_sub_batch keys/records per message (amortizing the
-/// per-message base cost), loaded nodes get quadratically smaller batches
-/// down to min_sub_batch — at a busy server, sojourn scales with the
+/// get up to 128 keys/records per message (amortizing the per-message base
+/// cost), loaded nodes get quadratically smaller batches down to
+/// Router::kMinSubBatch (4) — at a busy server, sojourn scales with the
 /// service lump it is handed, so many small lumps have a far lighter
 /// completion tail than one big one, and a shed or timeout redirects fewer
 /// keys. A mostly-spent deadline budget shrinks the cap the same way, so
@@ -56,12 +56,6 @@ struct AdaptiveBatchConfig {
   /// Off = ship whatever the partitioner produced (one message per node),
   /// the pre-adaptive behavior.
   bool enabled = true;
-  size_t min_sub_batch = 4;
-  size_t max_sub_batch = 128;
-  /// Explicit queue backlog treated as pressure 1.0.
-  Duration backlog_ref = 200 * kMillisecond;
-  /// Smoothed node sojourn treated as pressure 1.0.
-  Duration sojourn_ref = 20 * kMillisecond;
 };
 
 /// Router tunables.
@@ -118,6 +112,10 @@ struct RouterWindow {
 /// Client entry point into the cluster.
 class Router {
  public:
+  /// Adaptive batching never shrinks a sub-batch below this many keys or
+  /// records (an idle node gets up to 128 per message).
+  static constexpr size_t kMinSubBatch = 4;
+
   Router(NodeId client_id, Executor* loop, MessageFabric* network, ClusterState* cluster,
          RouterConfig config, uint64_t seed);
 
@@ -330,10 +328,10 @@ class Router {
   void SendMultiGetSubBatch(const std::shared_ptr<MultiGetState>& state, NodeId target,
                             std::vector<size_t> group);
 
-  /// The sub-batch cap for messages to `target` right now: max_sub_batch
-  /// shrunk quadratically by the node's load pressure, then scaled by the
-  /// remaining fraction of the request's deadline budget. Unbounded when
-  /// adaptive batching is disabled.
+  /// The sub-batch cap for messages to `target` right now: 128 shrunk
+  /// quadratically toward kMinSubBatch by the node's load pressure, then
+  /// scaled by the remaining fraction of the request's deadline budget.
+  /// Unbounded when adaptive batching is disabled.
   size_t SubBatchLimit(NodeId target, const RequestOptions& options, Time now) const;
   void FinishMultiGet(const std::shared_ptr<MultiGetState>& state);
 

@@ -37,25 +37,21 @@ struct NodeLoadSignal {
   double suspicion = 0;
 
   /// Collapses the signal into a scalar pressure in [0, 1]: the worst of
-  /// the normalized backlog (backlog_ref ≙ 1.0), the normalized smoothed
-  /// sojourn (sojourn_ref ≙ 1.0), the declared utilization, and the shed
-  /// fraction. Several imperfect views of "how busy" are combined by max
-  /// because any one of them saturating means batches to this node already
-  /// pay the overload price.
-  double Pressure(Duration backlog_ref, Duration sojourn_ref) const {
+  /// the normalized backlog (200 ms ≙ 1.0), the normalized smoothed sojourn
+  /// (20 ms ≙ 1.0), the declared utilization, and the shed fraction.
+  /// Several imperfect views of "how busy" are combined by max because any
+  /// one of them saturating means batches to this node already pay the
+  /// overload price. Batch sizing, replica steering, drain targets and
+  /// repair targets all read this one scale.
+  double Pressure() const {
+    constexpr double kBacklogRef = 200 * kMillisecond;
+    constexpr double kSojournRef = 20 * kMillisecond;
     double pressure = std::max(utilization, shed_fraction);
-    if (backlog_ref > 0) {
-      pressure = std::max(pressure, static_cast<double>(queue_delay) /
-                                        static_cast<double>(backlog_ref));
-      // IO debt normalizes against the same reference: a node drowning in
-      // write-back is as poor a batch target as one with a long CPU queue.
-      pressure = std::max(pressure, static_cast<double>(io_backlog) /
-                                        static_cast<double>(backlog_ref));
-    }
-    if (sojourn_ref > 0) {
-      pressure = std::max(pressure, static_cast<double>(ewma_sojourn) /
-                                        static_cast<double>(sojourn_ref));
-    }
+    pressure = std::max(pressure, static_cast<double>(queue_delay) / kBacklogRef);
+    // IO debt normalizes against the same reference: a node drowning in
+    // write-back is as poor a batch target as one with a long CPU queue.
+    pressure = std::max(pressure, static_cast<double>(io_backlog) / kBacklogRef);
+    pressure = std::max(pressure, static_cast<double>(ewma_sojourn) / kSojournRef);
     return std::clamp(pressure, 0.0, 1.0);
   }
 };

@@ -35,9 +35,6 @@ enum class ReadMode {
   /// Deployment config decides: cache when enabled and the router is not
   /// configured primary-only, then the configured replica choice.
   kDefault,
-  /// Cache explicitly allowed (within the effective staleness bound), even
-  /// on a primary-reading deployment.
-  kCacheOk,
   /// Skip the cache; any replica may serve (spreads load, may be stale).
   kAnyReplica,
   /// Pinned to the partition primary (freshest; session fallbacks and

@@ -8,6 +8,9 @@ namespace scads {
 
 namespace {
 
+// Lost races a serializable or merge write re-reads and retries.
+constexpr int kCasRetries = 4;
+
 /// One read-then-CAS attempt of ReadModifyWrite, after `conflicts` lost
 /// races.
 void CasAttempt(Router* router, const std::string& key, AckMode ack, RequestOptions options,
@@ -99,7 +102,7 @@ void WritePolicy::Put(const std::string& key, const std::string& value, AckMode 
   // is lost — a retry folds it into the newer state.
   SCADS_CHECK(mode_ != WriteConsistency::kMergeFunction || merge_ != nullptr);
   ReadModifyWrite(
-      router_, key, ack, std::move(options), max_retries_,
+      router_, key, ack, std::move(options), kCasRetries,
       [this, value](const std::optional<Record>& current, std::string* to_write) {
         if (current.has_value() && mode_ == WriteConsistency::kMergeFunction) {
           *to_write = merge_(current->value, value);

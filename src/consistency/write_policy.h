@@ -85,15 +85,14 @@ struct PutOutcome {
 class WritePolicy {
  public:
   /// `merge` is required when mode == kMergeFunction; ignored otherwise.
-  WritePolicy(Router* router, WriteConsistency mode, MergeFunction merge = nullptr,
-              int max_retries = 4)
-      : router_(router), mode_(mode), merge_(std::move(merge)), max_retries_(max_retries) {}
+  WritePolicy(Router* router, WriteConsistency mode, MergeFunction merge = nullptr)
+      : router_(router), mode_(mode), merge_(std::move(merge)) {}
 
   /// Writes `value` to `key` under the policy and reports the PutOutcome.
   /// Last-write-wins takes one exchange, the CAS modes two (a primary read,
-  /// then the CAS). For kSerializable the write fails with kAborted when
-  /// it loses the race `max_retries` times; for kMergeFunction the merge
-  /// loop retries until the CAS lands (or budget exhausts). The options
+  /// then the CAS). Both CAS modes re-read and retry a lost race up to 4
+  /// times; a fifth lost race fails the write with kAborted (a merge write
+  /// re-merges into the winner's value on each retry). The options
   /// deadline budget spans the whole loop — read, CAS, and retries — so a
   /// bounded write cannot spiral under contention.
   void Put(const std::string& key, const std::string& value, AckMode ack,
@@ -106,7 +105,6 @@ class WritePolicy {
   Router* router_;
   WriteConsistency mode_;
   MergeFunction merge_;
-  int max_retries_;
   WritePolicyStats stats_;
 };
 

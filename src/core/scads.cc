@@ -42,7 +42,7 @@ Scads::Scads(ScadsOptions options)
       network_(&loop_, options.seed ^ 0x6e65740aULL, options.network_config),
       cloud_(&loop_, options.seed ^ 0x636c6f75ULL, options.cloud_config),
       failures_(&loop_, &network_, options.seed ^ 0x6661696cULL),
-      update_queue_(&loop_, options.queue_policy) {}
+      update_queue_(&loop_) {}
 
 Scads::~Scads() {
   if (director_ != nullptr) director_->Stop();
@@ -80,18 +80,12 @@ Result<std::unique_ptr<Scads>> Scads::Create(ScadsOptions options) {
   }
   scads->coalescer_ = std::make_unique<ReadCoalescer>(&scads->loop_, &scads->network_,
                                                       &scads->cluster_, coalescer_config);
-  // Paged storage is a per-node engine choice; the deployment-level config
-  // simply fans out to every node built from node_config.
-  if (options.paged_storage_config.enabled) {
-    scads->options_.node_config.paged_storage = options.paged_storage_config;
-  }
   scads->router_ = std::make_unique<Router>(kRouterClientId, &scads->loop_, &scads->network_,
                                             &scads->cluster_, options.router_config,
                                             options.seed ^ 0x726f7574ULL);
   scads->router_->set_cache(scads->cache_.get());
   scads->router_->set_coalescer(scads->coalescer_.get());
-  scads->rebalancer_ =
-      std::make_unique<Rebalancer>(&scads->loop_, &scads->network_, &scads->cluster_);
+  scads->rebalancer_ = std::make_unique<Rebalancer>(&scads->loop_, &scads->cluster_);
   scads->write_policy_ = std::make_unique<WritePolicy>(scads->router_.get(), spec.writes,
                                                        options.merge_function);
   scads->staleness_ = std::make_unique<StalenessController>(&scads->loop_, scads->router_.get(),

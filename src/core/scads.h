@@ -72,8 +72,6 @@ struct ScadsOptions {
   FailureModel failure_model;
   /// Autoscaling on/off.
   bool enable_director = false;
-  /// Index update queue policy (kFifo is the ablation baseline).
-  QueuePolicy queue_policy = QueuePolicy::kDeadline;
   /// Staleness-aware read cache (off by default; when enabled, point reads
   /// and bounded scans are served from cache while within the spec's
   /// staleness bound).
@@ -89,12 +87,11 @@ struct ScadsOptions {
   /// oracle flipped its flag. Disable for experiments that want purely
   /// administrative liveness.
   bool enable_failure_detection = true;
-  /// Larger-than-memory storage (off by default; when enabled every node
-  /// runs the paged engine — skiplist memtable over a buffer-pooled page
-  /// tier — instead of the RAM-only engine). Copied into
-  /// node_config.paged_storage at Create().
-  PagedStorageConfig paged_storage_config;
 
+  /// Per-node service model; `node_config.paged_storage` turns on
+  /// larger-than-memory storage (every node then runs the paged engine —
+  /// skiplist memtable over a buffer-pooled page tier — instead of the
+  /// RAM-only engine).
   NodeConfig node_config;
   NetworkConfig network_config;
   CloudConfig cloud_config;

@@ -10,6 +10,11 @@ namespace scads {
 
 namespace {
 
+// Recent posts kept per user (older posts fall off the run).
+constexpr size_t kPostRunCap = 32;
+// Re-reads when a Follow/Unfollow/Post loses its CAS race.
+constexpr int kCasRetries = 16;
+
 // Same 2-byte spread prefix the benches use, salted per record kind so a
 // user's adjacency and post records land on independent partitions.
 std::string SpreadKey(uint64_t user, uint32_t salt, const char* kind) {
@@ -34,9 +39,6 @@ bool FeedRanksBefore(const FeedItem& a, const FeedItem& b) {
   if (a.author != b.author) return a.author < b.author;
   return a.seq > b.seq;
 }
-
-GraphClient::GraphClient(ScadsClient client, GraphClientConfig config)
-    : client_(client), config_(config) {}
 
 std::string GraphClient::AdjacencyKey(uint64_t user) {
   return SpreadKey(user, 0x67613a00u, "ga:");
@@ -189,17 +191,16 @@ void GraphClient::Unfollow(uint64_t user, uint64_t target, RequestOptions option
 
 void GraphClient::Post(uint64_t user, PostRef post, RequestOptions options,
                        std::function<void(Status)> callback) {
-  size_t cap = config_.post_run_cap;
   Mutate(PostsKey(user),
-         [post, cap](const std::optional<Record>&, std::string* encoded) {
-           return PostLogCodec::Append(encoded, post, cap);
+         [post](const std::optional<Record>&, std::string* encoded) {
+           return PostLogCodec::Append(encoded, post, kPostRunCap);
          },
          std::move(options), std::move(callback));
 }
 
 void GraphClient::Mutate(const std::string& key, CasMutation mutate, RequestOptions options,
                          std::function<void(Status)> callback) {
-  ReadModifyWrite(client_.router(), key, config_.ack, std::move(options), config_.cas_retries,
+  ReadModifyWrite(client_.router(), key, AckMode::kPrimary, std::move(options), kCasRetries,
                   std::move(mutate), [this, callback = std::move(callback)](CasResult result) {
     stats_.cas_conflicts += result.conflicts;
     if (!result.status.ok()) {

@@ -46,16 +46,6 @@
 
 namespace scads {
 
-struct GraphClientConfig {
-  /// Recent posts kept per user (older posts fall off the run).
-  size_t post_run_cap = 32;
-  /// Re-read retries when a Follow/Unfollow/Post loses its CAS race.
-  /// Negative = retry until the deadline budget (if any) sheds the read.
-  int cas_retries = 16;
-  /// Ack mode for graph mutations.
-  AckMode ack = AckMode::kPrimary;
-};
-
 /// One entry of a feed result, newest first.
 struct FeedItem {
   uint64_t author = 0;
@@ -91,7 +81,7 @@ struct GraphClientStats {
 /// ScadsClient handle).
 class GraphClient {
  public:
-  explicit GraphClient(ScadsClient client, GraphClientConfig config = {});
+  explicit GraphClient(ScadsClient client) : client_(client) {}
 
   static std::string AdjacencyKey(uint64_t user);
   static std::string PostsKey(uint64_t user);
@@ -111,24 +101,23 @@ class GraphClient {
   void Unfollow(uint64_t user, uint64_t target, RequestOptions options,
                 std::function<void(Status)> callback);
 
-  /// Appends a post to user's recent-post run (idempotent per (ts, seq)).
+  /// Appends a post to user's recent-post run, which keeps the newest 32
+  /// (idempotent per (ts, seq)).
   void Post(uint64_t user, PostRef post, RequestOptions options,
             std::function<void(Status)> callback);
 
   const GraphClientStats& stats() const { return stats_; }
   Router* router() { return client_.router(); }
   const ScadsClient& client() const { return client_; }
-  const GraphClientConfig& config() const { return config_; }
 
  private:
-  /// Runs `mutate` on `key` through ReadModifyWrite with this client's ack
-  /// mode and retry budget, and books the outcome in the stats. `mutate`
+  /// Runs `mutate` on `key` through ReadModifyWrite (primary ack, 16 CAS
+  /// retries), and books the outcome in the stats. `mutate`
   /// returns false for an idempotent no-op (no write is sent).
   void Mutate(const std::string& key, CasMutation mutate, RequestOptions options,
               std::function<void(Status)> callback);
 
   ScadsClient client_;
-  GraphClientConfig config_;
   GraphClientStats stats_;
 };
 

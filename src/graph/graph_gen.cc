@@ -7,6 +7,13 @@
 
 namespace scads {
 
+namespace {
+// Pareto shape of the out-degree tail (smaller = heavier tail).
+constexpr double kDegreeAlpha = 2.0;
+// The paper's per-user friend cap (§2.3).
+constexpr int64_t kFollowCap = 5000;
+}  // namespace
+
 SocialGraphGen::SocialGraphGen(SocialGraphGenConfig config, uint64_t seed)
     : config_(config), seed_(seed) {}
 
@@ -15,11 +22,9 @@ std::vector<uint64_t> SocialGraphGen::FollowsOf(int64_t user) const {
   // sequence, so lists are stable under any generation order.
   Rng rng(seed_ + 0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(user + 1));
   // Pareto with mean = mean_out_degree: minimum = mean * (alpha-1) / alpha.
-  double minimum =
-      config_.mean_out_degree * (config_.degree_alpha - 1.0) / config_.degree_alpha;
-  int64_t degree = static_cast<int64_t>(rng.Pareto(std::max(1.0, minimum),
-                                                   config_.degree_alpha));
-  degree = std::min(degree, config_.follow_cap);
+  double minimum = config_.mean_out_degree * (kDegreeAlpha - 1.0) / kDegreeAlpha;
+  int64_t degree = static_cast<int64_t>(rng.Pareto(std::max(1.0, minimum), kDegreeAlpha));
+  degree = std::min(degree, kFollowCap);
   degree = std::min(degree, config_.users - 1);
   degree = std::max<int64_t>(degree, config_.users > 1 ? 1 : 0);
 

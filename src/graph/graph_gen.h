@@ -29,12 +29,9 @@ struct SocialGraphGenConfig {
   /// Zipf exponent for follow-target popularity (0 = uniform; ~0.8-1.0 is
   /// social-graph skew). User 0 is the most-followed celebrity.
   double target_zipf_theta = 0.85;
-  /// Mean out-degree before capping.
+  /// Mean out-degree before capping. Out-degrees follow a Pareto tail of
+  /// shape 2, capped at the paper's 5,000 follows per user (§2.3).
   double mean_out_degree = 16.0;
-  /// Pareto shape of the out-degree tail (smaller = heavier tail).
-  double degree_alpha = 2.0;
-  /// The paper's per-user friend cap (§2.3).
-  int64_t follow_cap = 5000;
   /// Initial posts per user seeded by MakeInitialPosts.
   int64_t initial_posts = 6;
 };

@@ -3,11 +3,17 @@
 #include <memory>
 #include <utility>
 
+#include "common/request_options.h"
 #include "sim/event_loop.h"
 
 namespace scads {
 
 namespace {
+
+// Zipf skew of which user acts (feeds) — hot consumers re-read feeds.
+constexpr double kActorZipfTheta = 0.6;
+// Top-K size of every feed.
+constexpr size_t kFeedK = 20;
 
 constexpr uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr uint64_t kFnvPrime = 1099511628211ull;
@@ -31,7 +37,7 @@ SocialWorkloadDriver::SocialWorkloadDriver(std::vector<GraphClient*> clients,
 
 SocialWorkloadDriver::Op SocialWorkloadDriver::DrawOp(Rng& rng, bool feed_only) const {
   Op op{OpKind::kFeed, 0, 0};
-  op.actor = rng.Zipf(config_.users, config_.actor_zipf_theta);
+  op.actor = rng.Zipf(config_.users, kActorZipfTheta);
   if (!feed_only) {
     double total = config_.feed_fraction + config_.follow_fraction +
                    config_.unfollow_fraction + config_.post_fraction;
@@ -128,17 +134,15 @@ void SocialWorkloadDriver::Run(std::function<void()> done) {
     uint64_t actor = static_cast<uint64_t>(op.actor);
     switch (op.kind) {
       case OpKind::kFollow:
-        client->Follow(actor, static_cast<uint64_t>(op.target), config_.mutate_options,
-                       next);
+        client->Follow(actor, static_cast<uint64_t>(op.target), RequestOptions{}, next);
         break;
       case OpKind::kUnfollow:
-        client->Unfollow(actor, static_cast<uint64_t>(op.target), config_.mutate_options,
-                         next);
+        client->Unfollow(actor, static_cast<uint64_t>(op.target), RequestOptions{}, next);
         break;
       case OpKind::kPost: {
         PostRef post{config_.post_ts_base + static_cast<uint64_t>(chain->indices[i]),
                      static_cast<uint64_t>(next_seq_[op.actor]++)};
-        client->Post(actor, post, config_.mutate_options, next);
+        client->Post(actor, post, RequestOptions{}, next);
         break;
       }
       case OpKind::kFeed:
@@ -181,7 +185,7 @@ void SocialWorkloadDriver::IssueFeed(GraphClient* client, int64_t op_index, int6
   Executor* loop = client->router()->loop();
   Time start = loop->Now();
   client->Feed(
-      static_cast<uint64_t>(actor), config_.feed_k, config_.feed_options,
+      static_cast<uint64_t>(actor), kFeedK, RequestOptions{},
       [this, loop, start, op_index, digest,
        on_done = std::move(on_done)](Result<std::vector<FeedItem>> result) {
         stats_.feed_latency.Record(loop->Now() - start);

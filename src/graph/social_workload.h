@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "common/histogram.h"
-#include "common/request_options.h"
 #include "common/rng.h"
 #include "graph/graph_client.h"
 
@@ -51,15 +50,8 @@ struct SocialWorkloadConfig {
   double follow_fraction = 0.15;
   double unfollow_fraction = 0.05;
   double post_fraction = 0.10;
-  /// Zipf skew of which user acts (feeds) — hot consumers re-read feeds.
-  double actor_zipf_theta = 0.6;
   /// Zipf skew of follow/unfollow targets — celebrity in-edges churn most.
   double target_zipf_theta = 0.85;
-  /// Top-K size of every feed.
-  size_t feed_k = 20;
-  /// Options stamped on every feed / mutation (deadline re-armed per op).
-  RequestOptions feed_options;
-  RequestOptions mutate_options;
   /// Logical timestamp base for posts; must exceed every seeded post ts.
   uint64_t post_ts_base = 1ull << 40;
 };

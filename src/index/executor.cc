@@ -14,7 +14,7 @@ namespace scads {
 void QueryExecutor::ScanPrefix(const std::string& prefix, size_t limit,
                                const RequestOptions& options,
                                std::function<void(Result<std::vector<Record>>)> callback) {
-  if (cache_ != nullptr && loop_ != nullptr && cache_->scan_caching() &&
+  if (cache_ != nullptr && loop_ != nullptr && cache_->enabled() &&
       options.read_mode != ReadMode::kAnyReplica &&
       options.read_mode != ReadMode::kPrimaryOnly) {
     auto cached = std::make_shared<std::vector<Record>>();

@@ -9,6 +9,10 @@ namespace scads {
 
 namespace {
 
+/// Max rows one query execution may touch: the O(K) read budget a
+/// deployment grants each registered query.
+constexpr int64_t kMaxReadRows = 100000;
+
 /// Rows of `entity` that can match when `field` is fixed to one value:
 /// full-key equality -> 1; capped field -> cap; otherwise unbounded
 /// (nullopt).
@@ -20,8 +24,7 @@ std::optional<int64_t> RowsForEquality(const EntityDef& entity, const std::strin
 
 }  // namespace
 
-Result<QueryBounds> AnalyzeTemplate(const Catalog& catalog, const QueryTemplate& query,
-                                    const AnalysisConfig& config) {
+Result<QueryBounds> AnalyzeTemplate(const Catalog& catalog, const QueryTemplate& query) {
   // --- resolve and validate every table and field -----------------------
   std::map<std::string, const EntityDef*> aliases;
   auto bind = [&](const TableRef& ref) -> Status {
@@ -134,19 +137,18 @@ Result<QueryBounds> AnalyzeTemplate(const Catalog& catalog, const QueryTemplate&
           "join into '%s.%s' is unbounded: declare a fan-out cap or join on the key",
           joined->name.c_str(), new_side.field.c_str()));
     }
-    if (total > config.max_read_rows / std::max<int64_t>(1, *fanout)) {
+    if (total > kMaxReadRows / std::max<int64_t>(1, *fanout)) {
       return FailedPreconditionError(
           StrFormat("worst-case read size exceeds budget %lld after join into '%s'",
-                    static_cast<long long>(config.max_read_rows), joined->name.c_str()));
+                    static_cast<long long>(kMaxReadRows), joined->name.c_str()));
     }
     total *= *fanout;
   }
   if (query.limit.has_value()) total = std::min(total, *query.limit);
-  if (total > config.max_read_rows) {
+  if (total > kMaxReadRows) {
     return FailedPreconditionError(
         StrFormat("worst-case read of %lld rows exceeds budget %lld",
-                  static_cast<long long>(total),
-                  static_cast<long long>(config.max_read_rows)));
+                  static_cast<long long>(total), static_cast<long long>(kMaxReadRows)));
   }
 
   QueryBounds bounds;

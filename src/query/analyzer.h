@@ -20,12 +20,6 @@
 
 namespace scads {
 
-/// Budget a deployment grants each registered query.
-struct AnalysisConfig {
-  /// Max rows one query execution may touch, O(K) read budget.
-  int64_t max_read_rows = 100000;
-};
-
 /// Outcome of a successful analysis.
 struct QueryBounds {
   /// Worst-case rows examined by one execution.
@@ -39,10 +33,9 @@ struct QueryBounds {
 /// Errors:
 ///  * kInvalidArgument — unknown table/field/alias, malformed query;
 ///  * kFailedPrecondition — query is not scale-independent (unbounded or
-///    over budget); the message names the offending field, e.g. the
-///    uncapped follower edge.
-Result<QueryBounds> AnalyzeTemplate(const Catalog& catalog, const QueryTemplate& query,
-                                    const AnalysisConfig& config = {});
+///    over the budget of 100,000 rows per execution); the message names the
+///    offending field, e.g. the uncapped follower edge.
+Result<QueryBounds> AnalyzeTemplate(const Catalog& catalog, const QueryTemplate& query);
 
 }  // namespace scads
 

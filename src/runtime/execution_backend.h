@@ -16,11 +16,13 @@
 //                    enqueue on the destination's worker thread.
 //
 // ExecutionBackend is both at once — what a self-contained deployment
-// runs on. The two concrete backends:
+// (ThreadedRuntime) runs on. The two concrete backends:
 //
-//   SimBackend       (src/runtime/sim_backend.h)      deterministic,
+//   the simulator    EventLoop (src/sim/event_loop.h) as the Executor and
+//                    SimNetwork (src/sim/network.h) as the MessageFabric,
+//                    passed to components side by side: deterministic,
 //                    single-threaded, virtual time. Every test/bench that
-//                    wants replayable schedules uses this (via Scads or
+//                    wants replayable schedules uses it (via Scads or
 //                    directly); `deterministic()` returns true.
 //   ThreadedRuntime  (src/runtime/threaded_runtime.h) real OS threads,
 //                    wall-clock time, sharded dispatch. `deterministic()`

@@ -20,7 +20,7 @@
 //
 // Time is monotonic wall-clock microseconds (WallClock); deterministic()
 // is false. Send() enqueues immediately — there is no simulated latency,
-// loss, or partition model; chaos experiments stay on SimBackend.
+// loss, or partition model; chaos experiments stay on the simulator.
 //
 // Timer fidelity is bounded by condition_variable wait_for resolution
 // (tens of microseconds on Linux); the saturation bench measures

@@ -7,6 +7,10 @@
 
 namespace scads {
 
+namespace {
+constexpr Duration kBillingPeriod = kHour;
+}  // namespace
+
 SimCloud::SimCloud(EventLoop* loop, uint64_t seed, CloudConfig config)
     : loop_(loop), rng_(seed), config_(config) {}
 
@@ -103,7 +107,7 @@ int64_t SimCloud::BilledPeriods(const Instance& inst, Time now) const {
   Time end = inst.state == InstanceState::kTerminated ? inst.terminated_at : now;
   if (end <= start) return 1;  // a started period bills in full
   Duration used = end - start;
-  return (used + config_.billing_period - 1) / config_.billing_period;
+  return (used + kBillingPeriod - 1) / kBillingPeriod;
 }
 
 int64_t SimCloud::TotalBilledPeriods(Time now) const {
@@ -113,7 +117,7 @@ int64_t SimCloud::TotalBilledPeriods(Time now) const {
 }
 
 int64_t SimCloud::TotalCostMicros(Time now) const {
-  return TotalBilledPeriods(now) * config_.price_per_period_micros;
+  return TotalBilledPeriods(now) * kPricePerPeriodMicros;
 }
 
 }  // namespace scads

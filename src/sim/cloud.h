@@ -27,10 +27,6 @@ struct CloudConfig {
   Duration boot_delay_mean = 90 * kSecond;
   /// Uniform +/- jitter applied to the boot time.
   Duration boot_delay_jitter = 30 * kSecond;
-  /// Price per billing period, in micro-dollars ($0.10/hour).
-  int64_t price_per_period_micros = 100000;
-  /// Billing rounds *up* to this granularity (EC2 billed whole hours).
-  Duration billing_period = kHour;
   /// Hard instance cap (provider quota).
   int max_instances = 1 << 20;
 };
@@ -51,6 +47,10 @@ struct Instance {
 /// the cluster can use them directly.
 class SimCloud {
  public:
+  /// Price per billing period, in micro-dollars ($0.10/hour). Billing
+  /// rounds *up* to whole hours, as EC2 did.
+  static constexpr int64_t kPricePerPeriodMicros = 100000;
+
   SimCloud(EventLoop* loop, uint64_t seed, CloudConfig config = {});
 
   /// Called when an instance finishes booting.
@@ -82,7 +82,7 @@ class SimCloud {
   /// billing period for running and terminated instances.
   int64_t TotalCostMicros(Time now) const;
 
-  /// Total billed machine-periods (machine-hours under default config).
+  /// Total billed machine-hours.
   int64_t TotalBilledPeriods(Time now) const;
 
   const CloudConfig& config() const { return config_; }

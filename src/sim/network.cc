@@ -5,6 +5,11 @@
 
 namespace scads {
 
+namespace {
+// Latency when a node talks to itself (loopback).
+constexpr Duration kLoopbackLatency = 10;
+}  // namespace
+
 SimNetwork::SimNetwork(EventLoop* loop, uint64_t seed, NetworkConfig config)
     : loop_(loop), rng_(seed), config_(config) {}
 
@@ -18,7 +23,7 @@ bool SimNetwork::Connected(NodeId a, NodeId b) const {
 }
 
 Duration SimNetwork::SampleLatency(NodeId from, NodeId to) {
-  if (from == to) return config_.loopback_latency;
+  if (from == to) return kLoopbackLatency;
   Duration jitter = config_.jitter_mean > 0
                         ? static_cast<Duration>(
                               rng_.Exponential(static_cast<double>(config_.jitter_mean)))

@@ -26,8 +26,6 @@ struct NetworkConfig {
   Duration base_latency = 200;  // 200us, same-datacenter RTT ~0.4-1ms
   /// Mean of the exponential jitter added on top.
   Duration jitter_mean = 150;
-  /// Latency when a node talks to itself (loopback).
-  Duration loopback_latency = 10;
   /// Probability an individual message is silently dropped.
   double loss_probability = 0.0;
 };

@@ -34,8 +34,8 @@ struct EngineOptions {
   /// Optional write-ahead log; when set, every mutation is framed to the
   /// sink before the memtable is touched. The engine does not own the sink.
   WalSink* wal = nullptr;
-  /// Sync the WAL on every mutation (true = durable-by-default; system
-  /// experiments turn this off and model group commit at the node layer).
+  /// Sync the WAL on every mutation (once per ApplyBatch). Off by default:
+  /// system experiments model group commit at the node layer instead.
   bool wal_sync_every_write = false;
 };
 

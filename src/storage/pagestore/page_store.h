@@ -38,11 +38,7 @@ struct PagedStorageConfig {
   /// Memtable (hot delta tier) payload bytes before a spill merges it into
   /// the page tier and resets it.
   size_t memtable_spill_bytes = 256 * 1024;
-  /// Simulated disk latency per page fault (read) and per page write-back.
-  Duration page_read_latency = 150;   // us
-  Duration page_write_latency = 200;  // us
-  /// Background write-back cadence and per-tick page budget.
-  Duration write_back_interval = 5 * kMillisecond;
+  /// Pages written back per background tick (PagedEngine::kWriteBackInterval).
   size_t write_back_batch = 8;
   /// Range scans speculatively load the next page while the current one is
   /// being decoded and merged. The prefetch rides the idle disk in parallel

@@ -40,8 +40,7 @@ PagedEngine::PagedEngine(Executor* loop, PagedEngineOptions options)
   } else {
     RebuildFromFile();
   }
-  write_back_event_ = loop_->SchedulePeriodic(options_.config.write_back_interval,
-                                              [this] { WriteBackTick(); });
+  write_back_event_ = loop_->SchedulePeriodic(kWriteBackInterval, [this] { WriteBackTick(); });
 }
 
 PagedEngine::~PagedEngine() {
@@ -117,7 +116,7 @@ PageFrame* PagedEngine::Fault(const PageSpan& span) const {
   if (!bytes.empty()) {
     // Only a real durable image costs a disk read; faulting a page that was
     // never written back is pure bookkeeping.
-    accrued_io_ += options_.config.page_read_latency;
+    accrued_io_ += kPageReadLatency;
     page_counters_.page_faults->Increment();
   }
   return frame;
@@ -202,7 +201,7 @@ void PagedEngine::WriteBackNow(PageFrame* frame) const {
   }
   frame->dirty = false;
   --dirty_pages_;
-  accrued_io_ += options_.config.page_write_latency;
+  accrued_io_ += kPageWriteLatency;
   page_counters_.forced_writebacks->Increment();
   page_counters_.pages_written_back->Increment();
 }
@@ -229,7 +228,7 @@ void PagedEngine::WriteBackTick() {
     // the one-disk model serializes this tick's writes back-to-back.
     std::string bytes = EncodePage(*frame);
     uint64_t epoch = frame->dirty_epoch;
-    offset += options_.config.page_write_latency;
+    offset += kPageWriteLatency;
     --budget;
     loop_->ScheduleAfter(offset, [this, id, epoch, bytes = std::move(bytes)]() mutable {
       CompleteWriteBack(id, epoch, std::move(bytes));
@@ -680,7 +679,7 @@ Duration PagedEngine::TakeAccruedIo() {
 }
 
 Duration PagedEngine::io_backlog() const {
-  return static_cast<Duration>(dirty_pages_) * options_.config.page_write_latency;
+  return static_cast<Duration>(dirty_pages_) * kPageWriteLatency;
 }
 
 void PagedEngine::SyncResidentMetric() const {

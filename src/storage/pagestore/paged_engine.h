@@ -62,6 +62,13 @@ struct PagedEngineOptions {
 
 class PagedEngine : public EngineInterface {
  public:
+  /// Simulated disk latency per page fault (read) and per page write-back.
+  static constexpr Duration kPageReadLatency = 150;   // us
+  static constexpr Duration kPageWriteLatency = 200;  // us
+  /// Background write-back cadence (PagedStorageConfig::write_back_batch
+  /// pages per tick).
+  static constexpr Duration kWriteBackInterval = 5 * kMillisecond;
+
   PagedEngine(Executor* loop, PagedEngineOptions options);
   ~PagedEngine() override;
 

@@ -4,6 +4,11 @@
 
 namespace scads {
 
+namespace {
+// Pareto shape for the degree tail (smaller = heavier tail).
+constexpr double kDegreeAlpha = 2.0;
+}  // namespace
+
 bool SocialGraph::AreFriends(int64_t a, int64_t b) const {
   const auto& list = adjacency_[static_cast<size_t>(a)];
   return std::binary_search(list.begin(), list.end(), b);
@@ -34,12 +39,12 @@ SocialGraph SocialGraph::Generate(const SocialGraphConfig& config, uint64_t seed
   Rng rng(seed);
   // Draw per-user target degrees from a capped Pareto with the requested
   // mean: Pareto(min, alpha) has mean min*alpha/(alpha-1).
-  double minimum = config.mean_degree * (config.degree_alpha - 1) / config.degree_alpha;
+  double minimum = config.mean_degree * (kDegreeAlpha - 1) / kDegreeAlpha;
   minimum = std::max(1.0, minimum);
   std::vector<int64_t> targets(static_cast<size_t>(config.user_count));
   for (auto& t : targets) {
     t = std::min<int64_t>(config.friend_cap,
-                          static_cast<int64_t>(rng.Pareto(minimum, config.degree_alpha)));
+                          static_cast<int64_t>(rng.Pareto(minimum, kDegreeAlpha)));
   }
   // Wire edges: each user connects to targets chosen zipf-skewed (popular
   // users attract more links, like real social graphs).

@@ -19,10 +19,9 @@ namespace scads {
 /// Graph-shape tunables.
 struct SocialGraphConfig {
   int64_t user_count = 1000;
-  /// Mean target degree (before capping).
+  /// Mean target degree (before capping); degrees follow a Pareto tail of
+  /// shape 2.
   double mean_degree = 20;
-  /// Pareto shape for the degree tail (smaller = heavier tail).
-  double degree_alpha = 2.0;
   /// Hard per-user friend cap (the paper's 5 000).
   int64_t friend_cap = 5000;
 };

@@ -242,8 +242,7 @@ TEST(AdaptiveBatchTest, LoadedNodeGetsMinSizedSubBatches) {
   ASSERT_EQ(results.size(), keys.size());
   for (const auto& r : results) EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
   // 64 keys at the min sub-batch of 4 = 16 messages.
-  EXPECT_EQ(h.network.sent_to(1) - before,
-            64 / static_cast<int64_t>(h.router->mutable_config()->adaptive_batch.min_sub_batch));
+  EXPECT_EQ(h.network.sent_to(1) - before, 64 / static_cast<int64_t>(Router::kMinSubBatch));
 }
 
 TEST(AdaptiveBatchTest, SpentDeadlineBudgetShrinksSubBatches) {

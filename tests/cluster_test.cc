@@ -550,7 +550,7 @@ TEST(RebalancerTest, MoveReplicaTransfersDataAndOwnership) {
     ASSERT_TRUE(tc.PutSync("k" + std::to_string(i), "v").ok());
   }
   tc.loop.RunFor(kSecond);
-  Rebalancer rebalancer(&tc.loop, &tc.network, &tc.cluster);
+  Rebalancer rebalancer(&tc.loop, &tc.cluster);
   const PartitionInfo& p = tc.cluster.partitions()->partitions()[0];
   NodeId old_primary = p.primary();
   NodeId target = (old_primary + 1) % 3;
@@ -575,7 +575,7 @@ TEST(RebalancerTest, MoveReplicaTransfersDataAndOwnership) {
 
 TEST(RebalancerTest, MovePreconditionsChecked) {
   TestCluster tc(3, 2);
-  Rebalancer rebalancer(&tc.loop, &tc.network, &tc.cluster);
+  Rebalancer rebalancer(&tc.loop, &tc.cluster);
   const PartitionInfo& p = tc.cluster.partitions()->partitions()[0];
   Status status = InternalError("pending");
   rebalancer.MoveReplica(999, 0, 1, [&](Status s) { status = std::move(s); });
@@ -591,7 +591,7 @@ TEST(RebalancerTest, WritesDuringMoveAreNotLost) {
   for (int i = 0; i < 500; ++i) {
     ASSERT_TRUE(tc.PutSync("pre" + std::to_string(i), "v").ok());
   }
-  Rebalancer rebalancer(&tc.loop, &tc.network, &tc.cluster);
+  Rebalancer rebalancer(&tc.loop, &tc.cluster);
   const PartitionInfo& p = tc.cluster.partitions()->partitions()[0];
   NodeId source = p.primary();
   NodeId target = source == 0 ? 1 : 0;
@@ -612,7 +612,7 @@ TEST(RebalancerTest, DrainNodeEmptiesIt) {
     ASSERT_TRUE(tc.PutSync("k" + std::to_string(i), "v").ok());
   }
   tc.loop.RunFor(kSecond);
-  Rebalancer rebalancer(&tc.loop, &tc.network, &tc.cluster);
+  Rebalancer rebalancer(&tc.loop, &tc.cluster);
   Status drained = InternalError("pending");
   rebalancer.DrainNode(0, {1, 2}, [&](Status s) { drained = std::move(s); });
   tc.loop.RunFor(30 * kSecond);

@@ -9,6 +9,7 @@
 
 #include "common/clock.h"
 #include "common/histogram.h"
+#include "common/load_signal.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/result.h"
@@ -559,6 +560,49 @@ TEST(TypesTest, FormatMoney) {
 }
 
 // ---------------------------------------------------------------- Logging --
+
+// Batch sizing, replica steering, drain and repair targets all read one
+// pressure scale: 200 ms of backlog or 20 ms of smoothed sojourn is 1.0.
+TEST(LoadSignalTest, PressureNormalizesAtItsReferencePoints) {
+  auto pressure = [](auto set) {
+    NodeLoadSignal signal;
+    set(signal);
+    return signal.Pressure();
+  };
+  EXPECT_DOUBLE_EQ(NodeLoadSignal{}.Pressure(), 0.0);
+  EXPECT_DOUBLE_EQ(pressure([](NodeLoadSignal& s) { s.queue_delay = 200 * kMillisecond; }), 1.0);
+  EXPECT_DOUBLE_EQ(pressure([](NodeLoadSignal& s) { s.queue_delay = 100 * kMillisecond; }), 0.5);
+  // IO debt shares the backlog reference.
+  EXPECT_DOUBLE_EQ(pressure([](NodeLoadSignal& s) { s.io_backlog = 100 * kMillisecond; }), 0.5);
+  EXPECT_DOUBLE_EQ(pressure([](NodeLoadSignal& s) { s.ewma_sojourn = 20 * kMillisecond; }), 1.0);
+  EXPECT_DOUBLE_EQ(pressure([](NodeLoadSignal& s) { s.ewma_sojourn = 5 * kMillisecond; }), 0.25);
+  // Utilization and shed fraction are already fractions of capacity.
+  EXPECT_DOUBLE_EQ(pressure([](NodeLoadSignal& s) { s.utilization = 0.3; }), 0.3);
+  EXPECT_DOUBLE_EQ(pressure([](NodeLoadSignal& s) { s.shed_fraction = 0.4; }), 0.4);
+  // The largest component wins...
+  EXPECT_DOUBLE_EQ(pressure([](NodeLoadSignal& s) {
+                     s.queue_delay = 50 * kMillisecond;   // 0.25
+                     s.io_backlog = 20 * kMillisecond;    // 0.1
+                     s.ewma_sojourn = 15 * kMillisecond;  // 0.75
+                     s.utilization = 0.3;
+                     s.shed_fraction = 0.6;
+                   }),
+                   0.75);
+  // ...and the result clamps at 1.0.
+  EXPECT_DOUBLE_EQ(pressure([](NodeLoadSignal& s) { s.queue_delay = 2 * kSecond; }), 1.0);
+  EXPECT_DOUBLE_EQ(pressure([](NodeLoadSignal& s) {
+                     s.io_backlog = kSecond;
+                     s.ewma_sojourn = kSecond;
+                   }),
+                   1.0);
+  // Suspicion is liveness, not load.
+  EXPECT_DOUBLE_EQ(pressure([](NodeLoadSignal& s) { s.suspicion = 5.0; }), 0.0);
+  EXPECT_DOUBLE_EQ(pressure([](NodeLoadSignal& s) {
+                     s.suspicion = 5.0;
+                     s.utilization = 0.2;
+                   }),
+                   0.2);
+}
 
 TEST(LoggingTest, LevelGate) {
   SetLogLevel(LogLevel::kError);

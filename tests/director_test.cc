@@ -37,7 +37,7 @@ struct AutoscaleHarness {
                             double driver_sample_rate = 25)
       : network(&loop, 21), cloud(&loop, 22, FastCloud()) {
     router = std::make_unique<Router>(kClient, &loop, &network, &cluster, RouterConfig{}, 23);
-    rebalancer = std::make_unique<Rebalancer>(&loop, &network, &cluster);
+    rebalancer = std::make_unique<Rebalancer>(&loop, &cluster);
     director = std::make_unique<Director>(
         &loop, &cloud, &cluster, rebalancer.get(), std::vector<Router*>{router.get()}, config,
         [this](NodeId id) { return MakeNode(id); });

@@ -310,7 +310,7 @@ TEST(PagedEngineTest, AsyncWriteBackDrainsDirtyPages) {
   EXPECT_GT(engine.io_backlog(), 0);
 
   // One interval flushes at most write_back_batch pages.
-  loop.RunFor(options.config.write_back_interval + 10 * options.config.page_write_latency);
+  loop.RunFor(PagedEngine::kWriteBackInterval + 10 * PagedEngine::kPageWriteLatency);
   EXPECT_EQ(engine.file()->writes(), 2);
   // The first page written is the first page dirtied: the spill walks the
   // memtable in key order, and the root page ("" lower bound, id 0) owns
@@ -318,7 +318,7 @@ TEST(PagedEngineTest, AsyncWriteBackDrainsDirtyPages) {
   EXPECT_EQ(engine.file()->write_log().front(), 0u);
 
   // Enough intervals drain everything, each page exactly once.
-  loop.RunFor(static_cast<Duration>(dirty) * options.config.write_back_interval);
+  loop.RunFor(static_cast<Duration>(dirty) * PagedEngine::kWriteBackInterval);
   EXPECT_EQ(engine.dirty_page_count(), 0u);
   EXPECT_EQ(engine.io_backlog(), 0);
   std::vector<PageId> written = engine.file()->write_log();
@@ -529,8 +529,7 @@ TEST(PagedNodeTest, NodeSelectsPagedEngineAndChargesFaultLatency) {
   EXPECT_GT(signal.io_backlog, 0);
   NodeLoadSignal quiet = signal;
   quiet.io_backlog = 0;
-  EXPECT_GT(signal.Pressure(100 * kMillisecond, 10 * kMillisecond),
-            quiet.Pressure(100 * kMillisecond, 10 * kMillisecond));
+  EXPECT_GT(signal.Pressure(), quiet.Pressure());
 
   // Let write-back drain so every page has a durable image, then sweep the
   // high keys so the tiny pool deterministically evicts Key(7)'s page.
@@ -567,7 +566,7 @@ TEST(PagedNodeTest, NodeSelectsPagedEngineAndChargesFaultLatency) {
   loop.RunFor(10 * kMillisecond);
   ASSERT_GT(warm_done, warm_start);
   Duration warm_latency = warm_done - warm_start;
-  EXPECT_EQ(cold_latency - warm_latency, config.paged_storage.page_read_latency);
+  EXPECT_EQ(cold_latency - warm_latency, PagedEngine::kPageReadLatency);
 }
 
 TEST(PagedNodeTest, RamEngineNodesReportZeroIoBacklog) {
@@ -642,10 +641,10 @@ TEST(PagedEngineTest, ScanReadaheadHidesSequentialFaultLatency) {
   // every later page was loaded while its predecessor was being merged.
   EXPECT_EQ(faults_on, 1);
   EXPECT_EQ(prefetched_on, static_cast<int64_t>(durable) - 1);
-  EXPECT_EQ(io_on, config.page_read_latency);
+  EXPECT_EQ(io_on, PagedEngine::kPageReadLatency);
   EXPECT_EQ(faults_off, static_cast<int64_t>(durable));
   EXPECT_EQ(prefetched_off, 0);
-  EXPECT_EQ(io_off, static_cast<Duration>(durable) * config.page_read_latency);
+  EXPECT_EQ(io_off, static_cast<Duration>(durable) * PagedEngine::kPageReadLatency);
 }
 
 TEST(PagedEngineTest, ScanReadaheadSkipsWhenPoolHasNoCleanRoom) {

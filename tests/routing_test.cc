@@ -87,7 +87,7 @@ TEST(ReplicaSelectorTest, P2cAvoidsHotReplicaUniformDoesNot) {
   h.node(1)->SetBackgroundLoad(0.9, 0);
   PartitionInfo partition = MakePartition({1, 2, 3});
 
-  PowerOfTwoSelector p2c(&h.cluster, SelectorConfig{}, 11);
+  PowerOfTwoSelector p2c(&h.cluster, 11);
   UniformSelector uniform(12);
   std::map<NodeId, int> p2c_picks, uniform_picks;
   int steers = 0;
@@ -109,7 +109,7 @@ TEST(ReplicaSelectorTest, P2cAvoidsHotReplicaUniformDoesNot) {
 
 TEST(ReplicaSelectorTest, P2cDegeneratesToUniformWhenIdle) {
   Harness h(3, 3);
-  PowerOfTwoSelector p2c(&h.cluster, SelectorConfig{}, 13);
+  PowerOfTwoSelector p2c(&h.cluster, 13);
   std::map<NodeId, int> picks;
   int steers = 0;
   for (int i = 0; i < 3000; ++i) {
@@ -129,7 +129,7 @@ TEST(ReplicaSelectorTest, P2cDegeneratesToUniformWhenIdle) {
 TEST(ReplicaSelectorTest, PinRulesResolveBeforePolicy) {
   Harness h(3, 3);
   h.node(2)->SetBackgroundLoad(0.0, 0);
-  PowerOfTwoSelector p2c(&h.cluster, SelectorConfig{}, 14);
+  PowerOfTwoSelector p2c(&h.cluster, 14);
   PartitionInfo partition = MakePartition({2, 1, 3});  // primary = 2
 
   RequestOptions pinned;
@@ -157,7 +157,7 @@ TEST(ReplicaSelectorTest, PinRulesResolveBeforePolicy) {
 
 TEST(ReplicaSelectorTest, CandidatesDedupedAndCappedAtReplicaCount) {
   Harness h(3, 3);
-  PowerOfTwoSelector p2c(&h.cluster, SelectorConfig{}, 15);
+  PowerOfTwoSelector p2c(&h.cluster, 15);
   // A mis-sized read_retries (10 >> 3 replicas) and a replica set that
   // lists nodes twice must still produce each distinct replica at most
   // once — never duplicate retries against the same dead node.
@@ -187,7 +187,7 @@ TEST(ReplicaSelectorTest, CandidatesDedupedAndCappedAtReplicaCount) {
 TEST(ReplicaSelectorTest, P2cOrdersRetryAlternatesLeastLoadedFirst) {
   Harness h(3, 3);
   h.node(2)->SetBackgroundLoad(0.95, 0);
-  PowerOfTwoSelector p2c(&h.cluster, SelectorConfig{}, 16);
+  PowerOfTwoSelector p2c(&h.cluster, 16);
   PartitionInfo partition = MakePartition({1, 2, 3});
   for (int i = 0; i < 50; ++i) {
     std::vector<NodeId> candidates =
@@ -749,7 +749,7 @@ TEST(RebalancerDrainTest, DrainPrefersLeastLoadedLiveTargets) {
   size_t draining = h.cluster.partitions()->PartitionsOnNode(1).size();
   ASSERT_GT(draining, 0u);
 
-  Rebalancer rebalancer(&h.loop, &h.network, &h.cluster);
+  Rebalancer rebalancer(&h.loop, &h.cluster);
   Status drained = InternalError("pending");
   rebalancer.DrainNode(1, {2, 3, 4}, [&](Status status) { drained = status; });
   h.loop.RunFor(kMinute);
@@ -770,7 +770,7 @@ TEST(RebalancerDrainTest, DeadAndUnregisteredTargetsAreSkipped) {
   h.cluster.SetNodeAlive(3, false);
   size_t on3_before = h.cluster.partitions()->PartitionsOnNode(3).size();
   Status drained = InternalError("pending");
-  Rebalancer rebalancer(&h.loop, &h.network, &h.cluster);
+  Rebalancer rebalancer(&h.loop, &h.cluster);
   // Target list names a dead node (3) and an unregistered one (99): both
   // must be skipped, not attempted-and-failed.
   rebalancer.DrainNode(1, {3, 99, 2, 4}, [&](Status status) { drained = status; });

@@ -30,7 +30,6 @@
 #include "common/rng.h"
 #include "core/scads_client.h"
 #include "gtest/gtest.h"
-#include "runtime/sim_backend.h"
 #include "runtime/threaded_runtime.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
@@ -692,12 +691,11 @@ TEST(BackendEquivalenceTest, AckedStateMatchesAcrossBackends) {
   // Sim: pump the loop around each async call.
   EventLoop loop;
   SimNetwork network(&loop, 7, NetworkConfig{});
-  SimBackend sim(&loop, &network);
   ClusterState sim_cluster;
   std::vector<std::unique_ptr<StorageNode>> sim_nodes;
   std::vector<NodeId> ids;
   for (int i = 0; i < 3; ++i) {
-    auto node = std::make_unique<StorageNode>(i, &sim, &sim, &sim_cluster, NodeConfig{},
+    auto node = std::make_unique<StorageNode>(i, &loop, &network, &sim_cluster, NodeConfig{},
                                               1000 + static_cast<uint64_t>(i));
     ASSERT_TRUE(sim_cluster.AddNode(i, node.get()).ok());
     node->Start();
@@ -707,7 +705,7 @@ TEST(BackendEquivalenceTest, AckedStateMatchesAcrossBackends) {
   auto map = PartitionMap::CreateUniform(12, ids, 2);
   ASSERT_TRUE(map.ok());
   sim_cluster.set_partitions(std::move(map).value());
-  Router sim_router(kClient, &sim, &sim, &sim_cluster, RouterConfig{}, 99);
+  Router sim_router(kClient, &loop, &network, &sim_cluster, RouterConfig{}, 99);
 
   // The blocking helpers refuse on the deterministic backend...
   ScadsClient sim_client(&sim_router);

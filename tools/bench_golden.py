@@ -1,24 +1,26 @@
 #!/usr/bin/env python3
-"""Check (or rewrite) the golden outputs of the deterministic benches.
+"""Check (or rewrite) the golden outputs of the deterministic benches and examples.
 
-Usage: bench_golden.py [--update] [--build-dir DIR] [BENCH ...]
+Usage: bench_golden.py [--update] [--build-dir DIR] [PROGRAM ...]
 
-Each BENCH is a bench executable. It runs in a fresh temporary directory
-with SCADS_BENCH_JSON_DIR pointing there, and both of its outputs are
-compared byte for byte with the committed goldens:
+Each PROGRAM is a bench or example executable. It runs in a fresh
+temporary directory with SCADS_BENCH_JSON_DIR pointing there, and its
+outputs are compared byte for byte with the committed goldens:
 
-    bench/golden/<bench>.txt           its stdout
-    bench/golden/BENCH_<name>.json     the result file it wrote
+    bench/golden/<program>.txt         its stdout
+    bench/golden/BENCH_<name>.json     the result file a bench_<name> wrote
 
-A mismatch prints a unified diff and exits 1. So does a bench that exits
-nonzero (its shape check failed) or writes a result file other than its
-own. With --update the goldens are rewritten from the run instead.
+A bench (a `bench_*` executable) must write exactly its own result file;
+any other program (an example) must write no file at all. A mismatch
+prints a unified diff and exits 1. So does a program that exits nonzero
+(a bench's shape check failed) or writes any other file. With --update
+the goldens are rewritten from the run instead.
 
-With no BENCH arguments, every bench that has a golden stdout file is run
-from --build-dir; `bench_golden.py --update` thus refreshes all of them.
+With no PROGRAM arguments, every program that has a golden stdout file is
+run from --build-dir; `bench_golden.py --update` thus refreshes all of them.
 
-ctest runs one check per bench (label `golden`; `ctest -L golden`). The
-benches run on the deterministic simulator, so any byte that moves is a
+ctest runs one check per program (label `golden`; `ctest -L golden`). The
+programs run on the deterministic simulator, so any byte that moves is a
 behaviour change: a PR that rewrites a golden says in CHANGES.md which
 numbers moved and why. Goldens are pinned to one toolchain; another
 compiler or libm may print other digits, hence the diff on failure.
@@ -35,9 +37,12 @@ from pathlib import Path
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "bench" / "golden"
 
 
-def json_name(bench: str) -> str:
-    """bench_fig1_animoto -> BENCH_fig1_animoto.json (src/common/benchjson.cc)."""
-    return "BENCH_" + bench.removeprefix("bench_") + ".json"
+def result_files(program: str) -> list[str]:
+    """The files `program` must write: bench_fig1_animoto writes
+    BENCH_fig1_animoto.json (src/common/benchjson.cc); examples write none."""
+    if not program.startswith("bench_"):
+        return []
+    return ["BENCH_" + program.removeprefix("bench_") + ".json"]
 
 
 def report_diff(golden: Path, expected: bytes, actual: bytes) -> None:
@@ -50,23 +55,23 @@ def report_diff(golden: Path, expected: bytes, actual: bytes) -> None:
 
 
 def run_one(binary: Path, update: bool) -> bool:
-    bench = binary.name
-    with tempfile.TemporaryDirectory(prefix=f"{bench}.") as run_dir:
+    program = binary.name
+    expected_files = result_files(program)
+    with tempfile.TemporaryDirectory(prefix=f"{program}.") as run_dir:
         env = dict(os.environ, SCADS_BENCH_JSON_DIR=run_dir)
         proc = subprocess.run([str(binary.resolve())], cwd=run_dir, env=env,
                               stdout=subprocess.PIPE)
         if proc.returncode != 0:
             sys.stdout.write(proc.stdout.decode("utf-8", errors="replace"))
-            print(f"FAIL {bench}: exited {proc.returncode}")
+            print(f"FAIL {program}: exited {proc.returncode}")
             return False
         written = sorted(p.name for p in Path(run_dir).iterdir())
-        if written != [json_name(bench)]:
-            print(f"FAIL {bench}: wrote {written}, expected [{json_name(bench)}]")
+        if written != expected_files:
+            print(f"FAIL {program}: wrote {written}, expected {expected_files}")
             return False
-        outputs = {
-            GOLDEN_DIR / f"{bench}.txt": proc.stdout,
-            GOLDEN_DIR / json_name(bench): (Path(run_dir) / json_name(bench)).read_bytes(),
-        }
+        outputs = {GOLDEN_DIR / f"{program}.txt": proc.stdout}
+        for name in expected_files:
+            outputs[GOLDEN_DIR / name] = (Path(run_dir) / name).read_bytes()
     ok = True
     for golden, actual in outputs.items():
         if update:
@@ -75,37 +80,40 @@ def run_one(binary: Path, update: bool) -> bool:
             print(f"wrote {golden}")
             continue
         if not golden.exists():
-            print(f"FAIL {bench}: no golden {golden} (create it with --update)")
+            print(f"FAIL {program}: no golden {golden} (create it with --update)")
             ok = False
             continue
         expected = golden.read_bytes()
         if actual != expected:
-            print(f"FAIL {bench}: output differs from {golden}")
+            print(f"FAIL {program}: output differs from {golden}")
             report_diff(golden, expected, actual)
             ok = False
     if ok and not update:
-        print(f"PASS {bench}: stdout and {json_name(bench)} match the goldens")
+        checked = " and ".join(["stdout", *expected_files])
+        verb = "match the goldens" if expected_files else "matches its golden"
+        print(f"PASS {program}: {checked} {verb}")
     return ok
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("benches", nargs="*", type=Path, help="bench executables")
+    parser.add_argument("programs", nargs="*", type=Path,
+                        help="bench or example executables")
     parser.add_argument("--update", action="store_true", help="rewrite the goldens")
     parser.add_argument("--build-dir", type=Path, default=Path("build"),
-                        help="where to find the benches when none are named")
+                        help="where to find the programs when none are named")
     args = parser.parse_args()
 
-    benches = args.benches or [args.build_dir / golden.stem
-                               for golden in sorted(GOLDEN_DIR.glob("bench_*.txt"))]
-    if not benches:
-        print(f"no benches named and no goldens under {GOLDEN_DIR}", file=sys.stderr)
+    programs = args.programs or [args.build_dir / golden.stem
+                                 for golden in sorted(GOLDEN_DIR.glob("*.txt"))]
+    if not programs:
+        print(f"no programs named and no goldens under {GOLDEN_DIR}", file=sys.stderr)
         return 2
-    missing = [str(b) for b in benches if not b.is_file()]
+    missing = [str(p) for p in programs if not p.is_file()]
     if missing:
-        print("no such bench executable: " + ", ".join(missing), file=sys.stderr)
+        print("no such executable: " + ", ".join(missing), file=sys.stderr)
         return 2
-    results = [run_one(binary, args.update) for binary in benches]
+    results = [run_one(binary, args.update) for binary in programs]
     return 0 if all(results) else 1
 
 
