@@ -159,8 +159,9 @@ int main() {
                        ? static_cast<double>(fixed.p99) / static_cast<double>(adaptive.p99)
                        : 0.0;
   std::printf("\nfixed ships the hot node one big service lump per fan-out; adaptive\n"
-              "caps its sub-batches near min_sub_batch, so the fan-out completion\n"
-              "tail tracks max-of-small-lumps instead of one heavy draw.\n");
+              "caps its sub-batches near Router::kMinSubBatch (%zu), so the fan-out completion\n"
+              "tail tracks max-of-small-lumps instead of one heavy draw.\n",
+              Router::kMinSubBatch);
   std::printf("p99 %s -> %s (%.1fx), identical results: %s\n",
               FormatDuration(fixed.p99).c_str(), FormatDuration(adaptive.p99).c_str(), speedup,
               fixed.values_seen == adaptive.values_seen ? "yes" : "NO");

@@ -27,6 +27,12 @@ std::string KeyOf(uint64_t i) {
   return buf;
 }
 
+// Memtable bytes reserved per entry (arena blocks over key count): the
+// per-entry overhead a node pays on top of its keys and values.
+double BytesPerEntry(size_t memory_usage, size_t entries) {
+  return entries == 0 ? 0.0 : static_cast<double>(memory_usage) / static_cast<double>(entries);
+}
+
 void BM_EnginePut(benchmark::State& state) {
   StorageEngine engine;
   Rng rng(1);
@@ -36,6 +42,7 @@ void BM_EnginePut(benchmark::State& state) {
     benchmark::DoNotOptimize(engine.Put(key, "value-payload-64-bytes.....", Version{ts++, 0}));
   }
   state.SetItemsProcessed(state.iterations());
+  state.counters["bytes_per_entry"] = BytesPerEntry(engine.memory_usage(), engine.total_count());
 }
 BENCHMARK(BM_EnginePut);
 
@@ -85,10 +92,11 @@ void BM_SkipListInsert(benchmark::State& state) {
   Rng rng(5);
   bool created;
   for (auto _ : state) {
-    SkipList::Payload* payload = list.FindOrCreate(KeyOf(rng.Next()), &created);
-    benchmark::DoNotOptimize(payload);
+    SkipList::Entry* entry = list.FindOrCreate(KeyOf(rng.Next()), &created);
+    benchmark::DoNotOptimize(entry);
   }
   state.SetItemsProcessed(state.iterations());
+  state.counters["bytes_per_entry"] = BytesPerEntry(list.memory_usage(), list.size());
 }
 BENCHMARK(BM_SkipListInsert);
 
@@ -181,7 +189,7 @@ class JsonExportReporter : public benchmark::ConsoleReporter {
       json_->Add("real_time_per_iter_ns", run.GetAdjustedRealTime());
       json_->Add("cpu_time_per_iter_ns", run.GetAdjustedCPUTime());
       json_->Add("iterations", static_cast<int64_t>(run.iterations));
-      for (const char* counter : {"items_per_second", "bytes_per_second"}) {
+      for (const char* counter : {"items_per_second", "bytes_per_second", "bytes_per_entry"}) {
         auto it = run.counters.find(counter);
         if (it != run.counters.end()) json_->Add(counter, static_cast<double>(it->second));
       }

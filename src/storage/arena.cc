@@ -2,7 +2,31 @@
 
 #include <cassert>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace scads {
+
+namespace {
+
+// Under ASan each block starts poisoned and each range is unpoisoned as it
+// is handed out, so a write past an allocation into the unallocated rest of
+// its block is reported instead of landing silently. Elsewhere a no-op.
+#if defined(__SANITIZE_ADDRESS__)
+void PoisonBlock(char* block, size_t bytes) { ASAN_POISON_MEMORY_REGION(block, bytes); }
+
+char* HandOut(char* range, size_t bytes) {
+  ASAN_UNPOISON_MEMORY_REGION(range, bytes);
+  return range;
+}
+#else
+void PoisonBlock(char*, size_t) {}
+
+char* HandOut(char* range, size_t) { return range; }
+#endif
+
+}  // namespace
 
 char* Arena::Allocate(size_t bytes) {
   assert(bytes > 0);
@@ -11,9 +35,9 @@ char* Arena::Allocate(size_t bytes) {
     char* result = alloc_ptr_;
     alloc_ptr_ += bytes;
     alloc_remaining_ -= bytes;
-    return result;
+    return HandOut(result, bytes);
   }
-  return AllocateFallback(bytes);
+  return HandOut(AllocateFallback(bytes), bytes);
 }
 
 char* Arena::AllocateAligned(size_t bytes) {
@@ -26,10 +50,10 @@ char* Arena::AllocateAligned(size_t bytes) {
     char* result = alloc_ptr_ + slop;
     alloc_ptr_ += needed;
     alloc_remaining_ -= needed;
-    return result;
+    return HandOut(result, bytes);
   }
   // Fresh blocks from new[] are always pointer-aligned.
-  return AllocateFallback(bytes);
+  return HandOut(AllocateFallback(bytes), bytes);
 }
 
 char* Arena::AllocateFallback(size_t bytes) {
@@ -47,6 +71,7 @@ char* Arena::AllocateFallback(size_t bytes) {
 char* Arena::AllocateNewBlock(size_t block_bytes) {
   blocks_.push_back(std::make_unique<char[]>(block_bytes));
   memory_usage_ += block_bytes + sizeof(char*);
+  PoisonBlock(blocks_.back().get(), block_bytes);
   return blocks_.back().get();
 }
 

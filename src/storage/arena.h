@@ -1,4 +1,4 @@
-// Bump allocator backing the memtable skiplist: node and key/value bytes
+// Bump allocator backing the memtable skiplist: entry and value bytes
 // live for the lifetime of the engine, so allocation is a pointer bump and
 // deallocation is dropping the whole arena (LevelDB-style).
 
@@ -13,7 +13,8 @@
 namespace scads {
 
 /// Block-chained bump allocator. Not thread-safe (engines are
-/// single-threaded under the simulator).
+/// single-threaded under the simulator). Under ASan every byte not yet
+/// handed out stays poisoned, so an overrun past a range is reported.
 class Arena {
  public:
   Arena() = default;

@@ -43,21 +43,18 @@ Result<bool> StorageEngine::Write(std::string_view key, std::string_view value, 
 Result<bool> StorageEngine::ApplyToTable(std::string_view key, std::string_view value,
                                          Version version, bool tombstone) {
   bool created = false;
-  SkipList::Payload* payload = table_.FindOrCreate(key, &created);
-  if (!created && !(version > payload->version)) {
+  SkipList::Entry* entry = table_.FindOrCreate(key, &created);
+  if (!created && !(version > entry->version())) {
     (tombstone ? counters_.deletes_superseded : counters_.puts_superseded)->Increment();
     return false;
   }
-  bool was_live = !created && !payload->tombstone;
+  bool was_live = !created && !entry->tombstone();
+  table_.Assign(entry, tombstone ? std::string_view() : value, version, tombstone);
   if (tombstone) {
-    table_.AssignValue(payload, "");
     if (was_live) --live_count_;
-  } else {
-    table_.AssignValue(payload, value);
-    if (!was_live) ++live_count_;
+  } else if (!was_live) {
+    ++live_count_;
   }
-  payload->version = version;
-  payload->tombstone = tombstone;
   (tombstone ? counters_.deletes : counters_.puts)->Increment();
   SyncResidentMetric();
   return true;
@@ -77,15 +74,15 @@ Result<bool> StorageEngine::Delete(std::string_view key, Version version) {
 
 Result<Record> StorageEngine::Get(std::string_view key) const {
   counters_.gets->Increment();
-  const SkipList::Payload* payload = table_.Find(key);
-  if (payload == nullptr || payload->tombstone) {
+  const SkipList::Entry* entry = table_.Find(key);
+  if (entry == nullptr || entry->tombstone()) {
     counters_.get_misses->Increment();
     return NotFoundError(std::string(key));
   }
   Record record;
   record.key.assign(key);
-  record.value.assign(payload->value_data, payload->value_size);
-  record.version = payload->version;
+  record.value.assign(entry->value());
+  record.version = entry->version();
   return record;
 }
 
@@ -112,28 +109,28 @@ std::vector<Result<Record>> StorageEngine::MultiGet(const std::vector<std::strin
       continue;
     }
     it.SeekForward(key);
-    if (!it.Valid() || it.key() != key || it.payload().tombstone) {
+    if (!it.Valid() || it.key() != key || it.entry().tombstone()) {
       counters_.get_misses->Increment();
       out[slot] = NotFoundError(key);
       continue;
     }
     Record record;
     record.key = key;
-    record.value.assign(it.payload().value_data, it.payload().value_size);
-    record.version = it.payload().version;
+    record.value.assign(it.entry().value());
+    record.version = it.entry().version();
     out[slot] = std::move(record);
   }
   return out;
 }
 
 std::optional<Record> StorageEngine::GetRaw(std::string_view key) const {
-  const SkipList::Payload* payload = table_.Find(key);
-  if (payload == nullptr) return std::nullopt;
+  const SkipList::Entry* entry = table_.Find(key);
+  if (entry == nullptr) return std::nullopt;
   Record record;
   record.key.assign(key);
-  record.value.assign(payload->value_data, payload->value_size);
-  record.version = payload->version;
-  record.tombstone = payload->tombstone;
+  record.value.assign(entry->value());
+  record.version = entry->version();
+  record.tombstone = entry->tombstone();
   return record;
 }
 
@@ -146,12 +143,12 @@ Result<std::vector<Record>> StorageEngine::Scan(std::string_view start, std::str
   it.Seek(start);
   while (it.Valid()) {
     if (!end.empty() && it.key() >= end) break;
-    const SkipList::Payload& payload = it.payload();
-    if (!payload.tombstone) {
+    const SkipList::Entry& entry = it.entry();
+    if (!entry.tombstone()) {
       Record record;
       record.key.assign(it.key());
-      record.value.assign(payload.value_data, payload.value_size);
-      record.version = payload.version;
+      record.value.assign(entry.value());
+      record.version = entry.version();
       out.push_back(std::move(record));
       if (limit != 0 && out.size() >= limit) break;
     }
@@ -168,12 +165,12 @@ std::vector<Record> StorageEngine::ScanRaw(std::string_view start, std::string_v
   it.Seek(start);
   while (it.Valid()) {
     if (!end.empty() && it.key() >= end) break;
-    const SkipList::Payload& payload = it.payload();
+    const SkipList::Entry& entry = it.entry();
     Record record;
     record.key.assign(it.key());
-    record.value.assign(payload.value_data, payload.value_size);
-    record.version = payload.version;
-    record.tombstone = payload.tombstone;
+    record.value.assign(entry.value());
+    record.version = entry.version();
+    record.tombstone = entry.tombstone();
     out.push_back(std::move(record));
     if (limit != 0 && out.size() >= limit) break;
     it.Next();
@@ -229,14 +226,13 @@ size_t StorageEngine::PurgeTombstonesBefore(Time cutoff) {
   size_t purged = 0;
   SkipList::Iterator it(&table_);
   for (it.SeekToFirst(); it.Valid(); it.Next()) {
-    const SkipList::Payload& payload = it.payload();
+    const SkipList::Entry& entry = it.entry();
     // Already-purged ghosts carry Version{} (no real writer ever stamps
     // kInvalidNode); skip them so repeated purges don't recount.
-    if (payload.tombstone && payload.version.timestamp < cutoff &&
-        !(payload.version == Version{})) {
+    if (entry.tombstone() && entry.version().timestamp < cutoff &&
+        !(entry.version() == Version{})) {
       // Reset the version floor so the slot behaves like an absent key.
-      SkipList::Payload* mutable_payload = table_.FindMutable(it.key());
-      mutable_payload->version = Version{};
+      table_.Assign(table_.FindMutable(it.key()), "", Version{}, /*tombstone=*/true);
       ++purged;
     }
   }

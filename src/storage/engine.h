@@ -211,7 +211,7 @@ class StorageEngine : public EngineInterface {
   int64_t bytes_resident() const override {
     return static_cast<int64_t>(table_.memory_usage());
   }
-  /// Live key + current-value bytes (excludes node overhead and orphaned
+  /// Live key + current-value bytes (excludes entry overhead and stranded
   /// value copies) — the logical footprint.
   size_t payload_bytes() const { return table_.payload_bytes(); }
 

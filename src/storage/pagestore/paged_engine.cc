@@ -294,14 +294,14 @@ Result<bool> PagedEngine::ApplyVersioned(std::string_view key, std::string_view 
                                          Version version, bool tombstone) {
   // Authoritative current state: mem_ when present (its version is >= the
   // page tier's by invariant — no IO needed), else the covering page.
-  SkipList::Payload* in_mem = mem_->FindMutable(key);
+  SkipList::Entry* in_mem = mem_->FindMutable(key);
   bool exists = false;
   bool was_live = false;
   Version current;
   if (in_mem != nullptr) {
     exists = true;
-    was_live = !in_mem->tombstone;
-    current = in_mem->version;
+    was_live = !in_mem->tombstone();
+    current = in_mem->version();
   } else {
     PageFrame* frame = Fault(SpanForKey(key));
     size_t pos = FindInFrame(frame, key);
@@ -315,14 +315,12 @@ Result<bool> PagedEngine::ApplyVersioned(std::string_view key, std::string_view 
     (tombstone ? counters_.deletes_superseded : counters_.puts_superseded)->Increment();
     return false;
   }
-  SkipList::Payload* payload = in_mem;
-  if (payload == nullptr) {
+  SkipList::Entry* entry = in_mem;
+  if (entry == nullptr) {
     bool created = false;
-    payload = mem_->FindOrCreate(key, &created);
+    entry = mem_->FindOrCreate(key, &created);
   }
-  mem_->AssignValue(payload, tombstone ? std::string_view() : value);
-  payload->version = version;
-  payload->tombstone = tombstone;
+  mem_->Assign(entry, tombstone ? std::string_view() : value, version, tombstone);
   if (!exists) ++total_count_;
   if (tombstone) {
     if (was_live) --live_count_;
@@ -336,13 +334,13 @@ Result<bool> PagedEngine::ApplyVersioned(std::string_view key, std::string_view 
 }
 
 Result<Record> PagedEngine::Lookup(std::string_view key) const {
-  const SkipList::Payload* payload = mem_->Find(key);
-  if (payload != nullptr) {
-    if (payload->tombstone) return NotFoundError(std::string(key));
+  const SkipList::Entry* entry = mem_->Find(key);
+  if (entry != nullptr) {
+    if (entry->tombstone()) return NotFoundError(std::string(key));
     Record record;
     record.key.assign(key);
-    record.value.assign(payload->value_data, payload->value_size);
-    record.version = payload->version;
+    record.value.assign(entry->value());
+    record.version = entry->version();
     return record;
   }
   PageFrame* frame = Fault(SpanForKey(key));
@@ -387,13 +385,13 @@ std::vector<Result<Record>> PagedEngine::MultiGet(const std::vector<std::string>
 }
 
 std::optional<Record> PagedEngine::GetRaw(std::string_view key) const {
-  const SkipList::Payload* payload = mem_->Find(key);
-  if (payload != nullptr) {
+  const SkipList::Entry* entry = mem_->Find(key);
+  if (entry != nullptr) {
     Record record;
     record.key.assign(key);
-    record.value.assign(payload->value_data, payload->value_size);
-    record.version = payload->version;
-    record.tombstone = payload->tombstone;
+    record.value.assign(entry->value());
+    record.version = entry->version();
+    record.tombstone = entry->tombstone();
     return record;
   }
   PageFrame* frame = Fault(SpanForKey(key));
@@ -407,13 +405,13 @@ std::vector<Record> PagedEngine::MergeScan(std::string_view start, std::string_v
   std::vector<Record> out;
   bool done = false;
   auto emit_mem = [&](const SkipList::Iterator& mit) {
-    const SkipList::Payload& payload = mit.payload();
-    if (!include_tombstones && payload.tombstone) return;
+    const SkipList::Entry& entry = mit.entry();
+    if (!include_tombstones && entry.tombstone()) return;
     Record record;
     record.key.assign(mit.key());
-    record.value.assign(payload.value_data, payload.value_size);
-    record.version = payload.version;
-    record.tombstone = payload.tombstone;
+    record.value.assign(entry.value());
+    record.version = entry.version();
+    record.tombstone = entry.tombstone();
     out.push_back(std::move(record));
     if (limit != 0 && out.size() >= limit) done = true;
   };
@@ -539,10 +537,10 @@ size_t PagedEngine::PurgeTombstonesBefore(Time cutoff) {
   // version floor resets so the key behaves like an absent one).
   SkipList::Iterator it(mem_.get());
   for (it.SeekToFirst(); it.Valid(); it.Next()) {
-    const SkipList::Payload& payload = it.payload();
-    if (payload.tombstone && payload.version.timestamp < cutoff &&
-        !(payload.version == Version{})) {
-      mem_->FindMutable(it.key())->version = Version{};
+    const SkipList::Entry& entry = it.entry();
+    if (entry.tombstone() && entry.version().timestamp < cutoff &&
+        !(entry.version() == Version{})) {
+      mem_->Assign(mem_->FindMutable(it.key()), "", Version{}, /*tombstone=*/true);
       ++purged;
     }
   }
@@ -588,8 +586,8 @@ void PagedEngine::SpillMemtable() {
     PageFrame* frame = Fault(span);
     pool_.Pin(frame);
     while (it.Valid() && (span.upper.empty() || it.key() < span.upper)) {
-      const SkipList::Payload& payload = it.payload();
-      if (payload.tombstone && payload.version == Version{}) {
+      const SkipList::Entry& entry = it.entry();
+      if (entry.tombstone() && entry.version() == Version{}) {
         // Purged ghost: erase the key from the page tier entirely instead
         // of spilling it — a stale older page copy must not resurface once
         // the memtable (and its shadowing ghost) resets.
@@ -604,9 +602,9 @@ void PagedEngine::SpillMemtable() {
       } else {
         Record record;
         record.key.assign(it.key());
-        record.value.assign(payload.value_data, payload.value_size);
-        record.version = payload.version;
-        record.tombstone = payload.tombstone;
+        record.value.assign(entry.value());
+        record.version = entry.version();
+        record.tombstone = entry.tombstone();
         MergeIntoFrame(frame, std::move(record));
       }
       it.Next();

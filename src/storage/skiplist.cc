@@ -1,40 +1,23 @@
 #include "storage/skiplist.h"
 
 #include <cstring>
+#include <new>
 
 namespace scads {
 
-struct SkipList::Node {
-  const char* key_data;
-  uint32_t key_size;
-  Payload payload;
-  // Tower of forward pointers; allocated with the node (height entries).
-  Node* next[1];
-
-  std::string_view key() const { return {key_data, key_size}; }
-};
-
 SkipList::SkipList(uint64_t seed) : rng_(seed) {
-  head_ = NewNode("", kMaxHeight);
-  for (int i = 0; i < kMaxHeight; ++i) head_->next[i] = nullptr;
+  head_ = NewEntry("", kMaxHeight);
+  for (int i = 0; i < kMaxHeight; ++i) head_->tower()[i] = nullptr;
 }
 
-SkipList::Node* SkipList::NewNode(std::string_view key, int height) {
-  size_t node_bytes = sizeof(Node) + sizeof(Node*) * (static_cast<size_t>(height) - 1);
-  char* mem = arena_.AllocateAligned(node_bytes);
-  Node* node = reinterpret_cast<Node*>(mem);
-  if (key.empty()) {
-    static const char kEmpty[1] = {0};
-    node->key_data = kEmpty;  // string_view{nullptr,0} is UB; point at a byte
-    node->key_size = 0;
-  } else {
-    char* key_copy = arena_.Allocate(key.size());
-    std::memcpy(key_copy, key.data(), key.size());
-    node->key_data = key_copy;
-    node->key_size = static_cast<uint32_t>(key.size());
+SkipList::Entry* SkipList::NewEntry(std::string_view key, int height) {
+  size_t bytes = sizeof(Entry) + sizeof(Entry*) * static_cast<size_t>(height) + key.size();
+  Entry* entry = new (arena_.AllocateAligned(bytes))
+      Entry(static_cast<uint32_t>(key.size()), static_cast<uint8_t>(height));
+  if (!key.empty()) {
+    std::memcpy(reinterpret_cast<char*>(entry->tower() + height), key.data(), key.size());
   }
-  node->payload = Payload{};
-  return node;
+  return entry;
 }
 
 int SkipList::RandomHeight() {
@@ -44,106 +27,92 @@ int SkipList::RandomHeight() {
   return height;
 }
 
-SkipList::Node* SkipList::FindGreaterOrEqual(std::string_view key, Node** prev) const {
-  Node* node = head_;
+SkipList::Entry* SkipList::FindGreaterOrEqual(std::string_view key, Entry** prev) const {
+  Entry* entry = head_;
   int level = max_height_ - 1;
   for (;;) {
-    Node* next = node->next[level];
+    Entry* next = entry->tower()[level];
     if (next != nullptr && next->key() < key) {
-      node = next;
+      entry = next;
     } else {
-      if (prev != nullptr) prev[level] = node;
+      if (prev != nullptr) prev[level] = entry;
       if (level == 0) return next;
       --level;
     }
   }
 }
 
-SkipList::Payload* SkipList::FindOrCreate(std::string_view key, bool* created) {
-  Node* prev[kMaxHeight];
-  Node* node = FindGreaterOrEqual(key, prev);
-  if (node != nullptr && node->key() == key) {
+SkipList::Entry* SkipList::FindOrCreate(std::string_view key, bool* created) {
+  Entry* prev[kMaxHeight];
+  Entry* entry = FindGreaterOrEqual(key, prev);
+  if (entry != nullptr && entry->key() == key) {
     *created = false;
-    return &node->payload;
+    return entry;
   }
   int height = RandomHeight();
   if (height > max_height_) {
     for (int i = max_height_; i < height; ++i) prev[i] = head_;
     max_height_ = height;
   }
-  Node* fresh = NewNode(key, height);
+  Entry* fresh = NewEntry(key, height);
   for (int i = 0; i < height; ++i) {
-    fresh->next[i] = prev[i]->next[i];
-    prev[i]->next[i] = fresh;
+    fresh->tower()[i] = prev[i]->tower()[i];
+    prev[i]->tower()[i] = fresh;
   }
   ++count_;
   payload_bytes_ += key.size();
   *created = true;
-  return &fresh->payload;
+  return fresh;
 }
 
-const SkipList::Payload* SkipList::Find(std::string_view key) const {
-  Node* node = FindGreaterOrEqual(key, nullptr);
-  if (node != nullptr && node->key() == key) return &node->payload;
+const SkipList::Entry* SkipList::Find(std::string_view key) const {
+  Entry* entry = FindGreaterOrEqual(key, nullptr);
+  if (entry != nullptr && entry->key() == key) return entry;
   return nullptr;
 }
 
-SkipList::Payload* SkipList::FindMutable(std::string_view key) {
-  return const_cast<Payload*>(Find(key));
+SkipList::Entry* SkipList::FindMutable(std::string_view key) {
+  return const_cast<Entry*>(Find(key));
 }
 
-void SkipList::AssignValue(Payload* payload, std::string_view value) {
+void SkipList::Assign(Entry* entry, std::string_view value, Version version, bool tombstone) {
   payload_bytes_ += value.size();
-  payload_bytes_ -= payload->value_size;
-  if (value.empty()) {
-    static const char kEmpty[1] = {0};
-    payload->value_data = kEmpty;
-    payload->value_size = 0;
-    return;
-  }
-  char* copy = arena_.Allocate(value.size());
-  std::memcpy(copy, value.data(), value.size());
-  payload->value_data = copy;
-  payload->value_size = static_cast<uint32_t>(value.size());
+  payload_bytes_ -= entry->value_size_;
+  if (value.size() > entry->value_size_) entry->value_data_ = arena_.Allocate(value.size());
+  if (!value.empty()) std::memcpy(entry->value_data_, value.data(), value.size());
+  entry->value_size_ = static_cast<uint32_t>(value.size());
+  entry->timestamp_ = version.timestamp;
+  entry->writer_ = version.writer;
+  entry->tombstone_ = tombstone;
 }
 
 void SkipList::Iterator::Seek(std::string_view target) {
-  node_ = list_->FindGreaterOrEqual(target, nullptr);
+  entry_ = list_->FindGreaterOrEqual(target, nullptr);
 }
 
 void SkipList::Iterator::SeekForward(std::string_view target) {
-  if (node_ == nullptr) {
+  if (entry_ == nullptr) {
     Seek(target);
     return;
   }
-  const Node* node = static_cast<const Node*>(node_);
-  if (node->key() >= target) return;  // already at or past it
+  const Entry* entry = entry_;
+  if (entry->key() >= target) return;  // already at or past it
   // Dense probe sets resolve within a few links; sparse ones fall back to a
   // full descent so one far-away key cannot cost a linear walk.
   constexpr int kMaxLinearSteps = 16;
   for (int step = 0; step < kMaxLinearSteps; ++step) {
-    const Node* next = node->next[0];
+    const Entry* next = entry->tower()[0];
     if (next == nullptr || next->key() >= target) {
-      node_ = next;
+      entry_ = next;
       return;
     }
-    node = next;
+    entry = next;
   }
   Seek(target);
 }
 
-void SkipList::Iterator::SeekToFirst() { node_ = list_->head_->next[0]; }
+void SkipList::Iterator::SeekToFirst() { entry_ = list_->head_->tower()[0]; }
 
-void SkipList::Iterator::Next() {
-  node_ = static_cast<const Node*>(node_)->next[0];
-}
-
-std::string_view SkipList::Iterator::key() const {
-  return static_cast<const Node*>(node_)->key();
-}
-
-const SkipList::Payload& SkipList::Iterator::payload() const {
-  return static_cast<const Node*>(node_)->payload;
-}
+void SkipList::Iterator::Next() { entry_ = entry_->tower()[0]; }
 
 }  // namespace scads

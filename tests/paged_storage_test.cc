@@ -473,12 +473,12 @@ TEST(BytesAccountingTest, ArenaCountsAllocatedBytes) {
 TEST(BytesAccountingTest, SkipListTracksLogicalPayloadBytes) {
   SkipList list(1);
   bool created = false;
-  SkipList::Payload* payload = list.FindOrCreate("key", &created);
-  list.AssignValue(payload, "0123456789");
+  SkipList::Entry* entry = list.FindOrCreate("key", &created);
+  list.Assign(entry, "0123456789", V(1), /*tombstone=*/false);
   EXPECT_EQ(list.payload_bytes(), 13u);  // 3 key + 10 value
-  // Re-assign: logical footprint tracks the current value, not the arena
-  // garbage the old copy became.
-  list.AssignValue(payload, "abc");
+  // Re-assign: logical footprint tracks the current value, not the bytes
+  // the old value occupied.
+  list.Assign(entry, "abc", V(2), /*tombstone=*/false);
   EXPECT_EQ(list.payload_bytes(), 6u);
   EXPECT_GT(list.bytes_allocated(), list.payload_bytes());
 }

@@ -2,15 +2,18 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
+#include "sim/event_loop.h"
 #include "storage/arena.h"
 #include "storage/codec.h"
 #include "storage/engine.h"
+#include "storage/pagestore/paged_engine.h"
 #include "storage/skiplist.h"
 #include "storage/wal.h"
 
@@ -54,20 +57,32 @@ TEST(ArenaTest, MemoryUsageGrows) {
   EXPECT_GT(arena.MemoryUsage(), before);
 }
 
+#if defined(__SANITIZE_ADDRESS__)
+// Under ASan the arena keeps every byte it has not handed out poisoned, so
+// an overrun past an allocation (say, past an entry's inline key) is
+// reported rather than corrupting whatever the arena hands out next.
+TEST(ArenaDeathTest, WritePastAnAllocationIsReported) {
+  Arena arena;
+  volatile char* range = arena.Allocate(13);
+  range[12] = 'x';  // the last byte handed out is writable
+  EXPECT_DEATH(range[13] = 'x', "use-after-poison");
+}
+#endif
+
 // --------------------------------------------------------------- SkipList --
 
 TEST(SkipListTest, InsertAndFind) {
   SkipList list(1);
   bool created = false;
-  SkipList::Payload* p = list.FindOrCreate("alpha", &created);
+  SkipList::Entry* e = list.FindOrCreate("alpha", &created);
   EXPECT_TRUE(created);
-  list.AssignValue(p, "one");
-  p->version = V(10);
+  list.Assign(e, "one", V(10), /*tombstone=*/false);
 
-  const SkipList::Payload* found = list.Find("alpha");
+  const SkipList::Entry* found = list.Find("alpha");
   ASSERT_NE(found, nullptr);
-  EXPECT_EQ(std::string_view(found->value_data, found->value_size), "one");
-  EXPECT_EQ(found->version, V(10));
+  EXPECT_EQ(found->key(), "alpha");
+  EXPECT_EQ(found->value(), "one");
+  EXPECT_EQ(found->version(), V(10));
   EXPECT_EQ(list.Find("beta"), nullptr);
 }
 
@@ -118,10 +133,10 @@ TEST(SkipListTest, SeekFindsFirstAtOrAfter) {
 TEST(SkipListTest, EmptyValueSupported) {
   SkipList list(1);
   bool created;
-  SkipList::Payload* p = list.FindOrCreate("k", &created);
-  list.AssignValue(p, "");
-  const SkipList::Payload* found = list.Find("k");
-  EXPECT_EQ(found->value_size, 0u);
+  SkipList::Entry* e = list.FindOrCreate("k", &created);
+  list.Assign(e, "", V(1), /*tombstone=*/false);
+  const SkipList::Entry* found = list.Find("k");
+  EXPECT_EQ(found->value().size(), 0u);
 }
 
 TEST(SkipListTest, ManyKeysStressAgainstStdMap) {
@@ -132,16 +147,67 @@ TEST(SkipListTest, ManyKeysStressAgainstStdMap) {
   for (int i = 0; i < 5000; ++i) {
     std::string k = "u" + std::to_string(rng.Uniform(2000));
     std::string v = "v" + std::to_string(i);
-    SkipList::Payload* p = list.FindOrCreate(k, &created);
-    list.AssignValue(p, v);
+    SkipList::Entry* e = list.FindOrCreate(k, &created);
+    list.Assign(e, v, V(i + 1), /*tombstone=*/false);
     model[k] = v;
   }
   EXPECT_EQ(list.size(), model.size());
   for (const auto& [k, v] : model) {
-    const SkipList::Payload* p = list.Find(k);
-    ASSERT_NE(p, nullptr) << k;
-    EXPECT_EQ(std::string_view(p->value_data, p->value_size), v);
+    const SkipList::Entry* e = list.Find(k);
+    ASSERT_NE(e, nullptr) << k;
+    EXPECT_EQ(e->value(), v);
   }
+}
+
+// The entry layout's budget: a 32-byte header plus an average tower of 4/3
+// pointers comes to ~43 B of overhead per key beyond its key and value bytes
+// (bytes_allocated counts no alignment slop).
+TEST(SkipListTest, PerEntryOverheadStaysWithin48Bytes) {
+  SkipList list(1);
+  constexpr size_t kEntries = 10000;
+  bool created;
+  for (size_t i = 0; i < kEntries; ++i) {
+    char key[17];
+    std::snprintf(key, sizeof(key), "key:%012zu", i);
+    ASSERT_EQ(std::strlen(key), 16u);
+    list.Assign(list.FindOrCreate(key, &created), "value", V(1), /*tombstone=*/false);
+  }
+  ASSERT_EQ(list.size(), kEntries);
+  EXPECT_EQ(list.payload_bytes(), kEntries * (16 + 5));
+  double overhead = static_cast<double>(list.bytes_allocated() - list.payload_bytes()) /
+                    static_cast<double>(kEntries);
+  EXPECT_LE(overhead, 48.0);
+}
+
+TEST(SkipListTest, OverwritesThatFitReuseTheValueBytes) {
+  SkipList list(1);
+  bool created;
+  SkipList::Entry* entry = list.FindOrCreate("hot", &created);
+  list.Assign(entry, std::string(100, 'a'), V(1), /*tombstone=*/false);
+  size_t memory = list.memory_usage();
+  size_t allocated = list.bytes_allocated();
+  for (int i = 0; i < 1000; ++i) {
+    list.Assign(entry, std::string(100, static_cast<char>('b' + i % 20)), V(2 + i),
+                /*tombstone=*/false);
+  }
+  EXPECT_EQ(list.memory_usage(), memory);
+  EXPECT_EQ(list.bytes_allocated(), allocated);
+  EXPECT_EQ(list.Find("hot")->value(), std::string(100, static_cast<char>('b' + 999 % 20)));
+  EXPECT_EQ(list.Find("hot")->version(), V(1001));
+
+  // A shorter value (and a tombstone's empty one) also fits in place.
+  list.Assign(entry, "short", V(2000), /*tombstone=*/false);
+  EXPECT_EQ(list.Find("hot")->value(), "short");
+  list.Assign(entry, "", V(2001), /*tombstone=*/true);
+  EXPECT_TRUE(list.Find("hot")->tombstone());
+  EXPECT_EQ(list.bytes_allocated(), allocated);
+  EXPECT_EQ(list.payload_bytes(), 3u);
+
+  // Only a value longer than the current one takes fresh bytes.
+  list.Assign(entry, "revived", V(2002), /*tombstone=*/false);
+  EXPECT_EQ(list.bytes_allocated(), allocated + 7);
+  EXPECT_EQ(list.Find("hot")->value(), "revived");
+  EXPECT_FALSE(list.Find("hot")->tombstone());
 }
 
 // ------------------------------------------------------------------ Codec --
@@ -561,6 +627,46 @@ TEST(EngineTest, LargeValueRoundTrip) {
   std::string big(1 << 18, 'q');
   ASSERT_TRUE(engine.Put("big", big, V(1)).ok());
   EXPECT_EQ(engine.Get("big")->value, big);
+}
+
+// Key lengths are 32-bit all the way down: a key past 65,535 bytes must come
+// back whole from both engines' point and range reads.
+void ExpectLongKeyRoundTrips(EngineInterface* engine) {
+  std::string long_key = "m" + std::string(70000, 'k');
+  ASSERT_TRUE(engine->Put("a", "before", V(1)).ok());
+  ASSERT_TRUE(engine->Put(long_key, "long", V(2)).ok());
+  ASSERT_TRUE(engine->Put("z", "after", V(3)).ok());
+
+  Result<Record> got = engine->Get(long_key);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->key, long_key);
+  EXPECT_EQ(got->value, "long");
+  // A 16-bit length would have kept only the first size % 65,536 bytes.
+  EXPECT_FALSE(engine->Get(long_key.substr(0, long_key.size() % 65536)).ok());
+
+  Result<std::vector<Record>> rows = engine->Scan("", "", 0);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 3u);
+  EXPECT_EQ((*rows)[0].key, "a");
+  EXPECT_EQ((*rows)[1].key, long_key);
+  EXPECT_EQ((*rows)[1].value, "long");
+  EXPECT_EQ((*rows)[2].key, "z");
+}
+
+TEST(EngineTest, KeyLongerThan64KiBRoundTrips) {
+  StorageEngine ram;
+  ExpectLongKeyRoundTrips(&ram);
+
+  EventLoop loop;
+  PagedEngine paged(&loop, PagedEngineOptions{});
+  ExpectLongKeyRoundTrips(&paged);
+
+  // A 4 KiB memtable spills the long key into the page tier on its Put.
+  PagedEngineOptions spilling;
+  spilling.config.memtable_spill_bytes = 4 * 1024;
+  PagedEngine spilled(&loop, spilling);
+  ExpectLongKeyRoundTrips(&spilled);
+  EXPECT_GT(spilled.metrics().CounterValue("spills"), 0);
 }
 
 // Property sweep: engine state must match a model map under random
