@@ -32,12 +32,22 @@ void ReadCoalescer::Submit(PendingRead read) {
   entry.leader = std::move(read);
   inflight_.emplace(key, std::move(entry));
 
+  // Hold only where another leader is likely to join: this node saw a
+  // leader less than one window ago. A leader to a quiet node ships as
+  // soon as the executor turns over, merging only with leaders submitted
+  // before the flush runs.
+  Time now = loop_->Now();
+  auto [last, first_leader] = last_leader_.try_emplace(target, now);
+  bool hold = !first_leader && now - last->second < config_.window;
+  last->second = now;
+
   NodeBatch& batch = held_[target];
   batch.keys.push_back(std::move(key));
   if (batch.flush_event == Executor::kInvalidTask) {
-    // First leader for this node opens the hold window; everything that
-    // targets the node before it closes rides the same message.
-    batch.flush_event = loop_->ScheduleAfter(config_.window, [this, target] { Flush(target); });
+    // The leader that opens a batch decides its flush; everything that
+    // targets the node before then rides the same message.
+    batch.flush_event =
+        loop_->ScheduleAfter(hold ? config_.window : 0, [this, target] { Flush(target); });
   }
 }
 

@@ -15,10 +15,17 @@
 //     deadline. A follower whose bounds the reply cannot prove *detaches*
 //     and dispatches normally (where an expired deadline then sheds with
 //     kDeadlineExceeded, exactly as an uncoalesced read would).
-//   * Same-node: leaders targeting the same storage node within a
-//     configurable hold window (~100us) ship as ONE HandleMultiGet
-//     message instead of N HandleGets — N-1 message overheads and
-//     per-request base service costs saved.
+//   * Same-node: leaders targeting the same storage node ship as ONE
+//     HandleMultiGet message instead of N HandleGets — N-1 message
+//     overheads and per-request base service costs saved. A leader that
+//     arrives within one hold window (~100us) of the previous leader for
+//     its node is held for that window so later ones can join; a leader
+//     to a node that has been quiet for a window ships as an immediate
+//     event, carrying only the leaders submitted before that event runs,
+//     since nothing the coalescer has seen suggests anyone else will join.
+//     A leader submitted at the same time but after that event ran (a
+//     later event at the same simulated instant) counts as "within a
+//     window" and opens a hold.
 //
 // Error discipline: a leader error (timeout failover aside) propagates to
 // every follower — each fails in its own router's window — and nothing a
@@ -59,14 +66,16 @@ class Router;
 
 /// Coalescer tunables.
 struct CoalescerConfig {
-  /// Off by default at the facade: the hold window trades a little median
-  /// latency for message fan-in, which is the right trade only for
-  /// duplicate-heavy read mixes. Benches and deployments opt in.
+  /// Off by default at the facade: same-key followers and held leaders
+  /// pay off only for read mixes with duplicates or bursts per node.
+  /// Benches and deployments opt in.
   bool enabled = false;
-  /// Same-node hold window: a leader waits at most this long for other
-  /// leaders targeting its node before the merged message ships. 0 still
-  /// coalesces (the flush runs as an immediate event), it just stops
-  /// holding for stragglers.
+  /// Same-node hold window. A leader that arrives less than this long
+  /// after the previous leader for its node opens a hold: the merged
+  /// message ships this long after it, carrying every leader that targets
+  /// the node meanwhile. Any other leader ships as an immediate event,
+  /// joined only by leaders submitted before that event runs. 0 never
+  /// holds.
   Duration window = 100;  // us
   /// Deployment staleness bound backing follower freshness checks when the
   /// request carries no override (0 = unbounded, as in the spec). Scads
@@ -98,12 +107,12 @@ struct CoalescerStats {
 /// window accounting and cache.
 ///
 /// Thread safety: an internal mutex guards the hold-window state
-/// (inflight_, held_, stats_). It is never held while calling into a
-/// router or the fabric, and routers never call in while holding theirs:
-/// they Submit after releasing it, and completion paths collect members
-/// under this lock, release it, and only then call back into routers — so
-/// a shared coalescer cannot deadlock two routers against each other, and
-/// a member's callback may re-enter either.
+/// (inflight_, held_, last_leader_, stats_). It is never held while
+/// calling into a router or the fabric, and routers never call in while
+/// holding theirs: they Submit after releasing it, and completion paths
+/// collect members under this lock, release it, and only then call back
+/// into routers — so a shared coalescer cannot deadlock two routers
+/// against each other, and a member's callback may re-enter either.
 class ReadCoalescer {
  public:
   /// One point read inside the coalescer. Routers build these in Get()
@@ -128,7 +137,8 @@ class ReadCoalescer {
 
   /// Submits a point read. Same-key reads join the in-flight leader as
   /// followers; a fresh key leads and is batched with other leaders
-  /// targeting the same node within the hold window.
+  /// targeting the same node (held for a window only when the node saw a
+  /// leader less than a window ago).
   void Submit(PendingRead read);
 
   bool enabled() const { return config_.enabled; }
@@ -172,12 +182,13 @@ class ReadCoalescer {
   MessageFabric* network_;
   ClusterState* cluster_;
   CoalescerConfig config_;
-  /// Guards inflight_, held_, and stats_. Never held while calling into a
-  /// Router or the fabric (see class comment).
+  /// Guards inflight_, held_, last_leader_ and stats_. Never held while
+  /// calling into a Router or the fabric (see class comment).
   std::mutex mu_;
   CoalescerStats stats_;
   std::map<std::string, KeyEntry> inflight_;   // key -> leader + followers
   std::map<NodeId, NodeBatch> held_;           // node -> leaders awaiting flush
+  std::map<NodeId, Time> last_leader_;         // node -> when its last leader arrived
 };
 
 }  // namespace scads

@@ -1,5 +1,6 @@
 #include "sim/event_loop.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -9,7 +10,7 @@ namespace scads {
 EventLoop::EventId EventLoop::ScheduleAt(Time t, std::function<void()> fn) {
   if (t < Now()) t = Now();
   EventId id = next_id_++;
-  queue_.push(Entry{t, id, std::move(fn)});
+  Push(Entry{t, id, std::move(fn)});
   return id;
 }
 
@@ -24,7 +25,7 @@ EventLoop::EventId EventLoop::SchedulePeriodic(Duration period, std::function<vo
   // entry in periodics_ keyed by that id.
   EventId id = next_id_++;
   periodics_[id] = PeriodicState{period, std::move(fn), kInvalidEvent};
-  queue_.push(Entry{Now() + period, id, nullptr});  // nullptr marks periodic tick
+  Push(Entry{Now() + period, id, nullptr});  // nullptr marks periodic tick
   periodics_[id].next_event = id;
   return id;
 }
@@ -35,12 +36,12 @@ void EventLoop::ArmPeriodic(EventId id) {
   EventId tick = next_id_++;
   it->second.next_event = tick;
   // Periodic ticks carry no fn; dispatch looks the chain up by owner id.
-  queue_.push(Entry{Now() + it->second.period, tick, [this, id] {
-                      auto owner = periodics_.find(id);
-                      if (owner == periodics_.end()) return;
-                      owner->second.fn();
-                      ArmPeriodic(id);
-                    }});
+  Push(Entry{Now() + it->second.period, tick, [this, id] {
+               auto owner = periodics_.find(id);
+               if (owner == periodics_.end()) return;
+               owner->second.fn();
+               ArmPeriodic(id);
+             }});
 }
 
 bool EventLoop::Cancel(EventId id) {
@@ -57,10 +58,21 @@ bool EventLoop::Cancel(EventId id) {
   return true;
 }
 
+void EventLoop::Push(Entry entry) {
+  queue_.push_back(std::move(entry));
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
+}
+
+EventLoop::Entry EventLoop::Pop() {
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  Entry top = std::move(queue_.back());
+  queue_.pop_back();
+  return top;
+}
+
 bool EventLoop::RunOne() {
   while (!queue_.empty()) {
-    Entry top = queue_.top();
-    queue_.pop();
+    Entry top = Pop();
     if (cancelled_.erase(top.id) > 0) continue;
     clock_.SetTime(top.time);
     ++executed_;
@@ -81,10 +93,10 @@ bool EventLoop::RunOne() {
 
 void EventLoop::RunUntil(Time deadline) {
   while (!queue_.empty()) {
-    const Entry& top = queue_.top();
+    const Entry& top = queue_.front();
     if (top.time > deadline) break;
     if (cancelled_.erase(top.id) > 0) {
-      queue_.pop();
+      Pop();
       continue;
     }
     RunOne();

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <queue>
 #include <unordered_set>
 #include <vector>
 
@@ -83,9 +82,11 @@ class EventLoop : public Executor {
     Time time;
     EventId id;
     std::function<void()> fn;
-
-    // Min-heap by (time, id): ties execute in scheduling order.
-    friend bool operator>(const Entry& a, const Entry& b) {
+  };
+  // Heap order for std::push_heap/pop_heap: the earliest (time, id) sits at
+  // front(), so ties execute in scheduling order.
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.id > b.id;
     }
@@ -98,9 +99,12 @@ class EventLoop : public Executor {
   };
 
   void ArmPeriodic(EventId id);
+  void Push(Entry entry);
+  /// Moves the earliest entry out of the heap (no copy of its closure).
+  Entry Pop();
 
   ManualClock clock_;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
+  std::vector<Entry> queue_;  // binary heap under Later
   std::unordered_set<EventId> cancelled_;
   std::map<EventId, PeriodicState> periodics_;
   EventId next_id_ = 0;

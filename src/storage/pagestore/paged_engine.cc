@@ -610,7 +610,7 @@ void PagedEngine::SpillMemtable() {
       it.Next();
     }
     // Split while pinned so the budget pass cannot evict the page mid-merge.
-    SplitIfOversized(span.id, frame);
+    SplitIfOversized(frame);
     pool_.Unpin(frame);
   }
   mem_ = std::make_unique<SkipList>(next_mem_seed_++);
@@ -639,7 +639,7 @@ void PagedEngine::MergeIntoFrame(PageFrame* frame, Record record) {
   MarkDirty(frame);
 }
 
-void PagedEngine::SplitIfOversized(PageId id, PageFrame* frame) {
+void PagedEngine::SplitIfOversized(PageFrame* frame) {
   while (frame->bytes > options_.config.page_bytes && frame->records.size() >= 2) {
     size_t mid = frame->records.size() / 2;
     std::string split_key = frame->records[mid].key;
@@ -665,7 +665,7 @@ void PagedEngine::SplitIfOversized(PageId id, PageFrame* frame) {
     MarkDirty(frame);
     MarkDirty(fresh);
     page_counters_.page_splits->Increment();
-    SplitIfOversized(fresh_id, fresh);
+    SplitIfOversized(fresh);
     pool_.Unpin(fresh);
   }
 }

@@ -163,7 +163,7 @@ class PagedEngine : public EngineInterface {
 
   void SpillMemtable();
   void MergeIntoFrame(PageFrame* frame, Record record);
-  void SplitIfOversized(PageId id, PageFrame* frame);
+  void SplitIfOversized(PageFrame* frame);
   /// Rebuilds page_index_/bounds_ and live/total counts from durable pages.
   void RebuildFromFile();
 

@@ -342,7 +342,7 @@ TEST(ParallelScanTest, LimitSatisfiedScanToleratesTrailingPartitionFailure) {
 
 TEST(ParallelScanTest, FanOutIsConcurrentNotSequential) {
   TestCluster tc(3, 1);
-  for (const std::string& key : {"ant", "gnu", "pig"}) {
+  for (const char* key : {"ant", "gnu", "pig"}) {
     ASSERT_TRUE(tc.PutSync(key, "v").ok());
   }
   // Baseline: one single-partition scan's wall-clock.

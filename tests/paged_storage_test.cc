@@ -196,7 +196,9 @@ TEST(PagedEngineTest, MatchesRamEngineOnRandomTrace) {
       Result<bool> a = paged.Put(key, ValueOf(k), version);
       Result<bool> b = ram.Put(key, ValueOf(k), version);
       ASSERT_EQ(a.ok(), b.ok());
-      if (a.ok()) ASSERT_EQ(*a, *b);
+      if (a.ok()) {
+        ASSERT_EQ(*a, *b);
+      }
     } else if (coin < 0.7) {
       Version version = V(ts++);
       Result<bool> a = paged.Delete(key, version);

@@ -327,6 +327,80 @@ TEST(CoalescerTest, SameNodeLeadersMergeWithinHoldWindow) {
   EXPECT_EQ(h.coalescer->stats().batched_keys, 2);
 }
 
+TEST(CoalescerTest, LoneLeaderToAQuietNodeShipsAtOnce) {
+  CoalesceHarness h(1);
+  h.Seed("k", "v");
+  int64_t before = h.network.sent_to(1);
+  int done = 0;
+  h.router->Get("k", RequestOptions{}, [&](Result<Record> r) {
+    ASSERT_TRUE(r.ok());
+    ++done;
+  });
+  // No leader reached node 1 in the last window, so nothing suggests
+  // another will join: the message leaves at t = 0 instead of waiting out
+  // the 100us hold.
+  h.loop.RunFor(1);
+  EXPECT_EQ(h.network.sent_to(1) - before, 1);
+  h.loop.RunFor(kSecond);
+  EXPECT_EQ(done, 1);
+  EXPECT_EQ(h.coalescer->stats().batches_sent, 1);
+}
+
+TEST(CoalescerTest, LeaderSoonAfterThePreviousOneIsHeldForLaterLeaders) {
+  CoalesceHarness h(1);
+  h.Seed("a", "va");
+  h.Seed("b", "vb");
+  h.Seed("c", "vc");
+  int64_t before = h.network.sent_to(1);
+  int done = 0;
+  auto expect_ok = [&](Result<Record> r) {
+    ASSERT_TRUE(r.ok());
+    ++done;
+  };
+  Time start = h.loop.Now();
+  h.router->Get("a", RequestOptions{}, expect_ok);  // quiet node: ships at once
+  h.loop.RunFor(30);
+  h.router->Get("b", RequestOptions{}, expect_ok);  // 30us after "a": held until +130
+  h.loop.RunFor(30);
+  h.router->Get("c", RequestOptions{}, expect_ok);  // joins "b"'s held batch
+  h.loop.RunUntil(start + 129);
+  EXPECT_EQ(h.network.sent_to(1) - before, 1);
+  h.loop.RunUntil(start + 130);
+  EXPECT_EQ(h.network.sent_to(1) - before, 2);
+  h.loop.RunFor(kSecond);
+  EXPECT_EQ(done, 3);
+  EXPECT_EQ(h.coalescer->stats().batches_sent, 2);
+  EXPECT_EQ(h.coalescer->stats().batched_keys, 3);
+}
+
+TEST(CoalescerTest, HoldsAreTrackedPerNode) {
+  CoalesceHarness h(2);
+  // Eight uniform partitions over two nodes: "A" (0x41..) sits in
+  // partition 2 on node 1, "a" (0x61..) in partition 3 on node 2.
+  ASSERT_EQ(h.cluster.partitions()->ForKey("A").replicas.front(), 1);
+  ASSERT_EQ(h.cluster.partitions()->ForKey("a").replicas.front(), 2);
+  h.Seed("A", "v1");
+  h.Seed("a", "v2");
+  int64_t before1 = h.network.sent_to(1);
+  int64_t before2 = h.network.sent_to(2);
+  int done = 0;
+  auto expect_ok = [&](Result<Record> r) {
+    ASSERT_TRUE(r.ok());
+    ++done;
+  };
+  h.router->Get("A", RequestOptions{}, expect_ok);
+  h.loop.RunFor(30);
+  // Node 1 saw a leader 30us ago, node 2 never did: the read to node 2 is
+  // not held on node 1's account.
+  h.router->Get("a", RequestOptions{}, expect_ok);
+  h.loop.RunFor(1);
+  EXPECT_EQ(h.network.sent_to(1) - before1, 1);
+  EXPECT_EQ(h.network.sent_to(2) - before2, 1);
+  h.loop.RunFor(kSecond);
+  EXPECT_EQ(done, 2);
+  EXPECT_EQ(h.coalescer->stats().batches_sent, 2);
+}
+
 TEST(CoalescerTest, FollowerDetachesWhenItsStalenessBoundIsTighterThanTheReplyAge) {
   CoalesceHarness h(1);
   h.Seed("k", "v");
@@ -489,8 +563,8 @@ TEST(CoalescerTest, ShedMergedReadRetriesAtUpgradedPriorityFromLateFollower) {
     EXPECT_EQ(r->value, "v");
     ++served;
   });
-  // Run just past the flush (100us window) and the message's arrival at the
-  // node: the shed reply is now in flight back to the coalescer.
+  // Run past the flush: a lone leader to a quiet node ships at once, so by
+  // now the kLow message is on its way to the node, where it will be shed.
   h.loop.RunFor(105);
   // A kHigh reader attaches to the already-dispatched kLow message.
   RequestOptions high;
