@@ -16,7 +16,7 @@
 //     and dispatches normally (where an expired deadline then sheds with
 //     kDeadlineExceeded, exactly as an uncoalesced read would).
 //   * Same-node: leaders targeting the same storage node ship as ONE
-//     HandleMultiGet message instead of N HandleGets — N-1 message
+//     HandleMultiGet message instead of N one-key ones — N-1 message
 //     overheads and per-request base service costs saved. A leader that
 //     arrives within one hold window (~100us) of the previous leader for
 //     its node is held for that window so later ones can join; a leader

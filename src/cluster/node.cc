@@ -203,36 +203,7 @@ void StorageNode::SetBackgroundLoad(double utilization, Duration busy_account) {
                                                    std::max(1.0, utilization)));
 }
 
-void StorageNode::HandleGet(const std::string& key, RequestPriority priority,
-                            std::function<void(Result<Record>)> respond) {
-  if (!alive_) return;
-  std::optional<Duration> sojourn = Admit(config_.get_service_time, priority);
-  if (!sojourn.has_value()) {
-    respond(ResourceExhaustedError("node overloaded"));
-    return;
-  }
-  loop_->ScheduleAfter(*sojourn, [this, key, respond = std::move(respond)] {
-    if (!alive_) return;
-    Result<Record> result = engine_->Get(key);
-    // Page faults delay the response by the disk latency they accrued; the
-    // pure-RAM hit path responds inline, preserving event ordering.
-    Duration io = ChargeEngineIo();
-    if (io <= 0) {
-      ++stats_.ops_completed;
-      respond(std::move(result));
-      return;
-    }
-    loop_->ScheduleAfter(io, [this, result = std::move(result),
-                              respond = std::move(respond)]() mutable {
-      if (!alive_) return;
-      ++stats_.ops_completed;
-      respond(std::move(result));
-    });
-  });
-}
-
-void StorageNode::HandleMultiGet(const std::vector<std::string>& keys,
-                                 RequestPriority priority,
+void StorageNode::HandleMultiGet(std::vector<std::string> keys, RequestPriority priority,
                                  std::function<void(MultiGetReply)> respond) {
   if (!alive_) return;
   Duration service =
@@ -249,7 +220,7 @@ void StorageNode::HandleMultiGet(const std::vector<std::string>& keys,
     respond(std::move(reply));
     return;
   }
-  loop_->ScheduleAfter(*sojourn, [this, keys, respond = std::move(respond)] {
+  loop_->ScheduleAfter(*sojourn, [this, keys = std::move(keys), respond = std::move(respond)] {
     if (!alive_) return;
     MultiGetReply reply;
     reply.results = engine_->MultiGet(keys);

@@ -173,15 +173,11 @@ class StorageNode {
   // Every request handler takes the request's RequestPriority so admission
   // can shed kLow work first under overload.
 
-  /// Point read of `key`.
-  void HandleGet(const std::string& key, RequestPriority priority,
-                 std::function<void(Result<Record>)> respond);
-
-  /// Batched point reads: one admission (base get cost + a smaller marginal
-  /// cost per extra key) and one engine MultiGet over the whole key set.
-  /// Under overload every key reports kResourceExhausted so the router can
-  /// redirect the sub-batch.
-  void HandleMultiGet(const std::vector<std::string>& keys, RequestPriority priority,
+  /// Point reads, one key or a batch: one admission (base get cost + a
+  /// smaller marginal cost per extra key) and one engine MultiGet over the
+  /// whole key set. Under overload every key reports kResourceExhausted so
+  /// the router can redirect the sub-batch.
+  void HandleMultiGet(std::vector<std::string> keys, RequestPriority priority,
                       std::function<void(MultiGetReply)> respond);
 
   /// Batched writes: the whole batch is WAL-logged with one group-commit

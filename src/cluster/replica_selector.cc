@@ -32,29 +32,31 @@ std::vector<NodeId> ReplicaSelector::ReadCandidates(const PartitionInfo& partiti
   }
   ReplicaPick first = ChooseReadReplica(partition, options, deployment_target);
   if (pick != nullptr) *pick = first;
+  candidates.reserve(partition.replicas.size());  // candidates are distinct replicas
   candidates.push_back(first.node);
   if (options.read_mode == ReadMode::kPrimaryOnly) return candidates;
   // Low-priority reads shed instead of retrying: under failure they give
   // up their replica alternates so the retry load lands on interactive
   // traffic's side of the fleet, not on already-degraded nodes.
-  int budget = options.priority == RequestPriority::kLow ? 0 : read_retries;
-  std::vector<NodeId> alternates;
+  size_t alternates = options.priority == RequestPriority::kLow
+                          ? 0
+                          : static_cast<size_t>(std::max(read_retries, 0));
   for (NodeId replica : partition.replicas) {
-    if (static_cast<int>(alternates.size()) >= budget) break;
-    if (replica == first.node) continue;
-    if (std::find(alternates.begin(), alternates.end(), replica) != alternates.end()) continue;
-    alternates.push_back(replica);
+    if (candidates.size() > alternates) break;
+    if (std::find(candidates.begin(), candidates.end(), replica) != candidates.end()) continue;
+    candidates.push_back(replica);
   }
-  OrderAlternates(&alternates);
-  candidates.insert(candidates.end(), alternates.begin(), alternates.end());
+  OrderAlternates(std::span<NodeId>(candidates).subspan(1));
   // Breaker-aware ordering: candidates the breaker would refuse sink to the
   // back (stable within each class, preserving the policy's order), so the
   // first attempt goes to a node that will actually be tried — an open
   // breaker up front would just burn a skip. With every breaker closed
   // this is the identity permutation.
   if (breaker_ != nullptr && candidates.size() > 1) {
-    std::stable_partition(candidates.begin(), candidates.end(),
-                          [this](NodeId id) { return breaker_->Healthy(id); });
+    auto healthy_end = candidates.begin();
+    for (auto it = candidates.begin(); it != candidates.end(); ++it) {
+      if (breaker_->Healthy(*it)) std::rotate(healthy_end++, it, it + 1);
+    }
   }
   return candidates;
 }
@@ -82,11 +84,15 @@ ReplicaPick PowerOfTwoSelector::Pick(const std::vector<NodeId>& replicas) {
   return ReplicaPick{steer ? replicas[b] : replicas[a], /*policy=*/true, steer};
 }
 
-void PowerOfTwoSelector::OrderAlternates(std::vector<NodeId>* alternates) {
+void PowerOfTwoSelector::OrderAlternates(std::span<NodeId> alternates) {
   // Retries walk the alternates least-loaded first; stable so equally-idle
-  // alternates keep replica-set order (deterministic under fixed seeds).
-  std::stable_sort(alternates->begin(), alternates->end(),
-                   [this](NodeId lhs, NodeId rhs) { return PressureOf(lhs) < PressureOf(rhs); });
+  // alternates keep replica-set order (deterministic under fixed seeds). An
+  // insertion sort: there are at most read_retries of them.
+  for (size_t i = 1; i < alternates.size(); ++i) {
+    for (size_t j = i; j > 0 && PressureOf(alternates[j]) < PressureOf(alternates[j - 1]); --j) {
+      std::swap(alternates[j], alternates[j - 1]);
+    }
+  }
 }
 
 std::unique_ptr<ReplicaSelector> MakeSelector(const SelectorConfig& config,

@@ -34,6 +34,7 @@
 #define SCADS_CLUSTER_REPLICA_SELECTOR_H_
 
 #include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -122,7 +123,7 @@ class ReplicaSelector {
   /// candidate). Default keeps replica-set order; load-aware policies sort
   /// by ascending pressure so a failed first attempt retries on the
   /// least-loaded alternate next.
-  virtual void OrderAlternates(std::vector<NodeId>* /*alternates*/) {}
+  virtual void OrderAlternates(std::span<NodeId> /*alternates*/) {}
 
  private:
   CircuitBreaker* breaker_ = nullptr;
@@ -151,7 +152,7 @@ class PowerOfTwoSelector : public ReplicaSelector {
   ReplicaPick Pick(const std::vector<NodeId>& replicas) override;
 
  protected:
-  void OrderAlternates(std::vector<NodeId>* alternates) override;
+  void OrderAlternates(std::span<NodeId> alternates) override;
 
  private:
   double PressureOf(NodeId node) const;

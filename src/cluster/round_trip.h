@@ -1,13 +1,14 @@
 // RoundTrip: one client -> storage node request/reply exchange with a
 // timeout — the only way the cluster layer talks to a node.
 //
-// Router's point reads, MultiGet sub-batches, scans, single-key writes
-// (conditional or not), MultiWrite chunks, and the ReadCoalescer's merged
-// reads all run on it: arm the timer, ship the request, let the node serve
-// it, ship the reply back. Exactly one of the reply and the timer claims the
-// exchange and runs `done`; the other is dropped. The claim is atomic, not
-// lock-guarded, because the two may fire on different ThreadedRuntime
-// workers in the same instant.
+// Router's MultiGet sub-batches (every node-bound point read is a one-key
+// sub-batch), scans, single-key writes (conditional or not), MultiWrite
+// chunks, and the ReadCoalescer's merged reads all run on it: arm the
+// timer, ship the request, let the node serve it, ship the reply back.
+// Exactly one of the reply and the timer claims the exchange and runs
+// `done`; the other is dropped. The claim is atomic, not lock-guarded,
+// because the two may fire on different ThreadedRuntime workers in the
+// same instant.
 //
 // Ordering: the timer is armed before the request ships, so the simulator
 // always sees the same event sequence, and on real threads the fabric
@@ -34,13 +35,6 @@
 
 namespace scads {
 
-/// A point read's reply: the result plus the serving node's replication
-/// watermark, snapshotted when it served the read.
-struct PointReply {
-  Result<Record> result;
-  Time as_of = 0;
-};
-
 /// Reply payload bytes, one overload per reply type (the fabric adds its
 /// per-message framing on top).
 inline int64_t ReplyBytes(const Status&) { return 4; }
@@ -54,7 +48,6 @@ inline int64_t ReplyBytes(const std::vector<Status>& statuses) {
 inline int64_t ReplyBytes(const Result<Record>& result) {
   return result.ok() ? WireSize(*result) : 8;
 }
-inline int64_t ReplyBytes(const PointReply& reply) { return ReplyBytes(reply.result); }
 inline int64_t ReplyBytes(const MultiGetReply& reply) {
   int64_t bytes = 0;
   for (const Result<Record>& result : reply.results) bytes += ReplyBytes(result);

@@ -5,6 +5,8 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <span>
+#include <string_view>
 #include <utility>
 
 #include "cache/cache_directory.h"
@@ -17,6 +19,8 @@ namespace scads {
 namespace {
 // Adaptive batching's cap for an idle node's sub-batch.
 constexpr size_t kMaxSubBatch = 128;
+// A point read's one fetch, which is also its one caller slot.
+constexpr size_t kPointFetch[] = {0};
 }  // namespace
 
 void RouterWindow::MergeFrom(const RouterWindow& other) {
@@ -160,81 +164,6 @@ void Router::CacheWrite(bool tombstone, const std::string& key, const std::strin
   }
 }
 
-void Router::GetAttempt(const std::string& key, std::vector<NodeId> candidates, size_t index,
-                        Time start, RequestOptions options, ReadCallback callback) {
-  StorageNode* node = nullptr;
-  Status failure;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Budget check precedes the candidate check: a retry whose budget is
-    // gone sheds with the deadline error, not a synthetic unreachability
-    // error.
-    if (options.Expired(loop_->Now())) {
-      failure = TimeoutStatus(/*budget_bound=*/true, "read");
-    } else {
-      for (; index < candidates.size(); ++index) {
-        node = cluster_->GetNode(candidates[index]);
-        if (node == nullptr) continue;
-        // O(1) failover: an open breaker refuses the attempt outright, so
-        // this read moves to the next replica without paying the timeout a
-        // dead node would cost.
-        if (breaker_.TryAcquire(candidates[index])) break;
-        ++window_.breaker_skips;
-        node = nullptr;
-      }
-      if (node == nullptr) failure = UnavailableError("all replicas unreachable");
-    }
-  }
-  if (!failure.ok()) {
-    Fail(Op::kRead, start, std::move(failure), callback);
-    return;
-  }
-  NodeId target = candidates[index];
-  // Each attempt may wait at most the remaining deadline budget; the retry
-  // it hands off to then sees an expired budget and sheds.
-  bool budget_bound = false;
-  Duration timeout = ClampedTimeout(options, loop_->Now(), &budget_bound);
-  RoundTrip<PointReply>(
-      loop_, network_, client_id_, target, static_cast<int64_t>(key.size()) + 4, timeout,
-      [this, node, key, priority = options.priority](auto respond) {
-        node->HandleGet(key, priority,
-                        [this, node, key, respond = std::move(respond)](Result<Record> result) {
-          // Snapshot the freshness watermark at serve time, not response
-          // time: a write acked while this response is on the wire must not
-          // lend the (predecessor) value a fresh staleness lease.
-          Time as_of = node->replicated_through(cluster_->partitions()->ForKey(key).id);
-          respond(PointReply{std::move(result), as_of});
-        });
-      },
-      [this, key, target, budget_bound, start, candidates = std::move(candidates), index,
-       options = std::move(options),
-       callback = std::move(callback)](std::optional<PointReply> reply) mutable {
-        if (!reply) {
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            // A full attempt timeout is transport-level evidence of death;
-            // a budget-clamped timeout is the deadline running out, which
-            // says nothing about the node.
-            if (!budget_bound) breaker_.RecordFailure(target);
-          }
-          // Try the next replica; the attempt budget is candidates.size().
-          GetAttempt(key, std::move(candidates), index + 1, start, std::move(options),
-                     std::move(callback));
-          return;
-        }
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          // Any reply — even an error reply — proves the node alive.
-          breaker_.RecordSuccess(target);
-          // NotFound counts as a successful (answered) read.
-          const Status& status = reply->result.status();
-          Account(Op::kRead, start, status.ok() || IsNotFound(status), status);
-        }
-        MaybeCacheRead(key, reply->as_of, reply->result);
-        callback(std::move(reply->result));
-      });
-}
-
 bool Router::CacheEligible(const RequestOptions& options) const {
   if (cache_ == nullptr) return false;
   switch (options.read_mode) {
@@ -276,15 +205,10 @@ void Router::Get(const std::string& key, RequestOptions options,
       return;
     }
   }
-  const PartitionInfo& partition = cluster_->partitions()->ForKey(key);
-  if (partition.replicas.empty()) {
-    Fail(Op::kRead, loop_->Now(), UnavailableError("partition has no replicas"), callback);
-    return;
-  }
   std::vector<NodeId> candidates;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    candidates = ReadCandidates(partition, options);
+    candidates = ReadCandidates(cluster_->partitions()->ForKey(key), options);
   }
   // Coalescing: concurrent reads of the same key share one node round
   // trip, and same-node leaders within the hold window share one message.
@@ -301,8 +225,7 @@ void Router::Get(const std::string& key, RequestOptions options,
     coalescer_->Submit(std::move(read));
     return;
   }
-  GetAttempt(key, std::move(candidates), 0, loop_->Now(), std::move(options),
-             std::move(callback));
+  FetchOne(key, std::move(candidates), loop_->Now(), std::move(options), std::move(callback));
 }
 
 void Router::FinishCoalescedRead(const std::string& key, Time start, Result<Record> result,
@@ -316,11 +239,6 @@ void Router::FinishCoalescedRead(const std::string& key, Time start, Result<Reco
 
 void Router::RedispatchCoalesced(const std::string& key, RequestOptions options, Time start,
                                  NodeId exclude, std::function<void(Result<Record>)> callback) {
-  const PartitionInfo& partition = cluster_->partitions()->ForKey(key);
-  if (partition.replicas.empty()) {
-    Fail(Op::kRead, start, UnavailableError("partition has no replicas"), callback);
-    return;
-  }
   // Candidates come straight from the selector, NOT via ReadCandidates:
   // this read was already counted as a pick when it first dispatched, and
   // counting the re-dispatch would inflate the pick/steer window exactly
@@ -328,116 +246,141 @@ void Router::RedispatchCoalesced(const std::string& key, RequestOptions options,
   std::vector<NodeId> candidates;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    candidates = selector_->ReadCandidates(partition, options, config_.read_target,
-                                           config_.read_retries);
+    candidates = selector_->ReadCandidates(cluster_->partitions()->ForKey(key), options,
+                                           config_.read_target, config_.read_retries);
   }
-  if (exclude != kInvalidNode) {
-    std::vector<NodeId> kept;
-    for (NodeId candidate : candidates) {
-      if (candidate != exclude) kept.push_back(candidate);
-    }
-    // A single-replica partition has nowhere else to go: retry the failed
-    // node rather than failing outright (its timeout chain still bounds
-    // the attempt).
-    if (!kept.empty()) candidates = std::move(kept);
+  // A single-replica partition has nowhere else to go: retry the failed
+  // node rather than failing outright (its timeout still bounds the
+  // attempt).
+  if (std::any_of(candidates.begin(), candidates.end(),
+                  [exclude](NodeId candidate) { return candidate != exclude; })) {
+    std::erase(candidates, exclude);
   }
-  GetAttempt(key, std::move(candidates), 0, start, std::move(options), std::move(callback));
+  FetchOne(key, std::move(candidates), start, std::move(options), std::move(callback));
 }
 
 void Router::GetFromReplica(const std::string& key, NodeId replica, RequestOptions options,
                             std::function<void(Result<Record>)> callback) {
   options.Arm(loop_->Now());
-  GetAttempt(key, {replica}, 0, loop_->Now(), std::move(options), std::move(callback));
+  FetchOne(key, {replica}, loop_->Now(), std::move(options), std::move(callback));
 }
 
 // ---------------------------------------------------------------- MultiGet
 
 struct Router::MultiGetState {
-  // One in-flight unique key: where it may still be served from, and which
-  // caller slots (duplicates) it fills.
+  // One unique key: where it may still be served from, and its result once
+  // resolved (a cache hit resolves before dispatch).
   struct Fetch {
     std::string key;
     std::vector<NodeId> candidates;
     size_t next_candidate = 0;
-    std::vector<size_t> slots;
-    bool resolved = false;
+    size_t last_slot = 0;  // the last caller slot it fills: that slot takes the result
+    std::optional<Result<Record>> result;
   };
 
   Time start = 0;
   RequestOptions options;  // shared deadline budget for the whole fan-out
-  std::vector<std::optional<Result<Record>>> results;  // caller order
   std::vector<Fetch> fetches;
   size_t unresolved = 0;
-  std::function<void(std::vector<Result<Record>>)> callback;
+  // A point read (FetchOne): one fetch, whose shed surfaces instead of
+  // redirecting, answered through `read_callback`.
+  bool point = false;
+  ReadCallback read_callback;
+  // A batch: the fetch filling each caller slot, and the callback taking
+  // one result per slot.
+  std::vector<size_t> slot_fetch;
+  std::function<void(std::vector<Result<Record>>)> batch_callback;
 
   void Resolve(size_t fetch_id, Result<Record> result) {
     Fetch& fetch = fetches[fetch_id];
-    if (fetch.resolved) return;
-    fetch.resolved = true;
-    for (size_t slot : fetch.slots) results[slot] = result;
+    if (fetch.result) return;
+    fetch.result = std::move(result);
     --unresolved;
   }
 };
 
 void Router::FinishMultiGet(const std::shared_ptr<MultiGetState>& state) {
+  auto slots = state->point ? std::span<const size_t>(kPointFetch) : state->slot_fetch;
   {
     std::lock_guard<std::mutex> lock(mu_);
     // Every logical read in the batch is accounted individually, so the SLA
     // monitor and Director see the same read volume batched or not.
-    for (const auto& slot : state->results) {
-      const Status& status = slot->status();
+    for (size_t fetch_id : slots) {
+      const Status& status = state->fetches[fetch_id].result->status();
       Account(Op::kRead, state->start, status.ok() || IsNotFound(status), status);
     }
   }
+  if (state->point) {
+    state->read_callback(std::move(*state->fetches[0].result));
+    return;
+  }
   std::vector<Result<Record>> out;
-  out.reserve(state->results.size());
-  for (auto& slot : state->results) out.push_back(std::move(*slot));
-  state->callback(std::move(out));
+  out.reserve(slots.size());
+  for (size_t slot = 0; slot < slots.size(); ++slot) {
+    MultiGetState::Fetch& fetch = state->fetches[slots[slot]];
+    if (slot == fetch.last_slot) {
+      out.push_back(std::move(*fetch.result));
+    } else {
+      out.push_back(*fetch.result);
+    }
+  }
+  state->batch_callback(std::move(out));
+}
+
+void Router::FetchOne(const std::string& key, std::vector<NodeId> candidates, Time start,
+                      RequestOptions options, ReadCallback callback) {
+  auto state = std::make_shared<MultiGetState>();
+  state->start = start;
+  state->options = std::move(options);
+  state->point = true;
+  state->read_callback = std::move(callback);
+  MultiGetState::Fetch& fetch = state->fetches.emplace_back();
+  fetch.key = key;
+  fetch.candidates = std::move(candidates);
+  state->unresolved = 1;
+  DispatchMultiGet(state, kPointFetch);
 }
 
 void Router::DispatchMultiGet(const std::shared_ptr<MultiGetState>& state,
-                              std::vector<size_t> fetch_ids) {
-  std::map<NodeId, std::vector<size_t>> by_node;
+                              std::span<const size_t> fetch_ids) {
+  // (node, fetch) placements. A (node, kRefused) entry memoizes a breaker
+  // refusal: the verdict is taken once per node per dispatch, because
+  // TryAcquire consumes the half-open probe token, and one dispatch probing
+  // a recovering node with one sub-batch is exactly the intended dose.
+  constexpr size_t kRefused = std::numeric_limits<size_t>::max();
+  std::vector<std::pair<NodeId, size_t>> placed;
   bool finished = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     // Budget-exhausted shedding mid-fan-out: keys already answered keep
     // their results; everything still pending (first dispatch or a redirect
     // after a timed-out/shed sub-batch) resolves kDeadlineExceeded.
-    if (state->options.Expired(loop_->Now())) {
-      for (size_t fetch_id : fetch_ids) {
-        state->Resolve(fetch_id,
-                       DeadlineExceededError("multiget: deadline budget exhausted mid-fan-out"));
-      }
-      fetch_ids.clear();
-    }
-    // Group the still-pending fetches by the node that should serve them
-    // now. The breaker verdict is memoized per dispatch: TryAcquire consumes
-    // the half-open probe token, and one dispatch probing a recovering node
-    // with one key per sub-batch is exactly the intended dose.
-    std::map<NodeId, bool> admitted;
+    bool expired = state->options.Expired(loop_->Now());
+    if (!expired) placed.reserve(fetch_ids.size());
     for (size_t fetch_id : fetch_ids) {
       MultiGetState::Fetch& fetch = state->fetches[fetch_id];
-      if (fetch.resolved) continue;
-      bool placed = false;
-      while (fetch.next_candidate < fetch.candidates.size()) {
-        NodeId target = fetch.candidates[fetch.next_candidate];
-        if (cluster_->GetNode(target) == nullptr) {
-          ++fetch.next_candidate;  // unregistered node: skip without a timeout
-          continue;
-        }
-        auto [it, fresh] = admitted.try_emplace(target, false);
-        if (fresh) it->second = breaker_.TryAcquire(target);
-        if (!it->second) {
-          ++window_.breaker_skips;
-          ++fetch.next_candidate;  // open breaker: fail over without a timeout
-          continue;
-        }
-        by_node[target].push_back(fetch_id);
-        placed = true;
-        break;
+      if (fetch.result) continue;
+      if (expired) {
+        state->Resolve(fetch_id, TimeoutStatus(/*budget_bound=*/true, "read"));
+        continue;
       }
-      if (!placed) state->Resolve(fetch_id, UnavailableError("all replicas unreachable"));
+      // The node that should serve this fetch now: unregistered nodes and
+      // open breakers fail over without paying a timeout.
+      for (; fetch.next_candidate < fetch.candidates.size(); ++fetch.next_candidate) {
+        NodeId target = fetch.candidates[fetch.next_candidate];
+        if (cluster_->GetNode(target) == nullptr) continue;
+        auto memo = std::find_if(placed.begin(), placed.end(),
+                                 [target](const auto& entry) { return entry.first == target; });
+        if (memo == placed.end() ? breaker_.TryAcquire(target) : memo->second != kRefused) {
+          placed.emplace_back(target, fetch_id);
+          break;
+        }
+        if (memo == placed.end()) placed.emplace_back(target, kRefused);
+        ++window_.breaker_skips;
+      }
+      if (fetch.next_candidate >= fetch.candidates.size()) {
+        state->Resolve(fetch_id, UnavailableError("all replicas unreachable"));
+      }
     }
     finished = state->unresolved == 0;
   }
@@ -445,19 +388,24 @@ void Router::DispatchMultiGet(const std::shared_ptr<MultiGetState>& state,
     FinishMultiGet(state);
     return;
   }
-  // Load-adaptive sizing: each node's group ships as sub-batches no larger
-  // than its current load signal (and the remaining deadline budget) allow.
-  // The redirect path re-enters here, so retries are re-sized against fresh
-  // load too.
+  // By node, then by fetch: ids arrive ascending, so each node keeps its
+  // fetch order. Load-adaptive sizing: each node's group ships as
+  // sub-batches no larger than its current load signal (and the remaining
+  // deadline budget) allow. The redirect path re-enters here, so retries
+  // are re-sized against fresh load too.
+  std::erase_if(placed, [](const auto& entry) { return entry.second == kRefused; });
+  std::sort(placed.begin(), placed.end());
   Time now = loop_->Now();
-  for (auto& [target, group] : by_node) {
+  for (auto run = placed.begin(); run != placed.end();) {
+    NodeId target = run->first;
+    auto run_end = std::find_if(run, placed.end(),
+                                [target](const auto& entry) { return entry.first != target; });
     size_t limit = SubBatchLimit(target, state->options, now);
-    for (size_t offset = 0; offset < group.size(); offset += limit) {
-      size_t count = std::min(limit, group.size() - offset);
-      SendMultiGetSubBatch(
-          state, target,
-          std::vector<size_t>(group.begin() + static_cast<ptrdiff_t>(offset),
-                              group.begin() + static_cast<ptrdiff_t>(offset + count)));
+    while (run != run_end) {
+      std::vector<size_t> group;
+      group.reserve(std::min(limit, static_cast<size_t>(run_end - run)));
+      for (; run != run_end && group.size() < limit; ++run) group.push_back(run->second);
+      SendMultiGetSubBatch(state, target, std::move(group));
     }
   }
 }
@@ -478,8 +426,8 @@ void Router::SendMultiGetSubBatch(const std::shared_ptr<MultiGetState>& state, N
   RoundTrip<MultiGetReply>(
       loop_, network_, client_id_, target, request_bytes, timeout,
       [node, priority = state->options.priority,
-       batch_keys = std::move(batch_keys)](auto respond) {
-        node->HandleMultiGet(batch_keys, priority, std::move(respond));
+       batch_keys = std::move(batch_keys)](auto respond) mutable {
+        node->HandleMultiGet(std::move(batch_keys), priority, std::move(respond));
       },
       [this, state, target, budget_bound,
        group = std::move(group)](std::optional<MultiGetReply> reply) {
@@ -492,13 +440,13 @@ void Router::SendMultiGetSubBatch(const std::shared_ptr<MultiGetState>& state, N
             // deadline running out, not the node's fault.
             if (!budget_bound) breaker_.RecordFailure(target);
           } else {
-            // Any reply proves the node alive.
+            // Any reply — even an error reply — proves the node alive.
             breaker_.RecordSuccess(target);
           }
           for (size_t i = 0; i < group.size(); ++i) {
             size_t fetch_id = group[i];
             MultiGetState::Fetch& fetch = state->fetches[fetch_id];
-            if (fetch.resolved) continue;
+            if (fetch.result) continue;
             // Timeout: the node (or the path to it) is unresponsive, so the
             // whole sub-batch moves to each key's next replica candidate.
             if (!reply) {
@@ -506,15 +454,15 @@ void Router::SendMultiGetSubBatch(const std::shared_ptr<MultiGetState>& state, N
               retry.push_back(fetch_id);
               continue;
             }
-            // Shed keys (node overload) move to their next replica
-            // candidate; answered keys resolve and populate the cache.
+            // Shed keys (node overload) of a batch move to their next
+            // replica candidate; answered keys resolve and populate the
+            // cache.
             Result<Record>& result = reply->results[i];
             if (!result.ok() && result.status().code() == StatusCode::kResourceExhausted) {
               ++fetch.next_candidate;
-              if (fetch.next_candidate >= fetch.candidates.size()) {
-                // Every candidate shed: surface the overload itself
-                // (matching single-Get semantics), not a synthetic
-                // unreachability error.
+              if (state->point || fetch.next_candidate >= fetch.candidates.size()) {
+                // A point read, or a key every candidate shed: surface the
+                // overload itself, not a synthetic unreachability error.
                 state->Resolve(fetch_id, std::move(result));
               } else {
                 retry.push_back(fetch_id);
@@ -527,7 +475,7 @@ void Router::SendMultiGetSubBatch(const std::shared_ptr<MultiGetState>& state, N
           finished = reply && retry.empty() && state->unresolved == 0;
         }
         if (!retry.empty()) {
-          DispatchMultiGet(state, std::move(retry));
+          DispatchMultiGet(state, retry);
         } else if (finished) {
           FinishMultiGet(state);
         }
@@ -540,73 +488,71 @@ void Router::MultiGet(const std::vector<std::string>& keys, RequestOptions optio
     callback({});
     return;
   }
-  options.Arm(loop_->Now());
-  auto state = std::make_shared<MultiGetState>();
-  state->start = loop_->Now();
-  state->options = options;
-  state->results.resize(keys.size());
-  state->callback = std::move(callback);
-  if (options.Expired(loop_->Now())) {
-    for (auto& slot : state->results) {
-      slot = Result<Record>(DeadlineExceededError("multiget: deadline budget exhausted"));
+  Time start = loop_->Now();
+  options.Arm(start);
+  if (options.Expired(start)) {
+    Status shed = TimeoutStatus(/*budget_bound=*/true, "read");
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (size_t slot = 0; slot < keys.size(); ++slot) Account(Op::kRead, start, false, shed);
     }
-    FinishMultiGet(state);
+    callback(std::vector<Result<Record>>(keys.size(), shed));
     return;
   }
+  auto state = std::make_shared<MultiGetState>();
+  state->start = start;
+  state->options = options;
+  state->batch_callback = std::move(callback);
+  state->slot_fetch.resize(keys.size());
+  state->fetches.reserve(keys.size());
 
   // Pass 1, BEFORE the router mutex: dedup the key set and serve
   // cache-fresh keys through the directory's leaf shard locks, so an
   // all-hit batch never contends with this router's in-flight completions
-  // (same lock-free hot path as Get).
+  // (same lock-free hot path as Get). Every unique key becomes a fetch; a
+  // hit is resolved here.
   bool cache_eligible = CacheEligible(options);
-  std::map<std::string, size_t> fetch_index;  // key -> fetches index
-  std::map<std::string, size_t> cached_slot;  // cache-hit key -> first slot
+  std::map<std::string_view, size_t> fetch_index;  // views into `keys`
   for (size_t slot = 0; slot < keys.size(); ++slot) {
     const std::string& key = keys[slot];
-    auto cached_it = cached_slot.find(key);
-    if (cached_it != cached_slot.end()) {
-      state->results[slot] = state->results[cached_it->second];
+    auto [it, fresh] = fetch_index.try_emplace(key, state->fetches.size());
+    state->slot_fetch[slot] = it->second;
+    if (!fresh) {
+      state->fetches[it->second].last_slot = slot;
       continue;
     }
-    auto fetch_it = fetch_index.find(key);
-    if (fetch_it != fetch_index.end()) {
-      state->fetches[fetch_it->second].slots.push_back(slot);
-      continue;
-    }
-    if (cache_eligible) {
-      Record cached;
-      if (cache_->LookupPoint(key, loop_->Now(), options, &cached)) {
-        state->results[slot] = Result<Record>(std::move(cached));
-        cached_slot.emplace(key, slot);
-        continue;
-      }
-    }
-    MultiGetState::Fetch fetch;
+    MultiGetState::Fetch& fetch = state->fetches.emplace_back();
     fetch.key = key;
-    fetch.slots.push_back(slot);
-    fetch_index.emplace(key, state->fetches.size());
-    state->fetches.push_back(std::move(fetch));
+    fetch.last_slot = slot;
+    Record cached;
+    if (cache_eligible && cache_->LookupPoint(key, loop_->Now(), options, &cached)) {
+      fetch.result = Result<Record>(std::move(cached));
+    } else {
+      ++state->unresolved;
+    }
   }
-  state->unresolved = state->fetches.size();
   if (state->unresolved == 0) {
     // Every unique key was a cache hit (misses — even unroutable ones —
-    // become fetches): charge one cache service interval, like the
+    // stay pending): charge one cache service interval, like the
     // point-read hit path.
     loop_->ScheduleAfter(cache_->hit_service_time(), [this, state] { FinishMultiGet(state); });
     return;
   }
   // Pass 2, under the router mutex: each miss's replica candidate list from
   // one ClusterState lookup.
+  std::vector<size_t> misses;
+  misses.reserve(state->unresolved);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (MultiGetState::Fetch& fetch : state->fetches) {
+    for (size_t fetch_id = 0; fetch_id < state->fetches.size(); ++fetch_id) {
+      MultiGetState::Fetch& fetch = state->fetches[fetch_id];
+      if (fetch.result) continue;
       fetch.candidates =
           ReadCandidates(cluster_->partitions()->ForKey(fetch.key), state->options);
+      misses.push_back(fetch_id);
     }
   }
-  std::vector<size_t> all(state->fetches.size());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-  DispatchMultiGet(state, std::move(all));
+  DispatchMultiGet(state, misses);
 }
 
 void Router::Scan(const std::string& start, const std::string& end, size_t limit,

@@ -25,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -169,6 +170,9 @@ class Router {
   /// is tried only while budget remains, and an exhausted budget sheds with
   /// kDeadlineExceeded (counted in RouterWindow::deadline_exceeded).
   /// kLow-priority reads skip replica retries (shed-first under failure).
+  /// A read the cache cannot answer and the coalescer does not take goes
+  /// to the nodes as a one-key fetch on MultiGet's dispatcher: one retry
+  /// engine, one node handler.
   void Get(const std::string& key, RequestOptions options,
            std::function<void(Result<Record>)> callback);
 
@@ -181,13 +185,13 @@ class Router {
   /// AdaptiveBatchConfig). Each sub-batch has its
   /// own timeout; a failed or shed sub-batch retries its keys on the next
   /// replica candidate without disturbing the rest of the batch.
-  /// (Deliberate asymmetry with Get: a shed single read surfaces
-  /// kResourceExhausted immediately — overload is its backpressure signal —
-  /// while a batch redirects shed keys, since one hot node must not fail a
-  /// whole fan-out; a key whose every candidate sheds still reports
-  /// kResourceExhausted.) Returned records populate the cache with their
-  /// serve-time watermarks, so the staleness bound holds exactly as on
-  /// single reads.
+  /// (Deliberate asymmetry with Get, though both run on this dispatcher: a
+  /// shed point read surfaces kResourceExhausted immediately — overload is
+  /// its backpressure signal — while a batch redirects shed keys, since one
+  /// hot node must not fail a whole fan-out; a key whose every candidate
+  /// sheds still reports kResourceExhausted. A one-key MultiGet is a batch.)
+  /// Returned records populate the cache with their serve-time watermarks,
+  /// so the staleness bound holds exactly as on single reads.
   /// The options-taking core: the fan-out shares one deadline budget —
   /// per-node sub-batch timeouts are clamped to the remaining budget, a
   /// shed/failed sub-batch redirects only while budget remains, and keys
@@ -308,23 +312,24 @@ class Router {
   using ReadCallback = std::function<void(Result<Record>)>;
   enum class Op { kRead, kWrite };
 
-  /// Tries `candidates` from `index` on: skips unregistered nodes and
-  /// breaker-refused ones, then sends one attempt; its timeout moves on to
-  /// the next candidate.
-  void GetAttempt(const std::string& key, std::vector<NodeId> candidates, size_t index, Time start,
-                  RequestOptions options, ReadCallback callback);
-
   struct MultiGetState;  // scatter-gather bookkeeping (defined in router.cc)
-  /// Groups the given pending fetches by their current replica candidate and
+  /// The point-read form of MultiGet's dispatch: one fetch of `key` over
+  /// `candidates` (tried in order), whose shed surfaces instead of
+  /// redirecting. Get, GetFromReplica and RedispatchCoalesced all end here.
+  void FetchOne(const std::string& key, std::vector<NodeId> candidates, Time start,
+                RequestOptions options, ReadCallback callback);
+  /// Groups the given pending fetches (ascending ids) by their current
+  /// replica candidate, skipping unregistered and breaker-refused nodes, and
   /// sends each node's group as one or more sub-batch messages, sized by
   /// SubBatchLimit against the node's load signal; fetches whose candidates
   /// are exhausted resolve kUnavailable, and an exhausted deadline budget
   /// resolves everything still pending kDeadlineExceeded.
   void DispatchMultiGet(const std::shared_ptr<MultiGetState>& state,
-                        std::vector<size_t> fetch_ids);
+                        std::span<const size_t> fetch_ids);
   /// Ships one sub-batch (<= SubBatchLimit fetches, all targeting `target`)
-  /// as a single message with its own timeout; shed keys redirect via
-  /// DispatchMultiGet, which re-sizes against fresh load.
+  /// as a single message with its own timeout; timed-out keys, and a batch's
+  /// shed keys, redirect via DispatchMultiGet, which re-sizes against fresh
+  /// load.
   void SendMultiGetSubBatch(const std::shared_ptr<MultiGetState>& state, NodeId target,
                             std::vector<size_t> group);
 

@@ -368,7 +368,8 @@ std::vector<Result<Record>> PagedEngine::MultiGet(const std::vector<std::string>
   for (size_t i = 0; i < keys.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(),
             [&keys](size_t a, size_t b) { return keys[a] < keys[b]; });
-  std::vector<Result<Record>> out(keys.size(), Result<Record>(NotFoundError("unprobed")));
+  // Placeholders (every slot is overwritten below) that build no status.
+  std::vector<Result<Record>> out(keys.size(), Result<Record>(Record{}));
   for (size_t rank = 0; rank < order.size(); ++rank) {
     size_t slot = order[rank];
     const std::string& key = keys[slot];

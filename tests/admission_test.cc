@@ -15,6 +15,7 @@
 #include "gtest/gtest.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
+#include "support/node_read.h"
 
 namespace scads {
 namespace {
@@ -66,12 +67,11 @@ TEST(PriorityAdmissionTest, LowShedsBeforeNormalUnderBacklog) {
   h.node(1)->InjectBackgroundLoad(1500 * kMillisecond);
 
   Result<Record> low(InternalError("pending"));
-  h.node(1)->HandleGet("a", RequestPriority::kLow,
-                       [&](Result<Record> r) { low = std::move(r); });
+  ReadAtNode(h.node(1), "a", RequestPriority::kLow, [&](Result<Record> r) { low = std::move(r); });
   EXPECT_EQ(low.status().code(), StatusCode::kResourceExhausted);  // shed synchronously
 
   bool normal_done = false;
-  h.node(1)->HandleGet("a", RequestPriority::kNormal, [&](Result<Record> r) {
+  ReadAtNode(h.node(1), "a", RequestPriority::kNormal, [&](Result<Record> r) {
     normal_done = true;
     EXPECT_EQ(r.status().code(), StatusCode::kNotFound);  // admitted, served
   });
@@ -90,7 +90,7 @@ TEST(PriorityAdmissionTest, AllClassesAdmittedWhenIdle) {
   for (RequestPriority priority :
        {RequestPriority::kLow, RequestPriority::kNormal, RequestPriority::kHigh}) {
     bool done = false;
-    h.node(1)->HandleGet("a", priority, [&](Result<Record>) { done = true; });
+    ReadAtNode(h.node(1), "a", priority, [&](Result<Record>) { done = true; });
     h.loop.RunFor(kSecond);
     EXPECT_TRUE(done);
   }
@@ -111,7 +111,7 @@ TEST(PriorityAdmissionTest, SaturationShedsLowFirstAndFavorsHigh) {
   for (int i = 0; i < kAttempts; ++i) {
     for (RequestPriority priority :
          {RequestPriority::kLow, RequestPriority::kNormal, RequestPriority::kHigh}) {
-      h.node(1)->HandleGet("a", priority, [](Result<Record>) {});
+      ReadAtNode(h.node(1), "a", priority, [](Result<Record>) {});
     }
     h.loop.RunFor(10 * kSecond);  // drain so the explicit queue stays empty
   }
@@ -134,7 +134,7 @@ TEST(PriorityAdmissionTest, LoadSignalTracksBacklogAndSheds) {
   EXPECT_GE(loaded.queue_delay, 1700 * kMillisecond);
 
   // Sheds move the shed EWMA; admissions decay it.
-  h.node(1)->HandleGet("a", RequestPriority::kLow, [](Result<Record>) {});
+  ReadAtNode(h.node(1), "a", RequestPriority::kLow, [](Result<Record>) {});
   EXPECT_GT(h.cluster.NodeLoad(1).shed_fraction, 0.0);
 
   // Unknown nodes report a zero signal.

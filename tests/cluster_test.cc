@@ -15,6 +15,7 @@
 #include "gtest/gtest.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
+#include "support/node_read.h"
 
 namespace scads {
 namespace {
@@ -436,7 +437,7 @@ TEST(NodeModelTest, LatencyGrowsWithQueueDepth) {
   // Saturate: submit a burst far above per-request service time.
   int completed = 0;
   for (int i = 0; i < 100; ++i) {
-    node->HandleGet("k", RequestPriority::kNormal, [&](Result<Record>) { ++completed; });
+    ReadAtNode(node, "k", RequestPriority::kNormal, [&](Result<Record>) { ++completed; });
   }
   // Queue delay should now be ~100 * service_time.
   EXPECT_GE(node->queue_delay(), 99 * node->config().get_service_time);
@@ -454,7 +455,7 @@ TEST(NodeModelTest, OverloadShedsRequests) {
   StorageNode* node = tc.nodes[0].get();
   int shed = 0, served = 0;
   for (int i = 0; i < 1000; ++i) {
-    node->HandleGet("k", RequestPriority::kNormal, [&](Result<Record> r) {
+    ReadAtNode(node, "k", RequestPriority::kNormal, [&](Result<Record> r) {
       if (!r.ok() && r.status().code() == StatusCode::kResourceExhausted) {
         ++shed;
       } else {
@@ -474,7 +475,7 @@ TEST(NodeModelTest, DeadNodeIgnoresRequests) {
   StorageNode* node = tc.nodes[0].get();
   node->set_alive(false);
   bool called = false;
-  node->HandleGet("k", RequestPriority::kNormal, [&](Result<Record>) { called = true; });
+  ReadAtNode(node, "k", RequestPriority::kNormal, [&](Result<Record>) { called = true; });
   tc.loop.RunFor(kSecond);
   EXPECT_FALSE(called);
 }

@@ -13,6 +13,7 @@
 #include "sim/cloud.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
+#include "support/node_read.h"
 #include "workload/driver.h"
 #include "workload/traffic.h"
 
@@ -235,7 +236,7 @@ TEST(DirectorTest, SnapshotsExposePriorityShedsAndBacklog) {
   StorageNode* hot = h.cluster.GetNode(alive.front());
   hot->InjectBackgroundLoad(3 * kSecond);  // clamped near the 2s queue cap
   for (int i = 0; i < 5; ++i) {
-    hot->HandleGet("k", RequestPriority::kLow, [](Result<Record>) {});
+    ReadAtNode(hot, "k", RequestPriority::kLow, [](Result<Record>) {});
   }
   size_t history_before = h.director->history().size();
   h.loop.RunFor(2 * config.control_interval);

@@ -12,6 +12,7 @@
 
 #include "cluster/cluster_state.h"
 #include "cluster/node.h"
+#include "cluster/partition.h"
 #include "common/rng.h"
 #include "gtest/gtest.h"
 #include "sim/event_loop.h"
@@ -20,6 +21,7 @@
 #include "storage/pagestore/page_store.h"
 #include "storage/pagestore/paged_engine.h"
 #include "storage/wal.h"
+#include "support/node_read.h"
 
 namespace scads {
 namespace {
@@ -517,6 +519,11 @@ TEST(PagedNodeTest, NodeSelectsPagedEngineAndChargesFaultLatency) {
   config.paged_storage.buffer_pool_bytes = 4 * 1024;
   StorageNode node(1, &loop, &network, &cluster, config, /*seed=*/9);
   ASSERT_TRUE(cluster.AddNode(1, &node).ok());
+  // A read snapshots its key's replication watermark, found through the
+  // partition map: one partition, on this node.
+  auto map = PartitionMap::CreateUniform(1, {1}, 1);
+  ASSERT_TRUE(map.ok());
+  cluster.set_partitions(std::move(map).value());
 
   // Seed directly through the engine (bypassing admission), then drain the
   // IO the seeding accrued so it isn't charged to the first request.
@@ -549,7 +556,7 @@ TEST(PagedNodeTest, NodeSelectsPagedEngineAndChargesFaultLatency) {
   int64_t faults_before = paged->metrics().CounterValue("page_faults");
   Time cold_done = 0;
   Time start = loop.Now();
-  node.HandleGet(Key(7), RequestPriority::kNormal, [&](Result<Record> result) {
+  ReadAtNode(&node, Key(7), RequestPriority::kNormal, [&](Result<Record> result) {
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->value, ValueOf(7));
     cold_done = loop.Now();
@@ -561,7 +568,7 @@ TEST(PagedNodeTest, NodeSelectsPagedEngineAndChargesFaultLatency) {
 
   Time warm_done = 0;
   Time warm_start = loop.Now();
-  node.HandleGet(Key(7), RequestPriority::kNormal, [&](Result<Record> result) {
+  ReadAtNode(&node, Key(7), RequestPriority::kNormal, [&](Result<Record> result) {
     ASSERT_TRUE(result.ok());
     warm_done = loop.Now();
   });

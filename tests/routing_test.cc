@@ -4,7 +4,8 @@
 // coalescer's follower staleness/min_version/deadline detach paths,
 // leader-error fan-out, the in-flight priority upgrade on shed, cross-
 // request cache isolation, callbacks re-entering the router from every
-// completion path, and the rebalancer's least-loaded drain destinations.
+// completion path, the shed asymmetry between point reads and batches, and
+// the rebalancer's least-loaded drain destinations.
 
 #include <algorithm>
 #include <functional>
@@ -251,6 +252,39 @@ TEST(RouterSelectorTest, TakeWindowResetsAndMergePropagatesPickCounters) {
   int64_t by_node = 0;
   for (const auto& [node, picks] : merged.picks_by_node) by_node += picks;
   EXPECT_EQ(by_node, 20);
+}
+
+// ------------------------------------------------------ shed asymmetry --
+
+// Point reads and batches share one dispatcher, but not one shed policy: a
+// shed point read surfaces kResourceExhausted (overload is its
+// backpressure signal) and never tries its alternate, while a batch key —
+// even the only key of a one-key MultiGet — redirects to it.
+TEST(RouterShedTest, ShedPointReadSurfacesWhileABatchKeyRedirects) {
+  RouterConfig config;
+  config.read_target = ReadTarget::kPrimary;  // primary first, secondary its alternate
+  Harness h(2, 2, config);
+  h.Seed("k", "v");
+  const PartitionInfo& partition = h.cluster.partitions()->ForKey("k");
+  NodeId primary = partition.primary();
+  NodeId secondary = partition.replicas[1];
+  h.node(primary)->InjectBackgroundLoad(3 * kSecond);  // past the queue cap
+
+  int64_t before = h.network.sent_to(secondary);
+  Result<Record> single(InternalError("pending"));
+  h.router->Get("k", RequestOptions{}, [&](Result<Record> r) { single = std::move(r); });
+  h.loop.RunFor(10 * kMillisecond);
+  EXPECT_EQ(single.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(h.network.sent_to(secondary), before);
+
+  std::vector<Result<Record>> batch;
+  h.router->MultiGet({"k"}, RequestOptions{},
+                     [&](std::vector<Result<Record>> r) { batch = std::move(r); });
+  h.loop.RunFor(10 * kMillisecond);
+  ASSERT_EQ(batch.size(), 1u);
+  ASSERT_TRUE(batch[0].ok()) << batch[0].status().ToString();
+  EXPECT_EQ(batch[0]->value, "v");
+  EXPECT_GT(h.network.sent_to(secondary), before);
 }
 
 // ------------------------------------------------------------ coalescer --

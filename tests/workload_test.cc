@@ -8,6 +8,7 @@
 #include "gtest/gtest.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
+#include "support/node_read.h"
 #include "workload/driver.h"
 #include "workload/social_graph.h"
 #include "workload/traffic.h"
@@ -199,7 +200,7 @@ TEST(DriverTest, OverloadShedsAndSlowsProbes) {
   // Probes through the real path now mostly shed (overload fraction).
   int served = 0, shed = 0;
   for (int i = 0; i < 200; ++i) {
-    h.nodes[0]->HandleGet("k", RequestPriority::kNormal, [&](Result<Record> r) {
+    ReadAtNode(h.nodes[0].get(), "k", RequestPriority::kNormal, [&](Result<Record> r) {
       if (!r.ok() && r.status().code() == StatusCode::kResourceExhausted) {
         ++shed;
       } else {
@@ -223,7 +224,8 @@ TEST(DriverTest, ModerateLoadRaisesProbeLatency) {
   for (int i = 0; i < 300; ++i) {
     Time start = h.loop.Now();
     bool done = false;
-    h.nodes[0]->HandleGet("k", RequestPriority::kNormal, [&](Result<Record>) { done = true; });
+    ReadAtNode(h.nodes[0].get(), "k", RequestPriority::kNormal,
+               [&](Result<Record>) { done = true; });
     for (int step = 0; step < 1000 && !done; ++step) {
       if (!h.loop.RunOne()) h.loop.RunFor(100);
     }
