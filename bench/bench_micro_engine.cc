@@ -1,11 +1,12 @@
 // MICRO: google-benchmark microbenchmarks for the hot substrate paths —
-// storage engine point ops and scans, skiplist, WAL framing, histogram
+// storage engine point ops and scans, the memtable, WAL framing, histogram
 // recording, RNG draws, and event-loop dispatch. These run on wall-clock
 // time (no simulation) and justify the service-time constants used by the
 // simulator's node model.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -15,7 +16,7 @@
 #include "sim/event_loop.h"
 #include "storage/codec.h"
 #include "storage/engine.h"
-#include "storage/skiplist.h"
+#include "storage/memtable.h"
 #include "storage/wal.h"
 
 namespace scads {
@@ -87,18 +88,68 @@ void BM_EngineScan(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineScan)->Arg(10)->Arg(100)->Arg(1000);
 
-void BM_SkipListInsert(benchmark::State& state) {
-  SkipList list(1);
+void BM_MemTableInsert(benchmark::State& state) {
+  MemTable table;
   Rng rng(5);
   bool created;
   for (auto _ : state) {
-    SkipList::Entry* entry = list.FindOrCreate(KeyOf(rng.Next()), &created);
+    MemTable::Entry* entry = table.FindOrCreate(KeyOf(rng.Next()), &created);
     benchmark::DoNotOptimize(entry);
   }
   state.SetItemsProcessed(state.iterations());
-  state.counters["bytes_per_entry"] = BytesPerEntry(list.memory_usage(), list.size());
+  state.counters["bytes_per_entry"] = BytesPerEntry(table.memory_usage(), table.size());
 }
-BENCHMARK(BM_SkipListInsert);
+BENCHMARK(BM_MemTableInsert);
+
+// One perfbench kv_rw node's share of the data: 250,000 keys at rf 3 over 4
+// nodes, each key a 2-byte hash of its id then "/k<id>", with 100 B values.
+// Loading ids in order inserts in random key order, so entries land in the
+// arena in an order unrelated to the tree's (BM_EngineGetHit's sequential
+// load lays them out in key order and hides that cost).
+constexpr int64_t kKvRwNodeKeys = 187500;
+
+std::vector<std::string> KvRwNodeKeys() {
+  std::vector<std::string> keys;
+  keys.reserve(kKvRwNodeKeys);
+  for (int64_t id = 0; id < kKvRwNodeKeys; ++id) {
+    uint32_t h = static_cast<uint32_t>(id) * 2654435761u;
+    std::string key;
+    key.push_back(static_cast<char>(h >> 24));
+    key.push_back(static_cast<char>(h >> 16));
+    keys.push_back(key + "/k" + std::to_string(id));
+  }
+  return keys;
+}
+
+// ns per insert is 1e9 / items_per_second.
+void BM_EngineLoadRandomOrder(benchmark::State& state) {
+  const std::vector<std::string> keys = KvRwNodeKeys();
+  const std::string value(100, 'v');
+  size_t memory = 0;
+  for (auto _ : state) {
+    StorageEngine engine;
+    Time ts = 1;
+    for (const std::string& key : keys) (void)engine.Put(key, value, Version{ts++, 0});
+    memory = engine.memory_usage();
+  }
+  state.SetItemsProcessed(state.iterations() * kKvRwNodeKeys);
+  state.counters["bytes_per_entry"] = BytesPerEntry(memory, keys.size());
+}
+BENCHMARK(BM_EngineLoadRandomOrder)->Unit(benchmark::kMillisecond);
+
+void BM_EngineGetHitRandomOrder(benchmark::State& state) {
+  const std::vector<std::string> keys = KvRwNodeKeys();
+  const std::string value(100, 'v');
+  StorageEngine engine;
+  Time ts = 1;
+  for (const std::string& key : keys) (void)engine.Put(key, value, Version{ts++, 0});
+  Rng rng(8);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.Get(keys[rng.Uniform(keys.size())]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EngineGetHitRandomOrder);
 
 void BM_WalAppend(benchmark::State& state) {
   MemoryWalSink sink;

@@ -47,13 +47,10 @@ StorageNode::StorageNode(NodeId id, Executor* exec, MessageFabric* network, Clus
       rng_(seed ^ 0xab54a98ceb1f0ad2ULL) {
   if (config_.paged_storage.enabled) {
     PagedEngineOptions engine_options;
-    engine_options.seed = seed;
     engine_options.config = config_.paged_storage;
     engine_ = std::make_unique<PagedEngine>(loop_, std::move(engine_options));
   } else {
-    EngineOptions engine_options;
-    engine_options.seed = seed;
-    engine_ = std::make_unique<StorageEngine>(engine_options);
+    engine_ = std::make_unique<StorageEngine>();
   }
 }
 

@@ -27,6 +27,7 @@
 #include "common/load_signal.h"
 #include "common/request_options.h"
 #include "common/result.h"
+#include "common/rng.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "runtime/execution_backend.h"
@@ -68,7 +69,7 @@ struct NodeConfig {
   /// fleet simulations with rf=1 need no watermarks).
   Duration watermark_heartbeat = 500 * kMillisecond;
   /// Larger-than-memory tier: when paged_storage.enabled the node runs a
-  /// PagedEngine (skiplist memtable over a paged cold tier) instead of the
+  /// PagedEngine (B+-tree memtable over a paged cold tier) instead of the
   /// RAM-only StorageEngine; engine IO latency is charged to busy time and
   /// delays read responses.
   PagedStorageConfig paged_storage;

@@ -90,7 +90,7 @@ struct ScadsOptions {
 
   /// Per-node service model; `node_config.paged_storage` turns on
   /// larger-than-memory storage (every node then runs the paged engine —
-  /// skiplist memtable over a buffer-pooled page tier — instead of the
+  /// B+-tree memtable over a buffer-pooled page tier — instead of the
   /// RAM-only engine).
   NodeConfig node_config;
   NetworkConfig network_config;

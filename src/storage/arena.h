@@ -1,5 +1,5 @@
-// Bump allocator backing the memtable skiplist: entry and value bytes
-// live for the lifetime of the engine, so allocation is a pointer bump and
+// Bump allocator backing the memtable: entries, values and B+-tree nodes
+// live as long as the memtable, so allocation is a pointer bump and
 // deallocation is dropping the whole arena (LevelDB-style).
 
 #ifndef SCADS_STORAGE_ARENA_H_

@@ -20,7 +20,7 @@ EngineCounters::EngineCounters(MetricRegistry* registry)
       bytes_resident(registry->GetCounter("bytes_resident")) {}
 
 StorageEngine::StorageEngine(EngineOptions options)
-    : options_(options), table_(options.seed), counters_(&metrics_) {}
+    : options_(options), counters_(&metrics_) {}
 
 Result<bool> StorageEngine::Write(std::string_view key, std::string_view value, Version version,
                                   bool tombstone) {
@@ -43,7 +43,7 @@ Result<bool> StorageEngine::Write(std::string_view key, std::string_view value, 
 Result<bool> StorageEngine::ApplyToTable(std::string_view key, std::string_view value,
                                          Version version, bool tombstone) {
   bool created = false;
-  SkipList::Entry* entry = table_.FindOrCreate(key, &created);
+  MemTable::Entry* entry = table_.FindOrCreate(key, &created);
   if (!created && !(version > entry->version())) {
     (tombstone ? counters_.deletes_superseded : counters_.puts_superseded)->Increment();
     return false;
@@ -74,7 +74,7 @@ Result<bool> StorageEngine::Delete(std::string_view key, Version version) {
 
 Result<Record> StorageEngine::Get(std::string_view key) const {
   counters_.gets->Increment();
-  const SkipList::Entry* entry = table_.Find(key);
+  const MemTable::Entry* entry = table_.Find(key);
   if (entry == nullptr || entry->tombstone()) {
     counters_.get_misses->Increment();
     return NotFoundError(std::string(key));
@@ -88,6 +88,12 @@ Result<Record> StorageEngine::Get(std::string_view key) const {
 
 std::vector<Result<Record>> StorageEngine::MultiGet(const std::vector<std::string>& keys) const {
   counters_.multigets->Increment();
+  if (keys.size() == 1) {
+    // Every point read arrives as a one-key batch: no sort order to build.
+    std::vector<Result<Record>> out;
+    out.push_back(Get(keys.front()));
+    return out;
+  }
   counters_.gets->Increment(static_cast<int64_t>(keys.size()));
   // Probe in sorted order through one iterator so adjacent keys reuse the
   // traversal position; results land back in input slots (duplicates each
@@ -98,7 +104,7 @@ std::vector<Result<Record>> StorageEngine::MultiGet(const std::vector<std::strin
             [&keys](size_t a, size_t b) { return keys[a] < keys[b]; });
   // Placeholders (every slot is overwritten below) that build no status.
   std::vector<Result<Record>> out(keys.size(), Result<Record>(Record{}));
-  SkipList::Iterator it(&table_);
+  MemTable::Iterator it(&table_);
   for (size_t rank = 0; rank < order.size(); ++rank) {
     size_t slot = order[rank];
     const std::string& key = keys[slot];
@@ -125,7 +131,7 @@ std::vector<Result<Record>> StorageEngine::MultiGet(const std::vector<std::strin
 }
 
 std::optional<Record> StorageEngine::GetRaw(std::string_view key) const {
-  const SkipList::Entry* entry = table_.Find(key);
+  const MemTable::Entry* entry = table_.Find(key);
   if (entry == nullptr) return std::nullopt;
   Record record;
   record.key.assign(key);
@@ -140,11 +146,11 @@ Result<std::vector<Record>> StorageEngine::Scan(std::string_view start, std::str
   if (!end.empty() && start > end) return InvalidArgumentError("scan start > end");
   counters_.scans->Increment();
   std::vector<Record> out;
-  SkipList::Iterator it(&table_);
+  MemTable::Iterator it(&table_);
   it.Seek(start);
   while (it.Valid()) {
     if (!end.empty() && it.key() >= end) break;
-    const SkipList::Entry& entry = it.entry();
+    const MemTable::Entry& entry = it.entry();
     if (!entry.tombstone()) {
       Record record;
       record.key.assign(it.key());
@@ -162,11 +168,11 @@ Result<std::vector<Record>> StorageEngine::Scan(std::string_view start, std::str
 std::vector<Record> StorageEngine::ScanRaw(std::string_view start, std::string_view end,
                                            size_t limit) const {
   std::vector<Record> out;
-  SkipList::Iterator it(&table_);
+  MemTable::Iterator it(&table_);
   it.Seek(start);
   while (it.Valid()) {
     if (!end.empty() && it.key() >= end) break;
-    const SkipList::Entry& entry = it.entry();
+    const MemTable::Entry& entry = it.entry();
     Record record;
     record.key.assign(it.key());
     record.value.assign(entry.value());
@@ -225,9 +231,9 @@ Result<std::unique_ptr<StorageEngine>> StorageEngine::Recover(
 
 size_t StorageEngine::PurgeTombstonesBefore(Time cutoff) {
   size_t purged = 0;
-  SkipList::Iterator it(&table_);
+  MemTable::Iterator it(&table_);
   for (it.SeekToFirst(); it.Valid(); it.Next()) {
-    const SkipList::Entry& entry = it.entry();
+    const MemTable::Entry& entry = it.entry();
     // Already-purged ghosts carry Version{} (no real writer ever stamps
     // kInvalidNode); skip them so repeated purges don't recount.
     if (entry.tombstone() && entry.version().timestamp < cutoff &&

@@ -22,15 +22,13 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "storage/skiplist.h"
+#include "storage/memtable.h"
 #include "storage/wal.h"
 
 namespace scads {
 
 /// Engine construction knobs.
 struct EngineOptions {
-  /// Seed for skiplist height draws.
-  uint64_t seed = 1;
   /// Optional write-ahead log; when set, every mutation is framed to the
   /// sink before the memtable is touched. The engine does not own the sink.
   WalSink* wal = nullptr;
@@ -54,8 +52,8 @@ inline int64_t WireSize(const Record& record) {
 }
 
 /// The engine contract the cluster layer programs against. Two
-/// implementations exist: the RAM-only StorageEngine below (skiplist +
-/// arena, the hot default) and the larger-than-memory PagedEngine
+/// implementations exist: the RAM-only StorageEngine below (an arena
+/// B+-tree memtable, the hot default) and the larger-than-memory PagedEngine
 /// (storage/pagestore/), which spills cold record runs to a page file
 /// behind a byte-capacity buffer pool. StorageNode picks one per
 /// NodeConfig; everything above it sees only this interface.
@@ -169,8 +167,8 @@ class StorageEngine : public EngineInterface {
 
   /// Batched point reads: one Result per input key, in input order
   /// (duplicates allowed). Probes run through a single iterator over the
-  /// sorted key set, so consecutive keys reuse the traversal position
-  /// instead of paying a full descent each.
+  /// sorted key set, so keys that share a memtable leaf pay one descent
+  /// between them; a one-key batch is a plain lookup.
   std::vector<Result<Record>> MultiGet(const std::vector<std::string>& keys) const override;
 
   /// Raw entry including tombstones (replication/anti-entropy uses this).
@@ -216,7 +214,7 @@ class StorageEngine : public EngineInterface {
   size_t payload_bytes() const { return table_.payload_bytes(); }
 
   /// Drops tombstones whose version timestamp is older than `cutoff`.
-  /// Returns how many were purged. (Entries stay in the skiplist but become
+  /// Returns how many were purged. (Entries stay in the memtable but become
   /// re-writable ghosts; space is reclaimed at the next memtable rotation —
   /// same trade-off as LevelDB.)
   size_t PurgeTombstonesBefore(Time cutoff) override;
@@ -237,7 +235,7 @@ class StorageEngine : public EngineInterface {
   void SyncResidentMetric() const;
 
   EngineOptions options_;
-  SkipList table_;
+  MemTable table_;
   // Read paths (logically const) still count: counters are observability,
   // not state, so the registry is mutable rather than const_cast at use.
   mutable MetricRegistry metrics_;

@@ -35,9 +35,9 @@ struct PagedStorageConfig {
   size_t page_bytes = 16 * 1024;
   /// Buffer pool byte budget over decoded resident frames.
   size_t buffer_pool_bytes = 1 << 20;
-  /// Memtable (hot delta tier) arena bytes — SkipList::memory_usage(), so
-  /// entry overhead counts too — before a spill merges it into the page
-  /// tier and resets it.
+  /// Memtable (hot delta tier) arena bytes — MemTable::memory_usage(), so
+  /// entry headers and tree nodes count too — before a spill merges it
+  /// into the page tier and resets it.
   size_t memtable_spill_bytes = 256 * 1024;
   /// Pages written back per background tick (PagedEngine::kWriteBackInterval).
   size_t write_back_batch = 8;

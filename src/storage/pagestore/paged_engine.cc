@@ -29,8 +29,7 @@ PagedEngine::PagedEngine(Executor* loop, PagedEngineOptions options)
       owned_file_(options.file != nullptr ? nullptr : std::make_unique<PageFile>()),
       file_(options.file != nullptr ? options.file : owned_file_.get()),
       pool_(options.config.buffer_pool_bytes),
-      mem_(std::make_unique<SkipList>(options.seed)),
-      next_mem_seed_(options.seed + 0x9e3779b97f4a7c15ULL),
+      mem_(std::make_unique<MemTable>()),
       counters_(&metrics_),
       page_counters_(&metrics_) {
   if (file_->page_count() == 0) {
@@ -294,7 +293,7 @@ Result<bool> PagedEngine::ApplyVersioned(std::string_view key, std::string_view 
                                          Version version, bool tombstone) {
   // Authoritative current state: mem_ when present (its version is >= the
   // page tier's by invariant — no IO needed), else the covering page.
-  SkipList::Entry* in_mem = mem_->FindMutable(key);
+  MemTable::Entry* in_mem = mem_->FindMutable(key);
   bool exists = false;
   bool was_live = false;
   Version current;
@@ -315,7 +314,7 @@ Result<bool> PagedEngine::ApplyVersioned(std::string_view key, std::string_view 
     (tombstone ? counters_.deletes_superseded : counters_.puts_superseded)->Increment();
     return false;
   }
-  SkipList::Entry* entry = in_mem;
+  MemTable::Entry* entry = in_mem;
   if (entry == nullptr) {
     bool created = false;
     entry = mem_->FindOrCreate(key, &created);
@@ -334,7 +333,7 @@ Result<bool> PagedEngine::ApplyVersioned(std::string_view key, std::string_view 
 }
 
 Result<Record> PagedEngine::Lookup(std::string_view key) const {
-  const SkipList::Entry* entry = mem_->Find(key);
+  const MemTable::Entry* entry = mem_->Find(key);
   if (entry != nullptr) {
     if (entry->tombstone()) return NotFoundError(std::string(key));
     Record record;
@@ -360,6 +359,12 @@ Result<Record> PagedEngine::Get(std::string_view key) const {
 
 std::vector<Result<Record>> PagedEngine::MultiGet(const std::vector<std::string>& keys) const {
   counters_.multigets->Increment();
+  if (keys.size() == 1) {
+    // Every point read arrives as a one-key batch: no sort order to build.
+    std::vector<Result<Record>> out;
+    out.push_back(Get(keys.front()));
+    return out;
+  }
   counters_.gets->Increment(static_cast<int64_t>(keys.size()));
   // Probe in sorted order so keys covered by the same page share one fault;
   // duplicates copy the previous slot but still count as logical reads
@@ -386,7 +391,7 @@ std::vector<Result<Record>> PagedEngine::MultiGet(const std::vector<std::string>
 }
 
 std::optional<Record> PagedEngine::GetRaw(std::string_view key) const {
-  const SkipList::Entry* entry = mem_->Find(key);
+  const MemTable::Entry* entry = mem_->Find(key);
   if (entry != nullptr) {
     Record record;
     record.key.assign(key);
@@ -405,8 +410,8 @@ std::vector<Record> PagedEngine::MergeScan(std::string_view start, std::string_v
                                            size_t limit, bool include_tombstones) const {
   std::vector<Record> out;
   bool done = false;
-  auto emit_mem = [&](const SkipList::Iterator& mit) {
-    const SkipList::Entry& entry = mit.entry();
+  auto emit_mem = [&](const MemTable::Iterator& mit) {
+    const MemTable::Entry& entry = mit.entry();
     if (!include_tombstones && entry.tombstone()) return;
     Record record;
     record.key.assign(mit.key());
@@ -421,7 +426,7 @@ std::vector<Record> PagedEngine::MergeScan(std::string_view start, std::string_v
     out.push_back(record);
     if (limit != 0 && out.size() >= limit) done = true;
   };
-  SkipList::Iterator mit(mem_.get());
+  MemTable::Iterator mit(mem_.get());
   mit.Seek(start);
   auto mem_in_range = [&]() { return mit.Valid() && (end.empty() || mit.key() < end); };
 
@@ -536,9 +541,9 @@ size_t PagedEngine::PurgeTombstonesBefore(Time cutoff) {
   size_t purged = 0;
   // Memtable sweep: identical ghosting to the RAM engine (entries stay,
   // version floor resets so the key behaves like an absent one).
-  SkipList::Iterator it(mem_.get());
+  MemTable::Iterator it(mem_.get());
   for (it.SeekToFirst(); it.Valid(); it.Next()) {
-    const SkipList::Entry& entry = it.entry();
+    const MemTable::Entry& entry = it.entry();
     if (entry.tombstone() && entry.version().timestamp < cutoff &&
         !(entry.version() == Version{})) {
       mem_->Assign(mem_->FindMutable(it.key()), "", Version{}, /*tombstone=*/true);
@@ -580,14 +585,14 @@ size_t PagedEngine::PurgeTombstonesBefore(Time cutoff) {
 
 void PagedEngine::SpillMemtable() {
   page_counters_.spills->Increment();
-  SkipList::Iterator it(mem_.get());
+  MemTable::Iterator it(mem_.get());
   it.SeekToFirst();
   while (it.Valid()) {
     PageSpan span = SpanForKey(it.key());
     PageFrame* frame = Fault(span);
     pool_.Pin(frame);
     while (it.Valid() && (span.upper.empty() || it.key() < span.upper)) {
-      const SkipList::Entry& entry = it.entry();
+      const MemTable::Entry& entry = it.entry();
       if (entry.tombstone() && entry.version() == Version{}) {
         // Purged ghost: erase the key from the page tier entirely instead
         // of spilling it — a stale older page copy must not resurface once
@@ -614,7 +619,7 @@ void PagedEngine::SpillMemtable() {
     SplitIfOversized(frame);
     pool_.Unpin(frame);
   }
-  mem_ = std::make_unique<SkipList>(next_mem_seed_++);
+  mem_ = std::make_unique<MemTable>();
   EnsureBudget(0);
 }
 

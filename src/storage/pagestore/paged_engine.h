@@ -2,7 +2,7 @@
 //
 // Layout — a two-tier LSM-flavored design kept deliberately small:
 //
-//   * A skiplist memtable (`mem_`) holds recently-mutated records; it is
+//   * A B+-tree memtable (`mem_`) holds recently-mutated records; it is
 //     the pure-RAM fast path for hot keys. Invariant: when a key is
 //     present in mem_, its version is >= any version the page tier holds,
 //     so mem_ always wins reads and version checks without IO.
@@ -41,15 +41,14 @@
 
 #include "runtime/execution_backend.h"
 #include "storage/engine.h"
+#include "storage/memtable.h"
 #include "storage/pagestore/page_store.h"
-#include "storage/skiplist.h"
 
 namespace scads {
 
 /// PagedEngine construction knobs. Superset of EngineOptions plus the
 /// paged-tier config and an optional external PageFile.
 struct PagedEngineOptions {
-  uint64_t seed = 1;
   /// Optional write-ahead log, same contract as EngineOptions::wal.
   WalSink* wal = nullptr;
   bool wal_sync_every_write = false;
@@ -191,8 +190,7 @@ class PagedEngine : public EngineInterface {
   // Fault/eviction bookkeeping mutates on logically-const reads; same
   // rationale as the mutable metrics registry.
   mutable BufferPool pool_;
-  std::unique_ptr<SkipList> mem_;
-  uint64_t next_mem_seed_;
+  std::unique_ptr<MemTable> mem_;
 
   /// Key-range partition of pages: lower bound -> page. Always contains "".
   std::map<std::string, PageId> page_index_;

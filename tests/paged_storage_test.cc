@@ -18,6 +18,7 @@
 #include "sim/event_loop.h"
 #include "sim/network.h"
 #include "storage/engine.h"
+#include "storage/memtable.h"
 #include "storage/pagestore/page_store.h"
 #include "storage/pagestore/paged_engine.h"
 #include "storage/wal.h"
@@ -474,17 +475,17 @@ TEST(BytesAccountingTest, ArenaCountsAllocatedBytes) {
   EXPECT_LE(arena.BytesAllocated(), arena.MemoryUsage());
 }
 
-TEST(BytesAccountingTest, SkipListTracksLogicalPayloadBytes) {
-  SkipList list(1);
+TEST(BytesAccountingTest, MemTableTracksLogicalPayloadBytes) {
+  MemTable table;
   bool created = false;
-  SkipList::Entry* entry = list.FindOrCreate("key", &created);
-  list.Assign(entry, "0123456789", V(1), /*tombstone=*/false);
-  EXPECT_EQ(list.payload_bytes(), 13u);  // 3 key + 10 value
+  MemTable::Entry* entry = table.FindOrCreate("key", &created);
+  table.Assign(entry, "0123456789", V(1), /*tombstone=*/false);
+  EXPECT_EQ(table.payload_bytes(), 13u);  // 3 key + 10 value
   // Re-assign: logical footprint tracks the current value, not the bytes
   // the old value occupied.
-  list.Assign(entry, "abc", V(2), /*tombstone=*/false);
-  EXPECT_EQ(list.payload_bytes(), 6u);
-  EXPECT_GT(list.bytes_allocated(), list.payload_bytes());
+  table.Assign(entry, "abc", V(2), /*tombstone=*/false);
+  EXPECT_EQ(table.payload_bytes(), 6u);
+  EXPECT_GT(table.bytes_allocated(), table.payload_bytes());
 }
 
 TEST(BytesAccountingTest, EnginesExportBytesResident) {

@@ -1,10 +1,11 @@
-// Unit tests for src/storage: arena, skiplist, codec, WAL, engine.
+// Unit tests for src/storage: arena, memtable, codec, WAL, engine.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -13,8 +14,8 @@
 #include "storage/arena.h"
 #include "storage/codec.h"
 #include "storage/engine.h"
+#include "storage/memtable.h"
 #include "storage/pagestore/paged_engine.h"
-#include "storage/skiplist.h"
 #include "storage/wal.h"
 
 namespace scads {
@@ -69,45 +70,45 @@ TEST(ArenaDeathTest, WritePastAnAllocationIsReported) {
 }
 #endif
 
-// --------------------------------------------------------------- SkipList --
+// --------------------------------------------------------------- MemTable --
 
-TEST(SkipListTest, InsertAndFind) {
-  SkipList list(1);
+TEST(MemTableTest, InsertAndFind) {
+  MemTable table;
   bool created = false;
-  SkipList::Entry* e = list.FindOrCreate("alpha", &created);
+  MemTable::Entry* e = table.FindOrCreate("alpha", &created);
   EXPECT_TRUE(created);
-  list.Assign(e, "one", V(10), /*tombstone=*/false);
+  table.Assign(e, "one", V(10), /*tombstone=*/false);
 
-  const SkipList::Entry* found = list.Find("alpha");
+  const MemTable::Entry* found = table.Find("alpha");
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->key(), "alpha");
   EXPECT_EQ(found->value(), "one");
   EXPECT_EQ(found->version(), V(10));
-  EXPECT_EQ(list.Find("beta"), nullptr);
+  EXPECT_EQ(table.Find("beta"), nullptr);
 }
 
-TEST(SkipListTest, FindOrCreateIsIdempotentOnKey) {
-  SkipList list(1);
+TEST(MemTableTest, FindOrCreateIsIdempotentOnKey) {
+  MemTable table;
   bool created = false;
-  list.FindOrCreate("k", &created);
+  table.FindOrCreate("k", &created);
   EXPECT_TRUE(created);
-  list.FindOrCreate("k", &created);
+  table.FindOrCreate("k", &created);
   EXPECT_FALSE(created);
-  EXPECT_EQ(list.size(), 1u);
+  EXPECT_EQ(table.size(), 1u);
 }
 
-TEST(SkipListTest, IterationIsSorted) {
-  SkipList list(7);
+TEST(MemTableTest, IterationIsSorted) {
+  MemTable table;
   Rng rng(3);
   std::vector<std::string> keys;
   for (int i = 0; i < 500; ++i) {
     keys.push_back("key" + std::to_string(rng.Uniform(100000)));
   }
   bool created;
-  for (const auto& k : keys) list.FindOrCreate(k, &created);
+  for (const auto& k : keys) table.FindOrCreate(k, &created);
 
   std::vector<std::string> seen;
-  SkipList::Iterator it(&list);
+  MemTable::Iterator it(&table);
   for (it.SeekToFirst(); it.Valid(); it.Next()) seen.emplace_back(it.key());
   EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
   std::sort(keys.begin(), keys.end());
@@ -115,11 +116,11 @@ TEST(SkipListTest, IterationIsSorted) {
   EXPECT_EQ(seen, keys);
 }
 
-TEST(SkipListTest, SeekFindsFirstAtOrAfter) {
-  SkipList list(1);
+TEST(MemTableTest, SeekFindsFirstAtOrAfter) {
+  MemTable table;
   bool created;
-  for (const char* k : {"b", "d", "f"}) list.FindOrCreate(k, &created);
-  SkipList::Iterator it(&list);
+  for (const char* k : {"b", "d", "f"}) table.FindOrCreate(k, &created);
+  MemTable::Iterator it(&table);
   it.Seek("c");
   ASSERT_TRUE(it.Valid());
   EXPECT_EQ(it.key(), "d");
@@ -130,84 +131,248 @@ TEST(SkipListTest, SeekFindsFirstAtOrAfter) {
   EXPECT_FALSE(it.Valid());
 }
 
-TEST(SkipListTest, EmptyValueSupported) {
-  SkipList list(1);
+TEST(MemTableTest, EmptyValueSupported) {
+  MemTable table;
   bool created;
-  SkipList::Entry* e = list.FindOrCreate("k", &created);
-  list.Assign(e, "", V(1), /*tombstone=*/false);
-  const SkipList::Entry* found = list.Find("k");
+  MemTable::Entry* e = table.FindOrCreate("k", &created);
+  table.Assign(e, "", V(1), /*tombstone=*/false);
+  const MemTable::Entry* found = table.Find("k");
   EXPECT_EQ(found->value().size(), 0u);
 }
 
-TEST(SkipListTest, ManyKeysStressAgainstStdMap) {
-  SkipList list(99);
+TEST(MemTableTest, ManyKeysStressAgainstStdMap) {
+  MemTable table;
   std::map<std::string, std::string> model;
   Rng rng(42);
   bool created;
   for (int i = 0; i < 5000; ++i) {
     std::string k = "u" + std::to_string(rng.Uniform(2000));
     std::string v = "v" + std::to_string(i);
-    SkipList::Entry* e = list.FindOrCreate(k, &created);
-    list.Assign(e, v, V(i + 1), /*tombstone=*/false);
+    MemTable::Entry* e = table.FindOrCreate(k, &created);
+    table.Assign(e, v, V(i + 1), /*tombstone=*/false);
     model[k] = v;
   }
-  EXPECT_EQ(list.size(), model.size());
+  EXPECT_EQ(table.size(), model.size());
   for (const auto& [k, v] : model) {
-    const SkipList::Entry* e = list.Find(k);
+    const MemTable::Entry* e = table.Find(k);
     ASSERT_NE(e, nullptr) << k;
     EXPECT_EQ(e->value(), v);
   }
 }
 
-// The entry layout's budget: a 32-byte header plus an average tower of 4/3
-// pointers comes to ~43 B of overhead per key beyond its key and value bytes
+// The entry layout's budget: a 32-byte header, one 8-byte leaf slot and a
+// share of a leaf's chain pointer and of the inner nodes come to ~41 B of
+// overhead per key beyond its key and value bytes when keys arrive in order
 // (bytes_allocated counts no alignment slop).
-TEST(SkipListTest, PerEntryOverheadStaysWithin48Bytes) {
-  SkipList list(1);
+TEST(MemTableTest, PerEntryOverheadStaysWithin48Bytes) {
+  MemTable table;
   constexpr size_t kEntries = 10000;
   bool created;
   for (size_t i = 0; i < kEntries; ++i) {
     char key[17];
     std::snprintf(key, sizeof(key), "key:%012zu", i);
     ASSERT_EQ(std::strlen(key), 16u);
-    list.Assign(list.FindOrCreate(key, &created), "value", V(1), /*tombstone=*/false);
+    table.Assign(table.FindOrCreate(key, &created), "value", V(1), /*tombstone=*/false);
   }
-  ASSERT_EQ(list.size(), kEntries);
-  EXPECT_EQ(list.payload_bytes(), kEntries * (16 + 5));
-  double overhead = static_cast<double>(list.bytes_allocated() - list.payload_bytes()) /
+  ASSERT_EQ(table.size(), kEntries);
+  EXPECT_EQ(table.payload_bytes(), kEntries * (16 + 5));
+  double overhead = static_cast<double>(table.bytes_allocated() - table.payload_bytes()) /
                     static_cast<double>(kEntries);
   EXPECT_LE(overhead, 48.0);
 }
 
-TEST(SkipListTest, OverwritesThatFitReuseTheValueBytes) {
-  SkipList list(1);
+TEST(MemTableTest, OverwritesThatFitReuseTheValueBytes) {
+  MemTable table;
   bool created;
-  SkipList::Entry* entry = list.FindOrCreate("hot", &created);
-  list.Assign(entry, std::string(100, 'a'), V(1), /*tombstone=*/false);
-  size_t memory = list.memory_usage();
-  size_t allocated = list.bytes_allocated();
+  MemTable::Entry* entry = table.FindOrCreate("hot", &created);
+  table.Assign(entry, std::string(100, 'a'), V(1), /*tombstone=*/false);
+  size_t memory = table.memory_usage();
+  size_t allocated = table.bytes_allocated();
   for (int i = 0; i < 1000; ++i) {
-    list.Assign(entry, std::string(100, static_cast<char>('b' + i % 20)), V(2 + i),
-                /*tombstone=*/false);
+    table.Assign(entry, std::string(100, static_cast<char>('b' + i % 20)), V(2 + i),
+                 /*tombstone=*/false);
   }
-  EXPECT_EQ(list.memory_usage(), memory);
-  EXPECT_EQ(list.bytes_allocated(), allocated);
-  EXPECT_EQ(list.Find("hot")->value(), std::string(100, static_cast<char>('b' + 999 % 20)));
-  EXPECT_EQ(list.Find("hot")->version(), V(1001));
+  EXPECT_EQ(table.memory_usage(), memory);
+  EXPECT_EQ(table.bytes_allocated(), allocated);
+  EXPECT_EQ(table.Find("hot")->value(), std::string(100, static_cast<char>('b' + 999 % 20)));
+  EXPECT_EQ(table.Find("hot")->version(), V(1001));
 
   // A shorter value (and a tombstone's empty one) also fits in place.
-  list.Assign(entry, "short", V(2000), /*tombstone=*/false);
-  EXPECT_EQ(list.Find("hot")->value(), "short");
-  list.Assign(entry, "", V(2001), /*tombstone=*/true);
-  EXPECT_TRUE(list.Find("hot")->tombstone());
-  EXPECT_EQ(list.bytes_allocated(), allocated);
-  EXPECT_EQ(list.payload_bytes(), 3u);
+  table.Assign(entry, "short", V(2000), /*tombstone=*/false);
+  EXPECT_EQ(table.Find("hot")->value(), "short");
+  table.Assign(entry, "", V(2001), /*tombstone=*/true);
+  EXPECT_TRUE(table.Find("hot")->tombstone());
+  EXPECT_EQ(table.bytes_allocated(), allocated);
+  EXPECT_EQ(table.payload_bytes(), 3u);
 
   // Only a value longer than the current one takes fresh bytes.
-  list.Assign(entry, "revived", V(2002), /*tombstone=*/false);
-  EXPECT_EQ(list.bytes_allocated(), allocated + 7);
-  EXPECT_EQ(list.Find("hot")->value(), "revived");
-  EXPECT_FALSE(list.Find("hot")->tombstone());
+  table.Assign(entry, "revived", V(2002), /*tombstone=*/false);
+  EXPECT_EQ(table.bytes_allocated(), allocated + 7);
+  EXPECT_EQ(table.Find("hot")->value(), "revived");
+  EXPECT_FALSE(table.Find("hot")->tombstone());
+}
+
+// Keys that stress the tree's 8-byte separator prefixes: families sharing
+// their first 8+ bytes (prefix ties fall through to full compares), keys
+// shorter than 8 bytes, and keys holding zero bytes ("ab" and "ab\0" pad to
+// the same prefix).
+std::vector<std::string> DifferentialKeys(Rng* rng, size_t count) {
+  static const char kAlphabet[] = {'\0', '\x01', 'a', 'b', '\x7f', '\xff'};
+  std::vector<std::string> keys;
+  while (keys.size() < count) {
+    switch (rng->Uniform(3)) {
+      case 0:
+        keys.push_back("shared-prefix/" + std::to_string(rng->Uniform(1000000)));
+        break;
+      case 1:
+        keys.push_back(std::to_string(rng->Uniform(10000000)));  // 1 to 7 bytes
+        break;
+      default: {
+        std::string key(1 + rng->Uniform(10), '\0');
+        for (char& c : key) c = kAlphabet[rng->Uniform(sizeof(kAlphabet))];
+        keys.push_back(std::move(key));
+      }
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
+
+// MemTable against std::map, for random, ascending and descending insert
+// orders. A table of two levels holds at most 32 x 32 keys and one of three
+// at most 32^3, so the key set (checked to exceed that) reaches at least
+// four levels in every order.
+TEST(MemTableTest, MatchesStdMapInEveryInsertOrder) {
+  for (const char* order : {"random", "ascending", "descending"}) {
+    SCOPED_TRACE(order);
+    Rng rng(17);
+    std::vector<std::string> keys = DifferentialKeys(&rng, 40000);
+    if (std::string(order) == "random") rng.Shuffle(&keys);
+    if (std::string(order) == "descending") std::reverse(keys.begin(), keys.end());
+
+    MemTable table;
+    std::map<std::string, std::string> model;
+    size_t payload = 0;
+    Time ts = 1;
+    for (const std::string& key : keys) {
+      // One in four values is empty.
+      std::string value = rng.Uniform(4) == 0 ? "" : "v" + std::to_string(ts);
+      bool created = false;
+      MemTable::Entry* entry = table.FindOrCreate(key, &created);
+      ASSERT_TRUE(created);
+      table.Assign(entry, value, V(ts++), /*tombstone=*/false);
+      model[key] = value;
+      payload += key.size() + value.size();
+      // Now and then look up an earlier key again: no second entry.
+      if (rng.Uniform(8) == 0) {
+        const std::string& again = keys[rng.Uniform(model.size())];
+        EXPECT_EQ(table.FindOrCreate(again, &created)->key(), again);
+        EXPECT_FALSE(created);
+      }
+    }
+    ASSERT_EQ(table.size(), model.size());
+    ASSERT_GT(model.size(), 32u * 32 * 32);
+    EXPECT_EQ(table.payload_bytes(), payload);
+
+    // Find: every key, and absent keys just after each one.
+    for (const auto& [key, value] : model) {
+      const MemTable::Entry* entry = table.Find(key);
+      ASSERT_NE(entry, nullptr) << key;
+      EXPECT_EQ(entry->key(), key);
+      EXPECT_EQ(entry->value(), value);
+      std::string absent = key + '\0';
+      if (model.count(absent) == 0) {
+        EXPECT_EQ(table.Find(absent), nullptr) << key;
+      }
+    }
+
+    // Full iteration visits the model's keys in order.
+    MemTable::Iterator it(&table);
+    it.SeekToFirst();
+    for (const auto& [key, value] : model) {
+      ASSERT_TRUE(it.Valid());
+      ASSERT_EQ(it.key(), key);
+      EXPECT_EQ(it.entry().value(), value);
+      it.Next();
+    }
+    EXPECT_FALSE(it.Valid());
+
+    // Seek at a key, between two keys, and past the last one.
+    auto expect_at = [&model](const MemTable::Iterator& at, const std::string& target) {
+      auto want = model.lower_bound(target);
+      if (want == model.end()) {
+        EXPECT_FALSE(at.Valid()) << target;
+      } else {
+        ASSERT_TRUE(at.Valid()) << target;
+        EXPECT_EQ(at.key(), want->first) << target;
+      }
+    };
+    std::vector<std::string> targets;
+    for (const auto& entry : model) {
+      if (rng.Uniform(16) != 0) continue;
+      targets.push_back(entry.first);
+      targets.push_back(entry.first + '\0');
+      targets.push_back(entry.first.substr(0, entry.first.size() - 1));
+    }
+    targets.push_back("");
+    targets.push_back(model.rbegin()->first + 'x');
+    targets.push_back(std::string(12, '\xff'));
+    for (const std::string& target : targets) {
+      MemTable::Iterator seek(&table);
+      seek.Seek(target);
+      expect_at(seek, target);
+    }
+
+    // SeekForward runs over sorted targets, strides short and long, so runs
+    // both stay inside a leaf and cross leaf boundaries.
+    for (size_t stride : {1, 3, 29, 70, 1000}) {
+      SCOPED_TRACE(stride);
+      MemTable::Iterator forward(&table);
+      size_t rank = 0;
+      for (const auto& entry : model) {
+        if (rank++ % stride != 0) continue;
+        std::string target = rank % 2 == 0 ? entry.first : entry.first + '\0';
+        forward.SeekForward(target);
+        expect_at(forward, target);
+      }
+      forward.SeekForward(std::string(12, '\xff'));
+      EXPECT_FALSE(forward.Valid());
+    }
+  }
+}
+
+TEST(MemTableTest, SeekForwardToAnEarlierKeyStaysPut) {
+  MemTable table;
+  bool created;
+  for (int i = 1000; i < 1200; ++i) {
+    table.FindOrCreate(std::to_string(i).insert(0, 1, 'k'), &created);
+  }
+  MemTable::Iterator it(&table);
+  it.Seek("k1100");
+  it.SeekForward("k1050");
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(it.key(), "k1100");
+}
+
+// Tree nodes hold entry pointers, and splits move pointers, never entries.
+TEST(MemTableTest, EntryKeepsItsAddressAcrossLeafSplits) {
+  MemTable table;
+  bool created;
+  MemTable::Entry* pinned = table.FindOrCreate("m/5000", &created);
+  table.Assign(pinned, "pinned", V(1), /*tombstone=*/false);
+  Rng rng(23);
+  // Neighbours on both sides, so the pinned key's leaf splits again and again.
+  for (int i = 0; i < 10000; ++i) {
+    table.FindOrCreate("m/" + std::to_string(rng.Uniform(10000)) + "/" + std::to_string(i),
+                       &created);
+  }
+  EXPECT_EQ(table.size(), 10001u);
+  EXPECT_EQ(table.FindOrCreate("m/5000", &created), pinned);
+  EXPECT_FALSE(created);
+  EXPECT_EQ(table.Find("m/5000"), pinned);
+  EXPECT_EQ(pinned->key(), "m/5000");
+  EXPECT_EQ(pinned->value(), "pinned");
 }
 
 // ------------------------------------------------------------------ Codec --
@@ -586,7 +751,7 @@ TEST(EngineTest, PurgeTombstonesKeepsLiveAndTotalCounts) {
   ASSERT_TRUE(engine.Delete("a", V(20)).ok());
   EXPECT_EQ(engine.live_count(), 1u);
   EXPECT_EQ(engine.total_count(), 2u);
-  // Purging drops the version floor but the ghost stays in the skiplist
+  // Purging drops the version floor but the ghost stays in the memtable
   // until memtable rotation: counts must not change.
   EXPECT_EQ(engine.PurgeTombstonesBefore(100), 1u);
   EXPECT_EQ(engine.live_count(), 1u);
