@@ -266,7 +266,7 @@ void StorageNode::HandleMultiWrite(std::vector<MultiWriteItem> items, AckMode ac
     // ack — one WAL sync covers every record.
     std::vector<WalRecord> records;
     records.reserve(items.size());
-    for (const MultiWriteItem& item : items) records.push_back(item.record);
+    for (MultiWriteItem& item : items) records.push_back(std::move(item.record));
     Status applied = engine_->ApplyBatch(records);
     ChargeEngineIo();  // write-path faults/forced write-backs: busy time only
     if (!applied.ok()) {
@@ -289,8 +289,7 @@ void StorageNode::HandleMultiWrite(std::vector<MultiWriteItem> items, AckMode ac
       if (--batch->remaining == 0) batch->respond(std::move(batch->statuses));
     };
     for (size_t i = 0; i < items.size(); ++i) {
-      const MultiWriteItem& item = items[i];
-      ReplicateAndAck(item.pid, item.record, ack,
+      ReplicateAndAck(items[i].pid, std::move(records[i]), ack,
                       [settle, i](Status status) { settle(i, std::move(status)); });
     }
   });
@@ -327,7 +326,7 @@ void StorageNode::HandleScan(const std::string& start, const std::string& end, s
   });
 }
 
-void StorageNode::ReplicateAndAck(PartitionId pid, const WalRecord& record, AckMode ack,
+void StorageNode::ReplicateAndAck(PartitionId pid, WalRecord record, AckMode ack,
                                   std::function<void(Status)> respond) {
   const PartitionInfo* partition = cluster_->partitions()->Get(pid);
   if (partition == nullptr) {
@@ -342,13 +341,15 @@ void StorageNode::ReplicateAndAck(PartitionId pid, const WalRecord& record, AckM
     waiter->done = true;
     waiter->respond(Status::Ok());
   }
+  SharedRecord shared;  // made for the first secondary, so rf 1 copies nothing
   for (NodeId replica : partition->replicas) {
     if (replica == id_) continue;
-    EnqueueReplication(pid, replica, record, waiter->done ? nullptr : waiter);
+    if (shared == nullptr) shared = std::make_shared<const WalRecord>(std::move(record));
+    EnqueueReplication(pid, replica, shared, waiter->done ? nullptr : waiter);
   }
 }
 
-void StorageNode::ApplyAndReplicate(PartitionId pid, const WalRecord& record, AckMode ack,
+void StorageNode::ApplyAndReplicate(PartitionId pid, WalRecord record, AckMode ack,
                                     std::function<void(Status)> respond) {
   Status applied = engine_->Apply(record);
   ChargeEngineIo();  // busy time only; acks are already async
@@ -356,10 +357,10 @@ void StorageNode::ApplyAndReplicate(PartitionId pid, const WalRecord& record, Ac
     respond(applied);
     return;
   }
-  ReplicateAndAck(pid, record, ack, std::move(respond));
+  ReplicateAndAck(pid, std::move(record), ack, std::move(respond));
 }
 
-void StorageNode::HandleWrite(PartitionId pid, const WalRecord& record, AckMode ack,
+void StorageNode::HandleWrite(PartitionId pid, WalRecord record, AckMode ack,
                               RequestPriority priority, bool return_prior,
                               const std::optional<WriteCondition>& condition,
                               std::function<void(WriteReply)> respond) {
@@ -369,8 +370,8 @@ void StorageNode::HandleWrite(PartitionId pid, const WalRecord& record, AckMode 
     respond({ResourceExhaustedError("node overloaded"), std::nullopt});
     return;
   }
-  loop_->ScheduleAfter(*sojourn, [this, pid, record, ack, return_prior, condition,
-                                  respond = std::move(respond)]() mutable {
+  loop_->ScheduleAfter(*sojourn, [this, pid, record = std::move(record), ack, return_prior,
+                                  condition, respond = std::move(respond)]() mutable {
     if (!alive_) return;
     ++stats_.ops_completed;
     // Read in the step that applies the write: the primary serializes this
@@ -401,7 +402,7 @@ void StorageNode::HandleWrite(PartitionId pid, const WalRecord& record, AckMode 
       }
       if (!return_prior) prior.reset();  // read only to check the condition
     }
-    ApplyAndReplicate(pid, record, ack,
+    ApplyAndReplicate(pid, std::move(record), ack,
                       [respond = std::move(respond),
                        prior = std::move(prior)](Status status) mutable {
       respond({std::move(status), std::move(prior)});
@@ -409,12 +410,11 @@ void StorageNode::HandleWrite(PartitionId pid, const WalRecord& record, AckMode 
   });
 }
 
-void StorageNode::EnqueueReplication(PartitionId pid, NodeId to, const WalRecord& record,
+void StorageNode::EnqueueReplication(PartitionId pid, NodeId to, const SharedRecord& record,
                                      const std::shared_ptr<WriteWaiter>& waiter) {
   ReplicationStream& stream = streams_[{pid, to}];
   uint64_t seq = stream.next_seq++;
-  stream.pending.emplace_back(seq, record);
-  stream.enqueue_times.emplace_back(seq, loop_->Now());
+  stream.pending.push_back({seq, loop_->Now(), record});
   if (waiter != nullptr) stream.waiters.emplace_back(seq, waiter);
   if (waiter != nullptr) {
     // Synchronous-ack writes flush immediately.
@@ -478,33 +478,26 @@ void StorageNode::FlushStream(PartitionId pid, NodeId to) {
 
 void StorageNode::SendBatch(PartitionId pid, NodeId to, ReplicationStream* stream) {
   // Send everything pending (bounded by batch max), starting after the last
-  // cumulative ack; retransmissions resend the same prefix.
-  std::vector<WalRecord> batch;
+  // cumulative ack; retransmissions resend the same prefix. The batch
+  // carries the enqueue time of its last entry as the watermark.
+  std::vector<SharedRecord> batch;
   uint64_t first_seq = stream->acked + 1;
   Time watermark = 0;
-  size_t count = 0;
-  for (const auto& [seq, record] : stream->pending) {
-    if (seq < first_seq) continue;
-    if (count == kReplicationBatchMax) break;
-    batch.push_back(record);
-    ++count;
+  for (const StreamEntry& entry : stream->pending) {
+    if (entry.seq < first_seq) continue;
+    if (batch.size() == kReplicationBatchMax) break;
+    batch.push_back(entry.record);
+    watermark = entry.enqueued_at;
   }
   if (batch.empty()) return;
-  uint64_t last_seq = first_seq + count - 1;
-  for (const auto& [seq, at] : stream->enqueue_times) {
-    if (seq == last_seq) {
-      watermark = at;
-      break;
-    }
-  }
-  stream->sent_through = last_seq;
+  stream->sent_through = first_seq + batch.size() - 1;
   stream->inflight = true;
   stats_.records_replicated_out += static_cast<int64_t>(batch.size());
   NodeId self = id_;
   StorageNode* target = cluster_->GetNode(to);
   if (target != nullptr) {
     int64_t payload_bytes = 0;
-    for (const WalRecord& record : batch) payload_bytes += WireSize(record);
+    for (const SharedRecord& record : batch) payload_bytes += WireSize(*record);
     network_->Send(self, to, payload_bytes,
                    [target, pid, self, first_seq, batch = std::move(batch), watermark]() mutable {
                      target->HandleReplicate(pid, self, first_seq, std::move(batch), watermark);
@@ -537,7 +530,7 @@ void StorageNode::SendBatch(PartitionId pid, NodeId to, ReplicationStream* strea
 }
 
 void StorageNode::HandleReplicate(PartitionId pid, NodeId from, uint64_t first_seq,
-                                  std::vector<WalRecord> records, Time watermark) {
+                                  std::vector<SharedRecord> records, Time watermark) {
   if (!alive_) return;
   // Any delivery from `from` is proof of life — the watermark-heartbeat
   // stream doubles as the failure detector's primary signal (even a shed
@@ -553,9 +546,9 @@ void StorageNode::HandleReplicate(PartitionId pid, NodeId from, uint64_t first_s
     if (!alive_) return;
     uint64_t& applied = last_applied_seq_[{pid, from}];
     uint64_t seq = first_seq;
-    for (const WalRecord& record : records) {
+    for (const SharedRecord& record : records) {
       if (seq > applied) {
-        (void)engine_->Apply(record);  // version rule dedups content anyway
+        (void)engine_->Apply(*record);  // version rule dedups content anyway
         applied = seq;
         ++stats_.records_replicated_in;
       }
@@ -586,26 +579,19 @@ void StorageNode::HandleReplicateAck(PartitionId pid, NodeId from, uint64_t acke
   if (acked_seq <= stream.acked) return;  // stale/duplicate ack
   stream.acked = acked_seq;
   stream.current_retry_delay = 0;
-  while (!stream.pending.empty() && stream.pending.front().first <= acked_seq) {
+  while (!stream.pending.empty() && stream.pending.front().seq <= acked_seq) {
     stream.pending.pop_front();
   }
-  while (!stream.enqueue_times.empty() && stream.enqueue_times.front().first <= acked_seq) {
-    stream.enqueue_times.pop_front();
-  }
-  // Wake write waiters satisfied by this ack.
-  auto waiter_it = stream.waiters.begin();
-  while (waiter_it != stream.waiters.end()) {
-    if (waiter_it->first <= acked_seq) {
-      std::shared_ptr<WriteWaiter>& waiter = waiter_it->second;
-      if (!waiter->done && --waiter->remaining <= 0) {
-        waiter->done = true;
-        waiter->respond(Status::Ok());
-      }
-      waiter_it = stream.waiters.erase(waiter_it);
-    } else {
-      ++waiter_it;
+  // Wake the write waiters this ack satisfies: a seq-ordered prefix.
+  auto satisfied = stream.waiters.begin();
+  for (; satisfied != stream.waiters.end() && satisfied->first <= acked_seq; ++satisfied) {
+    WriteWaiter& waiter = *satisfied->second;
+    if (!waiter.done && --waiter.remaining <= 0) {
+      waiter.done = true;
+      waiter.respond(Status::Ok());
     }
   }
+  stream.waiters.erase(stream.waiters.begin(), satisfied);
   if (stream.retry_event != Executor::kInvalidTask && stream.acked >= stream.sent_through) {
     loop_->Cancel(stream.retry_event);
     stream.retry_event = Executor::kInvalidTask;

@@ -131,6 +131,10 @@ struct MultiWriteItem {
   WalRecord record;
 };
 
+/// A record on the replication streams: one immutable copy per write, held
+/// by every secondary's stream and every batch that ships it.
+using SharedRecord = std::shared_ptr<const WalRecord>;
+
 /// One storage server in the simulated cluster.
 class StorageNode {
  public:
@@ -204,7 +208,7 @@ class StorageNode {
   /// condition holds on that same read and the write's stamp is newer than
   /// the key's record, so the engine cannot drop it as superseded;
   /// otherwise it answers kAborted and writes nothing.
-  void HandleWrite(PartitionId pid, const WalRecord& record, AckMode ack,
+  void HandleWrite(PartitionId pid, WalRecord record, AckMode ack,
                    RequestPriority priority, bool return_prior,
                    const std::optional<WriteCondition>& condition,
                    std::function<void(WriteReply)> respond);
@@ -212,7 +216,7 @@ class StorageNode {
   /// Replication batch arrival (secondary side). Applies records with
   /// sequence numbers in (last_applied, ...] and acks cumulatively.
   void HandleReplicate(PartitionId pid, NodeId from, uint64_t first_seq,
-                       std::vector<WalRecord> records, Time watermark);
+                       std::vector<SharedRecord> records, Time watermark);
 
   /// Ack arrival (primary side).
   void HandleReplicateAck(PartitionId pid, NodeId from, uint64_t acked_seq);
@@ -273,10 +277,18 @@ class StorageNode {
     bool done = false;
   };
 
+  // One unacked record on a stream. The record is one immutable copy
+  // shared by every secondary's stream and every (re)transmission;
+  // `enqueued_at` is the watermark a batch ending at this entry carries.
+  struct StreamEntry {
+    uint64_t seq = 0;
+    Time enqueued_at = 0;
+    SharedRecord record;
+  };
+
   // Reliable, ordered, at-least-once stream of records to one secondary.
   struct ReplicationStream {
-    std::deque<std::pair<uint64_t, WalRecord>> pending;  // (seq, record)
-    std::deque<std::pair<uint64_t, Time>> enqueue_times; // (seq, enqueued_at)
+    std::deque<StreamEntry> pending;  // unacked, in seq order
     uint64_t next_seq = 1;
     uint64_t acked = 0;
     uint64_t sent_through = 0;
@@ -284,7 +296,7 @@ class StorageNode {
     bool flush_scheduled = false;
     Duration current_retry_delay = 0;
     Executor::TaskId retry_event = Executor::kInvalidTask;
-    // Waiters blocked on this stream reaching a given seq.
+    // Waiters blocked on this stream reaching a given seq, in seq order.
     std::vector<std::pair<uint64_t, std::shared_ptr<WriteWaiter>>> waiters;
   };
 
@@ -301,13 +313,13 @@ class StorageNode {
                                 bool client = true);
 
   /// Applies a write locally and fans out to the replica set of `pid`.
-  void ApplyAndReplicate(PartitionId pid, const WalRecord& record, AckMode ack,
+  void ApplyAndReplicate(PartitionId pid, WalRecord record, AckMode ack,
                          std::function<void(Status)> respond);
 
   /// The replication half shared by single and batched writes: fans an
   /// already-applied record out to pid's secondaries and invokes `respond`
   /// per `ack` (immediately for kPrimary, on sufficient acks otherwise).
-  void ReplicateAndAck(PartitionId pid, const WalRecord& record, AckMode ack,
+  void ReplicateAndAck(PartitionId pid, WalRecord record, AckMode ack,
                        std::function<void(Status)> respond);
 
   /// Drains the engine's accrued simulated disk latency (page faults,
@@ -319,7 +331,7 @@ class StorageNode {
   /// time (single writer: the owner worker).
   void AccrueBusy(Time now, Duration amount);
 
-  void EnqueueReplication(PartitionId pid, NodeId to, const WalRecord& record,
+  void EnqueueReplication(PartitionId pid, NodeId to, const SharedRecord& record,
                           const std::shared_ptr<WriteWaiter>& waiter);
   void FlushStream(PartitionId pid, NodeId to);
   void SendBatch(PartitionId pid, NodeId to, ReplicationStream* stream);
