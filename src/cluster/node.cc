@@ -242,6 +242,23 @@ void StorageNode::HandleMultiGet(std::vector<std::string> keys, RequestPriority 
   });
 }
 
+template <typename Reply>
+void StorageNode::AfterCommit(Time committed_at, Reply reply) {
+  if (loop_->Now() >= committed_at) {
+    reply();
+    return;
+  }
+  loop_->ScheduleAt(committed_at, [this, reply = std::move(reply)]() mutable {
+    if (alive_) reply();  // a crash before the commit ended loses the reply
+  });
+}
+
+void StorageNode::Answer(const std::shared_ptr<WriteWaiter>& waiter, Status status) {
+  waiter->done = true;
+  AfterCommit(waiter->committed_at,
+              [waiter, status = std::move(status)] { waiter->respond(status); });
+}
+
 void StorageNode::HandleMultiWrite(std::vector<MultiWriteItem> items, AckMode ack,
                                    RequestPriority priority,
                                    std::function<void(std::vector<Status>)> respond) {
@@ -258,38 +275,48 @@ void StorageNode::HandleMultiWrite(std::vector<MultiWriteItem> items, AckMode ac
     respond(std::vector<Status>(items.size(), ResourceExhaustedError("node overloaded")));
     return;
   }
-  loop_->ScheduleAfter(*sojourn, [this, items = std::move(items), ack,
-                                  respond = std::move(respond)]() mutable {
+  // As in HandleWrite: the batch applies and ships when its service (the
+  // group commit) starts, and replies once that service has ended too.
+  loop_->ScheduleAfter(*sojourn - service, [this, items = std::move(items), ack, service,
+                                            respond = std::move(respond)]() mutable {
     if (!alive_) return;
     stats_.ops_completed += static_cast<int64_t>(items.size());
-    // Group commit: log and apply the whole batch before any replication or
-    // ack — one WAL sync covers every record.
+    const Time committed_at = loop_->Now() + service;
+    // Group commit: one WAL sync covers every record of the batch.
     std::vector<WalRecord> records;
     records.reserve(items.size());
     for (MultiWriteItem& item : items) records.push_back(std::move(item.record));
     Status applied = engine_->ApplyBatch(records);
     ChargeEngineIo();  // write-path faults/forced write-backs: busy time only
     if (!applied.ok()) {
-      respond(std::vector<Status>(items.size(), applied));
+      AfterCommit(committed_at, [respond = std::move(respond), count = items.size(),
+                                 applied = std::move(applied)] {
+        respond(std::vector<Status>(count, applied));
+      });
       return;
     }
     // Fan each record out on the replication streams; the batch responds
-    // when every record has reached the requested ack level.
+    // when every record has reached the requested ack level and the group
+    // commit has ended.
     struct BatchState {
       std::vector<Status> statuses;
       size_t remaining = 0;
+      Time committed_at = 0;
       std::function<void(std::vector<Status>)> respond;
     };
     auto batch = std::make_shared<BatchState>();
     batch->statuses.assign(items.size(), Status::Ok());
     batch->remaining = items.size();
+    batch->committed_at = committed_at;
     batch->respond = std::move(respond);
-    auto settle = [batch](size_t index, Status status) {
+    auto settle = [this, batch](size_t index, Status status) {
       batch->statuses[index] = std::move(status);
-      if (--batch->remaining == 0) batch->respond(std::move(batch->statuses));
+      if (--batch->remaining > 0) return;
+      AfterCommit(batch->committed_at, [batch] { batch->respond(std::move(batch->statuses)); });
     };
     for (size_t i = 0; i < items.size(); ++i) {
-      ReplicateAndAck(items[i].pid, std::move(records[i]), ack,
+      // committed_at 0: the batch waits out its commit once, not per record.
+      ReplicateAndAck(items[i].pid, std::move(records[i]), ack, /*committed_at=*/0,
                       [settle, i](Status status) { settle(i, std::move(status)); });
     }
   });
@@ -327,37 +354,31 @@ void StorageNode::HandleScan(const std::string& start, const std::string& end, s
 }
 
 void StorageNode::ReplicateAndAck(PartitionId pid, WalRecord record, AckMode ack,
-                                  std::function<void(Status)> respond) {
+                                  Time committed_at, std::function<void(Status)> respond) {
   const PartitionInfo* partition = cluster_->partitions()->Get(pid);
   if (partition == nullptr) {
-    respond(NotFoundError(StrFormat("partition %d", pid)));
+    AfterCommit(committed_at, [respond = std::move(respond), pid] {
+      respond(NotFoundError(StrFormat("partition %d", pid)));
+    });
     return;
   }
-  int needed = AcksNeeded(ack, partition->replicas.size()) - 1;  // primary counts as one
-  auto waiter = std::make_shared<WriteWaiter>();
-  waiter->remaining = needed;
-  waiter->respond = std::move(respond);
-  if (needed <= 0) {
-    waiter->done = true;
-    waiter->respond(Status::Ok());
+  // The primary's own commit is the one ack AcksNeeded counts it as.
+  int needed = AcksNeeded(ack, partition->replicas.size()) - 1;
+  std::shared_ptr<WriteWaiter> waiter;
+  if (needed > 0) {
+    waiter = std::make_shared<WriteWaiter>();
+    waiter->remaining = needed;
+    waiter->committed_at = committed_at;
+    waiter->respond = std::move(respond);
+  } else {
+    AfterCommit(committed_at, [respond = std::move(respond)] { respond(Status::Ok()); });
   }
   SharedRecord shared;  // made for the first secondary, so rf 1 copies nothing
   for (NodeId replica : partition->replicas) {
     if (replica == id_) continue;
     if (shared == nullptr) shared = std::make_shared<const WalRecord>(std::move(record));
-    EnqueueReplication(pid, replica, shared, waiter->done ? nullptr : waiter);
+    EnqueueReplication(pid, replica, shared, waiter);
   }
-}
-
-void StorageNode::ApplyAndReplicate(PartitionId pid, WalRecord record, AckMode ack,
-                                    std::function<void(Status)> respond) {
-  Status applied = engine_->Apply(record);
-  ChargeEngineIo();  // busy time only; acks are already async
-  if (!applied.ok()) {
-    respond(applied);
-    return;
-  }
-  ReplicateAndAck(pid, std::move(record), ack, std::move(respond));
 }
 
 void StorageNode::HandleWrite(PartitionId pid, WalRecord record, AckMode ack,
@@ -370,10 +391,15 @@ void StorageNode::HandleWrite(PartitionId pid, WalRecord record, AckMode ack,
     respond({ResourceExhaustedError("node overloaded"), std::nullopt});
     return;
   }
-  loop_->ScheduleAfter(*sojourn, [this, pid, record = std::move(record), ack, return_prior,
-                                  condition, respond = std::move(respond)]() mutable {
+  // The service is the primary's commit. The write applies and ships to
+  // the secondaries when it starts, so the commit overlaps the replica
+  // round trip; the reply waits for both.
+  loop_->ScheduleAfter(*sojourn - config_.put_service_time,
+                       [this, pid, record = std::move(record), ack, return_prior, condition,
+                        respond = std::move(respond)]() mutable {
     if (!alive_) return;
     ++stats_.ops_completed;
+    const Time committed_at = loop_->Now() + config_.put_service_time;
     // Read in the step that applies the write: the primary serializes this
     // partition's writers, so no other write lands in between, and a
     // condition checked here holds when the write applies. No extra
@@ -384,27 +410,35 @@ void StorageNode::HandleWrite(PartitionId pid, WalRecord record, AckMode ack,
       prior = engine_->GetRaw(record.key);
       ChargeEngineIo();  // the read may fault the covering page
     }
+    Status status;
     if (condition.has_value()) {
       bool live = prior.has_value() && !prior->tombstone;
-      Status failed;
       if (condition->version.has_value() && !(live && prior->version == *condition->version)) {
-        failed = AbortedError("version mismatch");
+        status = AbortedError("version mismatch");
       } else if (!condition->version.has_value() && live) {
-        failed = AbortedError("key already exists");
+        status = AbortedError("key already exists");
       } else if (prior.has_value() && !(record.version > prior->version)) {
         // The engine would drop this write as superseded (say, behind a
         // newer tombstone): a CAS must not report a write it did not make.
-        failed = AbortedError("superseded by a newer version");
+        status = AbortedError("superseded by a newer version");
       }
-      if (!failed.ok()) {
-        respond({std::move(failed), std::nullopt});
-        return;
-      }
-      if (!return_prior) prior.reset();  // read only to check the condition
+      // A lost CAS returns no prior; one that holds read it only to check.
+      if (!status.ok() || !return_prior) prior.reset();
     }
-    ApplyAndReplicate(pid, std::move(record), ack,
-                      [respond = std::move(respond),
-                       prior = std::move(prior)](Status status) mutable {
+    if (status.ok()) {
+      status = engine_->Apply(record);
+      ChargeEngineIo();  // busy time only
+    }
+    if (!status.ok()) {
+      AfterCommit(committed_at, [respond = std::move(respond), status = std::move(status),
+                                 prior = std::move(prior)]() mutable {
+        respond({std::move(status), std::move(prior)});
+      });
+      return;
+    }
+    ReplicateAndAck(pid, std::move(record), ack, committed_at,
+                    [respond = std::move(respond),
+                     prior = std::move(prior)](Status status) mutable {
       respond({std::move(status), std::move(prior)});
     });
   });
@@ -454,10 +488,7 @@ void StorageNode::TearDownStream(PartitionId pid, NodeId to) {
   // come from this replica (re-replication streams the data to its
   // replacement out of band, but that is a copy, not this write's ack).
   for (auto& [seq, waiter] : stream.waiters) {
-    if (!waiter->done) {
-      waiter->done = true;
-      waiter->respond(UnavailableError("replica removed from partition"));
-    }
+    if (!waiter->done) Answer(waiter, UnavailableError("replica removed from partition"));
   }
   streams_.erase(it);
 }
@@ -585,11 +616,8 @@ void StorageNode::HandleReplicateAck(PartitionId pid, NodeId from, uint64_t acke
   // Wake the write waiters this ack satisfies: a seq-ordered prefix.
   auto satisfied = stream.waiters.begin();
   for (; satisfied != stream.waiters.end() && satisfied->first <= acked_seq; ++satisfied) {
-    WriteWaiter& waiter = *satisfied->second;
-    if (!waiter.done && --waiter.remaining <= 0) {
-      waiter.done = true;
-      waiter.respond(Status::Ok());
-    }
+    const std::shared_ptr<WriteWaiter>& waiter = satisfied->second;
+    if (!waiter->done && --waiter->remaining <= 0) Answer(waiter, Status::Ok());
   }
   stream.waiters.erase(stream.waiters.begin(), satisfied);
   if (stream.retry_event != Executor::kInvalidTask && stream.acked >= stream.sent_through) {

@@ -6,6 +6,12 @@
 // numbered log shipping with cumulative acks and retransmission), which give
 // the bounded-staleness and durability behaviours of paper §3.3.
 //
+// A write's service is its commit on the primary (apply plus WAL sync). The
+// primary applies the write and puts it on the replication streams when the
+// service starts, so the commit runs while the secondaries apply it, as a
+// consensus leader writes its own disk in parallel with replicating; the
+// reply goes out once the service has ended and the ack level is met.
+//
 // Handlers are invoked via MessageFabric closures; responses are the caller's
 // responsibility to route back (the Router composes the return hop).
 
@@ -37,17 +43,21 @@
 namespace scads {
 
 /// How many replicas must acknowledge a write before the client is told it
-/// committed (paper §3.3.1, durability vs latency).
+/// committed (paper §3.3.1, durability vs latency). The primary's own
+/// commit, the end of the write's service, always counts as one of them.
 enum class AckMode {
-  kPrimary,  ///< Primary applied it; replication continues asynchronously.
-  kQuorum,   ///< Majority of the replica set applied it.
-  kAll,      ///< Every replica applied it.
+  kPrimary,  ///< Primary committed it; replication continues asynchronously.
+  kQuorum,   ///< Primary committed it and enough secondaries applied it to
+             ///< make a majority of the replica set.
+  kAll,      ///< Primary committed it and every secondary applied it.
 };
 
 /// Per-node service model and replication tunables.
 struct NodeConfig {
   Duration get_service_time = 120;            ///< us of CPU per point read.
-  Duration put_service_time = 180;            ///< us per write.
+  /// us per write: the primary's commit (apply plus WAL sync). It overlaps
+  /// the replica round trip, since the write ships when it starts.
+  Duration put_service_time = 180;
   Duration scan_service_base = 150;           ///< us per scan request.
   Duration scan_service_per_row = 4;          ///< us per row returned.
   Duration replicate_service_per_record = 40; ///< us per replicated record.
@@ -56,7 +66,8 @@ struct NodeConfig {
   /// state, so the marginal key is far cheaper than a standalone get.
   Duration multiget_service_per_key = 25;
   /// us per record after the first in a batched write (group commit
-  /// amortizes the WAL sync the same way).
+  /// amortizes the WAL sync the same way). The batch's commit overlaps its
+  /// replica round trips like a single write's.
   Duration multiwrite_service_per_record = 60;
   /// Overload shedding: requests that would wait longer than this are
   /// rejected immediately with kResourceExhausted. kLow work sheds at half
@@ -185,11 +196,12 @@ class StorageNode {
   void HandleMultiGet(std::vector<std::string> keys, RequestPriority priority,
                       std::function<void(MultiGetReply)> respond);
 
-  /// Batched writes: the whole batch is WAL-logged with one group-commit
-  /// sync, applied, then each record replicates on the normal streams.
-  /// `respond` fires once with a status per item, when every item has
-  /// reached the requested ack level. This node must be primary for every
-  /// item's partition.
+  /// Batched writes: one group commit (a WAL sync for the whole batch) is
+  /// the batch's service. When it starts, the batch is applied and each
+  /// record goes out on the normal streams. `respond` fires once with a
+  /// status per item, at the later of the commit's end and the replica ack
+  /// that completes the requested level for the last item. This node must
+  /// be primary for every item's partition.
   void HandleMultiWrite(std::vector<MultiWriteItem> items, AckMode ack,
                         RequestPriority priority,
                         std::function<void(std::vector<Status>)> respond);
@@ -200,14 +212,19 @@ class StorageNode {
                   std::function<void(Result<std::vector<Record>>)> respond);
 
   /// Write (put or tombstone) for partition `pid`. This node must be the
-  /// partition's primary; it applies locally then drives replication.
-  /// `respond` fires according to `ack`. With `return_prior`, the reply
-  /// carries the record the write replaced, read in the service step that
-  /// applies the write, so it is the write's exact predecessor. With a
-  /// `condition` (compare-and-set), the write applies only when the
-  /// condition holds on that same read and the write's stamp is newer than
-  /// the key's record, so the engine cannot drop it as superseded;
-  /// otherwise it answers kAborted and writes nothing.
+  /// partition's primary. When the write's service (its commit) starts, it
+  /// applies locally and goes out on the replication streams; `respond`
+  /// fires once the service has ended and `ack` is met, so a kQuorum or kAll
+  /// write waits for the later of its commit and its replica acks, not
+  /// their sum. With `return_prior`, the reply carries the record the write
+  /// replaced, read in the step that applies the write, so it is the
+  /// write's exact predecessor. With a `condition` (compare-and-set), the
+  /// write applies only when the condition holds on that same read and the
+  /// write's stamp is newer than the key's record, so the engine cannot
+  /// drop it as superseded; otherwise it writes and ships nothing and
+  /// answers kAborted when the service ends. A node that dies before its
+  /// commit ends never answers, though the write may have reached the
+  /// secondaries.
   void HandleWrite(PartitionId pid, WalRecord record, AckMode ack,
                    RequestPriority priority, bool return_prior,
                    const std::optional<WriteCondition>& condition,
@@ -271,8 +288,11 @@ class StorageNode {
   void SetBackgroundLoad(double utilization, Duration busy_account);
 
  private:
+  // A write waiting on the replica acks it still needs. Its reply also
+  // waits for `committed_at`, when the primary's own commit ends.
   struct WriteWaiter {
     int remaining = 0;
+    Time committed_at = 0;
     std::function<void(Status)> respond;
     bool done = false;
   };
@@ -312,15 +332,21 @@ class StorageNode {
   std::optional<Duration> Admit(Duration service, RequestPriority priority,
                                 bool client = true);
 
-  /// Applies a write locally and fans out to the replica set of `pid`.
-  void ApplyAndReplicate(PartitionId pid, WalRecord record, AckMode ack,
-                         std::function<void(Status)> respond);
-
   /// The replication half shared by single and batched writes: fans an
   /// already-applied record out to pid's secondaries and invokes `respond`
-  /// per `ack` (immediately for kPrimary, on sufficient acks otherwise).
-  void ReplicateAndAck(PartitionId pid, WalRecord record, AckMode ack,
+  /// per `ack` once the primary's commit, ending at `committed_at`, is over
+  /// too: for kPrimary then, otherwise at the later of that and the last
+  /// replica ack the ack level needs.
+  void ReplicateAndAck(PartitionId pid, WalRecord record, AckMode ack, Time committed_at,
                        std::function<void(Status)> respond);
+
+  /// Runs `reply` once the commit ending at `committed_at` is over: at once
+  /// when it already is, else on a timer (silenced if the node dies first).
+  template <typename Reply>
+  void AfterCommit(Time committed_at, Reply reply);
+
+  /// Marks `waiter` done and answers it with `status` after its commit.
+  void Answer(const std::shared_ptr<WriteWaiter>& waiter, Status status);
 
   /// Drains the engine's accrued simulated disk latency (page faults,
   /// forced write-backs) into busy time; returns the amount so read paths

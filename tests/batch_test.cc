@@ -202,8 +202,9 @@ struct TestCluster {
   std::unique_ptr<Router> router;
 
   TestCluster(int node_count, int replication_factor,
-              NodeConfig node_config = NodeConfig{}, RouterConfig router_config = RouterConfig{})
-      : network(&loop, 7) {
+              NodeConfig node_config = NodeConfig{}, RouterConfig router_config = RouterConfig{},
+              NetworkConfig net_config = NetworkConfig{})
+      : network(&loop, 7, net_config) {
     std::vector<NodeId> ids;
     for (int i = 0; i < node_count; ++i) {
       auto node = std::make_unique<StorageNode>(i, &loop, &network, &cluster, node_config,
@@ -436,6 +437,48 @@ TEST(RouterMultiWriteTest, QuorumAckReachesSecondaries) {
     }
     EXPECT_GE(holders, 2) << key;
   }
+}
+
+// A kAll batch replies at the later of its group commit's end and its last
+// replica ack. Three nodes, rf 3, the default NodeConfig, no jitter: every
+// hop takes 200 us. All records share partition ["", "g") and so one stream
+// per secondary: the first record ships alone when the service starts (S,
+// 200 us after issue) and is acked at S + 440; the rest ship then and are
+// acked at S + 840 + 40 us per record after the first. The commit ends at
+// S + 180 + 60 us per record after the first.
+TEST(RouterMultiWriteTest, AllAckBatchRepliesAtTheLaterOfCommitAndLastReplicaAck) {
+  NetworkConfig net_config;
+  net_config.jitter_mean = 0;
+  auto timed_batch = [&](int records) {
+    TestCluster tc(3, 3, NodeConfig{}, RouterConfig{}, net_config);
+    std::vector<Router::WriteOp> ops;
+    for (int i = 0; i < records; ++i) {
+      ops.push_back({Router::WriteOp::Kind::kPut, "a" + std::to_string(100 + i), "v"});
+    }
+    Duration latency = -1;
+    bool ok = false;
+    Time issued = tc.loop.Now();
+    tc.router->MultiWrite(std::move(ops), AckMode::kAll, RequestOptions{},
+                          [&](std::vector<Status> statuses) {
+                            ok = std::all_of(statuses.begin(), statuses.end(),
+                                             [](const Status& s) { return s.ok(); });
+                            latency = tc.loop.Now() - issued;
+                          });
+    tc.loop.RunFor(kSecond);
+    EXPECT_TRUE(ok);
+    return latency;
+  };
+  // 3 records: the last ack (S + 920) outlasts the commit (S + 300), so the
+  // reply arrives 200 + 920 + 200 us after issue. Committing before
+  // replicating took 200 + 300 + 920 + 200.
+  Duration small = timed_batch(3);
+  EXPECT_EQ(small, 1320);
+  EXPECT_LT(small, 1620);
+  // 40 records: the commit (S + 2,520) outlasts the last ack (S + 2,400).
+  // Committing first took 200 + 2,520 + 2,400 + 200.
+  Duration large = timed_batch(40);
+  EXPECT_EQ(large, 2920);
+  EXPECT_LT(large, 5320);
 }
 
 TEST(RouterMultiWriteTest, DeadPrimarySubBatchFailsOthersSucceed) {

@@ -429,6 +429,108 @@ TEST(RouterTest, DeletePropagates) {
   }
 }
 
+// ---------------------------------------------------------- Write commit --
+//
+// Three nodes, rf 3, the default NodeConfig, no jitter: every hop takes the
+// network's 200 us. A write's 180 us service is the primary's commit; the
+// write applies and ships to the secondaries when that service starts, and
+// its reply waits for the commit and for the replica acks its level needs.
+
+NetworkConfig NoJitter() {
+  NetworkConfig config;
+  config.jitter_mean = 0;
+  return config;
+}
+
+struct TimedReply {
+  Status status = InternalError("callback never ran");
+  Duration latency = -1;  // us from issue to callback
+};
+
+TimedReply TimedWrite(TestCluster& tc, const Router::WriteOp& op, AckMode ack) {
+  TimedReply reply;
+  Time issued = tc.loop.Now();
+  tc.router->Write(op, ack, RequestOptions{}, [&](Result<Router::WriteAck> r) {
+    reply.status = r.status();
+    reply.latency = tc.loop.Now() - issued;
+  });
+  tc.loop.RunFor(kSecond);
+  return reply;
+}
+
+Router::WriteOp PlainPut(const std::string& key, const std::string& value) {
+  return {Router::WriteOp::Kind::kPut, key, value};
+}
+
+TEST(WriteCommitTest, QuorumAndAllPutsAckAfterTwoHopsAndTheReplicaRoundTrip) {
+  // 200 request + max(180 commit, 200 + 40 + 200 replica round trip) + 200
+  // reply. Committing before replicating took 200 + 180 + 440 + 200 = 1,020.
+  TestCluster tc(3, 3, NodeConfig{}, RouterConfig{}, NoJitter());
+  TimedReply quorum = TimedWrite(tc, PlainPut("q", "v"), AckMode::kQuorum);
+  ASSERT_TRUE(quorum.status.ok()) << quorum.status.ToString();
+  EXPECT_EQ(quorum.latency, 840);
+  TimedReply all = TimedWrite(tc, PlainPut("a", "v"), AckMode::kAll);
+  ASSERT_TRUE(all.status.ok()) << all.status.ToString();
+  EXPECT_EQ(all.latency, 840);
+}
+
+TEST(WriteCommitTest, PrimaryAckedPutStillWaitsForItsCommit) {
+  TestCluster tc(3, 3, NodeConfig{}, RouterConfig{}, NoJitter());
+  TimedReply reply = TimedWrite(tc, PlainPut("k", "v"), AckMode::kPrimary);
+  ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+  EXPECT_EQ(reply.latency, 200 + 180 + 200);
+}
+
+TEST(WriteCommitTest, LostCasAnswersWhenItsCommitEndsAndShipsNothing) {
+  TestCluster tc(3, 3, NodeConfig{}, RouterConfig{}, NoJitter());
+  ASSERT_TRUE(TimedWrite(tc, PlainPut("k", "v1"), AckMode::kAll).status.ok());
+  std::vector<int64_t> shipped_out;
+  std::vector<int64_t> shipped_in;
+  for (const auto& node : tc.nodes) {
+    shipped_out.push_back(node->stats().records_replicated_out);
+    shipped_in.push_back(node->stats().records_replicated_in);
+  }
+  // The version check fails when the service starts; the answer still
+  // waits for the service to end.
+  TimedReply lost = TimedWrite(tc, CasPut("k", "v2", Version{1, 1}), AckMode::kAll);
+  EXPECT_EQ(lost.status.code(), StatusCode::kAborted) << lost.status.ToString();
+  EXPECT_EQ(lost.latency, 200 + 180 + 200);
+  for (size_t i = 0; i < tc.nodes.size(); ++i) {
+    EXPECT_EQ(tc.nodes[i]->stats().records_replicated_out, shipped_out[i]) << "node " << i;
+    EXPECT_EQ(tc.nodes[i]->stats().records_replicated_in, shipped_in[i]) << "node " << i;
+    EXPECT_EQ(tc.nodes[i]->engine()->Get("k")->value, "v1") << "node " << i;
+  }
+}
+
+TEST(WriteCommitTest, PrimaryKilledMidCommitNeverAcksYetEveryReplicaKeepsTheWrite) {
+  TestCluster tc(3, 3, NodeConfig{}, RouterConfig{}, NoJitter());
+  StorageNode* primary = tc.cluster.GetNode(tc.cluster.partitions()->ForKey("k").primary());
+  Status status = InternalError("callback never ran");
+  bool answered = false;
+  tc.router->Put("k", "v", AckMode::kQuorum, RequestOptions{}, [&](Status s) {
+    status = std::move(s);
+    answered = true;
+  });
+  // The request lands at 200 us and its commit runs until 380 us.
+  tc.loop.RunFor(290);
+  EXPECT_TRUE(primary->engine()->Get("k").ok());  // applied as the service started
+  primary->set_alive(false);
+  // The replica acks land on a dead node, so the router's wait times out.
+  tc.loop.RunFor(kSecond);
+  ASSERT_TRUE(answered);
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
+  primary->set_alive(true);
+  tc.loop.RunFor(2 * kSecond);
+  for (const auto& node : tc.nodes) {
+    auto got = node->engine()->Get("k");
+    ASSERT_TRUE(got.ok()) << "node " << node->id();
+    EXPECT_EQ(got->value, "v") << "node " << node->id();
+  }
+  auto pinned = tc.GetSync("k", /*pin_primary=*/true);
+  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+  EXPECT_EQ(pinned->value, "v");
+}
+
 // ------------------------------------------------------------ Node model --
 
 TEST(NodeModelTest, LatencyGrowsWithQueueDepth) {
