@@ -1,6 +1,7 @@
 #include "cluster/node.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/logging.h"
@@ -14,7 +15,8 @@ namespace {
 // doubling up to kMaxRetryDelay under sustained partition.
 constexpr Duration kReplicationRetryBase = 50 * kMillisecond;
 constexpr Duration kMaxRetryDelay = kSecond;
-// Max records per replication batch.
+// Max records per replication message, over all its lanes, so one message
+// costs a secondary at most this many record applies.
 constexpr size_t kReplicationBatchMax = 128;
 // Priority admission: kLow work is shed once the queue backlog exceeds
 // this fraction of max_queue_delay, so an overloaded node drops background
@@ -23,6 +25,50 @@ constexpr size_t kReplicationBatchMax = 128;
 constexpr double kLowPriorityShedFraction = 0.5;
 // Smoothing factor for the load-signal EWMAs (sojourn, shed fraction).
 constexpr double kLoadEwmaAlpha = 0.2;
+
+// A list whose first element lives inline: a channel message or ack with
+// one lane, the common case, takes no heap vector.
+template <typename T>
+class InlineFirstList {
+ public:
+  size_t size() const { return size_; }
+  const T& operator[](size_t i) const { return i == 0 ? first_ : rest_[i - 1]; }
+  void reserve(size_t n) {
+    if (n > 1) rest_.reserve(n - 1);
+  }
+  void push_back(const T& value) {
+    if (size_++ == 0) {
+      first_ = value;
+    } else {
+      rest_.push_back(value);
+    }
+  }
+
+ private:
+  T first_{};
+  std::vector<T> rest_;
+  size_t size_ = 0;
+};
+
+// One lane's part of a channel message: `count` records from `first_seq`
+// on (the message's next `count` records) and the watermark they prove. A
+// heartbeat lane carries no records.
+struct LaneBatch {
+  PartitionId pid = -1;
+  uint32_t count = 0;
+  uint64_t first_seq = 0;
+  Time watermark = 0;
+};
+
+// One lane's cumulative ack: every seq through `seq` is applied.
+struct LaneAck {
+  PartitionId pid = -1;
+  uint64_t seq = 0;
+};
+
+Duration RetryDelayOf(Duration backoff) {
+  return backoff == 0 ? kReplicationRetryBase : backoff;
+}
 
 int AcksNeeded(AckMode ack, size_t replica_count) {
   switch (ack) {
@@ -36,6 +82,16 @@ int AcksNeeded(AckMode ack, size_t replica_count) {
   return 1;
 }
 }  // namespace
+
+// Lane batches in partition order, their records back to back.
+struct StorageNode::ChannelMessage {
+  InlineFirstList<LaneBatch> lanes;
+  std::vector<SharedRecord> records;
+};
+
+struct StorageNode::ChannelAck {
+  InlineFirstList<LaneAck> lanes;
+};
 
 StorageNode::StorageNode(NodeId id, Executor* exec, MessageFabric* network, ClusterState* cluster,
                          NodeConfig config, uint64_t seed)
@@ -58,7 +114,13 @@ StorageNode::~StorageNode() { Stop(); }
 
 void StorageNode::set_alive(bool alive) {
   const bool was_alive = alive_.exchange(alive, std::memory_order_acq_rel);
-  if (alive && !was_alive) StartRecovery();
+  if (alive && !was_alive) {
+    // Records whose flush window closed while the node was dead ship now;
+    // batches in flight resend on their channel's next retry tick, which
+    // kept ticking through the outage.
+    for (auto& [to, channel] : channels_) SendReady(to, channel);
+    StartRecovery();
+  }
 }
 
 void StorageNode::Start() {
@@ -73,10 +135,10 @@ void StorageNode::Stop() {
     loop_->Cancel(heartbeat_event_);
     heartbeat_event_ = Executor::kInvalidTask;
   }
-  for (auto& [key, stream] : streams_) {
-    if (stream.retry_event != Executor::kInvalidTask) {
-      loop_->Cancel(stream.retry_event);
-      stream.retry_event = Executor::kInvalidTask;
+  for (auto& [to, channel] : channels_) {
+    if (channel.retry_event != Executor::kInvalidTask) {
+      loop_->Cancel(channel.retry_event);
+      channel.retry_event = Executor::kInvalidTask;
     }
   }
 }
@@ -295,30 +357,48 @@ void StorageNode::HandleMultiWrite(std::vector<MultiWriteItem> items, AckMode ac
       });
       return;
     }
-    // Fan each record out on the replication streams; the batch responds
-    // when every record has reached the requested ack level and the group
-    // commit has ended.
+    // Each run of same-partition items goes out on its partition's lanes
+    // under one waiter; the batch responds when every run has reached the
+    // requested ack level and the group commit has ended.
     struct BatchState {
       std::vector<Status> statuses;
-      size_t remaining = 0;
+      size_t runs_left = 0;
       Time committed_at = 0;
       std::function<void(std::vector<Status>)> respond;
     };
     auto batch = std::make_shared<BatchState>();
     batch->statuses.assign(items.size(), Status::Ok());
-    batch->remaining = items.size();
     batch->committed_at = committed_at;
     batch->respond = std::move(respond);
-    auto settle = [this, batch](size_t index, Status status) {
-      batch->statuses[index] = std::move(status);
-      if (--batch->remaining > 0) return;
-      AfterCommit(batch->committed_at, [batch] { batch->respond(std::move(batch->statuses)); });
-    };
+    // Every run is counted first: one that needs no replica ack settles at
+    // once.
     for (size_t i = 0; i < items.size(); ++i) {
-      // committed_at 0: the batch waits out its commit once, not per record.
-      ReplicateAndAck(items[i].pid, std::move(records[i]), ack, /*committed_at=*/0,
-                      [settle, i](Status status) { settle(i, std::move(status)); });
+      if (i == 0 || items[i].pid != items[i - 1].pid) ++batch->runs_left;
     }
+    // One block holds the batch's records, and lane entries alias it. It
+    // is made for the first secondary, so rf 1 copies nothing.
+    std::shared_ptr<const std::vector<WalRecord>> block;
+    auto record_at = [&](size_t i) {
+      if (block == nullptr) {
+        block = std::make_shared<const std::vector<WalRecord>>(std::move(records));
+      }
+      return SharedRecord(block, &(*block)[i]);
+    };
+    for (size_t begin = 0, end = 0; begin < items.size(); begin = end) {
+      end = begin + 1;
+      while (end < items.size() && items[end].pid == items[begin].pid) ++end;
+      // committed_at 0: the batch waits out its commit once, not per run.
+      ReplicateAndAck(
+          items[begin].pid, end - begin, [&, begin](size_t i) { return record_at(begin + i); },
+          ack, /*committed_at=*/0, [this, batch, begin, end](const Status& status) {
+            std::fill(batch->statuses.begin() + static_cast<ptrdiff_t>(begin),
+                      batch->statuses.begin() + static_cast<ptrdiff_t>(end), status);
+            if (--batch->runs_left > 0) return;
+            AfterCommit(batch->committed_at,
+                        [batch] { batch->respond(std::move(batch->statuses)); });
+          });
+    }
+    FlushListed();
   });
 }
 
@@ -353,7 +433,8 @@ void StorageNode::HandleScan(const std::string& start, const std::string& end, s
   });
 }
 
-void StorageNode::ReplicateAndAck(PartitionId pid, WalRecord record, AckMode ack,
+template <typename RecordAt>
+void StorageNode::ReplicateAndAck(PartitionId pid, size_t count, RecordAt record_at, AckMode ack,
                                   Time committed_at, std::function<void(Status)> respond) {
   const PartitionInfo* partition = cluster_->partitions()->Get(pid);
   if (partition == nullptr) {
@@ -373,11 +454,28 @@ void StorageNode::ReplicateAndAck(PartitionId pid, WalRecord record, AckMode ack
   } else {
     AfterCommit(committed_at, [respond = std::move(respond)] { respond(Status::Ok()); });
   }
-  SharedRecord shared;  // made for the first secondary, so rf 1 copies nothing
+  const Time now = loop_->Now();
   for (NodeId replica : partition->replicas) {
     if (replica == id_) continue;
-    if (shared == nullptr) shared = std::make_shared<const WalRecord>(std::move(record));
-    EnqueueReplication(pid, replica, shared, waiter);
+    Channel& channel = channels_[replica];
+    Lane& lane = channel.lanes[pid];
+    for (size_t i = 0; i < count; ++i) lane.pending.push_back({lane.next_seq++, now, record_at(i)});
+    if (waiter != nullptr) {
+      lane.waiters.emplace_back(lane.next_seq - 1, waiter);
+      if (!channel.flush_listed) {
+        channel.flush_listed = true;
+        flush_list_.push_back(replica);
+      }
+    } else if (!lane.inflight && !channel.flush_scheduled) {
+      // An in-flight lane ships the rest on its ack; otherwise the records
+      // wait out the async window, or go sooner with any other flush.
+      channel.flush_scheduled = true;
+      loop_->ScheduleAfter(config_.replication_flush_interval, [this, to = replica] {
+        Channel& window = channels_[to];
+        window.flush_scheduled = false;
+        SendReady(to, window);
+      });
+    }
   }
 }
 
@@ -436,31 +534,31 @@ void StorageNode::HandleWrite(PartitionId pid, WalRecord record, AckMode ack,
       });
       return;
     }
-    ReplicateAndAck(pid, std::move(record), ack, committed_at,
-                    [respond = std::move(respond),
-                     prior = std::move(prior)](Status status) mutable {
-      respond({std::move(status), std::move(prior)});
-    });
+    SharedRecord shared;  // made for the first secondary, so rf 1 copies nothing
+    ReplicateAndAck(
+        pid, 1,
+        [&](size_t) {
+          if (shared == nullptr) shared = std::make_shared<const WalRecord>(std::move(record));
+          return shared;
+        },
+        ack, committed_at,
+        [respond = std::move(respond), prior = std::move(prior)](Status status) mutable {
+          respond({std::move(status), std::move(prior)});
+        });
+    FlushListed();
   });
 }
 
-void StorageNode::EnqueueReplication(PartitionId pid, NodeId to, const SharedRecord& record,
-                                     const std::shared_ptr<WriteWaiter>& waiter) {
-  ReplicationStream& stream = streams_[{pid, to}];
-  uint64_t seq = stream.next_seq++;
-  stream.pending.push_back({seq, loop_->Now(), record});
-  if (waiter != nullptr) stream.waiters.emplace_back(seq, waiter);
-  if (waiter != nullptr) {
-    // Synchronous-ack writes flush immediately.
-    FlushStream(pid, to);
-  } else if (!stream.flush_scheduled && !stream.inflight) {
-    stream.flush_scheduled = true;
-    loop_->ScheduleAfter(config_.replication_flush_interval,
-                         [this, pid, to] { FlushStream(pid, to); });
+void StorageNode::FlushListed() {
+  for (NodeId to : flush_list_) {
+    Channel& channel = channels_[to];
+    channel.flush_listed = false;
+    SendReady(to, channel);
   }
+  flush_list_.clear();
 }
 
-bool StorageNode::StreamStillValid(PartitionId pid, NodeId to) const {
+bool StorageNode::LaneStillValid(PartitionId pid, NodeId to) const {
   const PartitionInfo* partition = cluster_->partitions()->Get(pid);
   if (partition == nullptr) return false;
   bool member = std::find(partition->replicas.begin(), partition->replicas.end(), to) !=
@@ -471,163 +569,199 @@ bool StorageNode::StreamStillValid(PartitionId pid, NodeId to) const {
   // new primary, and those records are data it needs (WritesDuringMove
   // relies on this). Only a dead or unregistered destination makes further
   // retransmission pointless: its catch-up path is delta-sync on restart,
-  // not this stream.
+  // not this lane.
   StorageNode* target = cluster_->GetNode(to);
   return target != nullptr && target->alive();
 }
 
-void StorageNode::TearDownStream(PartitionId pid, NodeId to) {
-  auto it = streams_.find({pid, to});
-  if (it == streams_.end()) return;
-  ReplicationStream& stream = it->second;
-  if (stream.retry_event != Executor::kInvalidTask) {
-    loop_->Cancel(stream.retry_event);
-    stream.retry_event = Executor::kInvalidTask;
-  }
+void StorageNode::TearDownLane(Lane& lane) {
   // Unmet waiters fail honestly: the ack they were counting on will never
   // come from this replica (re-replication streams the data to its
   // replacement out of band, but that is a copy, not this write's ack).
-  for (auto& [seq, waiter] : stream.waiters) {
+  for (auto& [seq, waiter] : lane.waiters) {
     if (!waiter->done) Answer(waiter, UnavailableError("replica removed from partition"));
   }
-  streams_.erase(it);
+  lane.waiters.clear();
+  lane.pending.clear();
+  lane.acked = lane.sent_through = lane.next_seq - 1;
+  lane.inflight = false;
 }
 
-void StorageNode::FlushStream(PartitionId pid, NodeId to) {
-  auto it = streams_.find({pid, to});
-  if (it == streams_.end()) return;
-  ReplicationStream& stream = it->second;
-  stream.flush_scheduled = false;
-  if (stream.inflight || !alive_) return;
-  if (stream.pending.empty()) return;
-  if (!StreamStillValid(pid, to)) {
-    TearDownStream(pid, to);
-    return;
-  }
-  SendBatch(pid, to, &stream);
-}
-
-void StorageNode::SendBatch(PartitionId pid, NodeId to, ReplicationStream* stream) {
-  // Send everything pending (bounded by batch max), starting after the last
-  // cumulative ack; retransmissions resend the same prefix. The batch
-  // carries the enqueue time of its last entry as the watermark.
-  std::vector<SharedRecord> batch;
-  uint64_t first_seq = stream->acked + 1;
-  Time watermark = 0;
-  for (const StreamEntry& entry : stream->pending) {
-    if (entry.seq < first_seq) continue;
-    if (batch.size() == kReplicationBatchMax) break;
-    batch.push_back(entry.record);
-    watermark = entry.enqueued_at;
-  }
-  if (batch.empty()) return;
-  stream->sent_through = first_seq + batch.size() - 1;
-  stream->inflight = true;
-  stats_.records_replicated_out += static_cast<int64_t>(batch.size());
-  NodeId self = id_;
-  StorageNode* target = cluster_->GetNode(to);
-  if (target != nullptr) {
-    int64_t payload_bytes = 0;
-    for (const SharedRecord& record : batch) payload_bytes += WireSize(*record);
-    network_->Send(self, to, payload_bytes,
-                   [target, pid, self, first_seq, batch = std::move(batch), watermark]() mutable {
-                     target->HandleReplicate(pid, self, first_seq, std::move(batch), watermark);
-                   });
-  }
-  // Arm retransmission with exponential backoff.
-  Duration delay = stream->current_retry_delay == 0 ? kReplicationRetryBase
-                                                    : stream->current_retry_delay;
-  stream->retry_event = loop_->ScheduleAfter(delay, [this, pid, to] {
-    auto it = streams_.find({pid, to});
-    if (it == streams_.end()) return;
-    ReplicationStream& s = it->second;
-    s.retry_event = Executor::kInvalidTask;
-    if (s.acked >= s.sent_through) return;  // acked meanwhile
-    if (!StreamStillValid(pid, to)) {
-      // Target dropped from the replica set (re-replication replaced a
-      // dead node) or leadership moved: stop retransmitting into the void.
-      TearDownStream(pid, to);
-      return;
+void StorageNode::SendReady(NodeId to, Channel& channel) {
+  if (!alive_) return;
+  // A ready lane ships everything it holds past its cumulative ack, up to
+  // the cap; a retransmission resends the same prefix.
+  size_t ready_lanes = 0;
+  size_t ready_records = 0;
+  for (auto& [pid, lane] : channel.lanes) {
+    if (lane.inflight || lane.pending.empty()) continue;
+    if (!LaneStillValid(pid, to)) {
+      TearDownLane(lane);
+      continue;
     }
-    ++stats_.retransmits;
-    s.inflight = false;
-    s.current_retry_delay =
-        std::min<Duration>(kMaxRetryDelay, (s.current_retry_delay == 0
-                                                ? kReplicationRetryBase
-                                                : s.current_retry_delay) *
-                                               2);
-    if (alive_) SendBatch(pid, to, &s);
-  });
+    ++ready_lanes;
+    ready_records += std::min(lane.pending.size(), kReplicationBatchMax);
+  }
+  if (ready_lanes == 0) return;
+  const Time now = loop_->Now();
+  ChannelMessage message;
+  message.lanes.reserve(ready_lanes);
+  message.records.reserve(std::min(ready_records, kReplicationBatchMax));
+  for (auto& [pid, lane] : channel.lanes) {
+    if (lane.inflight || lane.pending.empty()) continue;
+    const size_t count = std::min(lane.pending.size(), kReplicationBatchMax);
+    if (message.records.size() + count > kReplicationBatchMax) {
+      // A lane that does not fit goes whole in the next message.
+      Ship(to, std::move(message));
+      message = ChannelMessage{};
+    }
+    LaneBatch batch;
+    batch.pid = pid;
+    batch.count = static_cast<uint32_t>(count);
+    batch.first_seq = lane.pending.front().seq;
+    batch.watermark = lane.pending[count - 1].enqueued_at;
+    for (size_t i = 0; i < count; ++i) message.records.push_back(lane.pending[i].record);
+    message.lanes.push_back(batch);
+    if (batch.first_seq <= lane.sent_through) ++stats_.retransmits;
+    lane.sent_through = batch.first_seq + count - 1;
+    lane.inflight = true;
+    lane.sent_at = now;
+  }
+  Ship(to, std::move(message));
+  ArmRetry(to, channel);
 }
 
-void StorageNode::HandleReplicate(PartitionId pid, NodeId from, uint64_t first_seq,
-                                  std::vector<SharedRecord> records, Time watermark) {
+void StorageNode::Ship(NodeId to, ChannelMessage message) {
+  stats_.records_replicated_out += static_cast<int64_t>(message.records.size());
+  StorageNode* target = cluster_->GetNode(to);
+  if (target == nullptr) return;
+  int64_t payload_bytes = 0;
+  for (const SharedRecord& record : message.records) payload_bytes += WireSize(*record);
+  NodeId self = id_;
+  network_->Send(self, to, payload_bytes,
+                 [target, self, message = std::move(message)]() mutable {
+                   target->HandleReplicate(self, std::move(message));
+                 });
+}
+
+void StorageNode::ArmRetry(NodeId to, Channel& channel) {
+  if (channel.retry_event != Executor::kInvalidTask) return;
+  Time oldest = std::numeric_limits<Time>::max();
+  for (const auto& [pid, lane] : channel.lanes) {
+    if (lane.inflight) oldest = std::min(oldest, lane.sent_at);
+  }
+  if (oldest == std::numeric_limits<Time>::max()) return;
+  // A dead node sends nothing, but its timer keeps ticking one backoff at
+  // a time, so the first tick after revival resends every unacked lane.
+  const Time from = alive_ ? oldest : loop_->Now();
+  channel.retry_event = loop_->ScheduleAt(from + RetryDelayOf(channel.retry_delay),
+                                          [this, to] { RetryTick(to); });
+}
+
+void StorageNode::RetryTick(NodeId to) {
+  auto it = channels_.find(to);
+  if (it == channels_.end()) return;
+  Channel& channel = it->second;
+  channel.retry_event = Executor::kInvalidTask;
+  if (alive_) {
+    const Time now = loop_->Now();
+    const Duration delay = RetryDelayOf(channel.retry_delay);
+    bool timed_out = false;
+    for (auto& [pid, lane] : channel.lanes) {
+      if (!lane.inflight || lane.sent_at + delay > now) continue;
+      // The batch, or its ack, was lost or shed: send it again.
+      lane.inflight = false;
+      timed_out = true;
+    }
+    if (timed_out) {
+      channel.retry_delay = std::min(kMaxRetryDelay, 2 * delay);
+      SendReady(to, channel);
+    }
+  }
+  ArmRetry(to, channel);
+}
+
+void StorageNode::HandleReplicate(NodeId from, ChannelMessage message) {
   if (!alive_) return;
   // Any delivery from `from` is proof of life — the watermark-heartbeat
-  // stream doubles as the failure detector's primary signal (even a shed
-  // batch was still sent by a live node).
+  // traffic doubles as the failure detector's primary signal (even a shed
+  // message was still sent by a live node).
   cluster_->RecordHeartbeat(from, loop_->Now());
-  Duration service =
-      config_.replicate_service_per_record * std::max<Duration>(1, static_cast<Duration>(records.size()));
+  Duration service = config_.replicate_service_per_record *
+                     std::max<Duration>(1, static_cast<Duration>(message.records.size()));
   std::optional<Duration> sojourn =
       Admit(service, RequestPriority::kNormal, /*client=*/false);
   if (!sojourn.has_value()) return;  // shed; primary will retransmit
-  loop_->ScheduleAfter(*sojourn, [this, pid, from, first_seq, records = std::move(records),
-                                  watermark] {
+  loop_->ScheduleAfter(*sojourn, [this, from, message = std::move(message)] {
     if (!alive_) return;
-    uint64_t& applied = last_applied_seq_[{pid, from}];
-    uint64_t seq = first_seq;
-    for (const SharedRecord& record : records) {
-      if (seq > applied) {
-        (void)engine_->Apply(*record);  // version rule dedups content anyway
+    ChannelAck ack;
+    ack.lanes.reserve(message.lanes.size());
+    size_t next = 0;  // the message's next record
+    for (size_t l = 0; l < message.lanes.size(); ++l) {
+      const LaneBatch& batch = message.lanes[l];
+      uint64_t& applied = last_applied_seq_[{batch.pid, from}];
+      for (uint64_t seq = batch.first_seq; seq < batch.first_seq + batch.count; ++seq, ++next) {
+        if (seq <= applied) continue;
+        (void)engine_->Apply(*message.records[next]);  // version rule dedups content anyway
         applied = seq;
         ++stats_.records_replicated_in;
       }
-      ++seq;
+      Time& through = replicated_through_[batch.pid];
+      through = std::max(through, batch.watermark);
+      if (batch.count > 0) ack.lanes.push_back({batch.pid, applied});
     }
     ChargeEngineIo();  // replication-apply faults: busy time only
-    if (watermark > 0) {
-      Time& through = replicated_through_[pid];
-      through = std::max(through, watermark);
-    }
-    // Cumulative ack back to the primary.
+    // Cumulative acks back to the primary, in one message.
     StorageNode* primary = cluster_->GetNode(from);
     if (primary != nullptr) {
-      uint64_t ack = applied;
       NodeId self = id_;
-      network_->Send(self, from,
-                     [primary, pid, self, ack] { primary->HandleReplicateAck(pid, self, ack); });
+      network_->Send(self, from, [primary, self, ack = std::move(ack)]() mutable {
+        primary->HandleReplicateAck(self, std::move(ack));
+      });
     }
   });
 }
 
-void StorageNode::HandleReplicateAck(PartitionId pid, NodeId from, uint64_t acked_seq) {
+void StorageNode::HandleReplicateAck(NodeId from, ChannelAck ack) {
   if (!alive_) return;
   cluster_->RecordHeartbeat(from, loop_->Now());
-  auto it = streams_.find({pid, from});
-  if (it == streams_.end()) return;
-  ReplicationStream& stream = it->second;
-  if (acked_seq <= stream.acked) return;  // stale/duplicate ack
-  stream.acked = acked_seq;
-  stream.current_retry_delay = 0;
-  while (!stream.pending.empty() && stream.pending.front().seq <= acked_seq) {
-    stream.pending.pop_front();
+  auto it = channels_.find(from);
+  if (it == channels_.end()) return;
+  Channel& channel = it->second;
+  bool progressed = false;
+  for (size_t l = 0; l < ack.lanes.size(); ++l) {
+    auto lane_it = channel.lanes.find(ack.lanes[l].pid);
+    if (lane_it == channel.lanes.end()) continue;
+    Lane& lane = lane_it->second;
+    const uint64_t acked_seq = ack.lanes[l].seq;
+    if (acked_seq <= lane.acked) continue;  // stale/duplicate ack
+    lane.acked = acked_seq;
+    while (!lane.pending.empty() && lane.pending.front().seq <= acked_seq) {
+      lane.pending.pop_front();
+    }
+    // Wake the write waiters this ack satisfies: a seq-ordered prefix.
+    auto satisfied = lane.waiters.begin();
+    for (; satisfied != lane.waiters.end() && satisfied->first <= acked_seq; ++satisfied) {
+      const std::shared_ptr<WriteWaiter>& waiter = satisfied->second;
+      if (!waiter->done && --waiter->remaining <= 0) Answer(waiter, Status::Ok());
+    }
+    lane.waiters.erase(lane.waiters.begin(), satisfied);
+    // An ack of an earlier transmission leaves the latest one in flight.
+    if (lane.acked >= lane.sent_through) lane.inflight = false;
+    progressed = true;
   }
-  // Wake the write waiters this ack satisfies: a seq-ordered prefix.
-  auto satisfied = stream.waiters.begin();
-  for (; satisfied != stream.waiters.end() && satisfied->first <= acked_seq; ++satisfied) {
-    const std::shared_ptr<WriteWaiter>& waiter = satisfied->second;
-    if (!waiter->done && --waiter->remaining <= 0) Answer(waiter, Status::Ok());
+  if (!progressed) return;
+  if (channel.retry_delay != 0) {
+    // The destination answers again: lanes still in flight wait out the
+    // base backoff, not the one a timer was armed with.
+    channel.retry_delay = 0;
+    if (channel.retry_event != Executor::kInvalidTask) {
+      loop_->Cancel(channel.retry_event);
+      channel.retry_event = Executor::kInvalidTask;
+    }
+    ArmRetry(from, channel);
   }
-  stream.waiters.erase(stream.waiters.begin(), satisfied);
-  if (stream.retry_event != Executor::kInvalidTask && stream.acked >= stream.sent_through) {
-    loop_->Cancel(stream.retry_event);
-    stream.retry_event = Executor::kInvalidTask;
-  }
-  stream.inflight = false;
-  if (!stream.pending.empty()) {
-    SendBatch(pid, from, &stream);
-  }
+  SendReady(from, channel);
 }
 
 void StorageNode::StartRecovery() {
@@ -735,24 +869,26 @@ void StorageNode::HeartbeatTick() {
     network_->Send(self, ClusterState::kControlPlane,
                    [cluster, self, loop] { cluster->RecordHeartbeat(self, loop->Now()); });
   }
-  // Advance watermarks on idle streams so secondaries can prove freshness.
+  // One heartbeat per destination carries the watermark of every idle lane
+  // (nothing unacked), so secondaries can prove freshness without writes.
+  // A lane with unacked records carries its watermark with its data.
+  const Time now = loop_->Now();
+  std::map<NodeId, ChannelMessage> beats;
   for (PartitionId pid : cluster_->partitions()->PartitionsOnNode(id_, /*primary_only=*/true)) {
     const PartitionInfo* partition = cluster_->partitions()->Get(pid);
     if (partition == nullptr) continue;
     for (NodeId replica : partition->replicas) {
       if (replica == id_) continue;
-      ReplicationStream& stream = streams_[{pid, replica}];
-      if (!stream.pending.empty() || stream.inflight) continue;  // data carries watermark
-      Time watermark = loop_->Now();
-      uint64_t first_seq = stream.next_seq;  // empty batch: no seq consumed
-      StorageNode* target = cluster_->GetNode(replica);
-      if (target == nullptr) continue;
-      NodeId self = id_;
-      network_->Send(self, replica, [target, pid, self, first_seq, watermark] {
-        target->HandleReplicate(pid, self, first_seq, {}, watermark);
-      });
+      const Lane& lane = channels_[replica].lanes[pid];
+      if (!lane.pending.empty() || lane.inflight) continue;
+      LaneBatch beat;
+      beat.pid = pid;
+      beat.first_seq = lane.next_seq;  // no records: no seq consumed
+      beat.watermark = now;
+      beats[replica].lanes.push_back(beat);
     }
   }
+  for (auto& [to, message] : beats) Ship(to, std::move(message));
 }
 
 Time StorageNode::replicated_through(PartitionId pid) const {

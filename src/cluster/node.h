@@ -2,15 +2,22 @@
 //
 // Wraps a StorageEngine with (a) a service-time queueing model, so latency
 // rises as utilization approaches 1 — the signal the Director's ML models
-// learn from; and (b) reliable asynchronous replication streams (sequence-
-// numbered log shipping with cumulative acks and retransmission), which give
-// the bounded-staleness and durability behaviours of paper §3.3.
+// learn from; and (b) reliable asynchronous replication (sequence-numbered
+// log shipping with cumulative acks and retransmission), which gives the
+// bounded-staleness and durability behaviours of paper §3.3.
+//
+// Replication runs on one channel per destination node. A channel holds one
+// lane per partition: the lane numbers its records, takes cumulative acks
+// and keeps one batch in flight. The channel ships every ready lane in one
+// message of at most kReplicationBatchMax records, which the secondary
+// answers with one message of per-lane acks, and it owns one retry timer,
+// one async flush window and one watermark heartbeat per tick.
 //
 // A write's service is its commit on the primary (apply plus WAL sync). The
-// primary applies the write and puts it on the replication streams when the
-// service starts, so the commit runs while the secondaries apply it, as a
-// consensus leader writes its own disk in parallel with replicating; the
-// reply goes out once the service has ended and the ack level is met.
+// primary applies the write and puts it on the lanes when the service
+// starts, so the commit runs while the secondaries apply it, as a consensus
+// leader writes its own disk in parallel with replicating; the reply goes
+// out once the service has ended and the ack level is met.
 //
 // Handlers are invoked via MessageFabric closures; responses are the caller's
 // responsibility to route back (the Router composes the return hop).
@@ -73,11 +80,14 @@ struct NodeConfig {
   /// rejected immediately with kResourceExhausted. kLow work sheds at half
   /// of it (see StorageNode::Admit).
   Duration max_queue_delay = 2 * kSecond;
-  /// Replication batching window (group commit for the streams).
+  /// Async replication batching window: a kPrimary write's records ship
+  /// with their channel's next message, at the latest this long after they
+  /// reach a lane with nothing in flight.
   Duration replication_flush_interval = 2 * kMillisecond;
-  /// Idle streams send watermark heartbeats at this period so staleness
-  /// bounds stay measurable without writes. 0 disables the timer (large
-  /// fleet simulations with rf=1 need no watermarks).
+  /// Each channel carries its idle lanes' watermarks in one heartbeat at
+  /// this period, so staleness bounds stay measurable without writes. 0
+  /// disables the timer (large fleet simulations with rf=1 need no
+  /// watermarks).
   Duration watermark_heartbeat = 500 * kMillisecond;
   /// Larger-than-memory tier: when paged_storage.enabled the node runs a
   /// PagedEngine (B+-tree memtable over a paged cold tier) instead of the
@@ -100,7 +110,7 @@ struct NodeStats {
   /// overloaded node is turning away.
   int64_t admitted_by_priority[3] = {0, 0, 0};
   int64_t shed_by_priority[3] = {0, 0, 0};
-  /// Inbound replication batches shed under overload (the primary
+  /// Inbound replication messages shed under overload (the primary
   /// retransmits them). Kept out of shed_by_priority so retransmit storms
   /// can't masquerade as interactive kNormal traffic being turned away.
   int64_t replication_sheds = 0;
@@ -142,8 +152,9 @@ struct MultiWriteItem {
   WalRecord record;
 };
 
-/// A record on the replication streams: one immutable copy per write, held
-/// by every secondary's stream and every batch that ships it.
+/// A record on the replication lanes: one immutable copy per write, held by
+/// every secondary's lane and every message that ships it. A batched
+/// write's records share one block, which their copies alias.
 using SharedRecord = std::shared_ptr<const WalRecord>;
 
 /// One storage server in the simulated cluster.
@@ -179,7 +190,7 @@ class StorageNode {
   /// durable watermark. Until the response lands, the stale watermark keeps
   /// this replica out of the fresh-read set; once it lands, the watermark
   /// jumps to the primary's send-time "now" — re-entry is earned, not
-  /// assumed. (The primary's streams retransmit forever too, but their
+  /// assumed. (The primary's channels retransmit forever too, but their
   /// backoff has decayed to 1s ticks by recovery time; the pull makes
   /// recovery time bounded by one round trip + apply.)
   void StartRecovery();
@@ -197,11 +208,11 @@ class StorageNode {
                       std::function<void(MultiGetReply)> respond);
 
   /// Batched writes: one group commit (a WAL sync for the whole batch) is
-  /// the batch's service. When it starts, the batch is applied and each
-  /// record goes out on the normal streams. `respond` fires once with a
-  /// status per item, at the later of the commit's end and the replica ack
-  /// that completes the requested level for the last item. This node must
-  /// be primary for every item's partition.
+  /// the batch's service. When it starts, the batch is applied and its
+  /// records go out on the lanes of their partitions. `respond` fires once
+  /// with a status per item, at the later of the commit's end and the
+  /// replica ack that completes the requested level for the last item. This
+  /// node must be primary for every item's partition.
   void HandleMultiWrite(std::vector<MultiWriteItem> items, AckMode ack,
                         RequestPriority priority,
                         std::function<void(std::vector<Status>)> respond);
@@ -213,7 +224,7 @@ class StorageNode {
 
   /// Write (put or tombstone) for partition `pid`. This node must be the
   /// partition's primary. When the write's service (its commit) starts, it
-  /// applies locally and goes out on the replication streams; `respond`
+  /// applies locally and goes out on the partition's lanes; `respond`
   /// fires once the service has ended and `ack` is met, so a kQuorum or kAll
   /// write waits for the later of its commit and its replica acks, not
   /// their sum. With `return_prior`, the reply carries the record the write
@@ -229,14 +240,6 @@ class StorageNode {
                    RequestPriority priority, bool return_prior,
                    const std::optional<WriteCondition>& condition,
                    std::function<void(WriteReply)> respond);
-
-  /// Replication batch arrival (secondary side). Applies records with
-  /// sequence numbers in (last_applied, ...] and acks cumulatively.
-  void HandleReplicate(PartitionId pid, NodeId from, uint64_t first_seq,
-                       std::vector<SharedRecord> records, Time watermark);
-
-  /// Ack arrival (primary side).
-  void HandleReplicateAck(PartitionId pid, NodeId from, uint64_t acked_seq);
 
   /// Delta-sync request (primary side): `from` asks for every record of
   /// `pid` whose version is at or after `since` (its durable watermark at
@@ -288,8 +291,9 @@ class StorageNode {
   void SetBackgroundLoad(double utilization, Duration busy_account);
 
  private:
-  // A write waiting on the replica acks it still needs. Its reply also
-  // waits for `committed_at`, when the primary's own commit ends.
+  // A write, or one partition's run of a batched write, waiting on the
+  // replica acks it still needs. Its reply also waits for `committed_at`,
+  // when the primary's own commit ends.
   struct WriteWaiter {
     int remaining = 0;
     Time committed_at = 0;
@@ -297,30 +301,45 @@ class StorageNode {
     bool done = false;
   };
 
-  // One unacked record on a stream. The record is one immutable copy
-  // shared by every secondary's stream and every (re)transmission;
-  // `enqueued_at` is the watermark a batch ending at this entry carries.
-  struct StreamEntry {
+  // One unacked record on a lane. The record is one immutable copy shared
+  // by every secondary's lane and every (re)transmission; `enqueued_at` is
+  // the watermark a lane batch ending at this entry carries.
+  struct LaneEntry {
     uint64_t seq = 0;
     Time enqueued_at = 0;
     SharedRecord record;
   };
 
-  // Reliable, ordered, at-least-once stream of records to one secondary.
-  struct ReplicationStream {
-    std::deque<StreamEntry> pending;  // unacked, in seq order
+  // One partition's reliable, ordered, at-least-once stream of records to
+  // one secondary, with a window of one batch in flight. Seqs are never
+  // reused: the secondary skips a seq it has already applied.
+  struct Lane {
+    std::deque<LaneEntry> pending;  // unacked, in seq order
     uint64_t next_seq = 1;
     uint64_t acked = 0;
     uint64_t sent_through = 0;
     bool inflight = false;
-    bool flush_scheduled = false;
-    Duration current_retry_delay = 0;
-    Executor::TaskId retry_event = Executor::kInvalidTask;
-    // Waiters blocked on this stream reaching a given seq, in seq order.
+    Time sent_at = 0;  // when the batch in flight went out
+    // Waiters blocked on this lane reaching a given seq, in seq order.
     std::vector<std::pair<uint64_t, std::shared_ptr<WriteWaiter>>> waiters;
   };
 
-  using StreamKey = std::pair<PartitionId, NodeId>;
+  // Every lane from this node to one destination node. One retry timer is
+  // due at the oldest in-flight lane's send time plus the backoff; it may
+  // fire early, and then re-arms.
+  struct Channel {
+    std::map<PartitionId, Lane> lanes;
+    Duration retry_delay = 0;  // the backoff; 0 until a retransmit doubles it
+    Executor::TaskId retry_event = Executor::kInvalidTask;
+    bool flush_scheduled = false;  // the async flush window is open
+    bool flush_listed = false;     // on flush_list_, for the end of the step
+  };
+
+  // Wire forms of a channel message and its ack (defined in node.cc).
+  struct ChannelMessage;
+  struct ChannelAck;
+
+  using LaneKey = std::pair<PartitionId, NodeId>;  // (partition, primary)
 
   /// Admission + FIFO queue: reserves `service` capacity, returns total
   /// sojourn (wait+service), or nullopt when shedding. Priority steers the
@@ -332,13 +351,18 @@ class StorageNode {
   std::optional<Duration> Admit(Duration service, RequestPriority priority,
                                 bool client = true);
 
-  /// The replication half shared by single and batched writes: fans an
-  /// already-applied record out to pid's secondaries and invokes `respond`
+  /// The replication half shared by single and batched writes: puts
+  /// `count` already-applied records of `pid` (`record_at(i)` yields the
+  /// i-th) on the lane to each of pid's secondaries, and invokes `respond`
   /// per `ack` once the primary's commit, ending at `committed_at`, is over
   /// too: for kPrimary then, otherwise at the later of that and the last
-  /// replica ack the ack level needs.
-  void ReplicateAndAck(PartitionId pid, WalRecord record, AckMode ack, Time committed_at,
-                       std::function<void(Status)> respond);
+  /// replica ack the ack level needs. One waiter covers all `count` records,
+  /// since a cumulative ack of the last one acks the rest. A kQuorum or kAll
+  /// write lists its channels for FlushListed; a kPrimary one opens their
+  /// async flush window.
+  template <typename RecordAt>
+  void ReplicateAndAck(PartitionId pid, size_t count, RecordAt record_at, AckMode ack,
+                       Time committed_at, std::function<void(Status)> respond);
 
   /// Runs `reply` once the commit ending at `committed_at` is over: at once
   /// when it already is, else on a timer (silenced if the node dies first).
@@ -357,20 +381,41 @@ class StorageNode {
   /// time (single writer: the owner worker).
   void AccrueBusy(Time now, Duration amount);
 
-  void EnqueueReplication(PartitionId pid, NodeId to, const SharedRecord& record,
-                          const std::shared_ptr<WriteWaiter>& waiter);
-  void FlushStream(PartitionId pid, NodeId to);
-  void SendBatch(PartitionId pid, NodeId to, ReplicationStream* stream);
+  /// Ships the channels the step's kQuorum and kAll records touched, once
+  /// each, at the end of a write's apply step.
+  void FlushListed();
+  /// Ships every ready lane of the channel to `to` (unacked records, no
+  /// batch in flight), packing lanes into messages of at most
+  /// kReplicationBatchMax records.
+  void SendReady(NodeId to, Channel& channel);
+  /// Sends one channel message to `to`.
+  void Ship(NodeId to, ChannelMessage message);
+  /// Arms the channel's retry timer for its oldest in-flight lane, unless
+  /// one is armed. On a dead node it is due one backoff from now, so it
+  /// keeps ticking until the node revives.
+  void ArmRetry(NodeId to, Channel& channel);
+  /// The retry timer: resends every in-flight lane whose backoff has
+  /// passed, then re-arms.
+  void RetryTick(NodeId to);
   void HeartbeatTick();
 
+  /// Replication message arrival (secondary side). Applies each lane's
+  /// records with seqs past the last applied one, advances the lanes'
+  /// watermarks, and answers with one message of cumulative acks for the
+  /// lanes that carried records (a heartbeat's answer carries none, but
+  /// still proves this node alive).
+  void HandleReplicate(NodeId from, ChannelMessage message);
+  /// Ack arrival (primary side).
+  void HandleReplicateAck(NodeId from, ChannelAck ack);
+
   /// True while this node leads `pid` and `to` is still in its replica
-  /// set. A stream whose target was dropped (re-replication removed a dead
+  /// set. A lane whose target was dropped (re-replication removed a dead
   /// node) or whose leadership moved is torn down instead of
   /// retransmitting forever.
-  bool StreamStillValid(PartitionId pid, NodeId to) const;
-  /// Cancels the stream's retry timer, fails its unmet waiters with
-  /// kUnavailable, and erases it.
-  void TearDownStream(PartitionId pid, NodeId to);
+  bool LaneStillValid(PartitionId pid, NodeId to) const;
+  /// Fails the lane's unmet waiters with kUnavailable and drops its unacked
+  /// records; its seqs carry on.
+  void TearDownLane(Lane& lane);
 
   // On the threaded backend all of this node's handlers and timers run on
   // its one owner worker (pinned delivery + worker-affine timers), so the
@@ -395,9 +440,11 @@ class StorageNode {
   std::atomic<double> ewma_sojourn_{0};
   std::atomic<double> shed_ewma_{0};
 
-  std::map<StreamKey, ReplicationStream> streams_;
-  // Secondary-side per-stream state.
-  std::map<StreamKey, uint64_t> last_applied_seq_;
+  std::map<NodeId, Channel> channels_;  // by destination
+  // Channels listed by the current write step (capacity kept across steps).
+  std::vector<NodeId> flush_list_;
+  // Secondary-side per-lane state.
+  std::map<LaneKey, uint64_t> last_applied_seq_;
   std::map<PartitionId, Time> replicated_through_;
 
   Executor::TaskId heartbeat_event_ = Executor::kInvalidTask;

@@ -441,11 +441,10 @@ TEST(RouterMultiWriteTest, QuorumAckReachesSecondaries) {
 
 // A kAll batch replies at the later of its group commit's end and its last
 // replica ack. Three nodes, rf 3, the default NodeConfig, no jitter: every
-// hop takes 200 us. All records share partition ["", "g") and so one stream
-// per secondary: the first record ships alone when the service starts (S,
-// 200 us after issue) and is acked at S + 440; the rest ship then and are
-// acked at S + 840 + 40 us per record after the first. The commit ends at
-// S + 180 + 60 us per record after the first.
+// hop takes 200 us. All records share partition ["", "g") and so one lane
+// per secondary. They ship in one message when the service starts (S, 200
+// us after issue), which is acked at S + 400 + 40 us per record. The commit
+// ends at S + 180 + 60 us per record after the first.
 TEST(RouterMultiWriteTest, AllAckBatchRepliesAtTheLaterOfCommitAndLastReplicaAck) {
   NetworkConfig net_config;
   net_config.jitter_mean = 0;
@@ -468,17 +467,78 @@ TEST(RouterMultiWriteTest, AllAckBatchRepliesAtTheLaterOfCommitAndLastReplicaAck
     EXPECT_TRUE(ok);
     return latency;
   };
-  // 3 records: the last ack (S + 920) outlasts the commit (S + 300), so the
-  // reply arrives 200 + 920 + 200 us after issue. Committing before
-  // replicating took 200 + 300 + 920 + 200.
+  // 3 records: the ack (S + 520) outlasts the commit (S + 300), so the
+  // reply arrives 200 + 520 + 200 us after issue. Committing before
+  // replicating would take 200 + 300 + 520 + 200.
   Duration small = timed_batch(3);
-  EXPECT_EQ(small, 1320);
-  EXPECT_LT(small, 1620);
-  // 40 records: the commit (S + 2,520) outlasts the last ack (S + 2,400).
-  // Committing first took 200 + 2,520 + 2,400 + 200.
+  EXPECT_EQ(small, 920);
+  EXPECT_LT(small, 1220);
+  // 40 records: the commit (S + 2,520) outlasts the ack (S + 2,000).
+  // Committing first would take 200 + 2,520 + 2,000 + 200.
   Duration large = timed_batch(40);
   EXPECT_EQ(large, 2920);
-  EXPECT_LT(large, 5320);
+  EXPECT_LT(large, 4920);
+}
+
+// A perfbench kv_rw key: a 2-byte hashed prefix spreads ids over a uniform
+// partition map.
+std::string HashedKey(int64_t id) {
+  uint32_t h = static_cast<uint32_t>(id) * 2654435761u;
+  std::string key;
+  key.push_back(static_cast<char>(h >> 24));
+  key.push_back(static_cast<char>(h >> 16));
+  return key + "/k" + std::to_string(id);
+}
+
+// One batch of kv_rw's bulk load: 250 hashed keys with 100 B values in one
+// kAll MultiWrite, on 4 nodes, 64 uniform partitions, rf 3, no jitter and no
+// heartbeats. The router sends each primary its sub-batch (4 requests, 4
+// replies). Each primary ships its sub-batch to each of its two
+// secondaries in one channel message, whatever partitions it spans, and
+// each secondary answers with one ack (8 + 8 messages).
+TEST(RouterMultiWriteTest, BulkLoadBatchShipsOneMessagePerNodePair) {
+  NetworkConfig net_config;
+  net_config.jitter_mean = 0;
+  NodeConfig node_config;
+  node_config.watermark_heartbeat = 0;
+  TestCluster tc(4, 3, node_config, RouterConfig{}, net_config);
+  auto map = PartitionMap::CreateUniform(64, {0, 1, 2, 3}, 3);
+  ASSERT_TRUE(map.ok());
+  tc.cluster.set_partitions(std::move(map).value());
+  std::vector<Router::WriteOp> ops;
+  int64_t record_bytes = 0;
+  for (int64_t id = 0; id < 250; ++id) {
+    ops.push_back({Router::WriteOp::Kind::kPut, HashedKey(id), std::string(100, 'v')});
+    record_bytes += WireSize(MakeRecord(ops.back().key, ops.back().value, 0));
+  }
+  const int64_t sent_before = tc.network.sent_count();
+  const int64_t bytes_before = tc.network.bytes_sent();
+  const Time issued = tc.loop.Now();
+  Duration latency = -1;
+  bool ok = false;
+  tc.router->MultiWrite(std::move(ops), AckMode::kAll, RequestOptions{},
+                        [&](std::vector<Status> statuses) {
+                          ok = std::all_of(statuses.begin(), statuses.end(),
+                                           [](const Status& s) { return s.ok(); });
+                          latency = tc.loop.Now() - issued;
+                        });
+  tc.loop.RunFor(kSecond);
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(latency, 9760);
+  EXPECT_EQ(tc.network.sent_count() - sent_before, 24);
+  // Each record crosses the network three times (to its primary, then to
+  // two secondaries), and the replies carry 4 B per status.
+  EXPECT_EQ(tc.network.bytes_sent() - bytes_before,
+            3 * record_bytes + 250 * 4 + 24 * MessageFabric::kMessageOverheadBytes);
+  for (int64_t id = 0; id < 250; ++id) {
+    const std::string key = HashedKey(id);
+    const PartitionInfo& partition = tc.cluster.partitions()->ForKey(key);
+    ASSERT_EQ(partition.replicas.size(), 3u);
+    for (NodeId replica : partition.replicas) {
+      EXPECT_TRUE(tc.cluster.GetNode(replica)->engine()->Get(key).ok())
+          << id << " on node " << replica;
+    }
+  }
 }
 
 TEST(RouterMultiWriteTest, DeadPrimarySubBatchFailsOthersSucceed) {

@@ -2,6 +2,9 @@
 // node queueing model, router request paths, replication streams,
 // rebalancing.
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -15,6 +18,7 @@
 #include "gtest/gtest.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
+#include "storage/wal.h"
 #include "support/node_read.h"
 
 namespace scads {
@@ -631,6 +635,113 @@ TEST(ReplicationTest, PartitionHealsAndCatchesUp) {
   EXPECT_TRUE(secondary->engine()->Get("k").ok());
   StorageNode* primary = tc.cluster.GetNode(p.primary());
   EXPECT_GT(primary->stats().retransmits, 0);
+}
+
+// A primary that dies with a write not yet acked by its secondaries sends
+// it once revived. A kQuorum write's batch is in flight: the acks land on
+// the dead node, and its channel's retry timer keeps ticking through the
+// outage, so the first tick after revival resends it. A kPrimary write's
+// records still wait for the flush window, which closes while the node is
+// dead, so they ship at revival. Either way the next heartbeat after the
+// ack moves both watermarks past the revival.
+TEST(ReplicationTest, RevivedPrimaryResumesItsStream) {
+  for (AckMode ack : {AckMode::kQuorum, AckMode::kPrimary}) {
+    SCOPED_TRACE(ack == AckMode::kQuorum ? "kQuorum" : "kPrimary");
+    TestCluster tc(3, 3, NodeConfig{}, RouterConfig{}, NoJitter());
+    const PartitionInfo& p = tc.cluster.partitions()->ForKey("k");
+    StorageNode* primary = tc.cluster.GetNode(p.primary());
+    tc.router->Put("k", "v", ack, RequestOptions{}, [](Status) {});
+    // The write applies at 200 us; a kQuorum batch ships then and its acks
+    // land at 640 us, a kPrimary one would ship at 2,200 us.
+    tc.loop.RunFor(290);
+    primary->set_alive(false);
+    tc.loop.RunFor(kSecond);
+    primary->set_alive(true);
+    const Time revived = tc.loop.Now();
+    tc.loop.RunFor(600 * kMillisecond);
+    for (NodeId replica : p.replicas) {
+      if (replica == p.primary()) continue;
+      StorageNode* secondary = tc.cluster.GetNode(replica);
+      EXPECT_TRUE(secondary->engine()->Get("k").ok()) << "node " << replica;
+      EXPECT_GT(secondary->replicated_through(p.id), revived) << "node " << replica;
+    }
+  }
+}
+
+// Forwards every message to a SimNetwork and logs the payload of each one
+// sent from `from` to `to`.
+class PayloadLog : public MessageFabric {
+ public:
+  PayloadLog(SimNetwork* network, NodeId from, NodeId to)
+      : network_(network), from_(from), to_(to) {}
+
+  void Send(NodeId from, NodeId to, int64_t payload_bytes,
+            std::function<void()> deliver) override {
+    if (from == from_ && to == to_) payloads.push_back(payload_bytes);
+    network_->Send(from, to, payload_bytes, std::move(deliver));
+  }
+
+  std::vector<int64_t> payloads;
+
+ private:
+  SimNetwork* network_;
+  NodeId from_;
+  NodeId to_;
+};
+
+// A backlog of 300 records on five lanes, built up behind a cut-off
+// secondary, ships after the heal in messages of at most 128 records, which
+// pack several lanes each, and converges.
+TEST(ReplicationTest, BacklogShipsInMessagesOfAtMostTheBatchCap) {
+  EventLoop loop;
+  SimNetwork network(&loop, 7);
+  PayloadLog fabric(&network, /*from=*/0, /*to=*/1);
+  ClusterState cluster;
+  std::vector<std::unique_ptr<StorageNode>> nodes;
+  for (NodeId id : {0, 1}) {
+    nodes.push_back(std::make_unique<StorageNode>(id, &loop, &fabric, &cluster, NodeConfig{},
+                                                  1000 + static_cast<uint64_t>(id)));
+    ASSERT_TRUE(cluster.AddNode(id, nodes.back().get()).ok());
+    nodes.back()->Start();
+  }
+  // Five partitions, all led by node 0 and replicated to node 1.
+  auto map = PartitionMap::Create({"b", "c", "d", "e"}, {0, 1}, 2);
+  ASSERT_TRUE(map.ok());
+  for (const PartitionInfo& partition : map->partitions()) {
+    ASSERT_TRUE(map->SetReplicas(partition.id, {0, 1}).ok());
+  }
+  cluster.set_partitions(std::move(map).value());
+  Router router(kClient, &loop, &fabric, &cluster, RouterConfig{}, 99);
+
+  network.SetPartitionGroup(1, 9);
+  std::vector<std::string> keys;
+  for (char lane : std::string("abcde")) {
+    for (int i = 10; i < 70; ++i) keys.push_back(std::string(1, lane) + std::to_string(i));
+  }
+  int acked = 0;
+  for (const std::string& key : keys) {
+    router.Put(key, "v", AckMode::kPrimary, RequestOptions{}, [&](Status s) {
+      if (s.ok()) ++acked;
+    });
+  }
+  loop.RunFor(2 * kSecond);
+  ASSERT_EQ(acked, 300);
+  EXPECT_EQ(nodes[1]->engine()->live_count(), 0u);
+  network.Heal();
+  loop.RunFor(5 * kSecond);
+  EXPECT_EQ(nodes[1]->engine()->live_count(), 300u);
+
+  WalRecord sample;
+  sample.key = keys[0];
+  sample.value = "v";
+  const int64_t record_bytes = WireSize(sample);  // every record's size
+  int64_t most = 0;
+  for (int64_t payload : fabric.payloads) {
+    EXPECT_EQ(payload % record_bytes, 0);
+    most = std::max(most, payload / record_bytes);
+  }
+  EXPECT_LE(most, 128);
+  EXPECT_GT(most, 60);  // one lane's backlog is 60 records
 }
 
 TEST(ReplicationTest, ManyWritesAllConverge) {
