@@ -6,7 +6,10 @@
 // job's repeat list): raw multi-thread Insert/Lookup/Invalidate mixes plus
 // outcome-counter conservation on the shared directory.
 
+#include <algorithm>
 #include <atomic>
+#include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +17,7 @@
 #include "cache/cache_directory.h"
 #include "cache/read_cache.h"
 #include "common/metrics.h"
+#include "common/rng.h"
 #include "core/scads.h"
 #include "gtest/gtest.h"
 
@@ -166,6 +170,177 @@ TEST(ReadCacheTest, ConcurrentStormKeepsCapacityAndValueIntegrity) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(torn.load(), 0);
   EXPECT_LE(cache.bytes_used(), 4096u);
+}
+
+// A one-shard ReadCache spelled out with plain containers: slots in a ring,
+// freed slots reused last-in-first-out, a clock hand that resumes where it
+// stopped and spares a referenced entry once, the slot just written
+// protected from its own sweep, and each entry charged 64 B plus its key
+// and value. The cache must pick exactly the victims this model picks.
+class ClockModel {
+ public:
+  explicit ClockModel(size_t capacity) : capacity_(capacity) {}
+
+  CacheLookup Lookup(const std::string& key, Time now, Duration bound, CacheEntry* out,
+                     std::optional<Duration> retain_bound) {
+    auto it = index_.find(key);
+    if (it == index_.end()) return CacheLookup::kMiss;
+    Slot& slot = *slots_[it->second];
+    if (!Within(now, slot.entry.as_of, bound)) {
+      bool was_marker = slot.entry.invalidated;
+      if (!Within(now, slot.entry.as_of, retain_bound.value_or(bound))) Remove(it->second);
+      return was_marker ? CacheLookup::kMiss : CacheLookup::kStale;
+    }
+    if (slot.entry.invalidated) return CacheLookup::kMiss;
+    slot.referenced = true;
+    *out = slot.entry;
+    return CacheLookup::kHit;
+  }
+
+  void Insert(const std::string& key, const std::string& value, Version version, Time as_of) {
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      Slot& slot = *slots_[it->second];
+      if (slot.entry.version > version) {
+        if (!slot.entry.invalidated) {
+          slot.entry.as_of = std::max(slot.entry.as_of, as_of);
+          slot.referenced = true;
+        }
+        return;
+      }
+      Remove(it->second);
+    }
+    size_t bytes = key.size() + value.size() + 64;
+    if (bytes > capacity_) return;
+    Add(key, CacheEntry{value, version, as_of, /*invalidated=*/false}, bytes);
+  }
+
+  bool MarkInvalidated(const std::string& key, Version version, Time as_of) {
+    bool dropped_live = false;
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      if (slots_[it->second]->entry.version > version) return false;
+      dropped_live = !slots_[it->second]->entry.invalidated;
+      Remove(it->second);
+    }
+    Add(key, CacheEntry{"", version, as_of, /*invalidated=*/true}, key.size() + 64);
+    return dropped_live;
+  }
+
+  bool Erase(const std::string& key) {
+    auto it = index_.find(key);
+    if (it == index_.end()) return false;
+    Remove(it->second);
+    return true;
+  }
+
+  size_t entry_count() const { return index_.size(); }
+  size_t bytes_used() const { return bytes_; }
+
+ private:
+  struct Slot {
+    std::string key;
+    CacheEntry entry;
+    size_t bytes = 0;
+    bool referenced = false;
+  };
+
+  static bool Within(Time now, Time as_of, Duration bound) {
+    return bound == 0 || now - as_of <= bound;
+  }
+
+  void Remove(size_t slot) {
+    bytes_ -= slots_[slot]->bytes;
+    index_.erase(slots_[slot]->key);
+    slots_[slot].reset();
+    free_.push_back(slot);
+  }
+
+  void Add(const std::string& key, CacheEntry entry, size_t bytes) {
+    size_t slot = slots_.size();
+    if (!free_.empty()) {
+      slot = free_.back();
+      free_.pop_back();
+    } else {
+      slots_.emplace_back();
+    }
+    slots_[slot] = Slot{key, std::move(entry), bytes, /*referenced=*/false};
+    index_[key] = slot;
+    bytes_ += bytes;
+    while (bytes_ > capacity_ && index_.size() > 1) {
+      if (hand_ >= slots_.size()) hand_ = 0;
+      if (!slots_[hand_] || hand_ == slot) {
+        ++hand_;
+      } else if (slots_[hand_]->referenced) {
+        slots_[hand_]->referenced = false;
+        ++hand_;
+      } else {
+        Remove(hand_);
+      }
+    }
+  }
+
+  size_t capacity_;
+  std::vector<std::optional<Slot>> slots_;
+  std::vector<size_t> free_;
+  std::map<std::string, size_t> index_;
+  size_t hand_ = 0;
+  size_t bytes_ = 0;
+};
+
+TEST(ReadCacheTest, ChurnMatchesAClockModel) {
+  constexpr size_t kCapacity = 16 << 10;
+  constexpr Duration kTightBound = 50;
+  for (uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(seed);
+    ReadCache cache(kCapacity, /*shards=*/1);
+    ClockModel model(kCapacity);
+    Rng rng(seed);
+    Time now = 0;
+    for (int op = 0; op < 20000; ++op) {
+      now += static_cast<Time>(rng.Uniform(4));
+      std::string key = "key" + std::to_string(rng.Uniform(500));
+      // Versions and as_of stamps reach back, so older-version rejects,
+      // lease extensions and stale drops all happen.
+      Version version = V(static_cast<Time>(rng.Uniform(64)));
+      Time as_of = now - static_cast<Time>(rng.Uniform(100));
+      switch (rng.Uniform(6)) {
+        case 0:
+        case 1: {
+          std::string value(rng.Uniform(200), static_cast<char>('a' + op % 26));
+          cache.Insert(key, value, version, as_of);
+          model.Insert(key, value, version, as_of);
+          break;
+        }
+        case 2:
+        case 3: {
+          Duration bound = rng.Uniform(2) == 0 ? 0 : kTightBound;
+          std::optional<Duration> retain;
+          if (bound != 0 && rng.Uniform(2) == 0) retain = 4 * kTightBound;
+          CacheEntry got;
+          CacheEntry want;
+          CacheLookup outcome = cache.Lookup(key, now, bound, &got, retain);
+          ASSERT_EQ(outcome, model.Lookup(key, now, bound, &want, retain)) << op;
+          if (outcome == CacheLookup::kHit) {
+            ASSERT_EQ(got.value, want.value) << op;
+            ASSERT_EQ(got.version, want.version) << op;
+            ASSERT_EQ(got.as_of, want.as_of) << op;
+            ASSERT_FALSE(got.invalidated) << op;
+          }
+          break;
+        }
+        case 4:
+          ASSERT_EQ(cache.MarkInvalidated(key, version, as_of),
+                    model.MarkInvalidated(key, version, as_of))
+              << op;
+          break;
+        default:
+          ASSERT_EQ(cache.Erase(key), model.Erase(key)) << op;
+      }
+      ASSERT_EQ(cache.entry_count(), model.entry_count()) << op;
+      ASSERT_EQ(cache.bytes_used(), model.bytes_used()) << op;
+    }
+  }
 }
 
 // ------------------------------------------------------------- ScanCache --
