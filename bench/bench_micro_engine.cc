@@ -1,6 +1,7 @@
 // MICRO: google-benchmark microbenchmarks for the hot substrate paths —
-// storage engine point ops and scans, the memtable, WAL framing, histogram
-// recording, RNG draws, and event-loop dispatch. These run on wall-clock
+// storage engine point ops and scans, the memtable, the read cache's
+// write-through, WAL framing, histogram recording, RNG draws, and
+// event-loop dispatch. These run on wall-clock
 // time (no simulation) and justify the service-time constants used by the
 // simulator's node model.
 
@@ -10,9 +11,11 @@
 #include <string>
 #include <vector>
 
+#include "cache/read_cache.h"
 #include "common/benchjson.h"
 #include "common/histogram.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "sim/event_loop.h"
 #include "storage/codec.h"
 #include "storage/engine.h"
@@ -150,6 +153,80 @@ void BM_EngineGetHitRandomOrder(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EngineGetHitRandomOrder);
+
+// Facade-shaped index keys, as the Scads facade lays out a two-column
+// index: "i/fof/" then two length-prefixed ordered ints, here 750 x 250 of
+// them (a kv_rw node's share again), shuffled. Every key shares its first
+// 17 bytes, and neighbours share far more, so heads taken at a fixed
+// offset would tie on nearly every compare.
+std::vector<std::string> FacadeKeys() {
+  std::vector<std::string> keys;
+  keys.reserve(kKvRwNodeKeys);
+  for (int64_t user = 0; user < 750; ++user) {
+    for (int64_t friend_id = 0; friend_id < 250; ++friend_id) {
+      std::string key = "i/fof/";
+      AppendKeyPiece(&key, OrderedEncodeInt64(user));
+      AppendKeyPiece(&key, OrderedEncodeInt64(friend_id));
+      keys.push_back(std::move(key));
+    }
+  }
+  Rng rng(9);
+  rng.Shuffle(&keys);
+  return keys;
+}
+
+void BM_EngineLoadFacadeKeys(benchmark::State& state) {
+  const std::vector<std::string> keys = FacadeKeys();
+  const std::string value(100, 'v');
+  for (auto _ : state) {
+    StorageEngine engine;
+    Time ts = 1;
+    for (const std::string& key : keys) (void)engine.Put(key, value, Version{ts++, 0});
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(keys.size()));
+}
+BENCHMARK(BM_EngineLoadFacadeKeys)->Unit(benchmark::kMillisecond);
+
+void BM_EngineGetHitFacadeKeys(benchmark::State& state) {
+  const std::vector<std::string> keys = FacadeKeys();
+  const std::string value(100, 'v');
+  StorageEngine engine;
+  Time ts = 1;
+  for (const std::string& key : keys) (void)engine.Put(key, value, Version{ts++, 0});
+  Rng rng(10);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.Get(keys[rng.Uniform(keys.size())]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EngineGetHitFacadeKeys);
+
+// The router's write-through during kv_rw's bulk load: an 8 MiB, 8-shard
+// point cache (the CacheDirectory default) refreshed with 100 B values
+// under all 250,000 kv_rw keys in turn. The cache holds about 48,000 such
+// entries and is filled with twice that first, so every timed insert is a
+// new key that evicts one.
+void BM_ReadCacheWriteThroughChurn(benchmark::State& state) {
+  std::vector<std::string> keys;
+  for (uint32_t id = 0; id < 250000; ++id) {
+    uint32_t h = id * 2654435761u;
+    std::string key;
+    key.push_back(static_cast<char>(h >> 24));
+    key.push_back(static_cast<char>(h >> 16));
+    keys.push_back(key + "/k" + std::to_string(id));
+  }
+  const std::string value(100, 'v');
+  ReadCache cache(8u << 20, 8);
+  Time ts = 1;
+  size_t next = 0;
+  for (; next < 100000; ++next, ++ts) cache.Insert(keys[next], value, Version{ts, 0}, ts);
+  for (auto _ : state) {
+    cache.Insert(keys[next++ % keys.size()], value, Version{ts, 0}, ts);
+    ++ts;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReadCacheWriteThroughChurn);
 
 void BM_WalAppend(benchmark::State& state) {
   MemoryWalSink sink;

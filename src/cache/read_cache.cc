@@ -1,6 +1,7 @@
 #include "cache/read_cache.h"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <limits>
 #include <utility>
@@ -30,48 +31,108 @@ ReadCache::ReadCache(size_t capacity_bytes, size_t shards, Counter* evictions)
       shards_(std::max<size_t>(1, shards)),
       evictions_(evictions) {}
 
-ReadCache::Shard* ReadCache::ShardFor(const std::string& key) {
-  return &shards_[std::hash<std::string>{}(key) % shards_.size()];
+ReadCache::Shard* ReadCache::ShardFor(size_t hash) { return &shards_[hash % shards_.size()]; }
+
+namespace {
+// A key's home cell in a shard's index. Fibonacci hashing takes the
+// product's high bits, so the cell does not repeat the low bits that
+// already picked the shard (which would cluster every key on a few cells).
+size_t HomeCell(size_t hash, size_t cells) {
+  return static_cast<size_t>((static_cast<uint64_t>(hash) * 0x9E3779B97F4A7C15ull) >>
+                             (std::countl_zero(static_cast<uint64_t>(cells)) + 1));
+}
+}  // namespace
+
+uint32_t ReadCache::FindSlot(const Shard& shard, const std::string& key, size_t hash) {
+  size_t mask = shard.index.size() - 1;
+  for (size_t cell = HomeCell(hash, shard.index.size());; cell = (cell + 1) & mask) {
+    uint32_t slot = shard.index[cell];
+    if (slot == kNoSlot) return kNoSlot;
+    const Node& node = *shard.slots[slot];
+    if (node.hash == hash && node.key == key) return slot;
+  }
+}
+
+void ReadCache::PlaceInIndex(Shard* shard, size_t slot) {
+  std::vector<uint32_t>& index = shard->index;
+  size_t mask = index.size() - 1;
+  size_t cell = HomeCell(shard->slots[slot]->hash, index.size());
+  while (index[cell] != kNoSlot) cell = (cell + 1) & mask;
+  index[cell] = static_cast<uint32_t>(slot);
 }
 
 void ReadCache::RemoveSlot(Shard* shard, size_t slot) {
   Node* node = shard->slots[slot].get();
   shard->bytes -= node->bytes;
-  shard->index.erase(node->key);
-  shard->slots[slot].reset();
+  node->live = false;
+  --shard->live;
   shard->free_slots.push_back(slot);
+  // Backward-shift deletion: pull each later entry of the probe run into
+  // the hole unless its home cell lies after the hole, so every lookup's
+  // probe still reaches its key before an empty cell.
+  std::vector<uint32_t>& index = shard->index;
+  size_t mask = index.size() - 1;
+  size_t hole = HomeCell(node->hash, mask + 1);
+  while (index[hole] != slot) hole = (hole + 1) & mask;
+  for (size_t cell = (hole + 1) & mask; index[cell] != kNoSlot; cell = (cell + 1) & mask) {
+    size_t home = HomeCell(shard->slots[index[cell]]->hash, mask + 1);
+    if (((cell - home) & mask) >= ((cell - hole) & mask)) {
+      index[hole] = index[cell];
+      hole = cell;
+    }
+  }
+  index[hole] = kNoSlot;
 }
 
-size_t ReadCache::AddSlot(Shard* shard, std::unique_ptr<Node> node) {
-  shard->bytes += node->bytes;
+size_t ReadCache::AddSlot(Shard* shard, const std::string& key, size_t hash,
+                          std::string_view value, Version version, bool invalidated,
+                          size_t bytes, Time as_of) {
   size_t slot;
   if (!shard->free_slots.empty()) {
     slot = shard->free_slots.back();
     shard->free_slots.pop_back();
-    shard->slots[slot] = std::move(node);
   } else {
     slot = shard->slots.size();
-    shard->slots.push_back(std::move(node));
+    shard->slots.push_back(std::make_unique<Node>());
   }
-  shard->index[shard->slots[slot]->key] = slot;
+  Node* node = shard->slots[slot].get();
+  node->key.assign(key);
+  node->value.assign(value.data(), value.size());
+  node->version = version;
+  node->hash = hash;
+  node->live = true;
+  node->invalidated = invalidated;
+  node->bytes = bytes;
+  node->as_of.store(as_of, std::memory_order_release);
+  node->referenced.store(false, std::memory_order_relaxed);
+  shard->bytes += bytes;
+  // Keep the index at most half full: double it and re-place every live
+  // slot from its stored hash.
+  if (2 * ++shard->live > shard->index.size()) {
+    shard->index.assign(2 * shard->index.size(), kNoSlot);
+    for (size_t other = 0; other < shard->slots.size(); ++other) {
+      if (shard->slots[other]->live) PlaceInIndex(shard, other);
+    }
+  } else {
+    PlaceInIndex(shard, slot);
+  }
   return slot;
 }
 
 CacheLookup ReadCache::Lookup(const std::string& key, Time now, Duration bound,
                               CacheEntry* out, std::optional<Duration> retain_bound) {
-  Shard* shard = ShardFor(key);
+  size_t hash = std::hash<std::string>{}(key);
+  Shard* shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard->mu);
-  auto it = shard->index.find(key);
-  if (it == shard->index.end()) return CacheLookup::kMiss;
-  Node* node = shard->slots[it->second].get();
+  uint32_t slot = FindSlot(*shard, key, hash);
+  if (slot == kNoSlot) return CacheLookup::kMiss;
+  Node* node = shard->slots[slot].get();
   Time as_of = node->as_of.load(std::memory_order_acquire);
   if (!WithinBound(now, as_of, bound)) {
     bool was_marker = node->invalidated;
     // Drop only entries past the retain bound; an entry merely too old for
     // this request's tighter bound stays servable for laxer requests.
-    if (!WithinBound(now, as_of, retain_bound.value_or(bound))) {
-      RemoveSlot(shard, it->second);
-    }
+    if (!WithinBound(now, as_of, retain_bound.value_or(bound))) RemoveSlot(shard, slot);
     // An aged-out marker is bookkeeping, not a rejected value.
     return was_marker ? CacheLookup::kMiss : CacheLookup::kStale;
   }
@@ -86,12 +147,13 @@ CacheLookup ReadCache::Lookup(const std::string& key, Time now, Duration bound,
 
 void ReadCache::Insert(const std::string& key, std::string_view value, Version version,
                        Time as_of) {
-  Shard* shard = ShardFor(key);
+  size_t hash = std::hash<std::string>{}(key);
+  Shard* shard = ShardFor(hash);
   size_t bytes = key.size() + value.size() + kPointEntryOverhead;
   std::lock_guard<std::mutex> lock(shard->mu);
-  auto it = shard->index.find(key);
-  if (it != shard->index.end()) {
-    Node* node = shard->slots[it->second].get();
+  uint32_t existing = FindSlot(*shard, key, hash);
+  if (existing != kNoSlot) {
+    Node* node = shard->slots[existing].get();
     if (node->version > version) {
       // Newer cached state (a write-through refresh, or an invalidation
       // marker from an acked write) beats this lagged value; a live entry
@@ -104,16 +166,10 @@ void ReadCache::Insert(const std::string& key, std::string_view value, Version v
       }
       return;
     }
-    RemoveSlot(shard, it->second);
+    RemoveSlot(shard, existing);
   }
   if (bytes > per_shard_capacity_) return;  // would evict the whole shard
-  auto node = std::make_unique<Node>();
-  node->key = key;
-  node->value.assign(value.data(), value.size());
-  node->version = version;
-  node->bytes = bytes;
-  node->as_of.store(as_of, std::memory_order_release);
-  size_t slot = AddSlot(shard, std::move(node));
+  size_t slot = AddSlot(shard, key, hash, value, version, /*invalidated=*/false, bytes, as_of);
   EvictOver(shard, slot);
 }
 
@@ -121,10 +177,10 @@ void ReadCache::EvictOver(Shard* shard, size_t protect) {
   while (shard->bytes > per_shard_capacity_) {
     // The protected slot alone fits capacity (Insert checks), so when it is
     // the only occupant there is nothing left to victimize.
-    if (shard->index.size() <= (protect == kNoProtect ? 0u : 1u)) break;
+    if (shard->live <= (protect == kNoProtect ? 0u : 1u)) break;
     if (shard->hand >= shard->slots.size()) shard->hand = 0;
     Node* node = shard->slots[shard->hand].get();
-    if (node == nullptr || shard->hand == protect) {
+    if (!node->live || shard->hand == protect) {
       ++shard->hand;
       continue;
     }
@@ -138,33 +194,30 @@ void ReadCache::EvictOver(Shard* shard, size_t protect) {
 }
 
 bool ReadCache::MarkInvalidated(const std::string& key, Version version, Time as_of) {
-  Shard* shard = ShardFor(key);
+  size_t hash = std::hash<std::string>{}(key);
+  Shard* shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard->mu);
   bool dropped_live = false;
-  auto it = shard->index.find(key);
-  if (it != shard->index.end()) {
-    Node* node = shard->slots[it->second].get();
+  uint32_t existing = FindSlot(*shard, key, hash);
+  if (existing != kNoSlot) {
+    Node* node = shard->slots[existing].get();
     if (node->version > version) return false;  // newer state cached
     dropped_live = !node->invalidated;
-    RemoveSlot(shard, it->second);
+    RemoveSlot(shard, existing);
   }
-  auto node = std::make_unique<Node>();
-  node->key = key;
-  node->version = version;
-  node->invalidated = true;
-  node->bytes = key.size() + kPointEntryOverhead;
-  node->as_of.store(as_of, std::memory_order_release);
-  size_t slot = AddSlot(shard, std::move(node));
+  size_t slot = AddSlot(shard, key, hash, /*value=*/{}, version, /*invalidated=*/true,
+                        key.size() + kPointEntryOverhead, as_of);
   EvictOver(shard, slot);
   return dropped_live;
 }
 
 bool ReadCache::Erase(const std::string& key) {
-  Shard* shard = ShardFor(key);
+  size_t hash = std::hash<std::string>{}(key);
+  Shard* shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard->mu);
-  auto it = shard->index.find(key);
-  if (it == shard->index.end()) return false;
-  RemoveSlot(shard, it->second);
+  uint32_t slot = FindSlot(*shard, key, hash);
+  if (slot == kNoSlot) return false;
+  RemoveSlot(shard, slot);
   return true;
 }
 
@@ -173,7 +226,8 @@ void ReadCache::Clear() {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.slots.clear();
     shard.free_slots.clear();
-    shard.index.clear();
+    shard.index.assign(kMinIndexCells, kNoSlot);
+    shard.live = 0;
     shard.hand = 0;
     shard.bytes = 0;
   }
@@ -183,7 +237,7 @@ size_t ReadCache::entry_count() const {
   size_t n = 0;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    n += shard.index.size();
+    n += shard.live;
   }
   return n;
 }

@@ -33,6 +33,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -92,6 +93,12 @@ enum class CacheLookup { kHit, kMiss, kStale };
 /// cache), clock/second-chance eviction instead of an LRU list so a hit
 /// publishes one atomic referenced bit rather than mutating shared order.
 /// Sharding bounds worst-case probe cost and divides lock contention.
+///
+/// Each call hashes its key once: the hash picks the shard and the key's
+/// home in the shard's open-addressing index of slot numbers, and is kept
+/// in the entry for the index's rehash and backward-shift erase. A freed
+/// slot keeps its node, key and value buffers for the next insert, so a
+/// write-through that evicts allocates nothing once buffers have grown.
 class ReadCache {
  public:
   /// `evictions` (optional) is incremented per capacity eviction.
@@ -133,6 +140,10 @@ class ReadCache {
     std::string key;
     std::string value;
     Version version;
+    /// std::hash of the key, computed once per call: it picks the shard and
+    /// the key's home in the shard's index, and a rehash reuses it.
+    size_t hash = 0;
+    bool live = false;  ///< False while the slot sits on the free list.
     bool invalidated = false;
     size_t bytes = 0;
     /// Serve-time watermark, published atomically so a freshness lease
@@ -144,20 +155,35 @@ class ReadCache {
     /// victims the old LRU picked in the common insert/lookup patterns.
     std::atomic<bool> referenced{false};
   };
+  /// Index cell holding no slot.
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+  static constexpr size_t kMinIndexCells = 16;
   struct Shard {
     mutable std::mutex mu;
-    std::vector<std::unique_ptr<Node>> slots;  ///< Clock ring; null = free.
-    std::vector<size_t> free_slots;
-    std::unordered_map<std::string, size_t> index;  ///< key -> slot.
+    /// Clock ring. A freed slot keeps its node, key and value buffers
+    /// included, for the insert that reuses it.
+    std::vector<std::unique_ptr<Node>> slots;
+    std::vector<size_t> free_slots;  ///< Reused last-in-first-out.
+    /// Open-addressing index of live slot numbers (kNoSlot = empty cell):
+    /// a power-of-two table at most half full, linearly probed from each
+    /// key's home cell.
+    std::vector<uint32_t> index = std::vector<uint32_t>(kMinIndexCells, kNoSlot);
+    size_t live = 0;
     size_t hand = 0;
     size_t bytes = 0;
   };
 
-  Shard* ShardFor(const std::string& key);
+  Shard* ShardFor(size_t hash);
+  /// The live slot holding `key`, or kNoSlot. Caller holds shard->mu.
+  static uint32_t FindSlot(const Shard& shard, const std::string& key, size_t hash);
+  /// Puts live `slot` in the first empty cell from its key's home cell.
+  static void PlaceInIndex(Shard* shard, size_t slot);
   /// Unlinks `slot` (index, bytes, free list). Caller holds shard->mu.
-  void RemoveSlot(Shard* shard, size_t slot);
-  /// Installs a node in a free (or new) slot. Caller holds shard->mu.
-  size_t AddSlot(Shard* shard, std::unique_ptr<Node> node);
+  static void RemoveSlot(Shard* shard, size_t slot);
+  /// Fills a free (or new) slot with an entry. Caller holds shard->mu.
+  static size_t AddSlot(Shard* shard, const std::string& key, size_t hash,
+                        std::string_view value, Version version, bool invalidated,
+                        size_t bytes, Time as_of);
   /// Clock sweep until under capacity; `protect` (the slot just written) is
   /// skipped so an insert cannot evict itself. Caller holds shard->mu.
   void EvictOver(Shard* shard, size_t protect);

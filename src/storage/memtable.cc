@@ -1,5 +1,6 @@
 #include "storage/memtable.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <new>
@@ -10,69 +11,135 @@ namespace scads {
 
 namespace {
 
-/// A key's first 8 bytes as a big-endian integer, zero-padded. Prefixes
-/// order like their keys (a smaller prefix means a smaller key), so only
-/// equal prefixes need the full keys compared.
-uint64_t PrefixOf(std::string_view key) {
+/// Bytes [skip, skip + 2) of `key` as a big-endian integer, zero-padded: a
+/// leaf slot's head. Keys that share their first `skip` bytes order like
+/// their heads (a smaller head means a smaller key), so only equal heads
+/// need the keys compared.
+uint16_t LeafHead(std::string_view key, uint32_t skip) {
+  uint16_t high = key.size() > skip ? static_cast<uint8_t>(key[skip]) : 0;
+  uint16_t low = key.size() > skip + 1 ? static_cast<uint8_t>(key[skip + 1]) : 0;
+  return static_cast<uint16_t>(high << 8 | low);
+}
+
+/// Bytes [skip, skip + 8) of `key`, likewise: an inner separator's head.
+uint64_t InnerHead(std::string_view key, uint32_t skip) {
   uint64_t word = 0;
-  if (!key.empty()) std::memcpy(&word, key.data(), key.size() < 8 ? key.size() : 8);
+  if (key.size() > skip) {
+    std::memcpy(&word, key.data() + skip, std::min<size_t>(key.size() - skip, 8));
+  }
   if constexpr (std::endian::native == std::endian::little) word = __builtin_bswap64(word);
   return word;
 }
 
-/// First slot in [lo, hi) whose key is >= target; hi when there is none.
-uint32_t LowerBound(const MemTable::Entry* const* slots, uint32_t lo, uint32_t hi,
-                    std::string_view target) {
-  while (lo < hi) {
-    uint32_t mid = lo + (hi - lo) / 2;
-    if (slots[mid]->key() < target) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+/// Length of the prefix two fences share; 0 when either is unbounded.
+uint32_t SharedPrefix(const MemTable::Entry* a, const MemTable::Entry* b) {
+  if (a == nullptr || b == nullptr) return 0;
+  std::string_view x = a->key();
+  std::string_view y = b->key();
+  size_t n = std::min(x.size(), y.size());
+  size_t i = 0;
+  while (i < n && x[i] == y[i]) ++i;
+  return static_cast<uint32_t>(i);
 }
 
 }  // namespace
 
 /// Up to kLeafSlots entries in key order. Leaves chain left to right, and
-/// only the root leaf of an empty table is ever empty.
+/// only the root leaf of an empty table is ever empty. Every key routed
+/// here shares the leaf's first `skip` bytes (its fences' shared prefix),
+/// and heads[i] is slots[i]'s LeafHead past them, so a search reads an
+/// entry only on a head tie or for its final equality check.
 struct MemTable::Leaf {
   Leaf* next = nullptr;
   uint32_t count = 0;
+  uint32_t skip = 0;
+  uint16_t heads[kLeafSlots] = {};
   Entry* slots[kLeafSlots] = {};
+
+  /// First slot in [lo, hi) whose key is >= target; hi when there is none.
+  /// `head` is target's LeafHead.
+  uint32_t LowerBound(uint32_t lo, uint32_t hi, std::string_view target, uint16_t head) const {
+    while (lo < hi) {
+      uint32_t mid = lo + (hi - lo) / 2;
+      bool below = heads[mid] != head ? heads[mid] < head : slots[mid]->key() < target;
+      if (below) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
+  /// Whether slot `pos`, `key`'s LowerBound, holds `key`.
+  bool Holds(uint32_t pos, std::string_view key, uint16_t head) const {
+    return pos < count && heads[pos] == head && slots[pos]->key() == key;
+  }
 
   void InsertAt(uint32_t pos, Entry* entry) {
     std::memmove(slots + pos + 1, slots + pos, (count - pos) * sizeof(Entry*));
+    std::memmove(heads + pos + 1, heads + pos, (count - pos) * sizeof(uint16_t));
     slots[pos] = entry;
+    heads[pos] = LeafHead(entry->key(), skip);
     ++count;
+  }
+
+  /// Copies `n` entries of `from`, starting at slot `begin`, into slots
+  /// [at, at + n), rebasing their heads when the two skips differ.
+  void CopyFrom(uint32_t at, const Leaf& from, uint32_t begin, uint32_t n) {
+    std::memcpy(slots + at, from.slots + begin, n * sizeof(Entry*));
+    if (from.skip == skip) {
+      std::memcpy(heads + at, from.heads + begin, n * sizeof(uint16_t));
+    } else {
+      for (uint32_t i = at; i < at + n; ++i) heads[i] = LeafHead(slots[i]->key(), skip);
+    }
+  }
+
+  /// Moves slots [begin, count) to start at slot `to`.
+  void Shift(uint32_t begin, uint32_t to) {
+    std::memmove(slots + to, slots + begin, (count - begin) * sizeof(Entry*));
+    std::memmove(heads + to, heads + begin, (count - begin) * sizeof(uint16_t));
+  }
+
+  /// Sets the skip of new fences, rebuilding every head when it changed.
+  void SetSkip(uint32_t new_skip) {
+    if (new_skip == skip) return;
+    skip = new_skip;
+    for (uint32_t i = 0; i < count; ++i) heads[i] = LeafHead(slots[i]->key(), skip);
   }
 };
 
 /// Up to kInnerSlots children. Separator i is the first key of child i+1's
 /// range: keys below it live under children 0..i, the rest to the right.
-/// Each separator is stored with its PrefixOf, so a descent step reads an
-/// entry only when the prefixes tie.
+/// As in a leaf, every key routed here shares the first `skip` bytes, and
+/// each separator is stored with its InnerHead past them, so a descent
+/// step reads an entry only when the heads tie.
 struct MemTable::Inner {
   uint32_t count = 0;  // children; separators are one fewer
-  uint64_t prefixes[kInnerSlots - 1] = {};
+  uint32_t skip = 0;
+  uint64_t heads[kInnerSlots - 1] = {};
   const Entry* separators[kInnerSlots - 1] = {};
   void* children[kInnerSlots] = {};  // Leaf* one level above the leaves, else Inner*
 
   void SetSeparator(uint32_t i, const Entry* separator) {
     separators[i] = separator;
-    prefixes[i] = PrefixOf(separator->key());
+    heads[i] = InnerHead(separator->key(), skip);
   }
 
   /// Puts `child` at slot `pos` (>= 1), its range starting at `separator`.
   void InsertAt(uint32_t pos, const Entry* separator, void* child) {
     std::memmove(children + pos + 1, children + pos, (count - pos) * sizeof(void*));
     std::memmove(separators + pos, separators + pos - 1, (count - pos) * sizeof(Entry*));
-    std::memmove(prefixes + pos, prefixes + pos - 1, (count - pos) * sizeof(uint64_t));
+    std::memmove(heads + pos, heads + pos - 1, (count - pos) * sizeof(uint64_t));
     children[pos] = child;
     SetSeparator(pos - 1, separator);
     ++count;
+  }
+
+  void SetSkip(uint32_t new_skip) {
+    if (new_skip == skip) return;
+    skip = new_skip;
+    for (uint32_t i = 0; i + 1 < count; ++i) heads[i] = InnerHead(separators[i]->key(), skip);
   }
 };
 
@@ -93,39 +160,49 @@ MemTable::Inner* MemTable::NewInner() {
 
 MemTable::Leaf* MemTable::FindLeaf(std::string_view key, Path* path) const {
   void* node = root_;
-  if (height_ > 1) {
-    uint64_t prefix = PrefixOf(key);
-    for (int level = height_ - 1; level > 0; --level) {
-      Inner* inner = static_cast<Inner*>(node);
-      // The child to take is the number of separators at or below `key`.
-      uint32_t lo = 0;
-      uint32_t hi = inner->count - 1;
-      while (lo < hi) {
-        uint32_t mid = lo + (hi - lo) / 2;
-        uint64_t separator = inner->prefixes[mid];
-        bool at_or_below = separator != prefix ? separator < prefix
-                                               : inner->separators[mid]->key() <= key;
-        if (at_or_below) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
+  for (int level = height_ - 1; level > 0; --level) {
+    Inner* inner = static_cast<Inner*>(node);
+    uint64_t head = InnerHead(key, inner->skip);
+    // The child to take is the number of separators at or below `key`.
+    uint32_t lo = 0;
+    uint32_t hi = inner->count - 1;
+    while (lo < hi) {
+      uint32_t mid = lo + (hi - lo) / 2;
+      uint64_t separator = inner->heads[mid];
+      bool at_or_below = separator != head ? separator < head
+                                           : inner->separators[mid]->key() <= key;
+      if (at_or_below) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
       }
-      if (path != nullptr) {
-        path->node[level] = inner;
-        path->slot[level] = lo;
-      }
-      node = inner->children[lo];
     }
+    if (path != nullptr) {
+      path->node[level] = inner;
+      path->slot[level] = lo;
+    }
+    node = inner->children[lo];
   }
   return static_cast<Leaf*>(node);
+}
+
+MemTable::Fences MemTable::FencesOf(const Path& path, int level) const {
+  Fences fences;
+  for (int up = height_ - 1; up > level; --up) {
+    const Inner* inner = path.node[up];
+    uint32_t slot = path.slot[up];
+    if (slot > 0) fences.lower = inner->separators[slot - 1];
+    if (slot + 1 < inner->count) fences.upper = inner->separators[slot];
+  }
+  return fences;
 }
 
 MemTable::Entry* MemTable::FindOrCreate(std::string_view key, bool* created) {
   Path path;
   Leaf* leaf = FindLeaf(key, &path);
-  uint32_t pos = LowerBound(leaf->slots, 0, leaf->count, key);
-  if (pos < leaf->count && leaf->slots[pos]->key() == key) {
+  uint16_t head = LeafHead(key, leaf->skip);
+  uint32_t pos = leaf->LowerBound(0, leaf->count, key, head);
+  if (leaf->Holds(pos, key, head)) {
     *created = false;
     return leaf->slots[pos];
   }
@@ -142,12 +219,17 @@ void MemTable::InsertIntoLeaf(Leaf* leaf, uint32_t pos, Entry* entry, Path* path
     leaf->InsertAt(pos, entry);
     return;
   }
+  // Every branch below moves a fence of this leaf, so its skip (and that of
+  // any leaf that takes entries) is recomputed from the fences the descent
+  // passed, read before the parent's separators change.
+  Fences fences = FencesOf(*path, 0);
   if (leaf->next == nullptr && pos == leaf->count) {
     // Past the tree's last key: a fresh leaf, so a sequential load leaves
     // every leaf behind it full instead of half full.
     Leaf* fresh = NewLeaf();
     fresh->InsertAt(0, entry);
     leaf->next = fresh;
+    leaf->SetSkip(SharedPrefix(fences.lower, entry));
     InsertChild(path, 1, entry, fresh);
     return;
   }
@@ -163,11 +245,16 @@ void MemTable::InsertIntoLeaf(Leaf* leaf, uint32_t pos, Entry* entry, Path* path
     Leaf* left = slot > 0 ? static_cast<Leaf*>(parent->children[slot - 1]) : nullptr;
     if (right != nullptr && right->count < kLeafSlots - 1) {
       uint32_t moved = (kLeafSlots - right->count) / 2;
-      std::memmove(right->slots + moved, right->slots, right->count * sizeof(Entry*));
-      std::memcpy(right->slots, leaf->slots + kLeafSlots - moved, moved * sizeof(Entry*));
+      const Entry* separator = leaf->slots[kLeafSlots - moved];
+      const Entry* right_upper = slot + 2 < parent->count ? parent->separators[slot + 1]
+                                                          : FencesOf(*path, 1).upper;
+      right->SetSkip(SharedPrefix(separator, right_upper));
+      right->Shift(0, moved);
+      right->CopyFrom(0, *leaf, kLeafSlots - moved, moved);
       right->count += moved;
       leaf->count -= moved;
-      parent->SetSeparator(slot, right->slots[0]);
+      leaf->SetSkip(SharedPrefix(fences.lower, separator));
+      parent->SetSeparator(slot, separator);
       if (pos <= leaf->count) {
         leaf->InsertAt(pos, entry);
       } else {
@@ -178,11 +265,16 @@ void MemTable::InsertIntoLeaf(Leaf* leaf, uint32_t pos, Entry* entry, Path* path
     if (left != nullptr && left->count < kLeafSlots - 1) {
       uint32_t moved = (kLeafSlots - left->count) / 2;
       uint32_t base = left->count;
-      std::memcpy(left->slots + base, leaf->slots, moved * sizeof(Entry*));
+      const Entry* separator = leaf->slots[moved];
+      const Entry* left_lower = slot >= 2 ? parent->separators[slot - 2]
+                                          : FencesOf(*path, 1).lower;
+      left->SetSkip(SharedPrefix(left_lower, separator));
+      left->CopyFrom(base, *leaf, 0, moved);
       left->count += moved;
-      std::memmove(leaf->slots, leaf->slots + moved, (kLeafSlots - moved) * sizeof(Entry*));
+      leaf->Shift(moved, 0);
       leaf->count -= moved;
-      parent->SetSeparator(slot - 1, leaf->slots[0]);
+      leaf->SetSkip(SharedPrefix(separator, fences.upper));
+      parent->SetSeparator(slot - 1, separator);
       // A key that falls between the two leaves' keys joins the left one:
       // this leaf's first key is its separator.
       if (pos <= moved) {
@@ -194,10 +286,13 @@ void MemTable::InsertIntoLeaf(Leaf* leaf, uint32_t pos, Entry* entry, Path* path
     }
   }
   constexpr uint32_t kKeep = kLeafSlots / 2;
+  const Entry* separator = leaf->slots[kKeep];
   Leaf* fresh = NewLeaf();
+  fresh->skip = SharedPrefix(separator, fences.upper);
+  fresh->CopyFrom(0, *leaf, kKeep, kLeafSlots - kKeep);
   fresh->count = kLeafSlots - kKeep;
-  std::memcpy(fresh->slots, leaf->slots + kKeep, fresh->count * sizeof(Entry*));
   leaf->count = kKeep;
+  leaf->SetSkip(SharedPrefix(fences.lower, separator));
   fresh->next = leaf->next;
   leaf->next = fresh;
   if (pos <= kKeep) {
@@ -205,12 +300,13 @@ void MemTable::InsertIntoLeaf(Leaf* leaf, uint32_t pos, Entry* entry, Path* path
   } else {
     fresh->InsertAt(pos - kKeep, entry);
   }
-  InsertChild(path, 1, fresh->slots[0], fresh);
+  InsertChild(path, 1, separator, fresh);
 }
 
 void MemTable::InsertChild(Path* path, int level, const Entry* separator, void* child) {
   if (level == height_) {
-    // The root split: the tree grows by one level.
+    // The root split: the tree grows by one level. Its fences are
+    // unbounded, so its skip stays 0.
     SCADS_CHECK(height_ < kMaxHeight);
     Inner* root = NewInner();
     root->children[0] = root_;
@@ -227,13 +323,17 @@ void MemTable::InsertChild(Path* path, int level, const Entry* separator, void* 
     return;
   }
   constexpr uint32_t kKeep = kInnerSlots / 2;
+  Fences fences = FencesOf(*path, level);
   Inner* fresh = NewInner();
   const Entry* promoted = inner->separators[kKeep - 1];
   fresh->count = kInnerSlots - kKeep;
+  fresh->skip = inner->skip;
   std::memcpy(fresh->children, inner->children + kKeep, fresh->count * sizeof(void*));
   std::memcpy(fresh->separators, inner->separators + kKeep, (fresh->count - 1) * sizeof(Entry*));
-  std::memcpy(fresh->prefixes, inner->prefixes + kKeep, (fresh->count - 1) * sizeof(uint64_t));
+  std::memcpy(fresh->heads, inner->heads + kKeep, (fresh->count - 1) * sizeof(uint64_t));
   inner->count = kKeep;
+  inner->SetSkip(SharedPrefix(fences.lower, promoted));
+  fresh->SetSkip(SharedPrefix(promoted, fences.upper));
   if (pos <= kKeep) {
     inner->InsertAt(pos, separator, child);
   } else {
@@ -244,9 +344,9 @@ void MemTable::InsertChild(Path* path, int level, const Entry* separator, void* 
 
 const MemTable::Entry* MemTable::Find(std::string_view key) const {
   const Leaf* leaf = FindLeaf(key, nullptr);
-  uint32_t pos = LowerBound(leaf->slots, 0, leaf->count, key);
-  if (pos < leaf->count && leaf->slots[pos]->key() == key) return leaf->slots[pos];
-  return nullptr;
+  uint16_t head = LeafHead(key, leaf->skip);
+  uint32_t pos = leaf->LowerBound(0, leaf->count, key, head);
+  return leaf->Holds(pos, key, head) ? leaf->slots[pos] : nullptr;
 }
 
 MemTable::Entry* MemTable::FindMutable(std::string_view key) {
@@ -274,7 +374,7 @@ void MemTable::Iterator::Settle() {
 
 void MemTable::Iterator::Seek(std::string_view target) {
   leaf_ = table_->FindLeaf(target, nullptr);
-  index_ = LowerBound(leaf_->slots, 0, leaf_->count, target);
+  index_ = leaf_->LowerBound(0, leaf_->count, target, LeafHead(target, leaf_->skip));
   Settle();
 }
 
@@ -289,7 +389,7 @@ void MemTable::Iterator::SeekForward(std::string_view target) {
     Seek(target);
     return;
   }
-  index_ = LowerBound(leaf_->slots, index_ + 1, last, target);
+  index_ = leaf_->LowerBound(index_ + 1, last, target, LeafHead(target, leaf_->skip));
   entry_ = leaf_->slots[index_];
 }
 

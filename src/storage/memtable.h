@@ -19,6 +19,17 @@ namespace scads {
 /// place on updates, since the engine keeps only the newest version of each
 /// key. Entries never move once created, so an Entry* stays valid for the
 /// table's lifetime; tree nodes hold pointers to them.
+///
+/// A search reads entries only where it must. Each node records its
+/// `skip`: the length of the prefix its two fence keys (the separators
+/// bounding its range above it) share, 0 when either is unbounded, which
+/// every key routed to the node shares too. Each slot keeps a head, the
+/// key's next bytes past `skip` (2 per leaf slot, 8 per inner separator),
+/// big-endian and zero-padded, so a search compares heads and reads an
+/// entry only on a tie or for its final equality check. A node's skip
+/// changes only when a split or a move between siblings changes its
+/// fences, which the insert reads off the descent's path; its heads are
+/// then rebuilt.
 class MemTable {
   struct Leaf;
   struct Inner;
@@ -123,7 +134,8 @@ class MemTable {
   };
 
  private:
-  /// Entry pointers per leaf, and children per inner node.
+  /// Entry pointers (and 2-byte heads) per leaf, and children per inner
+  /// node. A leaf is 336 B, an inner node 760 B.
   static constexpr uint32_t kLeafSlots = 32;
   static constexpr uint32_t kInnerSlots = 32;
   /// Levels a descent may record. Every inner node but the root holds at
@@ -138,11 +150,21 @@ class MemTable {
     uint32_t slot[kMaxHeight] = {};
   };
 
+  /// The keys bounding a node's range: every key routed to it is at least
+  /// `lower` and below `upper` (nullptr: unbounded on that side).
+  struct Fences {
+    const Entry* lower = nullptr;
+    const Entry* upper = nullptr;
+  };
+
   Entry* NewEntry(std::string_view key);
   Leaf* NewLeaf();
   Inner* NewInner();
   /// The leaf whose range holds `key`; fills `path` when non-null.
   Leaf* FindLeaf(std::string_view key, Path* path) const;
+  /// Fences of the node `path` visits at `level` (0: the leaf), read off
+  /// the separators above it, so call it before those change.
+  Fences FencesOf(const Path& path, int level) const;
   /// Places `entry` at slot `pos` of `leaf`, making room in a full leaf by
   /// starting a fresh one past the last key, by moving entries into a
   /// sibling, or by splitting it.

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "gtest/gtest.h"
 #include "sim/event_loop.h"
 #include "storage/arena.h"
@@ -160,10 +161,11 @@ TEST(MemTableTest, ManyKeysStressAgainstStdMap) {
   }
 }
 
-// The entry layout's budget: a 32-byte header, one 8-byte leaf slot and a
-// share of a leaf's chain pointer and of the inner nodes come to ~41 B of
-// overhead per key beyond its key and value bytes when keys arrive in order
-// (bytes_allocated counts no alignment slop).
+// The entry layout's budget: a 32-byte header, one 8-byte leaf slot with its
+// 2-byte head, and a share of a leaf's chain pointer, count and skip and of
+// the inner nodes come to ~43 B of overhead per key beyond its key and
+// value bytes when keys arrive in order (bytes_allocated counts no
+// alignment slop).
 TEST(MemTableTest, PerEntryOverheadStaysWithin48Bytes) {
   MemTable table;
   constexpr size_t kEntries = 10000;
@@ -212,21 +214,31 @@ TEST(MemTableTest, OverwritesThatFitReuseTheValueBytes) {
   EXPECT_FALSE(table.Find("hot")->tombstone());
 }
 
-// Keys that stress the tree's 8-byte separator prefixes: families sharing
-// their first 8+ bytes (prefix ties fall through to full compares), keys
-// shorter than 8 bytes, and keys holding zero bytes ("ab" and "ab\0" pad to
-// the same prefix).
+// Keys that stress the tree's key heads (the bytes past the prefix a
+// node's fences share: 2 per leaf slot, 8 per separator): families sharing
+// their first 8+ bytes (head ties fall through to full compares), keys
+// shorter than 8 bytes, keys holding zero bytes ("ab" and "ab\0" pad to the
+// same head), and facade-shaped index keys, "i/fof/" and two
+// length-prefixed ordered ints from small ranges, which share 14 or more
+// bytes and tie on their heads well past offset 8.
 std::vector<std::string> DifferentialKeys(Rng* rng, size_t count) {
   static const char kAlphabet[] = {'\0', '\x01', 'a', 'b', '\x7f', '\xff'};
   std::vector<std::string> keys;
   while (keys.size() < count) {
-    switch (rng->Uniform(3)) {
+    switch (rng->Uniform(4)) {
       case 0:
         keys.push_back("shared-prefix/" + std::to_string(rng->Uniform(1000000)));
         break;
       case 1:
         keys.push_back(std::to_string(rng->Uniform(10000000)));  // 1 to 7 bytes
         break;
+      case 2: {
+        std::string key = "i/fof/";
+        AppendKeyPiece(&key, OrderedEncodeInt64(rng->UniformInt(-20, 80)));
+        AppendKeyPiece(&key, OrderedEncodeInt64(rng->UniformInt(0, 400)));
+        keys.push_back(std::move(key));
+        break;
+      }
       default: {
         std::string key(1 + rng->Uniform(10), '\0');
         for (char& c : key) c = kAlphabet[rng->Uniform(sizeof(kAlphabet))];
