@@ -1,6 +1,8 @@
 #include "cluster/replica_selector.h"
 
 #include <algorithm>
+#include <limits>
+#include <utility>
 
 #include "cluster/circuit_breaker.h"
 
@@ -25,15 +27,76 @@ std::vector<NodeId> ReplicaSelector::ReadCandidates(const PartitionInfo& partiti
                                                     const RequestOptions& options,
                                                     ReadTarget deployment_target,
                                                     int read_retries, ReplicaPick* pick) {
-  std::vector<NodeId> candidates;
   if (partition.replicas.empty()) {
     if (pick != nullptr) *pick = ReplicaPick{};
-    return candidates;
+    return {};
   }
   ReplicaPick first = ChooseReadReplica(partition, options, deployment_target);
   if (pick != nullptr) *pick = first;
+  return CandidatesFrom(partition, options, first.node, read_retries);
+}
+
+std::vector<std::vector<NodeId>> ReplicaSelector::BatchReadCandidates(
+    std::span<const PartitionInfo* const> partitions, const RequestOptions& options,
+    ReadTarget deployment_target, int read_retries, std::vector<ReplicaPick>* picks) {
+  std::vector<std::vector<NodeId>> lists;
+  lists.reserve(partitions.size());
+  if (picks != nullptr) picks->assign(partitions.size(), ReplicaPick{});
+  // How many of the batch's first targets each node holds so far (a batch
+  // touches few nodes, so a linear scan beats a map).
+  std::vector<std::pair<NodeId, size_t>> held;
+  held.reserve(partitions.size());
+  auto held_by = [&held](NodeId node) {
+    return std::find_if(held.begin(), held.end(),
+                        [node](const auto& entry) { return entry.first == node; });
+  };
+  auto eligible = [this](NodeId node) { return breaker_ == nullptr || breaker_->Healthy(node); };
+  std::vector<NodeId> fewest;  // the eligible replicas tied at the fewest holdings
+  for (size_t i = 0; i < partitions.size(); ++i) {
+    const PartitionInfo& partition = *partitions[i];
+    if (partition.replicas.empty()) {
+      lists.emplace_back();
+      continue;
+    }
+    ReplicaPick pick = ChooseReadReplica(partition, options, deployment_target);
+    if (pick.policy) {
+      size_t least = std::numeric_limits<size_t>::max();
+      fewest.clear();
+      fewest.reserve(partition.replicas.size());
+      for (NodeId replica : partition.replicas) {
+        if (!eligible(replica)) continue;
+        auto it = held_by(replica);
+        size_t count = it == held.end() ? 0 : it->second;
+        if (count < least) {
+          least = count;
+          fewest.clear();
+        }
+        if (count == least) fewest.push_back(replica);
+      }
+      if (!fewest.empty() && std::find(fewest.begin(), fewest.end(), pick.node) == fewest.end()) {
+        OrderAlternates(fewest);
+        pick = ReplicaPick{fewest.front(), /*policy=*/true, /*steered=*/true};
+      }
+    }
+    if (picks != nullptr) (*picks)[i] = pick;
+    lists.push_back(CandidatesFrom(partition, options, pick.node, read_retries));
+    NodeId target = lists.back().front();
+    auto it = held_by(target);
+    if (it == held.end()) {
+      held.emplace_back(target, 1);
+    } else {
+      ++it->second;
+    }
+  }
+  return lists;
+}
+
+std::vector<NodeId> ReplicaSelector::CandidatesFrom(const PartitionInfo& partition,
+                                                    const RequestOptions& options, NodeId first,
+                                                    int read_retries) {
+  std::vector<NodeId> candidates;
   candidates.reserve(partition.replicas.size());  // candidates are distinct replicas
-  candidates.push_back(first.node);
+  candidates.push_back(first);
   if (options.read_mode == ReadMode::kPrimaryOnly) return candidates;
   // Low-priority reads shed instead of retrying: under failure they give
   // up their replica alternates so the retry load lands on interactive

@@ -9,6 +9,16 @@
 //   * in what order should the remaining replicas be tried when that one
 //     fails (ReadCandidates).
 //
+// A batch of reads (Router::MultiGet's cache misses) asks both questions
+// once for the whole batch (BatchReadCandidates), and the batch deal
+// answers the first: each read goes to the eligible replica of its
+// partition that already holds the fewest of the batch's reads, and the
+// policy's pick stands on a tie. Per-read picks share one load snapshot,
+// so p2c alone sends about 2/3 of a one-partition batch to its least-
+// pressured replica and none to its most-pressured one, parking one large
+// service lump in front of that replica's other reads; dealt, an rf-3
+// partition's n reads ship about n/3 to each replica.
+//
 // Pin rules are policy-independent and resolved here, before any policy
 // runs: ReadMode::kPrimaryOnly (and a deployment configured primary-only
 // via ReadTarget::kPrimary, unless the request explicitly asks
@@ -111,6 +121,21 @@ class ReplicaSelector {
                                      ReadTarget deployment_target, int read_retries,
                                      ReplicaPick* pick = nullptr);
 
+  /// ReadCandidates for a batch of reads, one list per entry of
+  /// `partitions` (each read's partition, in batch order), with the batch
+  /// deal applied to every policy pick: the first target becomes the
+  /// eligible (breaker-healthy) replica that already holds the fewest of
+  /// this batch's first targets, the pick standing on a tie and the
+  /// policy's alternate order (OrderAlternates) breaking a tie among the
+  /// others. Pinned reads and single-replica partitions keep their target
+  /// and count toward their node's holdings; every list is then built
+  /// around its first target exactly as ReadCandidates builds one.
+  /// `picks`, when non-null, receives each read's pick outcome: a read the
+  /// deal moves reports its new node, as a steered policy pick.
+  std::vector<std::vector<NodeId>> BatchReadCandidates(
+      std::span<const PartitionInfo* const> partitions, const RequestOptions& options,
+      ReadTarget deployment_target, int read_retries, std::vector<ReplicaPick>* picks = nullptr);
+
   /// Attaches the owning Router's circuit breaker. Unpinned candidate lists
   /// are then ordered healthy-first (stable within each class), so a read
   /// tries nodes the breaker would admit before nodes it would refuse. The
@@ -126,6 +151,11 @@ class ReplicaSelector {
   virtual void OrderAlternates(std::span<NodeId> /*alternates*/) {}
 
  private:
+  /// The candidate list ReadCandidates builds around a chosen first target.
+  std::vector<NodeId> CandidatesFrom(const PartitionInfo& partition,
+                                     const RequestOptions& options, NodeId first,
+                                     int read_retries);
+
   CircuitBreaker* breaker_ = nullptr;
 };
 

@@ -538,18 +538,27 @@ void Router::MultiGet(const std::vector<std::string>& keys, RequestOptions optio
     loop_->ScheduleAfter(cache_->hit_service_time(), [this, state] { FinishMultiGet(state); });
     return;
   }
-  // Pass 2, under the router mutex: each miss's replica candidate list from
-  // one ClusterState lookup.
+  // Pass 2, under the router mutex: each miss's partition from one
+  // ClusterState lookup, then every miss's replica candidate list from one
+  // selector call, which deals the batch across each partition's replicas.
   std::vector<size_t> misses;
   misses.reserve(state->unresolved);
   {
     std::lock_guard<std::mutex> lock(mu_);
+    std::vector<const PartitionInfo*> partitions;
+    partitions.reserve(state->unresolved);
     for (size_t fetch_id = 0; fetch_id < state->fetches.size(); ++fetch_id) {
-      MultiGetState::Fetch& fetch = state->fetches[fetch_id];
+      const MultiGetState::Fetch& fetch = state->fetches[fetch_id];
       if (fetch.result) continue;
-      fetch.candidates =
-          ReadCandidates(cluster_->partitions()->ForKey(fetch.key), state->options);
+      partitions.push_back(&cluster_->partitions()->ForKey(fetch.key));
       misses.push_back(fetch_id);
+    }
+    std::vector<ReplicaPick> picks;
+    std::vector<std::vector<NodeId>> candidates = selector_->BatchReadCandidates(
+        partitions, state->options, config_.read_target, config_.read_retries, &picks);
+    for (size_t i = 0; i < misses.size(); ++i) {
+      state->fetches[misses[i]].candidates = std::move(candidates[i]);
+      CountPick(picks[i]);
     }
   }
   DispatchMultiGet(state, misses);

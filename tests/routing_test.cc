@@ -1,11 +1,12 @@
 // Tests for the pluggable read-routing policy layer and the cross-router
 // read coalescer: p2c-vs-uniform pick distribution under a skewed hot
-// node, ReadMode/priority pass-through, retry-candidate dedup/cap, the
-// coalescer's follower staleness/min_version/deadline detach paths,
-// leader-error fan-out, the in-flight priority upgrade on shed, cross-
-// request cache isolation, callbacks re-entering the router from every
-// completion path, the shed asymmetry between point reads and batches, and
-// the rebalancer's least-loaded drain destinations.
+// node, ReadMode/priority pass-through, a MultiGet's batch deal across a
+// partition's replicas, retry-candidate dedup/cap, the coalescer's
+// follower staleness/min_version/deadline detach paths, leader-error
+// fan-out, the in-flight priority upgrade on shed, cross-request cache
+// isolation, callbacks re-entering the router from every completion path,
+// the shed asymmetry between point reads and batches, and the rebalancer's
+// least-loaded drain destinations.
 
 #include <algorithm>
 #include <functional>
@@ -252,6 +253,88 @@ TEST(RouterSelectorTest, TakeWindowResetsAndMergePropagatesPickCounters) {
   int64_t by_node = 0;
   for (const auto& [node, picks] : merged.picks_by_node) by_node += picks;
   EXPECT_EQ(by_node, 20);
+}
+
+// A MultiGet deals its misses across each partition's replicas. With three
+// distinct pressures p2c never picks the most-pressured replica, so per-key
+// picks would send it none of a one-partition batch; dealt, each replica
+// serves a third. Pinned batches and one-key reads keep their targets.
+TEST(RouterSelectorTest, MultiGetDealsAPartitionsKeysAcrossItsReplicas) {
+  Harness h(3, 3);
+  std::vector<std::string> keys;
+  for (int i = 100; i < 190; ++i) keys.push_back("k" + std::to_string(i));
+  const PartitionInfo& partition = h.cluster.partitions()->ForKey(keys[0]);
+  for (const std::string& key : keys) {
+    ASSERT_EQ(h.cluster.partitions()->ForKey(key).id, partition.id);
+    h.Seed(key, "v" + key);
+  }
+  const std::vector<NodeId> replicas = partition.replicas;
+  ASSERT_EQ(replicas.size(), 3u);
+  // Least to most pressured.
+  h.node(replicas[0])->SetBackgroundLoad(0.2, 0);
+  h.node(replicas[1])->SetBackgroundLoad(0.4, 0);
+  h.node(replicas[2])->SetBackgroundLoad(0.6, 0);
+  std::map<NodeId, int64_t> served;  // keys each replica served since the last call
+  auto take_served = [&] {
+    std::map<NodeId, int64_t> delta;
+    for (NodeId id : replicas) {
+      int64_t total = h.node(id)->stats().ops_completed;
+      delta[id] = total - served[id];
+      served[id] = total;
+    }
+    return delta;
+  };
+
+  std::vector<Result<Record>> dealt;
+  h.router->MultiGet(keys, RequestOptions{},
+                     [&](std::vector<Result<Record>> r) { dealt = std::move(r); });
+  h.loop.RunFor(kSecond);
+  ASSERT_EQ(dealt.size(), keys.size());
+  std::map<NodeId, int64_t> delta = take_served();
+  for (NodeId id : replicas) EXPECT_EQ(delta[id], 30) << "node " << id;
+  // Each key is one policy pick, counted under the node it was dealt to.
+  const RouterWindow& window = h.router->window();
+  EXPECT_EQ(window.replica_picks, 90);
+  for (NodeId id : replicas) {
+    auto picks = window.picks_by_node.find(id);
+    EXPECT_EQ(picks == window.picks_by_node.end() ? 0 : picks->second, 30) << "node " << id;
+  }
+
+  RequestOptions pinned;
+  pinned.read_mode = ReadMode::kPrimaryOnly;
+  std::vector<Result<Record>> primary;
+  h.router->MultiGet(keys, pinned,
+                     [&](std::vector<Result<Record>> r) { primary = std::move(r); });
+  h.loop.RunFor(kSecond);
+  ASSERT_EQ(primary.size(), keys.size());
+  delta = take_served();
+  EXPECT_EQ(delta[partition.primary()], 90);
+  for (NodeId id : replicas) {
+    if (id == partition.primary()) continue;
+    EXPECT_EQ(delta[id], 0) << "node " << id;
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(dealt[i].ok()) << keys[i] << ": " << dealt[i].status().ToString();
+    ASSERT_TRUE(primary[i].ok()) << keys[i] << ": " << primary[i].status().ToString();
+    EXPECT_EQ(dealt[i]->value, "v" + keys[i]);
+    EXPECT_EQ(dealt[i]->value, primary[i]->value);
+    EXPECT_EQ(dealt[i]->version, primary[i]->version);
+  }
+
+  // One-key reads are not dealt: p2c's pick never lands on the
+  // most-pressured replica.
+  int done = 0;
+  for (const std::string& key : keys) {
+    h.router->Get(key, RequestOptions{}, [&](Result<Record> r) {
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      ++done;
+    });
+    h.loop.RunFor(10 * kMillisecond);
+  }
+  EXPECT_EQ(done, 90);
+  delta = take_served();
+  EXPECT_EQ(delta[replicas[2]], 0);
+  EXPECT_EQ(delta[replicas[0]] + delta[replicas[1]], 90);
 }
 
 // ------------------------------------------------------ shed asymmetry --
