@@ -4,6 +4,7 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -509,18 +510,34 @@ void Router::MultiGet(const std::vector<std::string>& keys, RequestOptions optio
   // Pass 1, BEFORE the router mutex: dedup the key set and serve
   // cache-fresh keys through the directory's leaf shard locks, so an
   // all-hit batch never contends with this router's in-flight completions
-  // (same lock-free hot path as Get). Every unique key becomes a fetch; a
-  // hit is resolved here.
+  // (same lock-free hot path as Get). Every unique key becomes a fetch,
+  // numbered in first-occurrence order; a hit is resolved here. The dedup
+  // sorts the slots by (key, slot), which puts each key's slots side by
+  // side, first occurrence first, and points every slot at that first
+  // slot; the slot-order pass then turns first slots into fetch ids.
+  std::vector<size_t> by_key(keys.size());
+  std::iota(by_key.begin(), by_key.end(), size_t{0});
+  std::sort(by_key.begin(), by_key.end(), [&keys](size_t a, size_t b) {
+    int order = keys[a].compare(keys[b]);
+    return order != 0 ? order < 0 : a < b;
+  });
+  for (size_t i = 0; i < by_key.size(); ++i) {
+    size_t slot = by_key[i];
+    bool repeat = i > 0 && keys[slot] == keys[by_key[i - 1]];
+    state->slot_fetch[slot] = repeat ? state->slot_fetch[by_key[i - 1]] : slot;
+  }
   bool cache_eligible = CacheEligible(options);
-  std::map<std::string_view, size_t> fetch_index;  // views into `keys`
   for (size_t slot = 0; slot < keys.size(); ++slot) {
-    const std::string& key = keys[slot];
-    auto [it, fresh] = fetch_index.try_emplace(key, state->fetches.size());
-    state->slot_fetch[slot] = it->second;
-    if (!fresh) {
-      state->fetches[it->second].last_slot = slot;
+    size_t first_slot = state->slot_fetch[slot];
+    if (first_slot != slot) {
+      // first_slot < slot already holds its fetch id.
+      size_t fetch_id = state->slot_fetch[first_slot];
+      state->slot_fetch[slot] = fetch_id;
+      state->fetches[fetch_id].last_slot = slot;
       continue;
     }
+    const std::string& key = keys[slot];
+    state->slot_fetch[slot] = state->fetches.size();
     MultiGetState::Fetch& fetch = state->fetches.emplace_back();
     fetch.key = key;
     fetch.last_slot = slot;
