@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <utility>
 
 #include "cluster/circuit_breaker.h"
 
@@ -38,55 +37,60 @@ std::vector<NodeId> ReplicaSelector::ReadCandidates(const PartitionInfo& partiti
 
 std::vector<std::vector<NodeId>> ReplicaSelector::BatchReadCandidates(
     std::span<const PartitionInfo* const> partitions, const RequestOptions& options,
-    ReadTarget deployment_target, int read_retries, std::vector<ReplicaPick>* picks) {
+    ReadTarget deployment_target, int read_retries, std::vector<ReplicaPick>& picks) {
   std::vector<std::vector<NodeId>> lists;
   lists.reserve(partitions.size());
-  if (picks != nullptr) picks->assign(partitions.size(), ReplicaPick{});
-  // How many of the batch's first targets each node holds so far (a batch
-  // touches few nodes, so a linear scan beats a map).
-  std::vector<std::pair<NodeId, size_t>> held;
-  held.reserve(partitions.size());
-  auto held_by = [&held](NodeId node) {
-    return std::find_if(held.begin(), held.end(),
-                        [node](const auto& entry) { return entry.first == node; });
+  picks.assign(partitions.size(), ReplicaPick{});
+  // Each node the batch has met: how many of the batch's first targets it
+  // holds so far, and its headroom, read once (a batch touches few nodes,
+  // so a linear scan beats a map).
+  struct Holding {
+    NodeId node;
+    size_t held;
+    double headroom;
   };
-  auto eligible = [this](NodeId node) { return breaker_ == nullptr || breaker_->Healthy(node); };
-  std::vector<NodeId> fewest;  // the eligible replicas tied at the fewest holdings
+  std::vector<Holding> holdings;
+  auto holding = [this, &holdings](NodeId node) -> Holding& {
+    for (Holding& entry : holdings) {
+      if (entry.node == node) return entry;
+    }
+    return holdings.emplace_back(Holding{node, 0, 1 - PressureOf(node)});
+  };
+  // What one more read costs a replica: the reads it would then hold, per
+  // unit of headroom. A saturated replica costs more than any other.
+  auto cost = [](const Holding& entry) {
+    return entry.headroom > 0 ? static_cast<double>(entry.held + 1) / entry.headroom
+                              : std::numeric_limits<double>::infinity();
+  };
+  std::vector<NodeId> cheapest;  // the eligible replicas tied at the lowest cost
   for (size_t i = 0; i < partitions.size(); ++i) {
     const PartitionInfo& partition = *partitions[i];
     if (partition.replicas.empty()) {
       lists.emplace_back();
       continue;
     }
-    ReplicaPick pick = ChooseReadReplica(partition, options, deployment_target);
+    ReplicaPick& pick = picks[i];
+    pick = ChooseReadReplica(partition, options, deployment_target);
     if (pick.policy) {
-      size_t least = std::numeric_limits<size_t>::max();
-      fewest.clear();
-      fewest.reserve(partition.replicas.size());
+      double lowest = std::numeric_limits<double>::infinity();
+      cheapest.clear();
       for (NodeId replica : partition.replicas) {
-        if (!eligible(replica)) continue;
-        auto it = held_by(replica);
-        size_t count = it == held.end() ? 0 : it->second;
-        if (count < least) {
-          least = count;
-          fewest.clear();
+        if (breaker_ != nullptr && !breaker_->Healthy(replica)) continue;
+        double replica_cost = cost(holding(replica));
+        if (replica_cost < lowest) {
+          lowest = replica_cost;
+          cheapest.clear();
         }
-        if (count == least) fewest.push_back(replica);
+        if (replica_cost == lowest) cheapest.push_back(replica);
       }
-      if (!fewest.empty() && std::find(fewest.begin(), fewest.end(), pick.node) == fewest.end()) {
-        OrderAlternates(fewest);
-        pick = ReplicaPick{fewest.front(), /*policy=*/true, /*steered=*/true};
+      if (!cheapest.empty() &&
+          std::find(cheapest.begin(), cheapest.end(), pick.node) == cheapest.end()) {
+        OrderAlternates(cheapest);
+        pick.node = cheapest.front();
       }
     }
-    if (picks != nullptr) (*picks)[i] = pick;
     lists.push_back(CandidatesFrom(partition, options, pick.node, read_retries));
-    NodeId target = lists.back().front();
-    auto it = held_by(target);
-    if (it == held.end()) {
-      held.emplace_back(target, 1);
-    } else {
-      ++it->second;
-    }
+    ++holding(lists.back().front()).held;
   }
   return lists;
 }

@@ -10,14 +10,8 @@
 //     fails (ReadCandidates).
 //
 // A batch of reads (Router::MultiGet's cache misses) asks both questions
-// once for the whole batch (BatchReadCandidates), and the batch deal
-// answers the first: each read goes to the eligible replica of its
-// partition that already holds the fewest of the batch's reads, and the
-// policy's pick stands on a tie. Per-read picks share one load snapshot,
-// so p2c alone sends about 2/3 of a one-partition batch to its least-
-// pressured replica and none to its most-pressured one, parking one large
-// service lump in front of that replica's other reads; dealt, an rf-3
-// partition's n reads ship about n/3 to each replica.
+// once for the whole batch (BatchReadCandidates), so the batch's first
+// targets are placed together instead of one read at a time.
 //
 // Pin rules are policy-independent and resolved here, before any policy
 // runs: ReadMode::kPrimaryOnly (and a deployment configured primary-only
@@ -123,18 +117,25 @@ class ReplicaSelector {
 
   /// ReadCandidates for a batch of reads, one list per entry of
   /// `partitions` (each read's partition, in batch order), with the batch
-  /// deal applied to every policy pick: the first target becomes the
-  /// eligible (breaker-healthy) replica that already holds the fewest of
-  /// this batch's first targets, the pick standing on a tie and the
-  /// policy's alternate order (OrderAlternates) breaking a tie among the
-  /// others. Pinned reads and single-replica partitions keep their target
-  /// and count toward their node's holdings; every list is then built
-  /// around its first target exactly as ReadCandidates builds one.
-  /// `picks`, when non-null, receives each read's pick outcome: a read the
-  /// deal moves reports its new node, as a steered policy pick.
+  /// deal applied to every policy pick. Picks made one read at a time all
+  /// see the same load snapshot, so p2c alone sends about 2/3 of a
+  /// one-partition batch to the least-pressured of three replicas. The
+  /// deal instead gives each read to the eligible (breaker-healthy)
+  /// replica of its partition with the lowest (held + 1) / (1 - pressure),
+  /// where held counts the batch's first targets that replica holds so far
+  /// and pressure is PressureOf, read once per batch. A replica's share of
+  /// a batch thus follows its headroom: an idle rf-3 partition's n reads
+  /// ship about n/3 to each replica, and a saturated replica (pressure 1)
+  /// gets none while another is eligible. The policy's pick stands on a
+  /// tie, and OrderAlternates breaks a tie among the others. Pinned reads
+  /// and single-replica partitions keep their target and count toward its
+  /// holdings; every list is then built around its first target exactly
+  /// as ReadCandidates builds one. `picks` receives each read's pick
+  /// outcome: a dealt read reports the node it was dealt to, and
+  /// `steered` stays what the policy's own sample made it.
   std::vector<std::vector<NodeId>> BatchReadCandidates(
       std::span<const PartitionInfo* const> partitions, const RequestOptions& options,
-      ReadTarget deployment_target, int read_retries, std::vector<ReplicaPick>* picks = nullptr);
+      ReadTarget deployment_target, int read_retries, std::vector<ReplicaPick>& picks);
 
   /// Attaches the owning Router's circuit breaker. Unpinned candidate lists
   /// are then ordered healthy-first (stable within each class), so a read
@@ -149,6 +150,11 @@ class ReplicaSelector {
   /// by ascending pressure so a failed first attempt retries on the
   /// least-loaded alternate next.
   virtual void OrderAlternates(std::span<NodeId> /*alternates*/) {}
+
+  /// Hook: the load this policy reads on `node`, on NodeLoadSignal's
+  /// Pressure scale [0, 1]. Default 0: a policy that reads no load sees
+  /// every node idle, so the batch deal splits on holdings alone.
+  virtual double PressureOf(NodeId /*node*/) const { return 0; }
 
  private:
   /// The candidate list ReadCandidates builds around a chosen first target.
@@ -183,10 +189,9 @@ class PowerOfTwoSelector : public ReplicaSelector {
 
  protected:
   void OrderAlternates(std::span<NodeId> alternates) override;
+  double PressureOf(NodeId node) const override;
 
  private:
-  double PressureOf(NodeId node) const;
-
   const ClusterState* cluster_;
   Rng rng_;
 };

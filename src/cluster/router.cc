@@ -557,7 +557,7 @@ void Router::MultiGet(const std::vector<std::string>& keys, RequestOptions optio
   }
   // Pass 2, under the router mutex: each miss's partition from one
   // ClusterState lookup, then every miss's replica candidate list from one
-  // selector call, which deals the batch across each partition's replicas.
+  // selector call (ReplicaSelector::BatchReadCandidates).
   std::vector<size_t> misses;
   misses.reserve(state->unresolved);
   {
@@ -572,7 +572,7 @@ void Router::MultiGet(const std::vector<std::string>& keys, RequestOptions optio
     }
     std::vector<ReplicaPick> picks;
     std::vector<std::vector<NodeId>> candidates = selector_->BatchReadCandidates(
-        partitions, state->options, config_.read_target, config_.read_retries, &picks);
+        partitions, state->options, config_.read_target, config_.read_retries, picks);
     for (size_t i = 0; i < misses.size(); ++i) {
       state->fetches[misses[i]].candidates = std::move(candidates[i]);
       CountPick(picks[i]);

@@ -93,11 +93,11 @@ struct RouterWindow {
   /// single-replica partitions don't count — the policy never ran there).
   /// A MultiGet key the batch deal moves off the policy's pick (see
   /// ReplicaSelector::BatchReadCandidates) is still one pick, counted in
-  /// picks_by_node under the node it was dealt to, and also one steer.
+  /// picks_by_node under the node it was dealt to.
   int64_t replica_picks = 0;
   /// Picks where load steered the policy away from its first sample (p2c
-  /// diverting around a loaded replica; always 0 for uniform), plus the
-  /// MultiGet keys the batch deal moved.
+  /// diverting around a loaded replica; always 0 for uniform). The batch
+  /// deal moving a key adds no steer: the policy's own sample decides.
   int64_t replica_steers = 0;
   /// Read attempts / sub-batch candidates skipped in O(1) because the
   /// target's circuit breaker was open — failovers that did NOT pay a
@@ -184,17 +184,12 @@ class Router {
   /// fan-outs. One result per input key, in input order (duplicates allowed;
   /// fetched once). Cache-fresh keys are served up front; the misses get
   /// their partitions in one ClusterState pass and their replica
-  /// candidates in one selector call, which deals them across each
-  /// partition's replicas: a miss goes to the eligible replica already
-  /// holding the fewest of this batch's misses, the policy's pick standing
-  /// on a tie, so an rf-3 partition's n misses ship about n/3 to each
-  /// replica (pinned reads keep their primary; see
-  /// ReplicaSelector::BatchReadCandidates). The misses then go out as one
-  /// message per storage node — or several, when the node's load signal
-  /// says to cap sub-batches smaller (see AdaptiveBatchConfig). Each
-  /// sub-batch has its own timeout; a failed or shed sub-batch retries its
-  /// keys on the next replica candidate without disturbing the rest of the
-  /// batch.
+  /// candidates from one ReplicaSelector::BatchReadCandidates call. The
+  /// misses then go out as one message per storage node — or several,
+  /// when the node's load signal says to cap sub-batches smaller (see
+  /// AdaptiveBatchConfig). Each sub-batch has its own timeout; a failed or
+  /// shed sub-batch retries its keys on the next replica candidate without
+  /// disturbing the rest of the batch.
   /// (Deliberate asymmetry with Get, though both run on this dispatcher: a
   /// shed point read surfaces kResourceExhausted immediately — overload is
   /// its backpressure signal — while a batch redirects shed keys, since one

@@ -255,42 +255,67 @@ TEST(RouterSelectorTest, TakeWindowResetsAndMergePropagatesPickCounters) {
   EXPECT_EQ(by_node, 20);
 }
 
-// A MultiGet deals its misses across each partition's replicas. With three
-// distinct pressures p2c never picks the most-pressured replica, so per-key
-// picks would send it none of a one-partition batch; dealt, each replica
-// serves a third. Pinned batches and one-key reads keep their targets.
-TEST(RouterSelectorTest, MultiGetDealsAPartitionsKeysAcrossItsReplicas) {
-  Harness h(3, 3);
+// The keys of one rf-3 partition (k100..k189 under 8 uniform partitions),
+// seeded on every replica.
+std::vector<std::string> SeedOnePartition(Harness& h) {
   std::vector<std::string> keys;
   for (int i = 100; i < 190; ++i) keys.push_back("k" + std::to_string(i));
   const PartitionInfo& partition = h.cluster.partitions()->ForKey(keys[0]);
+  EXPECT_EQ(partition.replicas.size(), 3u);
   for (const std::string& key : keys) {
-    ASSERT_EQ(h.cluster.partitions()->ForKey(key).id, partition.id);
+    EXPECT_EQ(h.cluster.partitions()->ForKey(key).id, partition.id);
     h.Seed(key, "v" + key);
   }
-  const std::vector<NodeId> replicas = partition.replicas;
-  ASSERT_EQ(replicas.size(), 3u);
-  // Least to most pressured.
-  h.node(replicas[0])->SetBackgroundLoad(0.2, 0);
-  h.node(replicas[1])->SetBackgroundLoad(0.4, 0);
-  h.node(replicas[2])->SetBackgroundLoad(0.6, 0);
-  std::map<NodeId, int64_t> served;  // keys each replica served since the last call
-  auto take_served = [&] {
+  return keys;
+}
+
+// Keys each node served (ops_completed) since the last call.
+class ServedSince {
+ public:
+  explicit ServedSince(Harness* h) : h_(h) {}
+  std::map<NodeId, int64_t> Take() {
     std::map<NodeId, int64_t> delta;
-    for (NodeId id : replicas) {
-      int64_t total = h.node(id)->stats().ops_completed;
-      delta[id] = total - served[id];
-      served[id] = total;
+    for (const auto& node : h_->nodes) {
+      int64_t total = node->stats().ops_completed;
+      delta[node->id()] = total - served_[node->id()];
+      served_[node->id()] = total;
     }
     return delta;
-  };
+  }
 
-  std::vector<Result<Record>> dealt;
-  h.router->MultiGet(keys, RequestOptions{},
-                     [&](std::vector<Result<Record>> r) { dealt = std::move(r); });
+ private:
+  Harness* h_;
+  std::map<NodeId, int64_t> served_;
+};
+
+std::vector<Result<Record>> RunMultiGet(Harness& h, const std::vector<std::string>& keys,
+                                        RequestOptions options) {
+  std::vector<Result<Record>> results;
+  h.router->MultiGet(keys, options, [&](std::vector<Result<Record>> r) { results = std::move(r); });
   h.loop.RunFor(kSecond);
-  ASSERT_EQ(dealt.size(), keys.size());
-  std::map<NodeId, int64_t> delta = take_served();
+  EXPECT_EQ(results.size(), keys.size());
+  return results;
+}
+
+// A MultiGet deals its misses across each partition's replicas. With three
+// distinct pressures p2c never picks the most-pressured replica, so per-key
+// picks would send it none of a one-partition batch; dealt, each replica
+// serves a third (the pressures are close, so the headroom shares round to
+// 30 each). Pinned batches and one-key reads keep their targets, and a
+// replica behind an open breaker is dealt nothing.
+TEST(RouterSelectorTest, MultiGetDealsAPartitionsKeysAcrossItsReplicas) {
+  Harness h(3, 3);
+  std::vector<std::string> keys = SeedOnePartition(h);
+  const PartitionInfo& partition = h.cluster.partitions()->ForKey(keys[0]);
+  const std::vector<NodeId> replicas = partition.replicas;
+  // Least to most pressured.
+  h.node(replicas[0])->SetBackgroundLoad(0.01, 0);
+  h.node(replicas[1])->SetBackgroundLoad(0.02, 0);
+  h.node(replicas[2])->SetBackgroundLoad(0.03, 0);
+  ServedSince served(&h);
+
+  std::vector<Result<Record>> dealt = RunMultiGet(h, keys, RequestOptions{});
+  std::map<NodeId, int64_t> delta = served.Take();
   for (NodeId id : replicas) EXPECT_EQ(delta[id], 30) << "node " << id;
   // Each key is one policy pick, counted under the node it was dealt to.
   const RouterWindow& window = h.router->window();
@@ -300,29 +325,9 @@ TEST(RouterSelectorTest, MultiGetDealsAPartitionsKeysAcrossItsReplicas) {
     EXPECT_EQ(picks == window.picks_by_node.end() ? 0 : picks->second, 30) << "node " << id;
   }
 
-  RequestOptions pinned;
-  pinned.read_mode = ReadMode::kPrimaryOnly;
-  std::vector<Result<Record>> primary;
-  h.router->MultiGet(keys, pinned,
-                     [&](std::vector<Result<Record>> r) { primary = std::move(r); });
-  h.loop.RunFor(kSecond);
-  ASSERT_EQ(primary.size(), keys.size());
-  delta = take_served();
-  EXPECT_EQ(delta[partition.primary()], 90);
-  for (NodeId id : replicas) {
-    if (id == partition.primary()) continue;
-    EXPECT_EQ(delta[id], 0) << "node " << id;
-  }
-  for (size_t i = 0; i < keys.size(); ++i) {
-    ASSERT_TRUE(dealt[i].ok()) << keys[i] << ": " << dealt[i].status().ToString();
-    ASSERT_TRUE(primary[i].ok()) << keys[i] << ": " << primary[i].status().ToString();
-    EXPECT_EQ(dealt[i]->value, "v" + keys[i]);
-    EXPECT_EQ(dealt[i]->value, primary[i]->value);
-    EXPECT_EQ(dealt[i]->version, primary[i]->version);
-  }
-
   // One-key reads are not dealt: p2c's pick never lands on the
-  // most-pressured replica.
+  // most-pressured replica. (They run before the pinned batch below, whose
+  // 90-key lump would raise the primary's smoothed sojourn past 0.03.)
   int done = 0;
   for (const std::string& key : keys) {
     h.router->Get(key, RequestOptions{}, [&](Result<Record> r) {
@@ -332,9 +337,88 @@ TEST(RouterSelectorTest, MultiGetDealsAPartitionsKeysAcrossItsReplicas) {
     h.loop.RunFor(10 * kMillisecond);
   }
   EXPECT_EQ(done, 90);
-  delta = take_served();
+  delta = served.Take();
   EXPECT_EQ(delta[replicas[2]], 0);
   EXPECT_EQ(delta[replicas[0]] + delta[replicas[1]], 90);
+
+  RequestOptions pinned;
+  pinned.read_mode = ReadMode::kPrimaryOnly;
+  std::vector<Result<Record>> primary = RunMultiGet(h, keys, pinned);
+  delta = served.Take();
+  EXPECT_EQ(delta[partition.primary()], 90);
+  for (NodeId id : replicas) {
+    if (id == partition.primary()) continue;
+    EXPECT_EQ(delta[id], 0) << "node " << id;
+  }
+  ASSERT_EQ(dealt.size(), keys.size());
+  ASSERT_EQ(primary.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(dealt[i].ok()) << keys[i] << ": " << dealt[i].status().ToString();
+    ASSERT_TRUE(primary[i].ok()) << keys[i] << ": " << primary[i].status().ToString();
+    EXPECT_EQ(dealt[i]->value, "v" + keys[i]);
+    EXPECT_EQ(dealt[i]->value, primary[i]->value);
+    EXPECT_EQ(dealt[i]->version, primary[i]->version);
+  }
+
+  // An idle fleet with one replica's breaker open: the batch is dealt over
+  // the two healthy replicas alone. Moving a key is not a steer, and idle
+  // p2c never steers.
+  Harness idle(3, 3);
+  keys = SeedOnePartition(idle);
+  const NodeId open = replicas[1];
+  for (int i = 0; i < RouterConfig{}.breaker.failure_threshold; ++i) {
+    idle.router->breaker()->RecordFailure(open);
+  }
+  ASSERT_FALSE(idle.router->breaker()->Healthy(open));
+  ServedSince idle_served(&idle);
+  for (const Result<Record>& r : RunMultiGet(idle, keys, RequestOptions{})) {
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+  }
+  delta = idle_served.Take();
+  for (NodeId id : replicas) EXPECT_EQ(delta[id], id == open ? 0 : 45) << "node " << id;
+  EXPECT_EQ(idle.router->window().replica_picks, 90);
+  EXPECT_EQ(idle.router->window().replica_steers, 0);
+}
+
+// The deal weighs a replica's holdings against its headroom: shares follow
+// 1 - pressure, and a replica that is saturated, or so near it that it
+// sheds kLow reads outright, gets none of the batch while the others have
+// room. kLow reads have no alternates, so a key dealt there would fail.
+TEST(RouterSelectorTest, MultiGetDealsByHeadroom) {
+  {
+    Harness h(3, 3);
+    std::vector<std::string> keys = SeedOnePartition(h);
+    const std::vector<NodeId> replicas = h.cluster.partitions()->ForKey(keys[0]).replicas;
+    h.node(replicas[0])->SetBackgroundLoad(0.2, 0);
+    h.node(replicas[1])->SetBackgroundLoad(0.4, 0);
+    h.node(replicas[2])->SetBackgroundLoad(0.6, 0);
+    ServedSince served(&h);
+    for (const Result<Record>& r : RunMultiGet(h, keys, RequestOptions{})) {
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+    }
+    std::map<NodeId, int64_t> delta = served.Take();
+    EXPECT_EQ(delta[replicas[0]], 40);
+    EXPECT_EQ(delta[replicas[1]], 30);
+    EXPECT_EQ(delta[replicas[2]], 20);
+  }
+  for (double hot_load : {0.99, 2.0}) {
+    SCOPED_TRACE(hot_load);
+    Harness h(3, 3);
+    std::vector<std::string> keys = SeedOnePartition(h);
+    const std::vector<NodeId> replicas = h.cluster.partitions()->ForKey(keys[0]).replicas;
+    const NodeId hot = replicas[1];
+    h.node(hot)->SetBackgroundLoad(hot_load, 0);
+    ServedSince served(&h);
+    RequestOptions low;
+    low.priority = RequestPriority::kLow;
+    std::vector<Result<Record>> results = RunMultiGet(h, keys, low);
+    for (size_t i = 0; i < results.size(); ++i) {
+      ASSERT_TRUE(results[i].ok()) << keys[i] << ": " << results[i].status().ToString();
+      EXPECT_EQ(results[i]->value, "v" + keys[i]);
+    }
+    std::map<NodeId, int64_t> delta = served.Take();
+    for (NodeId id : replicas) EXPECT_EQ(delta[id], id == hot ? 0 : 45) << "node " << id;
+  }
 }
 
 // ------------------------------------------------------ shed asymmetry --
