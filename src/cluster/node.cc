@@ -304,26 +304,14 @@ void StorageNode::HandleMultiGet(std::vector<std::string> keys, RequestPriority 
   });
 }
 
-template <typename Reply>
-void StorageNode::AfterCommit(Time committed_at, Reply reply) {
-  if (loop_->Now() >= committed_at) {
-    reply();
-    return;
-  }
-  loop_->ScheduleAt(committed_at, [this, reply = std::move(reply)]() mutable {
-    if (alive_) reply();  // a crash before the commit ended loses the reply
-  });
-}
-
 void StorageNode::Answer(const std::shared_ptr<WriteWaiter>& waiter, Status status) {
   waiter->done = true;
-  AfterCommit(waiter->committed_at,
-              [waiter, status = std::move(status)] { waiter->respond(status); });
+  waiter->respond(std::move(status));
 }
 
 void StorageNode::HandleMultiWrite(std::vector<MultiWriteItem> items, AckMode ack,
                                    RequestPriority priority,
-                                   std::function<void(std::vector<Status>)> respond) {
+                                   std::function<void(std::vector<WriteReply>)> respond) {
   if (!alive_) return;
   if (items.empty()) {
     respond({});  // vacuously committed; the ack loop below would never fire
@@ -334,71 +322,108 @@ void StorageNode::HandleMultiWrite(std::vector<MultiWriteItem> items, AckMode ac
                          static_cast<Duration>(items.size() - 1);
   std::optional<Duration> sojourn = Admit(service, priority);
   if (!sojourn.has_value()) {
-    respond(std::vector<Status>(items.size(), ResourceExhaustedError("node overloaded")));
+    respond(std::vector<WriteReply>(items.size(),
+                                    {ResourceExhaustedError("node overloaded"), std::nullopt}));
     return;
   }
-  // As in HandleWrite: the batch applies and ships when its service (the
-  // group commit) starts, and replies once that service has ended too.
+  // The batch applies and ships when its service (the group commit)
+  // starts, and replies once that service has ended too.
   loop_->ScheduleAfter(*sojourn - service, [this, items = std::move(items), ack, service,
                                             respond = std::move(respond)]() mutable {
     if (!alive_) return;
     stats_.ops_completed += static_cast<int64_t>(items.size());
-    const Time committed_at = loop_->Now() + service;
-    // Group commit: one WAL sync covers every record of the batch.
-    std::vector<WalRecord> records;
-    records.reserve(items.size());
-    for (MultiWriteItem& item : items) records.push_back(std::move(item.record));
-    Status applied = engine_->ApplyBatch(records);
-    ChargeEngineIo();  // write-path faults/forced write-backs: busy time only
-    if (!applied.ok()) {
-      AfterCommit(committed_at, [respond = std::move(respond), count = items.size(),
-                                 applied = std::move(applied)] {
-        respond(std::vector<Status>(count, applied));
-      });
-      return;
-    }
-    // Each run of same-partition items goes out on its partition's lanes
-    // under one waiter; the batch responds when every run has reached the
-    // requested ack level and the group commit has ended.
+    // The lane entries alias `records`, so the state lives until the last
+    // replica acks.
     struct BatchState {
-      std::vector<Status> statuses;
+      std::vector<WalRecord> records;  // the items that apply, in item order
+      std::vector<WriteReply> replies;
       size_t runs_left = 0;
       Time committed_at = 0;
-      std::function<void(std::vector<Status>)> respond;
+      std::function<void(std::vector<WriteReply>)> respond;
     };
     auto batch = std::make_shared<BatchState>();
-    batch->statuses.assign(items.size(), Status::Ok());
-    batch->committed_at = committed_at;
+    batch->records.reserve(items.size());
+    batch->replies.resize(items.size());
+    batch->committed_at = loop_->Now() + service;
     batch->respond = std::move(respond);
-    // Every run is counted first: one that needs no replica ack settles at
-    // once.
     for (size_t i = 0; i < items.size(); ++i) {
-      if (i == 0 || items[i].pid != items[i - 1].pid) ++batch->runs_left;
-    }
-    // One block holds the batch's records, and lane entries alias it. It
-    // is made for the first secondary, so rf 1 copies nothing.
-    std::shared_ptr<const std::vector<WalRecord>> block;
-    auto record_at = [&](size_t i) {
-      if (block == nullptr) {
-        block = std::make_shared<const std::vector<WalRecord>>(std::move(records));
+      MultiWriteItem& item = items[i];
+      WriteReply& reply = batch->replies[i];
+      // Read in the step that applies the batch: the primary serializes
+      // its partitions' writers, so no other write lands in between, and a
+      // condition checked here holds when the item applies. No extra
+      // service time, since a put already locates its key to check the
+      // version.
+      if (item.return_prior || item.condition.has_value()) {
+        reply.prior = engine_->GetRaw(item.record.key);
+        ChargeEngineIo();  // the read may fault the covering page
       }
-      return SharedRecord(block, &(*block)[i]);
+      if (item.condition.has_value()) {
+        const std::optional<Record>& prior = reply.prior;
+        bool live = prior.has_value() && !prior->tombstone;
+        if (item.condition->version.has_value() &&
+            !(live && prior->version == *item.condition->version)) {
+          reply.status = AbortedError("version mismatch");
+        } else if (!item.condition->version.has_value() && live) {
+          reply.status = AbortedError("key already exists");
+        } else if (prior.has_value() && !(item.record.version > prior->version)) {
+          // The engine would drop this write as superseded (say, behind a
+          // newer tombstone): a CAS must not report a write it did not make.
+          reply.status = AbortedError("superseded by a newer version");
+        }
+        // A lost CAS returns no prior; one that holds read it only to check.
+        if (!reply.status.ok() || !item.return_prior) reply.prior.reset();
+      }
+      if (reply.status.ok()) batch->records.push_back(std::move(item.record));
+    }
+    // Group commit: one WAL sync covers every record of the batch.
+    Status applied = engine_->ApplyBatch(batch->records);
+    ChargeEngineIo();  // write-path faults/forced write-backs: busy time only
+    auto applies = [&batch](size_t i) { return batch->replies[i].status.ok(); };
+    if (!applied.ok()) {
+      for (WriteReply& reply : batch->replies) {
+        if (reply.status.ok()) reply.status = applied;
+      }
+    }
+    // A run is a stretch of items whose applied ones share a partition (an
+    // aborted item ships nothing); its records go out on that partition's
+    // lanes under one waiter. The batch responds when every run has reached
+    // the requested ack level and the group commit has ended (a crash
+    // before then loses the reply). It holds one count itself until every
+    // run is out, since a run that needs no replica ack settles at once.
+    auto settle = [this, batch] {
+      if (--batch->runs_left > 0) return;
+      if (loop_->Now() >= batch->committed_at) return batch->respond(std::move(batch->replies));
+      loop_->ScheduleAt(batch->committed_at, [this, batch] {
+        if (alive_) batch->respond(std::move(batch->replies));
+      });
     };
-    for (size_t begin = 0, end = 0; begin < items.size(); begin = end) {
-      end = begin + 1;
-      while (end < items.size() && items[end].pid == items[begin].pid) ++end;
-      // committed_at 0: the batch waits out its commit once, not per run.
+    batch->runs_left = 1;
+    for (size_t begin = 0, record = 0; begin < items.size();) {
+      if (!applies(begin)) {
+        ++begin;
+        continue;
+      }
+      size_t end = begin + 1;
+      size_t count = 1;
+      for (; end < items.size() && (!applies(end) || items[end].pid == items[begin].pid); ++end) {
+        if (applies(end)) ++count;
+      }
+      ++batch->runs_left;
       ReplicateAndAck(
-          items[begin].pid, end - begin, [&, begin](size_t i) { return record_at(begin + i); },
-          ack, /*committed_at=*/0, [this, batch, begin, end](const Status& status) {
-            std::fill(batch->statuses.begin() + static_cast<ptrdiff_t>(begin),
-                      batch->statuses.begin() + static_cast<ptrdiff_t>(end), status);
-            if (--batch->runs_left > 0) return;
-            AfterCommit(batch->committed_at,
-                        [batch] { batch->respond(std::move(batch->statuses)); });
+          items[begin].pid, count,
+          [&batch, record](size_t i) { return SharedRecord(batch, &batch->records[record + i]); },
+          ack, [batch, begin, end, settle](const Status& status) {
+            for (size_t i = begin; i < end; ++i) {
+              if (batch->replies[i].status.ok()) batch->replies[i].status = status;
+            }
+            settle();
           });
+      begin = end;
+      record += count;
     }
     FlushListed();
+    settle();
   });
 }
 
@@ -435,12 +460,10 @@ void StorageNode::HandleScan(const std::string& start, const std::string& end, s
 
 template <typename RecordAt>
 void StorageNode::ReplicateAndAck(PartitionId pid, size_t count, RecordAt record_at, AckMode ack,
-                                  Time committed_at, std::function<void(Status)> respond) {
+                                  std::function<void(Status)> respond) {
   const PartitionInfo* partition = cluster_->partitions()->Get(pid);
   if (partition == nullptr) {
-    AfterCommit(committed_at, [respond = std::move(respond), pid] {
-      respond(NotFoundError(StrFormat("partition %d", pid)));
-    });
+    respond(NotFoundError(StrFormat("partition %d", pid)));
     return;
   }
   // The primary's own commit is the one ack AcksNeeded counts it as.
@@ -449,10 +472,9 @@ void StorageNode::ReplicateAndAck(PartitionId pid, size_t count, RecordAt record
   if (needed > 0) {
     waiter = std::make_shared<WriteWaiter>();
     waiter->remaining = needed;
-    waiter->committed_at = committed_at;
     waiter->respond = std::move(respond);
   } else {
-    AfterCommit(committed_at, [respond = std::move(respond)] { respond(Status::Ok()); });
+    respond(Status::Ok());
   }
   const Time now = loop_->Now();
   for (NodeId replica : partition->replicas) {
@@ -477,76 +499,6 @@ void StorageNode::ReplicateAndAck(PartitionId pid, size_t count, RecordAt record
       });
     }
   }
-}
-
-void StorageNode::HandleWrite(PartitionId pid, WalRecord record, AckMode ack,
-                              RequestPriority priority, bool return_prior,
-                              const std::optional<WriteCondition>& condition,
-                              std::function<void(WriteReply)> respond) {
-  if (!alive_) return;
-  std::optional<Duration> sojourn = Admit(config_.put_service_time, priority);
-  if (!sojourn.has_value()) {
-    respond({ResourceExhaustedError("node overloaded"), std::nullopt});
-    return;
-  }
-  // The service is the primary's commit. The write applies and ships to
-  // the secondaries when it starts, so the commit overlaps the replica
-  // round trip; the reply waits for both.
-  loop_->ScheduleAfter(*sojourn - config_.put_service_time,
-                       [this, pid, record = std::move(record), ack, return_prior, condition,
-                        respond = std::move(respond)]() mutable {
-    if (!alive_) return;
-    ++stats_.ops_completed;
-    const Time committed_at = loop_->Now() + config_.put_service_time;
-    // Read in the step that applies the write: the primary serializes this
-    // partition's writers, so no other write lands in between, and a
-    // condition checked here holds when the write applies. No extra
-    // service time, since a put already locates its key to check the
-    // version.
-    std::optional<Record> prior;
-    if (return_prior || condition.has_value()) {
-      prior = engine_->GetRaw(record.key);
-      ChargeEngineIo();  // the read may fault the covering page
-    }
-    Status status;
-    if (condition.has_value()) {
-      bool live = prior.has_value() && !prior->tombstone;
-      if (condition->version.has_value() && !(live && prior->version == *condition->version)) {
-        status = AbortedError("version mismatch");
-      } else if (!condition->version.has_value() && live) {
-        status = AbortedError("key already exists");
-      } else if (prior.has_value() && !(record.version > prior->version)) {
-        // The engine would drop this write as superseded (say, behind a
-        // newer tombstone): a CAS must not report a write it did not make.
-        status = AbortedError("superseded by a newer version");
-      }
-      // A lost CAS returns no prior; one that holds read it only to check.
-      if (!status.ok() || !return_prior) prior.reset();
-    }
-    if (status.ok()) {
-      status = engine_->Apply(record);
-      ChargeEngineIo();  // busy time only
-    }
-    if (!status.ok()) {
-      AfterCommit(committed_at, [respond = std::move(respond), status = std::move(status),
-                                 prior = std::move(prior)]() mutable {
-        respond({std::move(status), std::move(prior)});
-      });
-      return;
-    }
-    SharedRecord shared;  // made for the first secondary, so rf 1 copies nothing
-    ReplicateAndAck(
-        pid, 1,
-        [&](size_t) {
-          if (shared == nullptr) shared = std::make_shared<const WalRecord>(std::move(record));
-          return shared;
-        },
-        ack, committed_at,
-        [respond = std::move(respond), prior = std::move(prior)](Status status) mutable {
-          respond({std::move(status), std::move(prior)});
-        });
-    FlushListed();
-  });
 }
 
 void StorageNode::FlushListed() {

@@ -13,11 +13,13 @@
 // answers with one message of per-lane acks, and it owns one retry timer,
 // one async flush window and one watermark heartbeat per tick.
 //
-// A write's service is its commit on the primary (apply plus WAL sync). The
-// primary applies the write and puts it on the lanes when the service
-// starts, so the commit runs while the secondaries apply it, as a consensus
-// leader writes its own disk in parallel with replicating; the reply goes
-// out once the service has ended and the ack level is met.
+// Writes have one handler, HandleMultiWrite: a single-key write is a
+// one-item batch. A batch's service is its group commit on the primary
+// (apply plus one WAL sync). The primary checks each item's condition,
+// applies the batch and puts its records on the lanes when the service
+// starts, so the commit runs while the secondaries apply them, as a
+// consensus leader writes its own disk in parallel with replicating; the
+// reply goes out once the service has ended and the ack level is met.
 //
 // Handlers are invoked via MessageFabric closures; responses are the caller's
 // responsibility to route back (the Router composes the return hop).
@@ -130,17 +132,17 @@ struct MultiGetReply {
   std::vector<Time> as_of;
 };
 
-/// Response to a single-key write: its status plus, when the request asked
-/// for it, the record the write replaced (tombstones included; empty when
-/// the key held nothing).
+/// Response to one item of a batched write: its status plus, when the item
+/// asked for it, the record the write replaced (tombstones included; empty
+/// when the key held nothing).
 struct WriteReply {
   Status status;
   std::optional<Record> prior;
 };
 
-/// A single-key write's compare-and-set precondition (serializable writes):
-/// the key's live record must carry `version`; with no version, the key
-/// must hold no live record (absent or tombstoned).
+/// A write's compare-and-set precondition (serializable writes): the key's
+/// live record must carry `version`; with no version, the key must hold no
+/// live record (absent or tombstoned).
 struct WriteCondition {
   std::optional<Version> version;
 };
@@ -150,6 +152,10 @@ struct WriteCondition {
 struct MultiWriteItem {
   PartitionId pid = -1;
   WalRecord record;
+  /// Ask for the record this write replaces (WriteReply::prior).
+  bool return_prior = false;
+  /// Compare-and-set: apply only when the condition holds.
+  std::optional<WriteCondition> condition;
 };
 
 /// A record on the replication lanes: one immutable copy per write, held by
@@ -207,39 +213,29 @@ class StorageNode {
   void HandleMultiGet(std::vector<std::string> keys, RequestPriority priority,
                       std::function<void(MultiGetReply)> respond);
 
-  /// Batched writes: one group commit (a WAL sync for the whole batch) is
-  /// the batch's service. When it starts, the batch is applied and its
+  /// Writes (puts or tombstones), one item or a batch: one group commit (a
+  /// WAL sync for the whole batch) is the batch's service. When it starts,
+  /// each item that asks for its prior record or carries a condition reads
+  /// that record, in the same step that applies the batch, so it is the
+  /// write's exact predecessor. A conditioned item answers kAborted, and
+  /// neither applies nor ships, when its condition (compare-and-set) fails
+  /// on that read or its stamp is not newer than the key's record (the
+  /// engine would drop it as superseded). The rest apply, and their
   /// records go out on the lanes of their partitions. `respond` fires once
-  /// with a status per item, at the later of the commit's end and the
-  /// replica ack that completes the requested level for the last item. This
-  /// node must be primary for every item's partition.
+  /// with a reply per item, at the later of the commit's end and the
+  /// replica ack that completes the requested level for the last item, so
+  /// a kQuorum or kAll write waits for the later of its commit and its
+  /// replica acks, not their sum. This node must be primary for every
+  /// item's partition. A node that dies before its commit ends never
+  /// answers, though the batch may have reached the secondaries.
   void HandleMultiWrite(std::vector<MultiWriteItem> items, AckMode ack,
                         RequestPriority priority,
-                        std::function<void(std::vector<Status>)> respond);
+                        std::function<void(std::vector<WriteReply>)> respond);
 
   /// Range read [start, end) with limit.
   void HandleScan(const std::string& start, const std::string& end, size_t limit,
                   RequestPriority priority,
                   std::function<void(Result<std::vector<Record>>)> respond);
-
-  /// Write (put or tombstone) for partition `pid`. This node must be the
-  /// partition's primary. When the write's service (its commit) starts, it
-  /// applies locally and goes out on the partition's lanes; `respond`
-  /// fires once the service has ended and `ack` is met, so a kQuorum or kAll
-  /// write waits for the later of its commit and its replica acks, not
-  /// their sum. With `return_prior`, the reply carries the record the write
-  /// replaced, read in the step that applies the write, so it is the
-  /// write's exact predecessor. With a `condition` (compare-and-set), the
-  /// write applies only when the condition holds on that same read and the
-  /// write's stamp is newer than the key's record, so the engine cannot
-  /// drop it as superseded; otherwise it writes and ships nothing and
-  /// answers kAborted when the service ends. A node that dies before its
-  /// commit ends never answers, though the write may have reached the
-  /// secondaries.
-  void HandleWrite(PartitionId pid, WalRecord record, AckMode ack,
-                   RequestPriority priority, bool return_prior,
-                   const std::optional<WriteCondition>& condition,
-                   std::function<void(WriteReply)> respond);
 
   /// Delta-sync request (primary side): `from` asks for every record of
   /// `pid` whose version is at or after `since` (its durable watermark at
@@ -291,12 +287,10 @@ class StorageNode {
   void SetBackgroundLoad(double utilization, Duration busy_account);
 
  private:
-  // A write, or one partition's run of a batched write, waiting on the
-  // replica acks it still needs. Its reply also waits for `committed_at`,
-  // when the primary's own commit ends.
+  // One partition's run of a batched write, waiting on the replica acks it
+  // still needs.
   struct WriteWaiter {
     int remaining = 0;
-    Time committed_at = 0;
     std::function<void(Status)> respond;
     bool done = false;
   };
@@ -351,25 +345,18 @@ class StorageNode {
   std::optional<Duration> Admit(Duration service, RequestPriority priority,
                                 bool client = true);
 
-  /// The replication half shared by single and batched writes: puts
-  /// `count` already-applied records of `pid` (`record_at(i)` yields the
-  /// i-th) on the lane to each of pid's secondaries, and invokes `respond`
-  /// per `ack` once the primary's commit, ending at `committed_at`, is over
-  /// too: for kPrimary then, otherwise at the later of that and the last
-  /// replica ack the ack level needs. One waiter covers all `count` records,
-  /// since a cumulative ack of the last one acks the rest. A kQuorum or kAll
-  /// write lists its channels for FlushListed; a kPrimary one opens their
-  /// async flush window.
+  /// The replication half of a write: puts `count` already-applied records
+  /// of `pid` (`record_at(i)` yields the i-th) on the lane to each of pid's
+  /// secondaries, and invokes `respond` per `ack`: at once for kPrimary,
+  /// otherwise at the last replica ack the ack level needs. One waiter
+  /// covers all `count` records, since a cumulative ack of the last one
+  /// acks the rest. A kQuorum or kAll write lists its channels for
+  /// FlushListed; a kPrimary one opens their async flush window.
   template <typename RecordAt>
   void ReplicateAndAck(PartitionId pid, size_t count, RecordAt record_at, AckMode ack,
-                       Time committed_at, std::function<void(Status)> respond);
+                       std::function<void(Status)> respond);
 
-  /// Runs `reply` once the commit ending at `committed_at` is over: at once
-  /// when it already is, else on a timer (silenced if the node dies first).
-  template <typename Reply>
-  void AfterCommit(Time committed_at, Reply reply);
-
-  /// Marks `waiter` done and answers it with `status` after its commit.
+  /// Marks `waiter` done and answers it with `status`.
   void Answer(const std::shared_ptr<WriteWaiter>& waiter, Status status);
 
   /// Drains the engine's accrued simulated disk latency (page faults,

@@ -2,13 +2,16 @@
 // timeout — the only way the cluster layer talks to a node.
 //
 // Router's MultiGet sub-batches (every node-bound point read is a one-key
-// sub-batch), scans, single-key writes (conditional or not), MultiWrite
-// chunks, and the ReadCoalescer's merged reads all run on it: arm the
-// timer, ship the request, let the node serve it, ship the reply back.
+// sub-batch), scans, MultiWrite chunks (every node-bound write, conditional
+// or not, is a one-op chunk or part of a larger one), and the
+// ReadCoalescer's merged reads all run on it: arm the timer, ship the
+// request, let the node serve it, ship the reply back.
 // Exactly one of the reply and the timer claims the exchange and runs
 // `done`; the other is dropped. The claim is atomic, not lock-guarded,
 // because the two may fire on different ThreadedRuntime workers in the
-// same instant.
+// same instant. The claimant frees `done` once it has run: a cancelled
+// timer stays queued until it is due, and would otherwise hold the
+// request's state for the whole timeout.
 //
 // Ordering: the timer is armed before the request ships, so the simulator
 // always sees the same event sequence, and on real threads the fabric
@@ -42,8 +45,10 @@ inline int64_t ReplyBytes(const Status&) { return 4; }
 inline int64_t ReplyBytes(const WriteReply& reply) {
   return ReplyBytes(reply.status) + (reply.prior ? WireSize(*reply.prior) : 0);
 }
-inline int64_t ReplyBytes(const std::vector<Status>& statuses) {
-  return static_cast<int64_t>(statuses.size()) * 4;
+inline int64_t ReplyBytes(const std::vector<WriteReply>& replies) {
+  int64_t bytes = 0;
+  for (const WriteReply& reply : replies) bytes += ReplyBytes(reply);
+  return bytes;
 }
 inline int64_t ReplyBytes(const Result<Record>& result) {
   return result.ok() ? WireSize(*result) : 8;
@@ -73,14 +78,19 @@ void RoundTrip(Executor* loop, MessageFabric* fabric, NodeId client, NodeId node
     explicit Exchange(Done fn) : done(std::move(fn)) {}
     std::atomic<bool> claimed{false};
     Executor::TaskId timer = Executor::kInvalidTask;
-    Done done;
+    std::optional<Done> done;
 
     /// True exactly once, for the first claimant.
     bool Claim() { return !claimed.exchange(true, std::memory_order_acq_rel); }
+    /// The claimant's step: runs `done`, then frees what it captured.
+    void Finish(std::optional<Reply> reply) {
+      (*done)(std::move(reply));
+      done.reset();
+    }
   };
   auto exchange = std::make_shared<Exchange>(std::move(done));
   exchange->timer = loop->ScheduleAfter(timeout, [exchange] {
-    if (exchange->Claim()) exchange->done(std::nullopt);
+    if (exchange->Claim()) exchange->Finish(std::nullopt);
   });
   fabric->Send(client, node, request_bytes,
                [loop, fabric, client, node, exchange, serve = std::move(serve)]() mutable {
@@ -91,7 +101,7 @@ void RoundTrip(Executor* loop, MessageFabric* fabric, NodeId client, NodeId node
                    [loop, exchange, reply = std::move(reply)]() mutable {
         if (!exchange->Claim()) return;
         loop->Cancel(exchange->timer);
-        exchange->done(std::move(reply));
+        exchange->Finish(std::move(reply));
       });
     });
   });

@@ -1,9 +1,7 @@
 #include "cluster/router.h"
 
 #include <algorithm>
-#include <iterator>
 #include <limits>
-#include <map>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -623,55 +621,46 @@ void Router::Scan(const std::string& start, const std::string& end, size_t limit
       });
 }
 
-void Router::Write(const WriteOp& op, AckMode ack, RequestOptions options,
+// -------------------------------------------------------------- MultiWrite
+
+struct Router::MultiWriteState {
+  // One op and its primary. Sorted by (primary, key, op), each primary's
+  // ops form one run in key order, and a key's ops sit side by side with
+  // the last one, the op that ships, last.
+  struct Placement {
+    NodeId primary = kInvalidNode;
+    PartitionId pid = -1;
+    size_t op = 0;
+    size_t chunk_end = 0;  // on the first op of a message: one past its last
+  };
+
+  Time start = 0;
+  Version version;  // one stamp for every op
+  std::vector<WriteOp> ops;
+  std::vector<Placement> placed;
+  std::vector<Status> statuses;
+  size_t chunks_pending = 0;
+  // A single write (Write, Put, Delete): one op, answered through
+  // `write_callback` with its stamp and `prior`. Else a batch, answered
+  // through `batch_callback` with a status per op.
+  bool single = false;
+  std::optional<Record> prior;
+  std::function<void(Result<WriteAck>)> write_callback;
+  std::function<void(std::vector<Status>)> batch_callback;
+
+  // Whether placed[i] ships: no later op on its key follows it.
+  bool Ships(size_t i) const {
+    return i + 1 == placed.size() || ops[placed[i + 1].op].key != ops[placed[i].op].key;
+  }
+};
+
+void Router::Write(WriteOp op, AckMode ack, RequestOptions options,
                    std::function<void(Result<WriteAck>)> callback) {
-  Time started = loop_->Now();
-  options.Arm(started);
-  // Shared, not copied per closure: the node handler and the cache hook
-  // both read the one record.
-  auto record = std::make_shared<WalRecord>();
-  record->type = op.kind == WriteOp::Kind::kPut ? WalRecord::Type::kPut : WalRecord::Type::kDelete;
-  record->key = op.key;
-  if (op.kind == WriteOp::Kind::kPut) record->value = op.value;
-  record->version = Version{started, client_id_};
-  const PartitionInfo& partition = cluster_->partitions()->ForKey(record->key);
-  NodeId target = partition.primary();
-  StorageNode* node = cluster_->GetNode(target);
-  Status failure;
-  if (options.Expired(started)) {
-    failure = TimeoutStatus(/*budget_bound=*/true, "write");
-  } else if (node == nullptr) {
-    failure = UnavailableError("primary not registered");
-  }
-  if (!failure.ok()) {
-    Fail(Op::kWrite, started, std::move(failure), callback);
-    return;
-  }
-  bool budget_bound = false;
-  Duration timeout = ClampedTimeout(options, started, &budget_bound);
-  // A condition adds 16 bytes: its expected version and that field's framing.
-  int64_t request_bytes = WireSize(*record) + (op.condition.has_value() ? 16 : 0);
-  RoundTrip<WriteReply>(
-      loop_, network_, client_id_, target, request_bytes, timeout,
-      [node, pid = partition.id, record, ack, priority = options.priority,
-       return_prior = op.return_prior, condition = op.condition](auto respond) {
-        node->HandleWrite(pid, *record, ack, priority, return_prior, condition,
-                          std::move(respond));
-      },
-      [this, started, budget_bound, record,
-       callback = std::move(callback)](std::optional<WriteReply> reply) {
-        // Writes never retry (no idempotence token).
-        Status status = reply ? std::move(reply->status) : TimeoutStatus(budget_bound, "write");
-        // kAborted is an answered request: the system worked, the CAS lost.
-        Settle(Op::kWrite, started, status.ok() || IsAborted(status), status);
-        if (!status.ok()) {
-          callback(std::move(status));
-          return;
-        }
-        CacheWrite(record->type == WalRecord::Type::kDelete, record->key, record->value,
-                   record->version);
-        callback(WriteAck{record->version, std::move(reply->prior)});
-      });
+  auto state = std::make_shared<MultiWriteState>();
+  state->ops.push_back(std::move(op));
+  state->single = true;
+  state->write_callback = std::move(callback);
+  DispatchMultiWrite(state, ack, std::move(options));
 }
 
 namespace {
@@ -703,150 +692,160 @@ void Router::MultiWrite(std::vector<WriteOp> ops, AckMode ack, RequestOptions op
     callback({});
     return;
   }
-  const size_t n = ops.size();
-  Time started = loop_->Now();
-  options.Arm(started);
-  if (options.Expired(started)) {
-    std::vector<Status> shed(n, TimeoutStatus(/*budget_bound=*/true, "multiwrite"));
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const Status& status : shed) Account(Op::kWrite, started, false, status);
-    }
-    callback(std::move(shed));
-    return;
-  }
-  Version version{loop_->Now(), client_id_};
-  struct BatchState {
-    std::vector<WriteOp> ops;
-    std::vector<Status> statuses;
-    std::map<std::string, size_t> winner_of;  // key -> winning op index
-    size_t groups_pending = 0;
-    std::function<void(std::vector<Status>)> callback;
-  };
-  auto state = std::make_shared<BatchState>();
+  auto state = std::make_shared<MultiWriteState>();
   state->ops = std::move(ops);
-  state->statuses.assign(n, Status::Ok());
-  state->callback = std::move(callback);
-  // Same-key ops coalesce to the last one: the whole batch carries one
-  // version stamp, so "apply in order" degenerates to "last op wins" anyway;
-  // shipping only the winner keeps that outcome instead of letting the
-  // engine's newer-version rule drop the later op as superseded. A
-  // conditioned op is rejected instead: a batch checks no condition, so
-  // shipping it would apply it unconditionally.
-  for (size_t i = 0; i < n; ++i) {
-    if (state->ops[i].condition.has_value()) {
-      state->statuses[i] = InvalidArgumentError("conditional write in a batch");
-    } else {
-      state->winner_of[state->ops[i].key] = i;
-    }
-  }
+  state->batch_callback = std::move(callback);
+  DispatchMultiWrite(state, ack, std::move(options));
+}
 
-  auto finalize = [this, state, started]() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      // Coalesced losers inherit their winner's outcome; then every logical
-      // write is accounted individually, batched or not.
-      for (size_t i = 0; i < state->ops.size(); ++i) {
-        if (state->ops[i].condition.has_value()) continue;  // rejected above
-        auto it = state->winner_of.find(state->ops[i].key);
-        if (it->second != i) state->statuses[i] = state->statuses[it->second];
-      }
-      for (const Status& status : state->statuses) {
-        Account(Op::kWrite, started, status.ok(), status);
-      }
-    }
-    state->callback(std::move(state->statuses));
-  };
-
-  // Group the winning ops by the primary that owns each key.
-  struct Group {
-    std::vector<size_t> op_ids;
-    std::vector<MultiWriteItem> items;
-    size_t limit = 0;
-  };
-  std::map<NodeId, Group> groups;
-  for (const auto& [key, op_id] : state->winner_of) {
-    const WriteOp& op = state->ops[op_id];
-    if (key.empty()) {
-      // Per-op validation, as with single writes: one bad op must not fail
-      // (or poison the engine's batch apply for) its siblings.
-      state->statuses[op_id] = InvalidArgumentError("empty key");
-      continue;
-    }
-    const PartitionInfo& partition = cluster_->partitions()->ForKey(key);
-    NodeId target = partition.primary();
-    if (cluster_->GetNode(target) == nullptr) {
-      state->statuses[op_id] = UnavailableError("primary not registered");
-      continue;
-    }
-    MultiWriteItem item;
-    item.pid = partition.id;
-    item.record.type =
-        op.kind == WriteOp::Kind::kPut ? WalRecord::Type::kPut : WalRecord::Type::kDelete;
-    item.record.key = key;
-    if (op.kind == WriteOp::Kind::kPut) item.record.value = op.value;
-    item.record.version = version;
-    Group& group = groups[target];
-    group.op_ids.push_back(op_id);
-    group.items.push_back(std::move(item));
-  }
-  if (groups.empty()) {
-    finalize();
+void Router::DispatchMultiWrite(const std::shared_ptr<MultiWriteState>& state, AckMode ack,
+                                RequestOptions options) {
+  const Time now = loop_->Now();
+  options.Arm(now);
+  state->start = now;
+  state->version = Version{now, client_id_};
+  const std::vector<WriteOp>& ops = state->ops;
+  if (options.Expired(now)) {
+    state->statuses.assign(ops.size(), TimeoutStatus(/*budget_bound=*/true, "write"));
+    FinishMultiWrite(state);
     return;
   }
-
+  state->statuses.assign(ops.size(), Status::Ok());
+  std::vector<MultiWriteState::Placement>& placed = state->placed;
+  placed.reserve(ops.size());
+  for (size_t id = 0; id < ops.size(); ++id) {
+    if (ops[id].key.empty()) {
+      // Per-op validation: one bad op must not fail (or poison the engine's
+      // batch apply for) its siblings, and it never reaches a node.
+      state->statuses[id] = InvalidArgumentError("empty key");
+      continue;
+    }
+    const PartitionInfo& partition = cluster_->partitions()->ForKey(ops[id].key);
+    placed.push_back({partition.primary(), partition.id, id});
+  }
+  std::sort(placed.begin(), placed.end(), [&ops](const auto& a, const auto& b) {
+    if (a.primary != b.primary) return a.primary < b.primary;
+    int order = ops[a.op].key.compare(ops[b.op].key);
+    return order != 0 ? order < 0 : a.op < b.op;
+  });
   // Load-adaptive sizing: each primary's ops ship as chunks capped by its
   // load signal and the remaining deadline budget, the same rule as
   // MultiGet (SubBatchLimit). Writes do not redirect — a shed or timed-out
   // chunk fails only its own ops. Every chunk is counted before the first
   // ships, since its reply may land on another worker mid-loop.
-  Time now = loop_->Now();
-  for (auto& [target, group] : groups) {
-    group.limit = SubBatchLimit(target, options, now);
-    state->groups_pending += 1 + (group.items.size() - 1) / group.limit;
+  for (size_t run = 0; run < placed.size();) {
+    const NodeId target = placed[run].primary;
+    size_t run_end = run;
+    while (run_end < placed.size() && placed[run_end].primary == target) ++run_end;
+    if (cluster_->GetNode(target) == nullptr) {
+      for (; run < run_end; ++run) {
+        state->statuses[placed[run].op] = UnavailableError("primary not registered");
+      }
+      continue;
+    }
+    const size_t limit = SubBatchLimit(target, options, now);
+    for (size_t first = run, shipping = 0; run < run_end; ++run) {
+      if (shipping == limit) {  // the open chunk is full: this op opens the next
+        first = run;
+        shipping = 0;
+      }
+      if (first == run) ++state->chunks_pending;
+      if (state->Ships(run)) ++shipping;
+      placed[first].chunk_end = run + 1;
+    }
   }
-  for (auto& [target, group] : groups) {
-    StorageNode* node = cluster_->GetNode(target);
-    for (size_t offset = 0; offset < group.items.size(); offset += group.limit) {
-      size_t count = std::min(group.limit, group.items.size() - offset);
-      auto first = static_cast<ptrdiff_t>(offset);
-      auto last = static_cast<ptrdiff_t>(offset + count);
-      std::vector<size_t> op_ids(group.op_ids.begin() + first, group.op_ids.begin() + last);
-      std::vector<MultiWriteItem> items(std::make_move_iterator(group.items.begin() + first),
-                                        std::make_move_iterator(group.items.begin() + last));
-      int64_t request_bytes = 0;
-      for (const MultiWriteItem& item : items) request_bytes += WireSize(item.record);
-      bool budget_bound = false;
-      Duration timeout = ClampedTimeout(options, loop_->Now(), &budget_bound);
-      RoundTrip<std::vector<Status>>(
-          loop_, network_, client_id_, target, request_bytes, timeout,
-          [node, items = std::move(items), ack, priority = options.priority](auto respond) mutable {
-            node->HandleMultiWrite(std::move(items), ack, priority, std::move(respond));
-          },
-          [this, state, version, budget_bound, finalize,
-           op_ids = std::move(op_ids)](std::optional<std::vector<Status>> reply) {
+  if (state->chunks_pending == 0) {
+    FinishMultiWrite(state);
+    return;
+  }
+  for (size_t i = 0; i < placed.size(); ++i) {
+    if (placed[i].chunk_end > i) SendMultiWriteChunk(state, i, placed[i].chunk_end, ack, options);
+  }
+}
+
+void Router::SendMultiWriteChunk(const std::shared_ptr<MultiWriteState>& state, size_t begin,
+                                 size_t end, AckMode ack, const RequestOptions& options) {
+  const NodeId target = state->placed[begin].primary;
+  StorageNode* node = cluster_->GetNode(target);
+  std::vector<MultiWriteItem> items;
+  items.reserve(end - begin);
+  int64_t request_bytes = 0;
+  for (size_t i = begin; i < end; ++i) {
+    if (!state->Ships(i)) continue;
+    const WriteOp& op = state->ops[state->placed[i].op];
+    const bool put = op.kind == WriteOp::Kind::kPut;
+    // Only Write reports a prior, so only a single write asks for one.
+    items.push_back({state->placed[i].pid,
+                     {put ? WalRecord::Type::kPut : WalRecord::Type::kDelete, op.key,
+                      put ? op.value : std::string(), state->version},
+                     state->single && op.return_prior, op.condition});
+    // A condition adds 16 bytes: its expected version and that field's framing.
+    request_bytes += WireSize(items.back().record) + (op.condition.has_value() ? 16 : 0);
+  }
+  bool budget_bound = false;
+  Duration timeout = ClampedTimeout(options, loop_->Now(), &budget_bound);
+  RoundTrip<std::vector<WriteReply>>(
+      loop_, network_, client_id_, target, request_bytes, timeout,
+      [node, items = std::move(items), ack, priority = options.priority](auto respond) mutable {
+        node->HandleMultiWrite(std::move(items), ack, priority, std::move(respond));
+      },
+      [this, state, begin, end, budget_bound](std::optional<std::vector<WriteReply>> reply) {
+        bool last_chunk = false;
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          size_t next = 0;  // the reply to the next op that shipped
+          for (size_t i = begin; i < end; ++i) {
+            if (!state->Ships(i)) continue;
+            const size_t id = state->placed[i].op;
+            Status& status = state->statuses[id];
             // Writes never retry (no idempotence token): a timed-out chunk
             // fails its own ops; other chunks are unaffected.
-            std::vector<Status> statuses =
-                reply ? std::move(*reply)
-                      : std::vector<Status>(op_ids.size(), TimeoutStatus(budget_bound, "write"));
-            bool last_chunk = false;
-            {
-              std::lock_guard<std::mutex> lock(mu_);
-              for (size_t i = 0; i < op_ids.size(); ++i) {
-                Status status = i < statuses.size() ? std::move(statuses[i])
-                                                    : InternalError("short multi-write reply");
-                const WriteOp& op = state->ops[op_ids[i]];
-                if (status.ok()) {
-                  CacheWrite(op.kind == WriteOp::Kind::kDelete, op.key, op.value, version);
-                }
-                state->statuses[op_ids[i]] = std::move(status);
-              }
-              last_chunk = --state->groups_pending == 0;
+            if (!reply) {
+              status = TimeoutStatus(budget_bound, "write");
+              continue;
             }
-            if (last_chunk) finalize();
-          });
+            WriteReply& answer = (*reply)[next++];
+            status = std::move(answer.status);
+            if (!status.ok()) continue;
+            const WriteOp& op = state->ops[id];
+            CacheWrite(op.kind == WriteOp::Kind::kDelete, op.key, op.value, state->version);
+            state->prior = std::move(answer.prior);
+          }
+          last_chunk = --state->chunks_pending == 0;
+        }
+        if (last_chunk) FinishMultiWrite(state);
+      });
+}
+
+void Router::FinishMultiWrite(const std::shared_ptr<MultiWriteState>& state) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // A coalesced op takes the outcome of the op that shipped for its key,
+    // except a conditioned one, whose condition was never checked. Walked
+    // backwards, each key's shipped op comes first.
+    const Status* shipped = nullptr;
+    for (size_t i = state->placed.size(); i-- > 0;) {
+      const size_t id = state->placed[i].op;
+      if (state->Ships(i)) {
+        shipped = &state->statuses[id];
+      } else {
+        state->statuses[id] = state->ops[id].condition.has_value()
+                                  ? InvalidArgumentError("conditioned op superseded in its batch")
+                                  : *shipped;
+      }
     }
+    // Every logical write is accounted individually, batched or not. A lost
+    // CAS (kAborted) is an answered write: the system worked, the CAS lost.
+    for (const Status& status : state->statuses) {
+      Account(Op::kWrite, state->start, status.ok() || IsAborted(status), status);
+    }
+  }
+  if (!state->single) {
+    state->batch_callback(std::move(state->statuses));
+  } else if (!state->statuses[0].ok()) {
+    state->write_callback(std::move(state->statuses[0]));
+  } else {
+    state->write_callback(WriteAck{state->version, std::move(state->prior)});
   }
 }
 

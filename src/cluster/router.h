@@ -205,19 +205,21 @@ class Router {
   void MultiGet(const std::vector<std::string>& keys, RequestOptions options,
                 std::function<void(std::vector<Result<Record>>)> callback);
 
-  /// One mutation of a single or batched write (MultiWrite stamps the
-  /// version).
+  /// One mutation of a single or batched write (the router stamps the
+  /// version). A single-key write is a one-op batch: every write entry
+  /// point below ends in the same dispatch and the same node handler.
   struct WriteOp {
     enum class Kind { kPut, kDelete };
     Kind kind = Kind::kPut;
     std::string key;
     std::string value;  ///< Ignored for kDelete.
-    /// Single writes only (MultiWrite ignores it): ask the primary for the
-    /// record this write replaces, reported as WriteAck::prior.
+    /// Write only (MultiWrite reports statuses, so it ignores it): ask the
+    /// primary for the record this write replaces, reported as
+    /// WriteAck::prior.
     bool return_prior = false;
-    /// Single writes only (MultiWrite rejects the op): compare-and-set.
-    /// The primary applies the write only when the condition holds, else
-    /// the write fails with kAborted and changes nothing.
+    /// Compare-and-set, in any write: the primary applies the op only when
+    /// the condition holds, else the op fails with kAborted and changes
+    /// nothing. A condition adds 16 bytes to the request.
     std::optional<WriteCondition> condition = std::nullopt;
   };
 
@@ -232,16 +234,17 @@ class Router {
   };
 
   /// Single-key write (put or tombstone) with the given ack mode: the one
-  /// single-key write entry point, conditional or not. The version is
-  /// stamped here — {loop->Now(), client_id}: last-write-wins order is
-  /// wall-clock time, writer id breaks ties — and reported on success
-  /// (session guarantees keep it as their token). An acked write
-  /// refreshes/invalidates the cache before the callback runs. A failed
-  /// condition (kAborted) is an answered write in the window: the system
-  /// worked, the CAS lost. Writes do not retry automatically (no
-  /// idempotence token at this layer); ReadModifyWrite
-  /// (consistency/write_policy.h) is the CAS retry loop.
-  void Write(const WriteOp& op, AckMode ack, RequestOptions options,
+  /// single-key write entry point, conditional or not, sent as a one-op
+  /// MultiWrite. The version is stamped here — {loop->Now(), client_id}:
+  /// last-write-wins order is wall-clock time, writer id breaks ties — and
+  /// reported on success (session guarantees keep it as their token). An
+  /// acked write refreshes/invalidates the cache before the callback runs.
+  /// A failed condition (kAborted) is an answered write in the window: the
+  /// system worked, the CAS lost. An empty key fails kInvalidArgument
+  /// without a message. Writes do not retry automatically (no idempotence
+  /// token at this layer); ReadModifyWrite (consistency/write_policy.h) is
+  /// the CAS retry loop.
+  void Write(WriteOp op, AckMode ack, RequestOptions options,
              std::function<void(Result<WriteAck>)> callback);
 
   /// Write of a kPut / kDelete op that reports only its status.
@@ -253,14 +256,16 @@ class Router {
   /// Batched writes: ops are grouped by primary node and shipped as one
   /// message per node (or several, under the same load-adaptive sub-batch
   /// cap as MultiGet); each node WAL-logs its sub-batch with one group-
-  /// commit sync. One status per op, in op order. Ops on the same key
+  /// commit sync. One status per op, in op order. Each op's condition is
+  /// checked at its primary as on Write: a failed one answers kAborted (an
+  /// answered write) and changes nothing, while its siblings apply. Ops on the same key
   /// coalesce to the last one (the whole batch carries one version stamp,
   /// so "apply in order" and "last wins" are the same outcome); the earlier
-  /// ops report the winner's status. A conditioned op fails with
-  /// kInvalidArgument and takes no part in that coalescing: a batch checks
-  /// no preconditions, so it must not apply one unconditionally. Writes do
-  /// not retry (same contract as Put). Acked ops refresh/invalidate the
-  /// cache before the callback runs.
+  /// ops report the winner's status, except that an earlier op with a
+  /// condition fails kInvalidArgument, since its condition is never
+  /// checked. An op with an empty key fails kInvalidArgument on its own.
+  /// Writes do not retry (same contract as Put). Acked ops refresh/
+  /// invalidate the cache before the callback runs.
   void MultiWrite(std::vector<WriteOp> ops, AckMode ack, RequestOptions options,
                   std::function<void(std::vector<Status>)> callback);
 
@@ -338,6 +343,22 @@ class Router {
   void SendMultiGetSubBatch(const std::shared_ptr<MultiGetState>& state, NodeId target,
                             std::vector<size_t> group);
 
+  struct MultiWriteState;  // batched-write bookkeeping (defined in router.cc)
+  /// The one write path, which Write and MultiWrite both end in: stamps
+  /// the batch, validates each op, places it on its partition's primary,
+  /// coalesces same-key ops to the last, and ships each primary's ops as
+  /// chunks of at most SubBatchLimit ops (all counted before the first
+  /// ships), or finishes at once when nothing ships.
+  void DispatchMultiWrite(const std::shared_ptr<MultiWriteState>& state, AckMode ack,
+                          RequestOptions options);
+  /// Ships placed[begin, end), one primary's chunk, as a single message
+  /// with its own timeout, and records each op's reply.
+  void SendMultiWriteChunk(const std::shared_ptr<MultiWriteState>& state, size_t begin,
+                           size_t end, AckMode ack, const RequestOptions& options);
+  /// Gives coalesced ops their outcome, accounts every op in the window
+  /// and runs the caller's callback.
+  void FinishMultiWrite(const std::shared_ptr<MultiWriteState>& state);
+
   /// The sub-batch cap for messages to `target` right now: 128 shrunk
   /// quadratically toward kMinSubBatch by the node's load pressure, then
   /// scaled by the remaining fraction of the request's deadline budget.
@@ -391,7 +412,7 @@ class Router {
   ClusterState* cluster_;
   RouterConfig config_;
   /// Guards window_, breaker_, selector_, and in-flight MultiGetState /
-  /// MultiWrite bookkeeping. Never held across a callback, a coalescer
+  /// MultiWriteState bookkeeping. Never held across a callback, a coalescer
   /// call, or a fabric send (see the file comment).
   std::mutex mu_;
   RouterWindow window_;

@@ -656,6 +656,21 @@ TEST(RouterWireBytesTest, EachExchangeChargesRequestReplyAndFraming) {
                        });
        },
        (2 + 2 + kRecord) * 2 + (2 + kRecord), 3 * 4},
+      // A conditioned op adds its expected version in a batch too. A batch
+      // reports statuses only, so it asks for no prior, even over a record.
+      {"MultiWrite with a condition",
+       [](Router* r, Done done) {
+         std::vector<Router::WriteOp> ops = {
+             {Router::WriteOp::Kind::kPut, "grape", "v2", /*return_prior=*/true},
+             {Router::WriteOp::Kind::kPut, "b2", "v2"}};
+         ops[1].condition = WriteCondition{};  // expect no live record
+         r->MultiWrite(std::move(ops), AckMode::kPrimary, RequestOptions{},
+                       [done](std::vector<Status> statuses) {
+                         for (const Status& status : statuses) EXPECT_TRUE(status.ok());
+                         done();
+                       });
+       },
+       (5 + 2 + kRecord) + (2 + 2 + kRecord) + 16, 2 * 4},
       // A write that asks for the record it replaces is charged that
       // record in its reply, and only when there is one.
       {"Write returning a prior",

@@ -371,23 +371,48 @@ TEST(RouterTest, ConditionalWriteTheEngineWouldDropReportsAborted) {
   EXPECT_EQ(tc.nodes[0]->engine()->Get("k").status().code(), StatusCode::kNotFound);
 }
 
-TEST(RouterTest, MultiWriteRejectsConditionalOps) {
+TEST(RouterTest, MultiWriteChecksEachOpsCondition) {
   TestCluster tc(1, 1);
+  ASSERT_TRUE(tc.PutSync("taken", "old").ok());
+  int64_t failed_before = tc.router->window().writes_failed;
   std::vector<Status> statuses;
-  std::vector<Router::WriteOp> ops = {CasPut("a", "cas", std::nullopt),
-                                      {Router::WriteOp::Kind::kPut, "a", "plain"},
-                                      CasPut("b", "cas", std::nullopt)};
+  std::vector<Router::WriteOp> ops = {CasPut("taken", "new", std::nullopt),
+                                      {Router::WriteOp::Kind::kPut, "plain", "p"},
+                                      CasPut("fresh", "f", std::nullopt),
+                                      CasPut("a", "cas", std::nullopt),
+                                      {Router::WriteOp::Kind::kPut, "a", "last"}};
   tc.router->MultiWrite(std::move(ops), AckMode::kPrimary, RequestOptions{},
                         [&](std::vector<Status> s) { statuses = std::move(s); });
   tc.loop.RunFor(kSecond);
-  // A batch checks no condition, so its conditioned ops are refused, not
-  // applied unconditionally; the plain op on the same key still lands.
-  ASSERT_EQ(statuses.size(), 3u);
-  EXPECT_EQ(statuses[0].code(), StatusCode::kInvalidArgument);
+  ASSERT_EQ(statuses.size(), 5u);
+  StorageNode& node = *tc.nodes[0];
+  // A failed condition aborts its op and changes nothing...
+  EXPECT_EQ(statuses[0].code(), StatusCode::kAborted) << statuses[0].ToString();
+  EXPECT_EQ(node.engine()->Get("taken")->value, "old");
+  // ...while its siblings apply, an expect-absent op on a fresh key too.
   EXPECT_TRUE(statuses[1].ok()) << statuses[1].ToString();
-  EXPECT_EQ(statuses[2].code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(tc.nodes[0]->engine()->Get("a")->value, "plain");
-  EXPECT_EQ(tc.nodes[0]->engine()->Get("b").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(node.engine()->Get("plain")->value, "p");
+  EXPECT_TRUE(statuses[2].ok()) << statuses[2].ToString();
+  EXPECT_EQ(node.engine()->Get("fresh")->value, "f");
+  // Same-key ops coalesce to the last, so an earlier op's condition is
+  // never checked: that op fails instead of applying unchecked.
+  EXPECT_EQ(statuses[3].code(), StatusCode::kInvalidArgument) << statuses[3].ToString();
+  EXPECT_TRUE(statuses[4].ok()) << statuses[4].ToString();
+  EXPECT_EQ(node.engine()->Get("a")->value, "last");
+  // The lost CAS is an answered write; the refused op is a failed one.
+  EXPECT_EQ(tc.router->window().writes_failed - failed_before, 1);
+}
+
+TEST(RouterTest, EmptyKeyWriteFailsWithoutAMessage) {
+  TestCluster tc(1, 1);
+  int64_t sent_before = tc.network.sent_count();
+  Status status = InternalError("callback never ran");
+  tc.router->Write({Router::WriteOp::Kind::kPut, "", "v"}, AckMode::kPrimary, RequestOptions{},
+                   [&](Result<Router::WriteAck> written) { status = written.status(); });
+  // Refused before dispatch, so the callback has already run.
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_EQ(tc.network.sent_count(), sent_before);
+  EXPECT_EQ(tc.nodes[0]->stats().ops_completed, 0);
 }
 
 TEST(RouterTest, TimedOutRequestsLeaveNoStaleCancellation) {
@@ -418,6 +443,21 @@ TEST(RouterTest, TimedOutRequestsLeaveNoStaleCancellation) {
     EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
   }
   EXPECT_EQ(tc.loop.pending_count(), 0u);
+}
+
+TEST(RouterTest, AnsweredWriteFreesItsStateBeforeItsTimeout) {
+  // The reply cancels the request's timer, but a cancelled timer stays
+  // queued until it is due. The write's state, which holds the caller's
+  // callback, must not wait there with it.
+  TestCluster tc(1, 1);
+  auto held = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = held;
+  Status status = InternalError("pending");
+  tc.router->Put("k", "v", AckMode::kPrimary, RequestOptions{},
+                 [&status, held = std::move(held)](Status s) { status = std::move(s); });
+  tc.loop.RunFor(10 * kMillisecond);  // far inside the 250 ms timeout
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(RouterTest, DeletePropagates) {

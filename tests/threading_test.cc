@@ -319,6 +319,70 @@ TEST(ThreadedDataPlaneTest, CoalescerStormServesEveryReaderTheRightValue) {
             static_cast<int64_t>(kThreads) * kReadsPerThread);
 }
 
+// ------------------------------------------ one batch, several chunks --
+
+// One MultiWrite large enough that each primary gets at least two 128-op
+// chunks: the replies to early chunks complete on node workers while the
+// calling thread may still be shipping later ones. The batch must still
+// finish exactly once, with every op's own status, conditions included.
+TEST(ThreadedDataPlaneTest, ChunkedMultiWriteFinishesOnceWithEveryStatus) {
+  ThreadedCluster tc(3, 1);
+  auto key = [](int i) {
+    // Raw 2-byte spread prefix: the ops cover all 12 partitions.
+    uint32_t h = static_cast<uint32_t>(i) * 2654435761u;
+    std::string k;
+    k.push_back(static_cast<char>(h >> 24));
+    k.push_back(static_cast<char>(h >> 16));
+    return k + "/m" + std::to_string(i);
+  };
+  constexpr int kOps = 600;
+  constexpr int kTaken = 4;  // keys that already hold a record
+  ScadsClient client = tc.client();
+  for (int i = 0; i < kTaken; ++i) ASSERT_TRUE(client.PutSync(key(i), "old").ok());
+  std::vector<int64_t> admitted_before;
+  for (const auto& node : tc.nodes) {
+    admitted_before.push_back(node->stats().admitted_by_priority[1]);
+  }
+  std::vector<Router::WriteOp> ops;
+  std::vector<std::string> keys;
+  for (int i = 0; i < kOps; ++i) {
+    keys.push_back(key(i));
+    Router::WriteOp op{Router::WriteOp::Kind::kPut, keys.back(), "v" + std::to_string(i)};
+    // Expect-absent: aborts on the taken keys, applies on the fresh ones.
+    if (i < kTaken || i % 50 == 0) op.condition = WriteCondition{};
+    ops.push_back(std::move(op));
+  }
+  std::atomic<int> calls{0};
+  std::promise<std::vector<Status>> finished;
+  std::future<std::vector<Status>> result = finished.get_future();
+  tc.router->MultiWrite(std::move(ops), AckMode::kPrimary, RequestOptions{},
+                        [&](std::vector<Status> statuses) {
+                          if (calls.fetch_add(1) == 0) finished.set_value(std::move(statuses));
+                        });
+  ASSERT_EQ(result.wait_for(std::chrono::seconds(30)), std::future_status::ready);
+  std::vector<Status> statuses = result.get();
+  ASSERT_EQ(statuses.size(), static_cast<size_t>(kOps));
+  // Each primary took at least two chunks. No other client request ran,
+  // and every admission happened before its chunk's reply.
+  for (size_t n = 0; n < tc.nodes.size(); ++n) {
+    EXPECT_GE(tc.nodes[n]->stats().admitted_by_priority[1] - admitted_before[n], 2) << n;
+  }
+  std::vector<Result<Record>> stored = client.MultiGetSync(keys, RequestOptions::PrimaryOnly());
+  ASSERT_EQ(stored.size(), static_cast<size_t>(kOps));
+  for (int i = 0; i < kOps; ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_TRUE(stored[i].ok()) << stored[i].status().ToString();
+    if (i < kTaken) {
+      EXPECT_EQ(statuses[i].code(), StatusCode::kAborted) << statuses[i].ToString();
+      EXPECT_EQ(stored[i]->value, "old");
+    } else {
+      EXPECT_TRUE(statuses[i].ok()) << statuses[i].ToString();
+      EXPECT_EQ(stored[i]->value, "v" + std::to_string(i));
+    }
+  }
+  EXPECT_EQ(calls.load(), 1);
+}
+
 // ------------------------------------------- window harvest under load --
 
 TEST(ThreadedDataPlaneTest, TakeWindowWhileLoadedLosesNoCounts) {
