@@ -41,10 +41,12 @@ constexpr int kQueriesPerFanout = 100;
 constexpr NodeId kClient = 1000;
 const std::vector<int> kFanouts = {10, 50, 200};
 
-// Spread keys over the 2-byte prefix space CreateUniform partitions on.
+// Spread keys over the 2-byte prefix space CreateUniform partitions on: the
+// spread value's two raw bytes lead the key, so every partition holds keys.
 std::string UserKey(int64_t id) {
   uint32_t spread = static_cast<uint32_t>(id * 2654435761u) & 0xffff;
-  return StrFormat("%04x:user%05lld", spread, static_cast<long long>(id));
+  std::string key = {static_cast<char>(spread >> 8), static_cast<char>(spread & 0xff)};
+  return key + StrFormat(":user%05lld", static_cast<long long>(id));
 }
 
 struct Deployment {
