@@ -800,8 +800,9 @@ void Router::SendMultiWriteChunk(const std::shared_ptr<MultiWriteState>& state, 
             Status& status = state->statuses[id];
             // Writes never retry (no idempotence token): a timed-out chunk
             // fails its own ops; other chunks are unaffected.
-            if (!reply) {
-              status = TimeoutStatus(budget_bound, "write");
+            if (!reply || next == reply->size()) {
+              status = reply ? InternalError("short write reply")
+                             : TimeoutStatus(budget_bound, "write");
               continue;
             }
             WriteReply& answer = (*reply)[next++];
