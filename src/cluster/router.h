@@ -235,7 +235,7 @@ class Router {
 
   /// Single-key write (put or tombstone) with the given ack mode: the one
   /// single-key write entry point, conditional or not, sent as a one-op
-  /// MultiWrite. The version is stamped here — {loop->Now(), client_id}:
+  /// batch on MultiWrite's path. The version is stamped here — {loop->Now(), client_id}:
   /// last-write-wins order is wall-clock time, writer id breaks ties — and
   /// reported on success (session guarantees keep it as their token). An
   /// acked write refreshes/invalidates the cache before the callback runs.
@@ -258,14 +258,14 @@ class Router {
   /// cap as MultiGet); each node WAL-logs its sub-batch with one group-
   /// commit sync. One status per op, in op order. Each op's condition is
   /// checked at its primary as on Write: a failed one answers kAborted (an
-  /// answered write) and changes nothing, while its siblings apply. Ops on the same key
-  /// coalesce to the last one (the whole batch carries one version stamp,
-  /// so "apply in order" and "last wins" are the same outcome); the earlier
-  /// ops report the winner's status, except that an earlier op with a
-  /// condition fails kInvalidArgument, since its condition is never
-  /// checked. An op with an empty key fails kInvalidArgument on its own.
-  /// Writes do not retry (same contract as Put). Acked ops refresh/
-  /// invalidate the cache before the callback runs.
+  /// answered write) and changes nothing, while its siblings apply. Ops on
+  /// the same key coalesce to the last one (the whole batch carries one
+  /// version stamp, so "apply in order" and "last wins" are the same
+  /// outcome); the earlier ops report the winner's status, except that an
+  /// earlier op with a condition fails kInvalidArgument, since its
+  /// condition is never checked. An op with an empty key fails
+  /// kInvalidArgument on its own. Writes do not retry (same contract as
+  /// Put). Acked ops refresh/invalidate the cache before the callback runs.
   void MultiWrite(std::vector<WriteOp> ops, AckMode ack, RequestOptions options,
                   std::function<void(std::vector<Status>)> callback);
 
