@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <utility>
+#include <variant>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -25,6 +26,13 @@ constexpr size_t kReplicationBatchMax = 128;
 constexpr double kLowPriorityShedFraction = 0.5;
 // Smoothing factor for the load-signal EWMAs (sojourn, shed fraction).
 constexpr double kLoadEwmaAlpha = 0.2;
+// A request whose service exceeds this enters the FIFO a quantum at a time.
+constexpr Duration kQuantum = 320;
+// Past this much other work queued, long work enters the FIFO whole.
+constexpr Duration kShortWorkCap = 4 * kQuantum;
+// A replication message that has waited this long goes before multi-key
+// reads, so it is acked before its primary resends it.
+constexpr Duration kReplicationPatience = kReplicationRetryBase / 2;
 
 // A list whose first element lives inline: a channel message or ack with
 // one lane, the common case, takes no heap vector.
@@ -93,6 +101,27 @@ struct StorageNode::ChannelAck {
   InlineFirstList<LaneAck> lanes;
 };
 
+struct StorageNode::LongRequest {
+  struct Read {
+    std::vector<std::string> keys;
+    std::function<void(MultiGetReply)> respond;
+  };
+  struct Message {
+    NodeId from = -1;
+    ChannelMessage message;
+  };
+  struct DeltaSync {
+    PartitionId pid = -1;
+    std::vector<WalRecord> records;
+    Time watermark = 0;
+  };
+
+  Time arrived = 0;
+  Duration remaining = 0;  // service not yet committed to the FIFO
+  Time ends_at = 0;        // end of its latest piece in the FIFO
+  std::variant<Read, Message, DeltaSync> step;
+};
+
 StorageNode::StorageNode(NodeId id, Executor* exec, MessageFabric* network, ClusterState* cluster,
                          NodeConfig config, uint64_t seed)
     : id_(id),
@@ -144,7 +173,8 @@ void StorageNode::Stop() {
 }
 
 Duration StorageNode::queue_delay() const {
-  return std::max<Duration>(0, busy_until_.load(std::memory_order_relaxed) - loop_->Now());
+  return std::max<Duration>(0, busy_until_.load(std::memory_order_relaxed) - loop_->Now()) +
+         long_backlog_.load(std::memory_order_relaxed);
 }
 
 void StorageNode::InjectBackgroundLoad(Duration service_demand) {
@@ -165,9 +195,12 @@ void StorageNode::InjectBackgroundLoad(Duration service_demand) {
 }
 
 std::optional<Duration> StorageNode::Admit(Duration service, RequestPriority priority,
-                                           bool client) {
+                                           bool client, bool* in_quanta) {
   Time now = loop_->Now();
   Duration wait = std::max<Duration>(0, busy_until_.load(std::memory_order_relaxed) - now);
+  double rho = background_utilization_.load(std::memory_order_relaxed);
+  const bool sliced = in_quanta != nullptr && service > kQuantum && rho <= 0;
+  if (sliced) wait += long_backlog_.load(std::memory_order_relaxed);
   const int pclass = static_cast<int>(priority);
   auto shed = [this, pclass, client]() {
     ++stats_.ops_shed;
@@ -188,7 +221,6 @@ std::optional<Duration> StorageNode::Admit(Duration service, RequestPriority pri
   }
   // Background (unsampled) traffic: M/M/1-style delay rising steeply as
   // utilization approaches 1; past saturation the overload fraction sheds.
-  double rho = background_utilization_.load(std::memory_order_relaxed);
   if (rho > 0) {
     if (rho >= 0.99) {
       // Saturated: kLow sheds outright, kNormal survives an admission
@@ -215,7 +247,13 @@ std::optional<Duration> StorageNode::Admit(Duration service, RequestPriority pri
     shed();
     return std::nullopt;
   }
-  AccrueBusy(now, service);
+  if (sliced) {
+    *in_quanta = true;
+  } else {
+    AccrueBusy(now, service);
+    // Short work past the cap sends the queued long work to the FIFO.
+    if (long_backlog_.load(std::memory_order_relaxed) > 0) FeedLong(now);
+  }
   if (client) ++stats_.admitted_by_priority[pclass];
   Duration sojourn = wait + service;
   sojourn_.Record(sojourn);
@@ -269,7 +307,8 @@ void StorageNode::HandleMultiGet(std::vector<std::string> keys, RequestPriority 
       config_.get_service_time +
       config_.multiget_service_per_key *
           static_cast<Duration>(keys.empty() ? 0 : keys.size() - 1);
-  std::optional<Duration> sojourn = Admit(service, priority);
+  bool in_quanta = false;
+  std::optional<Duration> sojourn = Admit(service, priority, /*client=*/true, &in_quanta);
   if (!sojourn.has_value()) {
     // Shed the whole batch, per key, so the router can redirect it.
     MultiGetReply reply;
@@ -279,28 +318,37 @@ void StorageNode::HandleMultiGet(std::vector<std::string> keys, RequestPriority 
     respond(std::move(reply));
     return;
   }
-  loop_->ScheduleAfter(*sojourn, [this, keys = std::move(keys), respond = std::move(respond)] {
+  if (in_quanta) {
+    QueueLong(service, {.step = LongRequest::Read{std::move(keys), std::move(respond)}});
+    return;
+  }
+  loop_->ScheduleAfter(*sojourn,
+                       [this, keys = std::move(keys), respond = std::move(respond)]() mutable {
+                         if (alive_) ServeMultiGet(keys, std::move(respond));
+                       });
+}
+
+void StorageNode::ServeMultiGet(const std::vector<std::string>& keys,
+                                std::function<void(MultiGetReply)> respond) {
+  MultiGetReply reply;
+  reply.results = engine_->MultiGet(keys);
+  reply.as_of.reserve(keys.size());
+  for (const std::string& key : keys) {
+    // Serve-time watermark, per key: sub-batches may span partitions with
+    // different replication progress.
+    reply.as_of.push_back(replicated_through(cluster_->partitions()->ForKey(key).id));
+  }
+  Duration io = ChargeEngineIo();
+  if (io <= 0) {
+    stats_.ops_completed += static_cast<int64_t>(keys.size());
+    respond(std::move(reply));
+    return;
+  }
+  loop_->ScheduleAfter(io, [this, count = keys.size(), reply = std::move(reply),
+                            respond = std::move(respond)]() mutable {
     if (!alive_) return;
-    MultiGetReply reply;
-    reply.results = engine_->MultiGet(keys);
-    reply.as_of.reserve(keys.size());
-    for (const std::string& key : keys) {
-      // Serve-time watermark, per key: sub-batches may span partitions with
-      // different replication progress.
-      reply.as_of.push_back(replicated_through(cluster_->partitions()->ForKey(key).id));
-    }
-    Duration io = ChargeEngineIo();
-    if (io <= 0) {
-      stats_.ops_completed += static_cast<int64_t>(keys.size());
-      respond(std::move(reply));
-      return;
-    }
-    loop_->ScheduleAfter(io, [this, count = keys.size(), reply = std::move(reply),
-                              respond = std::move(respond)]() mutable {
-      if (!alive_) return;
-      stats_.ops_completed += static_cast<int64_t>(count);
-      respond(std::move(reply));
-    });
+    stats_.ops_completed += static_cast<int64_t>(count);
+    respond(std::move(reply));
   });
 }
 
@@ -641,37 +689,45 @@ void StorageNode::HandleReplicate(NodeId from, ChannelMessage message) {
   cluster_->RecordHeartbeat(from, loop_->Now());
   Duration service = config_.replicate_service_per_record *
                      std::max<Duration>(1, static_cast<Duration>(message.records.size()));
+  bool in_quanta = false;
   std::optional<Duration> sojourn =
-      Admit(service, RequestPriority::kNormal, /*client=*/false);
+      Admit(service, RequestPriority::kNormal, /*client=*/false, &in_quanta);
   if (!sojourn.has_value()) return;  // shed; primary will retransmit
+  if (in_quanta) {
+    QueueLong(service, {.step = LongRequest::Message{from, std::move(message)}});
+    return;
+  }
   loop_->ScheduleAfter(*sojourn, [this, from, message = std::move(message)] {
-    if (!alive_) return;
-    ChannelAck ack;
-    ack.lanes.reserve(message.lanes.size());
-    size_t next = 0;  // the message's next record
-    for (size_t l = 0; l < message.lanes.size(); ++l) {
-      const LaneBatch& batch = message.lanes[l];
-      uint64_t& applied = last_applied_seq_[{batch.pid, from}];
-      for (uint64_t seq = batch.first_seq; seq < batch.first_seq + batch.count; ++seq, ++next) {
-        if (seq <= applied) continue;
-        (void)engine_->Apply(*message.records[next]);  // version rule dedups content anyway
-        applied = seq;
-        ++stats_.records_replicated_in;
-      }
-      Time& through = replicated_through_[batch.pid];
-      through = std::max(through, batch.watermark);
-      if (batch.count > 0) ack.lanes.push_back({batch.pid, applied});
-    }
-    ChargeEngineIo();  // replication-apply faults: busy time only
-    // Cumulative acks back to the primary, in one message.
-    StorageNode* primary = cluster_->GetNode(from);
-    if (primary != nullptr) {
-      NodeId self = id_;
-      network_->Send(self, from, [primary, self, ack = std::move(ack)]() mutable {
-        primary->HandleReplicateAck(self, std::move(ack));
-      });
-    }
+    if (alive_) ApplyMessage(from, message);
   });
+}
+
+void StorageNode::ApplyMessage(NodeId from, const ChannelMessage& message) {
+  ChannelAck ack;
+  ack.lanes.reserve(message.lanes.size());
+  size_t next = 0;  // the message's next record
+  for (size_t l = 0; l < message.lanes.size(); ++l) {
+    const LaneBatch& batch = message.lanes[l];
+    uint64_t& applied = last_applied_seq_[{batch.pid, from}];
+    for (uint64_t seq = batch.first_seq; seq < batch.first_seq + batch.count; ++seq, ++next) {
+      if (seq <= applied) continue;
+      (void)engine_->Apply(*message.records[next]);  // version rule dedups content anyway
+      applied = seq;
+      ++stats_.records_replicated_in;
+    }
+    Time& through = replicated_through_[batch.pid];
+    through = std::max(through, batch.watermark);
+    if (batch.count > 0) ack.lanes.push_back({batch.pid, applied});
+  }
+  ChargeEngineIo();  // replication-apply faults: busy time only
+  // Cumulative acks back to the primary, in one message.
+  StorageNode* primary = cluster_->GetNode(from);
+  if (primary != nullptr) {
+    NodeId self = id_;
+    network_->Send(self, from, [primary, self, ack = std::move(ack)]() mutable {
+      primary->HandleReplicateAck(self, std::move(ack));
+    });
+  }
 }
 
 void StorageNode::HandleReplicateAck(NodeId from, ChannelAck ack) {
@@ -791,20 +847,125 @@ void StorageNode::HandleDeltaSyncResponse(PartitionId pid, NodeId from,
   }
   Duration service = config_.replicate_service_per_record *
                      std::max<Duration>(1, static_cast<Duration>(records.size()));
+  bool in_quanta = false;
   std::optional<Duration> sojourn =
-      Admit(service, RequestPriority::kNormal, /*client=*/false);
+      Admit(service, RequestPriority::kNormal, /*client=*/false, &in_quanta);
   if (!sojourn.has_value()) return;  // shed; the streams still converge eventually
+  if (in_quanta) {
+    QueueLong(service, {.step = LongRequest::DeltaSync{pid, std::move(records), watermark}});
+    return;
+  }
   loop_->ScheduleAfter(*sojourn, [this, pid, records = std::move(records), watermark] {
-    if (!alive_) return;
-    for (const WalRecord& record : records) {
-      (void)engine_->Apply(record);
-      ++stats_.records_replicated_in;
-    }
-    ChargeEngineIo();
-    Time& through = replicated_through_[pid];
-    through = std::max(through, watermark);
-    ++stats_.delta_syncs_completed;
+    if (alive_) ApplyDeltaSync(pid, records, watermark);
   });
+}
+
+void StorageNode::ApplyDeltaSync(PartitionId pid, const std::vector<WalRecord>& records,
+                                 Time watermark) {
+  for (const WalRecord& record : records) {
+    (void)engine_->Apply(record);
+    ++stats_.records_replicated_in;
+  }
+  ChargeEngineIo();
+  Time& through = replicated_through_[pid];
+  through = std::max(through, watermark);
+  ++stats_.delta_syncs_completed;
+}
+
+void StorageNode::QueueLong(Duration service, LongRequest request) {
+  const Time now = loop_->Now();
+  request.arrived = now;
+  request.remaining = service;
+  long_queue_.push_back(std::move(request));
+  long_backlog_.store(long_backlog_.load(std::memory_order_relaxed) + service,
+                      std::memory_order_relaxed);
+  FeedLong(now);
+}
+
+void StorageNode::FeedLong(Time now) {
+  if (ShortWork(now) > kShortWorkCap) {
+    // Overloaded: plain FIFO, so no long request starves.
+    for (LongRequest& request : long_queue_) {
+      if (request.remaining > 0) CommitLong(request, request.remaining, now);
+    }
+  } else if (now >= quantum_end_) {
+    // Multi-key reads first, then replication in arrival order, unless the
+    // oldest message has run out of patience.
+    LongRequest* read = nullptr;
+    LongRequest* apply = nullptr;
+    for (LongRequest& request : long_queue_) {
+      if (request.remaining == 0) continue;
+      LongRequest*& first = std::holds_alternative<LongRequest::Read>(request.step) ? read : apply;
+      if (first == nullptr) first = &request;
+    }
+    LongRequest* next =
+        apply != nullptr && (read == nullptr || now - apply->arrived >= kReplicationPatience)
+            ? apply
+            : read;
+    if (next != nullptr) {
+      CommitLong(*next, std::min(kQuantum, next->remaining), now);
+      quantum_end_ = next->ends_at;
+    }
+  }
+  ArmLongTick(now);
+}
+
+void StorageNode::CommitLong(LongRequest& request, Duration amount, Time now) {
+  AccrueBusy(now, amount);
+  request.remaining -= amount;
+  request.ends_at = busy_until_.load(std::memory_order_relaxed);
+  long_pieces_.emplace_back(request.ends_at, amount);
+  long_backlog_.store(long_backlog_.load(std::memory_order_relaxed) - amount,
+                      std::memory_order_relaxed);
+}
+
+Duration StorageNode::ShortWork(Time now) {
+  auto served = std::find_if(long_pieces_.begin(), long_pieces_.end(),
+                             [now](const auto& piece) { return piece.first > now; });
+  long_pieces_.erase(long_pieces_.begin(), served);
+  Duration queued = std::max<Duration>(0, busy_until_.load(std::memory_order_relaxed) - now);
+  for (const auto& [end, length] : long_pieces_) queued -= std::min(length, end - now);
+  return queued;
+}
+
+void StorageNode::ArmLongTick(Time now) {
+  if (long_tick_armed_) return;
+  Time next = quantum_end_ > now ? quantum_end_ : std::numeric_limits<Time>::max();
+  for (const LongRequest& request : long_queue_) {
+    if (request.remaining == 0) next = std::min(next, request.ends_at);
+  }
+  if (next == std::numeric_limits<Time>::max()) return;
+  long_tick_armed_ = true;
+  loop_->ScheduleAt(next, [this] { LongTick(); });
+}
+
+void StorageNode::LongTick() {
+  long_tick_armed_ = false;
+  const Time now = loop_->Now();
+  // Steps whose service has ended run in the order it ended. Each leaves
+  // the queue before it runs, since its reply may queue more work here.
+  for (;;) {
+    auto due = long_queue_.end();
+    for (auto it = long_queue_.begin(); it != long_queue_.end(); ++it) {
+      if (it->remaining == 0 && it->ends_at <= now &&
+          (due == long_queue_.end() || it->ends_at < due->ends_at)) {
+        due = it;
+      }
+    }
+    if (due == long_queue_.end()) break;
+    LongRequest request = std::move(*due);
+    long_queue_.erase(due);
+    if (!alive_) continue;
+    if (auto* read = std::get_if<LongRequest::Read>(&request.step)) {
+      ServeMultiGet(read->keys, std::move(read->respond));
+    } else if (auto* message = std::get_if<LongRequest::Message>(&request.step)) {
+      ApplyMessage(message->from, message->message);
+    } else {
+      auto& delta = std::get<LongRequest::DeltaSync>(request.step);
+      ApplyDeltaSync(delta.pid, delta.records, delta.watermark);
+    }
+  }
+  FeedLong(now);
 }
 
 void StorageNode::HeartbeatTick() {

@@ -21,6 +21,22 @@
 // consensus leader writes its own disk in parallel with replicating; the
 // reply goes out once the service has ended and the ack level is met.
 //
+// The node serves one FIFO (busy_until_), but a long request, one whose
+// service exceeds a 320 us quantum, enters it a quantum at a time: a
+// multi-key read, a channel message or a delta-sync reply waits in the
+// node's long queue, and its next quantum joins the FIFO when the one
+// before it ends, so a point read (120 us) or a write (180 us) that
+// arrives meanwhile waits behind at most one quantum. The request's step
+// (engine read and reply, or apply and ack) runs when its last quantum
+// ends. The long queue serves multi-key reads before replication, unless a
+// message has waited half the replication retry base (25 ms), so it is
+// acked before its primary resends it. Once more than four quanta of other
+// work are queued, every queued long request joins the FIFO whole, in
+// arrival order: an overloaded node serves plain FIFO, and long work
+// cannot starve. A long request is shed or admitted whole at arrival, and
+// it is admitted whole under declared background utilization. Writes never
+// enter in quanta: a batch is one group commit.
+//
 // Handlers are invoked via MessageFabric closures; responses are the caller's
 // responsibility to route back (the Router composes the return hop).
 
@@ -208,7 +224,8 @@ class StorageNode {
 
   /// Point reads, one key or a batch: one admission (base get cost + a
   /// smaller marginal cost per extra key) and one engine MultiGet over the
-  /// whole key set. Under overload every key reports kResourceExhausted so
+  /// whole key set, after the batch's last quantum when its service
+  /// exceeds one. Under overload every key reports kResourceExhausted so
   /// the router can redirect the sub-batch.
   void HandleMultiGet(std::vector<std::string> keys, RequestPriority priority,
                       std::function<void(MultiGetReply)> respond);
@@ -260,7 +277,8 @@ class StorageNode {
   /// Node-local sojourn times (queue wait + service), microseconds.
   const LogHistogram& sojourn_histogram() const { return sojourn_; }
 
-  /// Current queue backlog in microseconds of work.
+  /// Current queue backlog in microseconds of work: the FIFO's plus the
+  /// long queue's service not yet in the FIFO.
   Duration queue_delay() const;
 
   /// The load signal the Router sizes sub-batches from (and the Director
@@ -332,6 +350,8 @@ class StorageNode {
   // Wire forms of a channel message and its ack (defined in node.cc).
   struct ChannelMessage;
   struct ChannelAck;
+  // A request in the long queue (defined in node.cc).
+  struct LongRequest;
 
   using LaneKey = std::pair<PartitionId, NodeId>;  // (partition, primary)
 
@@ -342,8 +362,36 @@ class StorageNode {
   /// at the cap but exempt from the saturation admission lottery.
   /// `client` requests book into the per-priority counters; internal
   /// traffic (replication) books sheds into replication_sheds instead.
+  /// With `in_quanta`, a request longer than a quantum on a node with no
+  /// declared background utilization waits behind the long backlog too and
+  /// reserves nothing: Admit sets *in_quanta and the caller hands the
+  /// request to QueueLong.
   std::optional<Duration> Admit(Duration service, RequestPriority priority,
-                                bool client = true);
+                                bool client = true, bool* in_quanta = nullptr);
+
+  /// Puts an admitted long request in the long queue with `service` to
+  /// serve, and feeds the FIFO.
+  void QueueLong(Duration service, LongRequest request);
+  /// Commits long work to the FIFO: every queued request whole, in arrival
+  /// order, once more than four quanta of other work are queued; otherwise
+  /// the next quantum, once the last one has ended. Then arms the tick.
+  void FeedLong(Time now);
+  /// Commits `amount` of `request`'s service to the FIFO.
+  void CommitLong(LongRequest& request, Duration amount, Time now);
+  /// FIFO work queued besides committed long work.
+  Duration ShortWork(Time now);
+  /// Arms the long queue's one timer for its next quantum end, unless it
+  /// is armed.
+  void ArmLongTick(Time now);
+  /// The timer: runs the steps whose last quantum has ended, then feeds
+  /// the FIFO.
+  void LongTick();
+
+  /// The steps of the long-capable requests, run when their service ends.
+  void ServeMultiGet(const std::vector<std::string>& keys,
+                     std::function<void(MultiGetReply)> respond);
+  void ApplyMessage(NodeId from, const ChannelMessage& message);
+  void ApplyDeltaSync(PartitionId pid, const std::vector<WalRecord>& records, Time watermark);
 
   /// The replication half of a write: puts `count` already-applied records
   /// of `pid` (`record_at(i)` yields the i-th) on the lane to each of pid's
@@ -408,7 +456,8 @@ class StorageNode {
   // its one owner worker (pinned delivery + worker-affine timers), so the
   // node body needs no lock. The exceptions — fields read live by OTHER
   // threads through ClusterState::NodeLoad / liveness checks — are
-  // atomics: alive_, busy_until_, and the smoothed load-signal components.
+  // atomics: alive_, busy_until_, long_backlog_, and the smoothed
+  // load-signal components.
   NodeId id_;
   Executor* loop_;
   MessageFabric* network_;
@@ -420,6 +469,15 @@ class StorageNode {
 
   std::atomic<double> background_utilization_{0};
   std::atomic<Time> busy_until_{0};
+  // The long queue: requests in arrival order, each with service left to
+  // commit or waiting for its last quantum to end; the (end, length) of
+  // each long piece in the FIFO not yet served; when the latest quantum
+  // ends; whether the tick is armed; and the service left to commit.
+  std::vector<LongRequest> long_queue_;
+  std::vector<std::pair<Time, Duration>> long_pieces_;
+  Time quantum_end_ = 0;
+  bool long_tick_armed_ = false;
+  std::atomic<Duration> long_backlog_{0};
   NodeStats stats_;
   LogHistogram sojourn_;
   // Smoothed load-signal components (see load_signal()); single writer

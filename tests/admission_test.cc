@@ -1,8 +1,9 @@
 // Tests for priority-aware node admission and load-adaptive sub-batch
 // sizing: the shed order under saturation, the per-priority counters, the
 // RequestOptions::priority plumbing through both point and batched router
-// paths, and the Router's sub-batch cap reacting to node load and the
-// remaining deadline budget.
+// paths, the Router's sub-batch cap reacting to node load and the
+// remaining deadline budget, and the node's long queue, which feeds
+// multi-key reads and replication to the FIFO in 320 us quanta.
 
 #include <memory>
 #include <string>
@@ -33,7 +34,9 @@ struct Harness {
   std::vector<std::unique_ptr<StorageNode>> nodes;
   std::unique_ptr<Router> router;
 
-  explicit Harness(int node_count, int rf = 1, NodeConfig node_config = {}) : network(&loop, 5) {
+  explicit Harness(int node_count, int rf = 1, NodeConfig node_config = {},
+                   NetworkConfig network_config = {})
+      : network(&loop, 5, network_config) {
     node_config.watermark_heartbeat = 0;
     std::vector<NodeId> ids;
     for (NodeId id = 1; id <= node_count; ++id) {
@@ -355,6 +358,203 @@ TEST(AdaptiveBatchTest, ShedSubBatchesRedirectToNextReplica) {
   }
   const NodeStats& hot = h.node(1)->stats();
   EXPECT_GT(hot.shed_by_priority[PriorityIndex(RequestPriority::kNormal)], 0);
+}
+
+// ----------------------------------------------------------- long queue --
+//
+// Service times: a one-key read 120 us, each extra key 25 us, a replicated
+// record 40 us. A request longer than one 320 us quantum enters the FIFO a
+// quantum at a time.
+
+constexpr Duration kQuantum = 320;
+
+std::vector<std::string> Keys(int count, const std::string& prefix = "k") {
+  std::vector<std::string> keys;
+  for (int i = 0; i < count; ++i) keys.push_back(prefix + std::to_string(i));
+  return keys;
+}
+
+// Two nodes, rf 2, no jitter: node 1 leads partition 0 (keys below 0x20)
+// and node 2 replicates it, so a batch written at node 1 reaches node 2 as
+// one channel message exactly 200 us later.
+struct ReplicaHarness : Harness {
+  ReplicaHarness() : Harness(2, /*rf=*/2, NodeConfig{}, NoJitter()) {}
+
+  static NetworkConfig NoJitter() {
+    NetworkConfig config;
+    config.jitter_mean = 0;
+    return config;
+  }
+
+  // Writes `count` partition-0 keys at node 1 as one kAll batch. It applies
+  // and ships at once; its 128 records cost node 2 5,120 us (16 quanta).
+  void WriteBatch(int count, bool* acked) {
+    std::vector<MultiWriteItem> items;
+    for (const std::string& key : Keys(count, std::string(1, '\x01'))) {
+      MultiWriteItem item;
+      item.pid = 0;
+      item.record.key = key;
+      item.record.value = "v";
+      item.record.version = Version{loop.Now(), kClient};
+      items.push_back(std::move(item));
+    }
+    node(1)->HandleMultiWrite(std::move(items), AckMode::kAll, RequestPriority::kNormal,
+                              [acked](std::vector<WriteReply> replies) {
+                                for (const WriteReply& reply : replies) {
+                                  EXPECT_TRUE(reply.status.ok()) << reply.status.ToString();
+                                }
+                                *acked = true;
+                              });
+  }
+
+  int64_t applied() { return node(2)->stats().records_replicated_in; }
+
+  // Runs to `deadline` a microsecond at a time, noting when node 2 first
+  // applies a replicated record.
+  void RunUntilWatching(Time deadline) {
+    while (loop.Now() < deadline) {
+      loop.RunFor(1);
+      if (applied_at < 0 && applied() > 0) applied_at = loop.Now();
+    }
+  }
+  Time applied_at = -1;
+};
+
+TEST(LongQueueTest, PointReadOvertakesAReplicationMessage) {
+  ReplicaHarness h;
+  h.loop.RunUntil(10 * kMillisecond);
+  const Time t0 = h.loop.Now();
+  bool acked = false;
+  h.WriteBatch(128, &acked);
+  // The message arrives at t0 + 200; its third quantum runs until t0 + 1,160.
+  h.loop.RunUntil(t0 + 1000);
+  Time read_at = -1;
+  ReadAtNode(h.node(2), std::string(1, '\x01') + "k0", RequestPriority::kNormal,
+             [&](Result<Record> result) {
+               read_at = h.loop.Now();
+               EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+             });
+  // The last quantum ends at t0 + 200 + 5,120 + 120 (the read's service).
+  const Time applies_at = t0 + 200 + 5120 + 120;
+  h.loop.RunUntil(applies_at - 1);
+  EXPECT_EQ(read_at, t0 + 1160 + 120);  // behind one quantum, not the whole message
+  // Nothing applied, no watermark, no ack until the last quantum ends.
+  EXPECT_EQ(h.applied(), 0);
+  EXPECT_EQ(h.node(2)->replicated_through(0), 0);
+  EXPECT_EQ(h.network.sent_to(1), 0);
+  h.loop.RunUntil(applies_at);
+  EXPECT_EQ(h.applied(), 128);
+  EXPECT_EQ(h.node(2)->replicated_through(0), t0);
+  EXPECT_EQ(h.network.sent_to(1), 1);
+  // The batch acks at its commit's end: 180 + 127 x 60 us.
+  h.loop.RunUntil(t0 + 7800);
+  EXPECT_TRUE(acked);
+}
+
+TEST(LongQueueTest, PointReadOvertakesAMultiKeyRead) {
+  Harness h(1);
+  Time long_at = -1;
+  h.node(1)->HandleMultiGet(Keys(128), RequestPriority::kNormal,
+                            [&](MultiGetReply) { long_at = h.loop.Now(); });
+  // 120 + 127 x 25 = 3,295 us: one quantum in the FIFO, the rest counted too.
+  EXPECT_EQ(h.node(1)->queue_delay(), 3295);
+  h.loop.RunUntil(1000);
+  Time short_at = -1;
+  ReadAtNode(h.node(1), "a", RequestPriority::kNormal,
+             [&](Result<Record>) { short_at = h.loop.Now(); });
+  h.loop.RunUntil(10 * kMillisecond);
+  EXPECT_EQ(short_at, 1280 + 120);  // behind the fourth quantum
+  EXPECT_LE(short_at, 1000 + kQuantum + 120);
+  EXPECT_EQ(long_at, 3295 + 120);
+}
+
+TEST(LongQueueTest, DeclaredBackgroundLoadAdmitsLongRequestsWhole) {
+  Harness h(1);
+  h.node(1)->SetBackgroundLoad(0.01, 0);
+  h.node(1)->HandleMultiGet(Keys(128), RequestPriority::kNormal, [](MultiGetReply) {});
+  h.loop.RunUntil(1000);
+  Time short_at = -1;
+  ReadAtNode(h.node(1), "a", RequestPriority::kNormal,
+             [&](Result<Record>) { short_at = h.loop.Now(); });
+  h.loop.RunUntil(10 * kMillisecond);
+  EXPECT_GE(short_at, 3295 + 120);  // the whole batch was in the FIFO
+}
+
+TEST(LongQueueTest, MultiKeyReadGoesBeforeAMessagesRemainingQuanta) {
+  ReplicaHarness h;
+  bool acked = false;
+  h.WriteBatch(128, &acked);
+  h.loop.RunUntil(1000);
+  // 120 + 19 x 25 = 595 us: two quanta, from the end of the message's third.
+  Time read_at = -1;
+  int64_t applied_at_read = -1;
+  h.node(2)->HandleMultiGet(Keys(20), RequestPriority::kNormal, [&](MultiGetReply) {
+    read_at = h.loop.Now();
+    applied_at_read = h.applied();
+  });
+  h.loop.RunUntil(20 * kMillisecond);
+  EXPECT_EQ(read_at, 1160 + 595);
+  EXPECT_EQ(applied_at_read, 0);
+  EXPECT_EQ(h.applied(), 128);
+  EXPECT_TRUE(acked);
+}
+
+TEST(LongQueueTest, MessageThatWaited25msGoesBeforeNewerReads) {
+  ReplicaHarness h;
+  bool acked = false;
+  h.WriteBatch(128, &acked);
+  h.loop.RunUntil(300);
+  // 128-key reads (3,295 us) every 3 ms for 60 ms keep the read class busy
+  // throughout; without the age rule the message would wait for all of them.
+  constexpr int kReads = 20;
+  std::vector<Time> read_at(kReads, -1);
+  std::vector<int64_t> applied_at_read(kReads, -1);
+  for (int i = 0; i < kReads; ++i) {
+    h.RunUntilWatching(300 + 3000 * i);
+    h.node(2)->HandleMultiGet(Keys(128), RequestPriority::kNormal, [&, i](MultiGetReply) {
+      read_at[i] = h.loop.Now();
+      applied_at_read[i] = h.applied();
+    });
+  }
+  h.RunUntilWatching(200 * kMillisecond);
+  // It arrived at 200 and ran one quantum; from the first quantum boundary
+  // after 25,200 its other 15 quanta (4,800 us) go first.
+  EXPECT_GE(h.applied_at, 200 + 25000 + 4800);
+  EXPECT_LT(h.applied_at, 200 + 25000 + kQuantum + 4800);
+  // Reads 0-6 (3,295 us each from 520) were done by then. Read 7, newer
+  // than the message and in service when it ran out of patience, and every
+  // later read answer after it; the primary never resent it.
+  EXPECT_EQ(applied_at_read[6], 0);
+  EXPECT_EQ(applied_at_read[7], 128);
+  EXPECT_EQ(applied_at_read[kReads - 1], 128);
+  EXPECT_GT(read_at[kReads - 1], h.applied_at);
+  EXPECT_EQ(h.node(1)->stats().retransmits, 0);
+  EXPECT_TRUE(acked);
+}
+
+TEST(LongQueueTest, OverloadedNodeServesLongRequestsInArrivalOrder) {
+  ReplicaHarness h;
+  bool acked = false;
+  h.WriteBatch(128, &acked);  // at node 2 from 200: first quantum [200, 520]
+  h.loop.RunUntil(300);
+  Time multiget_at = -1;  // queued behind the quantum
+  h.node(2)->HandleMultiGet(Keys(128), RequestPriority::kNormal,
+                            [&](MultiGetReply) { multiget_at = h.loop.Now(); });
+  h.loop.RunUntil(400);
+  // Twelve point reads: the eleventh puts 1,320 us of short work in the
+  // FIFO, past four quanta, so the rest of the message and then the
+  // multi-key read enter the FIFO whole, in arrival order.
+  std::vector<Time> point_at(12, -1);
+  for (int i = 0; i < 12; ++i) {
+    ReadAtNode(h.node(2), "p" + std::to_string(i), RequestPriority::kNormal,
+               [&, i](Result<Record>) { point_at[static_cast<size_t>(i)] = h.loop.Now(); });
+  }
+  h.RunUntilWatching(100 * kMillisecond);
+  EXPECT_EQ(point_at[10], 520 + 11 * 120);
+  EXPECT_EQ(h.applied_at, 1840 + 15 * kQuantum);
+  EXPECT_EQ(multiget_at, h.applied_at + 3295);
+  EXPECT_EQ(point_at[11], multiget_at + 120);  // queued behind both
+  EXPECT_TRUE(acked);
 }
 
 }  // namespace

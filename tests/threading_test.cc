@@ -8,6 +8,7 @@
 // Everything here runs on wall-clock time, so assertions are about
 // ordering and final state, never about latency values.
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <memory>
@@ -381,6 +382,110 @@ TEST(ThreadedDataPlaneTest, ChunkedMultiWriteFinishesOnceWithEveryStatus) {
     }
   }
   EXPECT_EQ(calls.load(), 1);
+}
+
+// --------------------------------------- long and short work at one node --
+
+// One node serves 64-key MultiGets (1,695 us each, so they enter its FIFO
+// from the long queue a quantum at a time), point reads and a chunked
+// MultiWrite together, while the test thread reads the node's load signal,
+// whose queue delay counts the long backlog. Every callback runs once.
+TEST(ThreadedDataPlaneTest, LongQueueServesMultiGetsPointReadsAndWritesOnce) {
+  ThreadedCluster tc(1, 1);
+  ScadsClient client = tc.client();
+  constexpr int kKeys = 64;
+  std::vector<std::string> keys;
+  for (int i = 0; i < kKeys; ++i) {
+    keys.push_back(Key(i, i));
+    ASSERT_TRUE(client.PutSync(keys.back(), "v" + std::to_string(i)).ok());
+  }
+  constexpr int kThreads = 2;
+  constexpr int kRounds = 30;
+  // One callback counter per request.
+  std::vector<std::atomic<int>> multiget_calls(kThreads * kRounds);
+  std::vector<std::atomic<int>> get_calls(kThreads * kRounds);
+  std::atomic<int> write_calls{0};
+  std::atomic<int64_t> wrong{0};
+  std::atomic<int> running{2 * kThreads};
+
+  std::vector<Router::WriteOp> ops;
+  std::vector<std::string> written_keys;
+  for (int i = 0; i < 300; ++i) {  // three chunks of at most 128 ops
+    written_keys.push_back(Key(100 + i, 1));
+    ops.push_back({Router::WriteOp::Kind::kPut, written_keys.back(), "w"});
+  }
+  std::promise<void> written;
+  tc.router->MultiWrite(std::move(ops), AckMode::kPrimary, RequestOptions{},
+                        [&](std::vector<Status> statuses) {
+                          for (const Status& status : statuses) {
+                            if (!status.ok()) wrong.fetch_add(1);
+                          }
+                          if (write_calls.fetch_add(1) == 0) written.set_value();
+                        });
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        const size_t slot = static_cast<size_t>(t * kRounds + round);
+        std::promise<void> done;
+        tc.router->MultiGet(keys, RequestOptions{}, [&, slot](std::vector<Result<Record>> got) {
+          if (multiget_calls[slot].fetch_add(1) != 0) return;
+          for (size_t i = 0; i < got.size(); ++i) {
+            if (!got[i].ok() || got[i]->value != "v" + std::to_string(i)) wrong.fetch_add(1);
+          }
+          done.set_value();
+        });
+        if (done.get_future().wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+          wrong.fetch_add(1);
+          break;
+        }
+      }
+      running.fetch_sub(1);
+    });
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        const size_t slot = static_cast<size_t>(t * kRounds + round);
+        const int i = (t * kRounds + round) % kKeys;
+        std::promise<void> done;
+        tc.router->Get(keys[static_cast<size_t>(i)], RequestOptions{},
+                       [&, slot, i](Result<Record> got) {
+                         if (get_calls[slot].fetch_add(1) != 0) return;
+                         if (!got.ok() || got->value != "v" + std::to_string(i)) {
+                           wrong.fetch_add(1);
+                         }
+                         done.set_value();
+                       });
+        if (done.get_future().wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+          wrong.fetch_add(1);
+          break;
+        }
+      }
+      running.fetch_sub(1);
+    });
+  }
+  // The load signal is read live from this thread while the node works.
+  Duration max_delay = 0;
+  while (running.load() > 0) {
+    max_delay = std::max(max_delay, tc.cluster.NodeLoad(0).queue_delay);
+    std::this_thread::yield();
+  }
+  for (auto& thread : threads) thread.join();
+  ASSERT_EQ(written.get_future().wait_for(std::chrono::seconds(30)), std::future_status::ready);
+  EXPECT_GT(max_delay, 0);
+  EXPECT_EQ(wrong.load(), 0);
+  // A late second call would show here.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (size_t slot = 0; slot < multiget_calls.size(); ++slot) {
+    EXPECT_EQ(multiget_calls[slot].load(), 1) << slot;
+    EXPECT_EQ(get_calls[slot].load(), 1) << slot;
+  }
+  EXPECT_EQ(write_calls.load(), 1);
+  std::vector<Result<Record>> stored = client.MultiGetSync(written_keys);
+  for (const Result<Record>& record : stored) {
+    ASSERT_TRUE(record.ok()) << record.status().ToString();
+    EXPECT_EQ(record->value, "w");
+  }
 }
 
 // ------------------------------------------- window harvest under load --
