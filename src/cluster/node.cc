@@ -30,9 +30,16 @@ constexpr double kLoadEwmaAlpha = 0.2;
 constexpr Duration kQuantum = 320;
 // Past this much other work queued, long work enters the FIFO whole.
 constexpr Duration kShortWorkCap = 4 * kQuantum;
+// Outside a fallback a quantum waits behind at most kShortWorkCap of other
+// work, so a long request's next quantum ends within this of its last.
+constexpr Duration kLongCycle = kQuantum + kShortWorkCap;
 // A replication message that has waited this long goes before multi-key
-// reads, so it is acked before its primary resends it.
+// reads.
 constexpr Duration kReplicationPatience = kReplicationRetryBase / 2;
+// A message applied within this of its arrival is acked before its primary
+// resends it; the rest of the retry base covers the message's trip and the
+// ack's.
+constexpr Duration kReplicationDeadline = kReplicationRetryBase - 2 * kMillisecond;
 
 // A list whose first element lives inline: a channel message or ack with
 // one lane, the common case, takes no heap vector.
@@ -247,22 +254,27 @@ std::optional<Duration> StorageNode::Admit(Duration service, RequestPriority pri
     shed();
     return std::nullopt;
   }
-  if (sliced) {
-    *in_quanta = true;
-  } else {
-    AccrueBusy(now, service);
-    // Short work past the cap sends the queued long work to the FIFO.
-    if (long_backlog_.load(std::memory_order_relaxed) > 0) FeedLong(now);
-  }
   if (client) ++stats_.admitted_by_priority[pclass];
+  shed_ewma_.store(shed_ewma_.load(std::memory_order_relaxed) * (1.0 - kLoadEwmaAlpha),
+                   std::memory_order_relaxed);
   Duration sojourn = wait + service;
+  if (sliced) {
+    // Its sojourn is known, and recorded, when its last quantum ends.
+    *in_quanta = true;
+    return sojourn;
+  }
+  AccrueBusy(now, service);
+  // Short work past the cap sends the queued long work to the FIFO.
+  if (long_backlog_.load(std::memory_order_relaxed) > 0) FeedLong(now);
+  RecordSojourn(sojourn);
+  return sojourn;
+}
+
+void StorageNode::RecordSojourn(Duration sojourn) {
   sojourn_.Record(sojourn);
   double ewma = ewma_sojourn_.load(std::memory_order_relaxed);
   ewma_sojourn_.store(ewma + kLoadEwmaAlpha * (static_cast<double>(sojourn) - ewma),
                       std::memory_order_relaxed);
-  shed_ewma_.store(shed_ewma_.load(std::memory_order_relaxed) * (1.0 - kLoadEwmaAlpha),
-                   std::memory_order_relaxed);
-  return sojourn;
 }
 
 NodeLoadSignal StorageNode::load_signal() const {
@@ -883,25 +895,40 @@ void StorageNode::QueueLong(Duration service, LongRequest request) {
 }
 
 void StorageNode::FeedLong(Time now) {
-  if (ShortWork(now) > kShortWorkCap) {
+  // Outside a fallback the FIFO holds at most one long piece, the latest
+  // quantum; the rest of it is other work. After a fallback the long work
+  // committed whole counts as other work, so the node stays plain FIFO
+  // until its backlog drains.
+  const Duration short_work =
+      std::max<Duration>(0, busy_until_.load(std::memory_order_relaxed) - now) -
+      std::clamp<Duration>(quantum_end_ - now, 0, kQuantum);
+  if (short_work > kShortWorkCap) {
     // Overloaded: plain FIFO, so no long request starves.
     for (LongRequest& request : long_queue_) {
       if (request.remaining > 0) CommitLong(request, request.remaining, now);
     }
   } else if (now >= quantum_end_) {
-    // Multi-key reads first, then replication in arrival order, unless the
-    // oldest message has run out of patience.
+    // Multi-key reads first, then replication in arrival order, unless a
+    // message has run out of patience, or would miss its deadline if a read
+    // took this quantum: its quanta and those of the replication ahead of
+    // it each take up to a cycle.
     LongRequest* read = nullptr;
     LongRequest* apply = nullptr;
+    bool urgent = false;
+    int64_t cycles = 1;  // this quantum's
     for (LongRequest& request : long_queue_) {
       if (request.remaining == 0) continue;
-      LongRequest*& first = std::holds_alternative<LongRequest::Read>(request.step) ? read : apply;
-      if (first == nullptr) first = &request;
+      if (std::holds_alternative<LongRequest::Read>(request.step)) {
+        if (read == nullptr) read = &request;
+        continue;
+      }
+      if (apply == nullptr) apply = &request;
+      cycles += (request.remaining + kQuantum - 1) / kQuantum;
+      const Duration waited = now - request.arrived;
+      urgent = urgent || waited >= kReplicationPatience ||
+               waited + cycles * kLongCycle >= kReplicationDeadline;
     }
-    LongRequest* next =
-        apply != nullptr && (read == nullptr || now - apply->arrived >= kReplicationPatience)
-            ? apply
-            : read;
+    LongRequest* next = apply != nullptr && (read == nullptr || urgent) ? apply : read;
     if (next != nullptr) {
       CommitLong(*next, std::min(kQuantum, next->remaining), now);
       quantum_end_ = next->ends_at;
@@ -914,18 +941,8 @@ void StorageNode::CommitLong(LongRequest& request, Duration amount, Time now) {
   AccrueBusy(now, amount);
   request.remaining -= amount;
   request.ends_at = busy_until_.load(std::memory_order_relaxed);
-  long_pieces_.emplace_back(request.ends_at, amount);
   long_backlog_.store(long_backlog_.load(std::memory_order_relaxed) - amount,
                       std::memory_order_relaxed);
-}
-
-Duration StorageNode::ShortWork(Time now) {
-  auto served = std::find_if(long_pieces_.begin(), long_pieces_.end(),
-                             [now](const auto& piece) { return piece.first > now; });
-  long_pieces_.erase(long_pieces_.begin(), served);
-  Duration queued = std::max<Duration>(0, busy_until_.load(std::memory_order_relaxed) - now);
-  for (const auto& [end, length] : long_pieces_) queued -= std::min(length, end - now);
-  return queued;
 }
 
 void StorageNode::ArmLongTick(Time now) {
@@ -956,6 +973,7 @@ void StorageNode::LongTick() {
     LongRequest request = std::move(*due);
     long_queue_.erase(due);
     if (!alive_) continue;
+    RecordSojourn(now - request.arrived);
     if (auto* read = std::get_if<LongRequest::Read>(&request.step)) {
       ServeMultiGet(read->keys, std::move(read->respond));
     } else if (auto* message = std::get_if<LongRequest::Message>(&request.step)) {

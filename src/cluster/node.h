@@ -28,14 +28,17 @@
 // before it ends, so a point read (120 us) or a write (180 us) that
 // arrives meanwhile waits behind at most one quantum. The request's step
 // (engine read and reply, or apply and ack) runs when its last quantum
-// ends. The long queue serves multi-key reads before replication, unless a
-// message has waited half the replication retry base (25 ms), so it is
-// acked before its primary resends it. Once more than four quanta of other
-// work are queued, every queued long request joins the FIFO whole, in
-// arrival order: an overloaded node serves plain FIFO, and long work
-// cannot starve. A long request is shed or admitted whole at arrival, and
-// it is admitted whole under declared background utilization. Writes never
-// enter in quanta: a batch is one group commit.
+// ends, and its sojourn is recorded then. The long queue serves multi-key
+// reads before replication, unless a message has waited half the
+// replication retry base (25 ms), or its quanta, after those of the
+// replication ahead of it and each behind the most other work allowed,
+// could end too late for its ack to reach the primary before the primary
+// resends it. Once more than four quanta of other work are queued, every
+// queued long request joins the FIFO whole, in arrival order: an
+// overloaded node serves plain FIFO until its backlog drains, and long
+// work cannot starve. A long request is shed or admitted whole at arrival,
+// and it is admitted whole under declared background utilization. Writes
+// never enter in quanta: a batch is one group commit.
 //
 // Handlers are invoked via MessageFabric closures; responses are the caller's
 // responsibility to route back (the Router composes the return hop).
@@ -365,9 +368,13 @@ class StorageNode {
   /// With `in_quanta`, a request longer than a quantum on a node with no
   /// declared background utilization waits behind the long backlog too and
   /// reserves nothing: Admit sets *in_quanta and the caller hands the
-  /// request to QueueLong.
+  /// request to QueueLong, whose tick records its sojourn when its last
+  /// quantum ends.
   std::optional<Duration> Admit(Duration service, RequestPriority priority,
                                 bool client = true, bool* in_quanta = nullptr);
+  /// Adds a served request's sojourn to the histogram and the smoothed
+  /// sojourn of the load signal.
+  void RecordSojourn(Duration sojourn);
 
   /// Puts an admitted long request in the long queue with `service` to
   /// serve, and feeds the FIFO.
@@ -378,8 +385,6 @@ class StorageNode {
   void FeedLong(Time now);
   /// Commits `amount` of `request`'s service to the FIFO.
   void CommitLong(LongRequest& request, Duration amount, Time now);
-  /// FIFO work queued besides committed long work.
-  Duration ShortWork(Time now);
   /// Arms the long queue's one timer for its next quantum end, unless it
   /// is armed.
   void ArmLongTick(Time now);
@@ -470,11 +475,9 @@ class StorageNode {
   std::atomic<double> background_utilization_{0};
   std::atomic<Time> busy_until_{0};
   // The long queue: requests in arrival order, each with service left to
-  // commit or waiting for its last quantum to end; the (end, length) of
-  // each long piece in the FIFO not yet served; when the latest quantum
+  // commit or waiting for its last quantum to end; when the latest quantum
   // ends; whether the tick is armed; and the service left to commit.
   std::vector<LongRequest> long_queue_;
-  std::vector<std::pair<Time, Duration>> long_pieces_;
   Time quantum_end_ = 0;
   bool long_tick_armed_ = false;
   std::atomic<Duration> long_backlog_{0};

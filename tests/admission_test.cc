@@ -5,6 +5,7 @@
 // remaining deadline budget, and the node's long queue, which feeds
 // multi-key reads and replication to the FIFO in 320 us quanta.
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -387,7 +388,8 @@ struct ReplicaHarness : Harness {
   }
 
   // Writes `count` partition-0 keys at node 1 as one kAll batch. It applies
-  // and ships at once; its 128 records cost node 2 5,120 us (16 quanta).
+  // and ships at once; its records cost node 2 40 us each (128 records, 16
+  // quanta).
   void WriteBatch(int count, bool* acked) {
     std::vector<MultiWriteItem> items;
     for (const std::string& key : Keys(count, std::string(1, '\x01'))) {
@@ -467,6 +469,25 @@ TEST(LongQueueTest, PointReadOvertakesAMultiKeyRead) {
   EXPECT_EQ(long_at, 3295 + 120);
 }
 
+TEST(LongQueueTest, MultiKeyReadRecordsItsSojournWhenItsLastQuantumEnds) {
+  Harness h(1);
+  Time long_at = -1;
+  h.node(1)->HandleMultiGet(Keys(128), RequestPriority::kNormal,
+                            [&](MultiGetReply) { long_at = h.loop.Now(); });
+  // Ten point reads (1,200 us) slip in behind its fourth quantum, so it
+  // ends 1,200 us later than its 3,295 us of service.
+  h.loop.RunUntil(1000);
+  for (int i = 0; i < 10; ++i) {
+    ReadAtNode(h.node(1), "p" + std::to_string(i), RequestPriority::kNormal,
+               [](Result<Record>) {});
+  }
+  h.loop.RunUntil(10 * kMillisecond);
+  EXPECT_EQ(long_at, 3295 + 1200);
+  const LogHistogram& sojourn = h.node(1)->sojourn_histogram();
+  EXPECT_EQ(sojourn.count(), 11);
+  EXPECT_EQ(sojourn.max(), long_at);
+}
+
 TEST(LongQueueTest, DeclaredBackgroundLoadAdmitsLongRequestsWhole) {
   Harness h(1);
   h.node(1)->SetBackgroundLoad(0.01, 0);
@@ -501,7 +522,9 @@ TEST(LongQueueTest, MultiKeyReadGoesBeforeAMessagesRemainingQuanta) {
 TEST(LongQueueTest, MessageThatWaited25msGoesBeforeNewerReads) {
   ReplicaHarness h;
   bool acked = false;
-  h.WriteBatch(128, &acked);
+  // 96 records, 12 quanta: short enough that its deadline never beats its
+  // patience.
+  h.WriteBatch(96, &acked);
   h.loop.RunUntil(300);
   // 128-key reads (3,295 us) every 3 ms for 60 ms keep the read class busy
   // throughout; without the age rule the message would wait for all of them.
@@ -517,16 +540,43 @@ TEST(LongQueueTest, MessageThatWaited25msGoesBeforeNewerReads) {
   }
   h.RunUntilWatching(200 * kMillisecond);
   // It arrived at 200 and ran one quantum; from the first quantum boundary
-  // after 25,200 its other 15 quanta (4,800 us) go first.
-  EXPECT_GE(h.applied_at, 200 + 25000 + 4800);
-  EXPECT_LT(h.applied_at, 200 + 25000 + kQuantum + 4800);
+  // after 25,200 its other 11 quanta (3,520 us) go first.
+  EXPECT_GE(h.applied_at, 200 + 25000 + 3520);
+  EXPECT_LT(h.applied_at, 200 + 25000 + kQuantum + 3520);
   // Reads 0-6 (3,295 us each from 520) were done by then. Read 7, newer
   // than the message and in service when it ran out of patience, and every
   // later read answer after it; the primary never resent it.
   EXPECT_EQ(applied_at_read[6], 0);
-  EXPECT_EQ(applied_at_read[7], 128);
-  EXPECT_EQ(applied_at_read[kReads - 1], 128);
+  EXPECT_EQ(applied_at_read[7], 96);
+  EXPECT_EQ(applied_at_read[kReads - 1], 96);
   EXPECT_GT(read_at[kReads - 1], h.applied_at);
+  EXPECT_EQ(h.node(1)->stats().retransmits, 0);
+  EXPECT_TRUE(acked);
+}
+
+TEST(LongQueueTest, MessageIsAckedBeforeItsPrimaryResendsIt) {
+  ReplicaHarness h;
+  bool acked = false;
+  h.WriteBatch(128, &acked);  // at node 2 from 200
+  // Ten point readers, each sending its next read when the last one
+  // answers, hold up to 1,200 us of short work in the FIFO: just under four
+  // quanta, so each of the message's 16 quanta can wait that long without a
+  // fallback. Had the message waited out its 25 ms of patience, they would
+  // end past the primary's resend at 50 ms.
+  std::function<void()> point_read = [&] {
+    if (h.loop.Now() >= 80 * kMillisecond) return;
+    ReadAtNode(h.node(2), "p", RequestPriority::kNormal, [&](Result<Record>) { point_read(); });
+  };
+  for (int reader = 0; reader < 10; ++reader) point_read();
+  // 128-key reads, one in service when the message arrives and one more
+  // every 3 ms, keep the read class busy throughout.
+  for (int i = 0; i < 20; ++i) {
+    h.RunUntilWatching(100 + 3000 * i);
+    h.node(2)->HandleMultiGet(Keys(128), RequestPriority::kNormal, [](MultiGetReply) {});
+  }
+  h.RunUntilWatching(200 * kMillisecond);
+  EXPECT_GT(h.applied_at, 20 * kMillisecond);  // the reads went first for a while
+  EXPECT_LT(h.applied_at + 200, 50 * kMillisecond);
   EXPECT_EQ(h.node(1)->stats().retransmits, 0);
   EXPECT_TRUE(acked);
 }
