@@ -5,11 +5,18 @@
 // upcoming birthdays) and prints the compiled maintenance table; the run
 // then *exercises* each row of the table — a friendship write, a profile
 // birthday change — and reports the cascade fan-out, verifying each trigger
-// does bounded work.
+// does bounded work. It ends with a friends-of-friends query and the raw
+// records under each index prefix: the friend and friends-of-friends
+// indexes hold one record per user.
 
 #include <cstdio>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/benchjson.h"
+#include "common/strings.h"
 #include "core/scads.h"
 
 using namespace scads;  // NOLINT: benchmark brevity
@@ -83,7 +90,7 @@ int main() {
     (void)db->PutRowSync("friendships", edge, RequestOptions{});
   }
   db->DrainIndexQueue();
-  const MaintenanceStats& after_edges = db->maintainer()->stats();
+  MaintenanceStats after_edges = db->maintainer()->stats();  // a copy: the cascade alone
   std::printf("\nafter 10 friendship inserts (user 1 gains 10 friends):\n");
   std::printf("  maintenance tasks run: %lld, index entries written: %lld, lookups: %lld\n",
               static_cast<long long>(after_edges.tasks_enqueued),
@@ -110,9 +117,46 @@ int main() {
   std::printf("\nbirthday query after cascade: %zu rows, newest birthday last: %s\n",
               rows.ok() ? rows->size() : 0, ordered_ok ? "yes" : "NO");
 
-  bool shape_holds = ordered_ok && after_bday.budget_overruns == 0;
-  std::printf("shape check (Figure-3 rows present, cascade bounded, query sees it): %s\n",
-              shape_holds ? "PASS" : "FAIL");
+  // The cascade reached the friends-of-friends index: user 2's only friend
+  // is user 1, whose other friends are users 3-11.
+  auto fof = db->QuerySync("fof", {{"user_id", Value(int64_t{2})}}, RequestOptions{});
+  size_t fof_size = fof.ok() ? fof->size() : 0;
+  std::printf("fof query for user 2: %zu users (users 3-11 expected)\n", fof_size);
+
+  // Raw engine records under each index prefix, each counted once (on its
+  // partition's primary), and the users they are anchored at.
+  std::printf("\nindex records (primary copies):\n");
+  bool one_per_user = true;
+  std::vector<std::pair<const char*, int64_t>> index_records;
+  for (const char* index : {"adj_friendships", "idx_birthday", "idx_fof", "idx_friend"}) {
+    std::string prefix = std::string("i/") + index + "/";
+    int64_t records = 0;
+    std::set<std::string> users;
+    for (NodeId id : db->cluster()->AllNodes()) {
+      auto rows = db->cluster()->GetNode(id)->engine()->Scan(prefix, PrefixSuccessor(prefix), 0);
+      if (!rows.ok()) continue;
+      for (const Record& record : *rows) {
+        if (db->cluster()->partitions()->ForKey(record.key).primary() != id) continue;
+        ++records;
+        std::string_view rest = std::string_view(record.key).substr(prefix.size());
+        std::string_view anchor;
+        if (ConsumeKeyPiece(&rest, &anchor)) users.emplace(anchor);
+      }
+    }
+    std::printf("  %-16s %3lld records for %3zu users\n", index, static_cast<long long>(records),
+                users.size());
+    index_records.emplace_back(index, records);
+    if (index == std::string("adj_friendships") || index == std::string("idx_fof")) {
+      one_per_user = one_per_user && records == static_cast<int64_t>(users.size());
+    }
+  }
+
+  bool shape_holds =
+      ordered_ok && after_bday.budget_overruns == 0 && fof_size == 9 && one_per_user;
+  std::printf(
+      "shape check (Figure-3 rows present, cascade bounded, queries see it, one friend and "
+      "fof record per user): %s\n",
+      shape_holds ? "PASS" : "FAIL");
   BenchJson json("fig3_index_table");
   json.BeginRow("friendship_cascade");
   json.Add("tasks_enqueued", after_edges.tasks_enqueued);
@@ -121,6 +165,10 @@ int main() {
   json.BeginRow("birthday_change");
   json.Add("additional_entries", after_bday.entries_written - entries_before);
   json.Add("budget_overruns", after_bday.budget_overruns);
+  json.BeginRow("fof_query");
+  json.Add("users", static_cast<int64_t>(fof_size));
+  json.BeginRow("index_records");
+  for (const auto& [index, records] : index_records) json.Add(index, records);
   json.BeginRow("summary");
   json.Add("shape_check", shape_holds ? "PASS" : "FAIL");
   (void)json.Write();

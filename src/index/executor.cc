@@ -1,11 +1,11 @@
 #include "index/executor.h"
 
 #include <memory>
-#include <unordered_set>
 #include <utility>
 
 #include "cache/cache_directory.h"
 #include "common/strings.h"
+#include "graph/adjacency_codec.h"
 #include "index/keys.h"
 #include "index/scan.h"
 
@@ -69,12 +69,13 @@ void QueryExecutor::Execute(const QueryPlan& plan, const ParamMap& params,
       return;
     case QueryShape::kSelection:
     case QueryShape::kJoin:
-    case QueryShape::kAdjacency:
       ExecuteIndexScan(main, params, options, std::move(counted));
       return;
     case QueryShape::kTwoHop:
       ExecuteTwoHop(main, params, options, std::move(counted));
       return;
+    case QueryShape::kAdjacency:
+      break;  // a helper index of id lists, never a query's main plan
   }
   counted(InternalError("unhandled query shape"));
 }
@@ -168,36 +169,28 @@ void QueryExecutor::ExecuteTwoHop(const IndexPlan& plan, const ParamMap& params,
     callback(anchor.status());
     return;
   }
+  // The user's friends-of-friends are one record, a list in id order that
+  // leaves out the user: one scan (so it shares the scan cache, not the
+  // point cache) and a decode.
   std::string prefix = AnchorScanPrefix(plan, EncodeKeyValue(*anchor));
   size_t limit = plan.limit.has_value() ? static_cast<size_t>(*plan.limit) : 0;
-  std::string self_piece = EncodeKeyValue(*anchor);
   ScanPrefix(
-      prefix, limit, options,
-      [this, target, plan, self_piece, options,
+      prefix, /*limit=*/1, options,
+      [this, target, limit, options,
        callback = std::move(callback)](Result<std::vector<Record>> entries) mutable {
         if (!entries.ok()) {
           callback(entries.status());
           return;
         }
-        // Decode friend-of-friend pk pieces from entry keys; exclude self.
+        std::vector<uint64_t> ids;
+        if (!entries->empty() && !AdjacencyCodec::Decode(entries->front().value, &ids)) {
+          callback(InternalError("undecodable two-hop list"));
+          return;
+        }
+        if (limit != 0 && ids.size() > limit) ids.resize(limit);
         std::vector<std::string> base_keys;
-        std::unordered_set<std::string> seen;
-        for (const Record& entry : *entries) {
-          std::string_view key_view = entry.key;
-          key_view.remove_prefix(plan.KeyPrefix().size());
-          std::string_view user_piece, fof_piece;
-          if (!ConsumeKeyPiece(&key_view, &user_piece) ||
-              !ConsumeKeyPiece(&key_view, &fof_piece)) {
-            continue;
-          }
-          if (fof_piece == self_piece) continue;
-          std::string base_key = BaseRowKeyFromPiece(*target, fof_piece);
-          // Dedupe before the fan-out, keeping first-occurrence (index)
-          // order: a base row reachable through several index paths — the
-          // witness-counted fof entries normally collapse these, but graph-
-          // style callers can't rely on that — hydrates exactly once, so
-          // duplicate paths cost no extra per-key work downstream.
-          if (seen.insert(base_key).second) base_keys.push_back(std::move(base_key));
+        for (uint64_t id : ids) {
+          base_keys.push_back(BaseRowKeyFromPiece(*target, OrderedEncodeInt64(IdOfListId(id))));
         }
         // Hydrate the bounded base-row set with ONE batched read: the keys
         // go out as one message per storage node instead of a sequential

@@ -41,26 +41,14 @@ std::string JoinEntryKey(const IndexPlan& plan, std::string_view anchor_piece,
   return key;
 }
 
-std::string AdjacencyEntryKey(const IndexPlan& plan, std::string_view endpoint_piece,
-                              std::string_view other_piece) {
-  std::string key = plan.KeyPrefix();
-  AppendKeyPiece(&key, endpoint_piece);
-  AppendKeyPiece(&key, other_piece);
-  return key;
-}
-
-std::string TwoHopEntryKey(const IndexPlan& plan, std::string_view user_piece,
-                           std::string_view fof_piece) {
-  std::string key = plan.KeyPrefix();
-  AppendKeyPiece(&key, user_piece);
-  AppendKeyPiece(&key, fof_piece);
-  return key;
-}
-
 std::string AnchorScanPrefix(const IndexPlan& plan, std::string_view first_piece) {
   std::string key = plan.KeyPrefix();
   AppendKeyPiece(&key, first_piece);
   return key;
+}
+
+std::string ListKey(const IndexPlan& plan, uint64_t list_id) {
+  return AnchorScanPrefix(plan, OrderedEncodeInt64(IdOfListId(list_id)));
 }
 
 std::string BaseRowKeyFromPiece(const EntityDef& entity, std::string_view pk_piece) {

@@ -1,13 +1,13 @@
 #include "index/maintenance.h"
 
-#include <tuple>
+#include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/strings.h"
+#include "graph/adjacency_codec.h"
 #include "index/keys.h"
-#include "index/scan.h"
-#include "storage/codec.h"
 
 namespace scads {
 
@@ -19,15 +19,16 @@ std::string EndpointPiece(const Row& edge, const std::string& field) {
   return v == nullptr ? std::string() : EncodeKeyValue(*v);
 }
 
-std::string EncodeCount(int64_t count) {
-  std::string out;
-  PutFixed64(&out, static_cast<uint64_t>(count));
-  return out;
+/// The write that leaves `list` as `key`'s record: a put of its encoding,
+/// or a delete once it is empty.
+Router::WriteOp ListWrite(std::string key, const std::vector<uint64_t>& list) {
+  if (list.empty()) return {Router::WriteOp::Kind::kDelete, std::move(key), {}};
+  return {Router::WriteOp::Kind::kPut, std::move(key), AdjacencyCodec::Encode(list)};
 }
 
-int64_t DecodeCount(std::string_view bytes) {
-  if (bytes.size() != 8) return 0;
-  return static_cast<int64_t>(DecodeFixed64(bytes.data()));
+void SortUnique(std::vector<uint64_t>* ids) {
+  std::sort(ids->begin(), ids->end());
+  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
 }
 
 }  // namespace
@@ -77,57 +78,39 @@ void IndexMaintainer::FlushEntryOps(std::vector<Router::WriteOp> ops,
 
 void IndexMaintainer::OnBaseWrite(const std::string& entity, std::optional<Row> old_row,
                                   std::optional<Row> new_row) {
+  using Body = void (IndexMaintainer::*)(const Registered&, std::optional<Row>,
+                                         std::optional<Row>, std::function<void(Status)>);
   for (auto& [name, reg] : plans_) {
     const IndexPlan& plan = reg.plan;
-    Time deadline = loop_->Now() + DeadlineBound(reg);
     const Registered* registered = &reg;
+    auto enqueue = [&](const char* kind, Body body) {
+      ++stats_.tasks_enqueued;
+      queue_->Enqueue(loop_->Now() + DeadlineBound(reg), kind + plan.name,
+                      [this, registered, old_row, new_row, body](std::function<void(Status)> done) {
+                        (this->*body)(*registered, old_row, new_row, std::move(done));
+                      });
+    };
     switch (plan.shape) {
       case QueryShape::kPointLookup:
         break;  // no derived structure
       case QueryShape::kSelection:
-        if (plan.target_entity == entity) {
-          ++stats_.tasks_enqueued;
-          queue_->Enqueue(deadline, "sel:" + plan.name,
-                          [this, registered, old_row, new_row](std::function<void(Status)> done) {
-                            RunSelectionUpdate(*registered, old_row, new_row, std::move(done));
-                          });
-        }
+        if (plan.target_entity == entity) enqueue("sel:", &IndexMaintainer::RunSelectionUpdate);
         break;
       case QueryShape::kAdjacency:
-        if (plan.edge_entity == entity) {
-          ++stats_.tasks_enqueued;
-          queue_->Enqueue(deadline, "adj:" + plan.name,
-                          [this, registered, old_row, new_row](std::function<void(Status)> done) {
-                            RunAdjacencyUpdate(*registered, old_row, new_row, std::move(done));
-                          });
-        }
+        if (plan.edge_entity == entity) enqueue("adj:", &IndexMaintainer::RunAdjacencyUpdate);
         break;
       case QueryShape::kJoin:
         if (plan.edge_entity == entity) {
-          ++stats_.tasks_enqueued;
-          queue_->Enqueue(deadline, "join-edge:" + plan.name,
-                          [this, registered, old_row, new_row](std::function<void(Status)> done) {
-                            RunJoinEdgeUpdate(*registered, old_row, new_row, std::move(done));
-                          });
+          enqueue("join-edge:", &IndexMaintainer::RunJoinEdgeUpdate);
         }
         if (plan.target_entity == entity) {
-          ++stats_.tasks_enqueued;
-          queue_->Enqueue(deadline, "join-target:" + plan.name,
-                          [this, registered, old_row, new_row](std::function<void(Status)> done) {
-                            RunJoinTargetUpdate(*registered, old_row, new_row, std::move(done));
-                          });
+          enqueue("join-target:", &IndexMaintainer::RunJoinTargetUpdate);
         }
         break;
       case QueryShape::kTwoHop:
         // Cascaded from the adjacency index (Figure 3): fires on the same
         // edge change, after the adjacency task (strict queue order).
-        if (plan.edge_entity == entity) {
-          ++stats_.tasks_enqueued;
-          queue_->Enqueue(deadline, "twohop:" + plan.name,
-                          [this, registered, old_row, new_row](std::function<void(Status)> done) {
-                            RunTwoHopUpdate(*registered, old_row, new_row, std::move(done));
-                          });
-        }
+        if (plan.edge_entity == entity) enqueue("twohop:", &IndexMaintainer::RunTwoHopUpdate);
         break;
     }
   }
@@ -177,31 +160,79 @@ void IndexMaintainer::RunSelectionUpdate(const Registered& reg, std::optional<Ro
   FlushEntryOps(std::move(ops), std::move(done));
 }
 
+void IndexMaintainer::ReadLists(const IndexPlan& plan, std::vector<uint64_t> ids, int hops,
+                                std::shared_ptr<Lists> lists, std::function<void(Status)> done,
+                                Next next) {
+  SortUnique(&ids);
+  std::vector<uint64_t> missing;
+  std::vector<std::string> keys;
+  for (uint64_t id : ids) {
+    if (lists->count(id) > 0) continue;
+    missing.push_back(id);
+    keys.push_back(ListKey(plan, id));
+  }
+  stats_.lookups += static_cast<int64_t>(keys.size());
+  RequestOptions pinned;  // lists are read-modify-write on the primary
+  pinned.read_mode = ReadMode::kPrimaryOnly;
+  router_->MultiGet(keys, pinned,
+                    [this, &plan, ids = std::move(ids), hops, missing = std::move(missing), lists,
+                     done = std::move(done),
+                     next = std::move(next)](std::vector<Result<Record>> records) mutable {
+    for (size_t i = 0; i < records.size(); ++i) {
+      std::vector<uint64_t>& list = (*lists)[missing[i]];  // absent: empty
+      if (records[i].ok() ? !AdjacencyCodec::Decode(records[i]->value, &list)
+                          : !IsNotFound(records[i].status())) {
+        done(records[i].ok() ? InternalError("undecodable index list") : records[i].status());
+        return;
+      }
+    }
+    if (hops == 1) {
+      next(std::move(done));
+      return;
+    }
+    std::vector<uint64_t> neighbors;
+    for (uint64_t id : ids) {
+      neighbors.insert(neighbors.end(), (*lists)[id].begin(), (*lists)[id].end());
+    }
+    ReadLists(plan, std::move(neighbors), hops - 1, lists, std::move(done), std::move(next));
+  });
+}
+
 void IndexMaintainer::RunAdjacencyUpdate(const Registered& reg, std::optional<Row> old_edge,
                                          std::optional<Row> new_edge,
                                          std::function<void(Status)> done) {
   const IndexPlan& plan = reg.plan;
-  const EntityDef* edge_entity = catalog_->Get(plan.edge_entity);
-  // Delete-old + insert-new, both directions, as one batched write. An
-  // unchanged key (old and new edge share endpoints) coalesces inside
-  // MultiWrite to the later put — the same final state the sequential
-  // delete-then-put produced.
-  std::vector<Router::WriteOp> ops;
-  if (old_edge.has_value()) {
-    std::string a = EndpointPiece(*old_edge, plan.edge_param_field);
-    std::string b = EndpointPiece(*old_edge, plan.edge_other_field);
-    ops.push_back({Router::WriteOp::Kind::kDelete, AdjacencyEntryKey(plan, a, b), {}});
-    ops.push_back({Router::WriteOp::Kind::kDelete, AdjacencyEntryKey(plan, b, a), {}});
+  // The endpoints of the old edge, then of the new one. Each old endpoint
+  // leaves the other's list, then each new one joins it. Removing an absent
+  // id or adding a present one changes nothing, so a task redone writes the
+  // same lists.
+  std::vector<uint64_t> ends;
+  for (const std::optional<Row>* edge : {&old_edge, &new_edge}) {
+    if (!edge->has_value()) continue;
+    ends.push_back(ListId((*edge)->GetInt(plan.edge_param_field)));
+    ends.push_back(ListId((*edge)->GetInt(plan.edge_other_field)));
   }
-  if (new_edge.has_value()) {
-    std::string a = EndpointPiece(*new_edge, plan.edge_param_field);
-    std::string b = EndpointPiece(*new_edge, plan.edge_other_field);
-    std::string value = EncodeRow(*edge_entity, *new_edge);
-    ops.push_back({Router::WriteOp::Kind::kPut, AdjacencyEntryKey(plan, a, b), value});
-    ops.push_back({Router::WriteOp::Kind::kPut, AdjacencyEntryKey(plan, b, a), value});
-  }
-  // Entry-write failures are tolerated here, as in the sequential path.
-  FlushEntryOps(std::move(ops), [done = std::move(done)](Status) { done(Status::Ok()); });
+  auto lists = std::make_shared<Lists>();
+  ReadLists(plan, ends, 1, lists, std::move(done),
+            [this, &plan, ends, lists, removed = old_edge.has_value()](auto done) {
+              for (size_t i = 0; i < ends.size(); ++i) {
+                std::vector<uint64_t>& list = (*lists)[ends[i]];
+                uint64_t other = ends[i ^ 1];  // the other endpoint of its edge
+                if (removed && i < 2) {
+                  std::erase(list, other);
+                } else {
+                  list.push_back(other);
+                  SortUnique(&list);
+                }
+              }
+              std::vector<Router::WriteOp> ops;
+              for (const auto& [id, list] : *lists) {
+                ops.push_back(ListWrite(ListKey(plan, id), list));
+              }
+              // List-write failures are tolerated here, as in the other paths.
+              FlushEntryOps(std::move(ops),
+                            [done = std::move(done)](Status) { done(Status::Ok()); });
+            });
 }
 
 void IndexMaintainer::RunJoinEdgeUpdate(const Registered& reg, std::optional<Row> old_edge,
@@ -269,8 +300,9 @@ void IndexMaintainer::RunJoinTargetUpdate(const Registered& reg, std::optional<R
   const EntityDef* target = catalog_->Get(plan.target_entity);
   const Row& pk_source = new_row.has_value() ? *new_row : *old_row;
   const Value* pk = pk_source.Get(target->key_fields[0]);
-  if (pk == nullptr) {
-    done(InvalidArgumentError("target row missing key"));
+  const int64_t* id = pk == nullptr ? nullptr : std::get_if<int64_t>(pk);
+  if (id == nullptr) {
+    done(InvalidArgumentError("target row missing int64 key"));
     return;
   }
   std::string pk_piece = EncodeKeyValue(*pk);
@@ -279,16 +311,12 @@ void IndexMaintainer::RunJoinTargetUpdate(const Registered& reg, std::optional<R
     done(FailedPreconditionError("adjacency index not registered: " + plan.adjacency_index));
     return;
   }
-  // Neighbors = adjacency slice anchored at this row's key.
-  ++stats_.lookups;
-  MultiScanPrefix(
-      router_, cluster_, AnchorScanPrefix(*adjacency, pk_piece), /*limit=*/0,
-      [this, &reg, target, pk_piece, old_row, new_row,
-       done = std::move(done)](Result<std::vector<Record>> neighbors) mutable {
-        if (!neighbors.ok()) {
-          done(neighbors.status());
-          return;
-        }
+  // Neighbors = the adjacency list of this row's key.
+  uint64_t list_id = ListId(*id);
+  auto lists = std::make_shared<Lists>();
+  ReadLists(
+      *adjacency, {list_id}, 1, lists, std::move(done),
+      [this, &reg, target, pk_piece, old_row, new_row, list_id, lists](auto done) {
         const IndexPlan& plan = reg.plan;
         std::string old_order =
             old_row.has_value() ? OrderPieceForRow(plan, *old_row) : std::string();
@@ -300,16 +328,8 @@ void IndexMaintainer::RunJoinTargetUpdate(const Registered& reg, std::optional<R
         // the order value is unchanged, the delete and put share a key and
         // coalesce to the put — the sequential path's final state.
         std::vector<Router::WriteOp> ops;
-        for (const Record& entry : *neighbors) {
-          // Key layout: prefix piece(pk) piece(neighbor).
-          std::string_view key_view = entry.key;
-          const IndexPlan* adjacency = GetPlan(plan.adjacency_index);
-          key_view.remove_prefix(adjacency->KeyPrefix().size());
-          std::string_view anchor_piece, neighbor_piece;
-          if (!ConsumeKeyPiece(&key_view, &anchor_piece) ||
-              !ConsumeKeyPiece(&key_view, &neighbor_piece)) {
-            continue;
-          }
+        for (uint64_t neighbor : (*lists)[list_id]) {
+          std::string neighbor_piece = OrderedEncodeInt64(IdOfListId(neighbor));
           if (old_row.has_value()) {
             ops.push_back({Router::WriteOp::Kind::kDelete,
                            JoinEntryKey(plan, neighbor_piece, old_order, pk_piece), {}});
@@ -333,132 +353,94 @@ void IndexMaintainer::RunTwoHopUpdate(const Registered& reg, std::optional<Row> 
     done(FailedPreconditionError("adjacency index not registered: " + plan.adjacency_index));
     return;
   }
-  // Process the removed edge (delta -1) then the added edge (delta +1).
-  struct EdgeDelta {
-    std::string x;
-    std::string y;
-    int delta;
+  auto ends = [&plan](const Row& edge) {
+    return std::pair{ListId(edge.GetInt(plan.edge_param_field)),
+                     ListId(edge.GetInt(plan.edge_other_field))};
   };
-  auto edges = std::make_shared<std::vector<EdgeDelta>>();
-  if (old_edge.has_value()) {
-    edges->push_back(EdgeDelta{EndpointPiece(*old_edge, plan.edge_param_field),
-                               EndpointPiece(*old_edge, plan.edge_other_field), -1});
-  }
+  // The removed edge's recompute, then the added edge's union. An edge
+  // rewritten with the same endpoints leaves the graph as it was, so only
+  // its union runs (a no-op on a current index).
   if (new_edge.has_value()) {
-    edges->push_back(EdgeDelta{EndpointPiece(*new_edge, plan.edge_param_field),
-                               EndpointPiece(*new_edge, plan.edge_other_field), +1});
+    done = [this, &reg, adjacency, edge = ends(*new_edge),
+            done = std::move(done)](Status status) mutable {
+      if (!status.ok()) {
+        done(std::move(status));
+        return;
+      }
+      UnionTwoHop(reg, *adjacency, edge.first, edge.second, std::move(done));
+    };
   }
-
-  auto process = std::make_shared<std::function<void(size_t)>>();
-  // The driver captures itself weakly (a strong self-capture would be a
-  // shared_ptr cycle and leak); the pending continuations below hold the
-  // strong reference that keeps the chain alive.
-  std::weak_ptr<std::function<void(size_t)>> process_weak = process;
-  *process = [this, edges, process_weak, &reg, adjacency, done = std::move(done)](size_t e) {
-    if (e >= edges->size()) {
-      done(Status::Ok());
-      return;
-    }
-    auto process = process_weak.lock();
-    const EdgeDelta edge = (*edges)[e];
-    // Gather N(x) and N(y) from the adjacency index.
-    ++stats_.lookups;
-    MultiScanPrefix(
-        router_, cluster_, AnchorScanPrefix(*adjacency, edge.x), 0,
-        [this, edges, process, &reg, adjacency, edge, e](Result<std::vector<Record>> nx) {
-          if (!nx.ok()) {
-            (*process)(e + 1);
-            return;
-          }
-          ++stats_.lookups;
-          MultiScanPrefix(
-              router_, cluster_, AnchorScanPrefix(*adjacency, edge.y), 0,
-              [this, edges, process, &reg, adjacency, edge, e,
-               nx = std::move(nx)](Result<std::vector<Record>> ny) {
-                if (!ny.ok()) {
-                  (*process)(e + 1);
-                  return;
-                }
-                auto neighbor_pieces = [&](const std::vector<Record>& entries,
-                                           std::string_view exclude) {
-                  std::vector<std::string> out;
-                  for (const Record& entry : entries) {
-                    std::string_view key_view = entry.key;
-                    key_view.remove_prefix(adjacency->KeyPrefix().size());
-                    std::string_view anchor_piece, neighbor_piece;
-                    if (!ConsumeKeyPiece(&key_view, &anchor_piece) ||
-                        !ConsumeKeyPiece(&key_view, &neighbor_piece)) {
-                      continue;
-                    }
-                    if (neighbor_piece == exclude) continue;
-                    out.emplace_back(neighbor_piece);
-                  }
-                  return out;
-                };
-                std::vector<std::string> n_of_x = neighbor_pieces(*nx, edge.y);
-                std::vector<std::string> n_of_y = neighbor_pieces(*ny, edge.x);
-                // Witness deltas: paths of length two gained/lost via this
-                // edge. u-x-y for u in N(x): pairs (u,y) and (y,u); x-y-w
-                // for w in N(y): pairs (x,w) and (w,x).
-                std::vector<std::tuple<std::string, std::string, int>> deltas;
-                for (const std::string& u : n_of_x) {
-                  if (u == edge.y) continue;
-                  deltas.emplace_back(u, edge.y, edge.delta);
-                  deltas.emplace_back(edge.y, u, edge.delta);
-                }
-                for (const std::string& w : n_of_y) {
-                  if (w == edge.x) continue;
-                  deltas.emplace_back(edge.x, w, edge.delta);
-                  deltas.emplace_back(w, edge.x, edge.delta);
-                }
-                if (deltas.size() > static_cast<size_t>(reg.plan.update_cost)) {
-                  ++stats_.budget_overruns;
-                }
-                ApplyWitnessDeltas(reg, std::move(deltas),
-                                   [process, e](Status) { (*process)(e + 1); });
-              });
-        });
-  };
-  (*process)(0);
+  if (old_edge.has_value() && (!new_edge.has_value() || ends(*old_edge) != ends(*new_edge))) {
+    auto [x, y] = ends(*old_edge);
+    RecomputeTwoHop(reg, *adjacency, x, y, std::move(done));
+    return;
+  }
+  done(Status::Ok());
 }
 
-void IndexMaintainer::ApplyWitnessDeltas(
-    const Registered& reg, std::vector<std::tuple<std::string, std::string, int>> deltas,
-    std::function<void(Status)> done) {
-  // Net delta per entry key. Sequential application was count += delta one
-  // read-modify-write at a time; summing per key first gives the same final
-  // count with ONE batched read and ONE batched write for the whole edge.
-  std::map<std::string, int64_t> net;
-  std::vector<std::string> keys;  // first-appearance order
-  for (const auto& [a, b, delta] : deltas) {
-    if (a == b) continue;
-    std::string key = TwoHopEntryKey(reg.plan, a, b);
-    auto [it, inserted] = net.emplace(std::move(key), 0);
-    if (inserted) keys.push_back(it->first);
-    it->second += delta;
-  }
-  stats_.lookups += static_cast<int64_t>(keys.size());
-  RequestOptions pinned;  // counters are read-modify-write on the primary
-  pinned.read_mode = ReadMode::kPrimaryOnly;
-  router_->MultiGet(
-      keys, pinned,
-      [this, keys, net = std::move(net),
-       done = std::move(done)](std::vector<Result<Record>> current) mutable {
-        std::vector<Router::WriteOp> ops;
-        for (size_t i = 0; i < keys.size(); ++i) {
-          int64_t count = current[i].ok() ? DecodeCount(current[i]->value) : 0;
-          count += net.find(keys[i])->second;
-          if (count <= 0) {
-            if (current[i].ok()) {
-              ops.push_back({Router::WriteOp::Kind::kDelete, keys[i], {}});
-            }
-          } else {
-            ops.push_back({Router::WriteOp::Kind::kPut, keys[i], EncodeCount(count)});
-          }
+void IndexMaintainer::UnionTwoHop(const Registered& reg, const IndexPlan& adjacency, uint64_t x,
+                                  uint64_t y, std::function<void(Status)> done) {
+  auto adj = std::make_shared<Lists>();
+  ReadLists(adjacency, {x, y}, 1, adj, std::move(done), [this, &reg, x, y, adj](auto done) {
+    // The paths the edge opens: x-y-w for w in N(y), and u-x-y for u in
+    // N(x). Each runs both ways, so w and x gain each other, as do u and y.
+    auto gains = std::make_shared<Lists>();
+    for (auto [self, other] : {std::pair{x, y}, std::pair{y, x}}) {
+      for (uint64_t id : (*adj)[other]) {
+        if (id == self) continue;
+        (*gains)[self].push_back(id);
+        (*gains)[id].push_back(self);
+      }
+    }
+    std::vector<uint64_t> users;
+    for (const auto& [user, ids] : *gains) users.push_back(user);
+    auto lists = std::make_shared<Lists>();
+    ReadLists(reg.plan, users, 1, lists, std::move(done), [this, &reg, gains, lists](auto done) {
+      std::vector<Router::WriteOp> ops;
+      for (auto& [user, ids] : *gains) {
+        SortUnique(&ids);
+        const std::vector<uint64_t>& list = (*lists)[user];
+        std::vector<uint64_t> merged;
+        merged.reserve(list.size() + ids.size());
+        std::set_union(list.begin(), list.end(), ids.begin(), ids.end(),
+                       std::back_inserter(merged));
+        if (merged.size() > list.size()) ops.push_back(ListWrite(ListKey(reg.plan, user), merged));
+      }
+      if (ops.size() > static_cast<size_t>(reg.plan.update_cost)) ++stats_.budget_overruns;
+      FlushEntryOps(std::move(ops), [done = std::move(done)](Status) { done(Status::Ok()); });
+    });
+  });
+}
+
+void IndexMaintainer::RecomputeTwoHop(const Registered& reg, const IndexPlan& adjacency,
+                                      uint64_t x, uint64_t y, std::function<void(Status)> done) {
+  // The adjacency lists of x and y, of their friends, and of those
+  // friends' friends.
+  auto adj = std::make_shared<Lists>();
+  ReadLists(adjacency, {x, y}, 3, adj, std::move(done), [this, &reg, x, y, adj](auto done) {
+    // The edge leaves both lists here too, in case its adjacency task has
+    // not run yet.
+    std::erase((*adj)[x], y);
+    std::erase((*adj)[y], x);
+    std::vector<uint64_t> users = (*adj)[x];
+    users.insert(users.end(), (*adj)[y].begin(), (*adj)[y].end());
+    users.push_back(x);
+    users.push_back(y);
+    SortUnique(&users);
+    std::vector<Router::WriteOp> ops;
+    for (uint64_t user : users) {
+      std::vector<uint64_t> fof;
+      for (uint64_t friend_id : (*adj)[user]) {
+        for (uint64_t id : (*adj)[friend_id]) {
+          if (id != user) fof.push_back(id);
         }
-        // Count-entry write failures are tolerated, as before.
-        FlushEntryOps(std::move(ops), [done = std::move(done)](Status) { done(Status::Ok()); });
-      });
+      }
+      SortUnique(&fof);
+      ops.push_back(ListWrite(ListKey(reg.plan, user), fof));
+    }
+    if (ops.size() > static_cast<size_t>(reg.plan.update_cost)) ++stats_.budget_overruns;
+    FlushEntryOps(std::move(ops), [done = std::move(done)](Status) { done(Status::Ok()); });
+  });
 }
 
 }  // namespace scads

@@ -7,6 +7,13 @@
 // adjacency/"friend" index) fire when the adjacency task completes —
 // "updatable structures may themselves be specified as tables".
 //
+// Adjacency and two-hop indexes hold one id list per user (index/keys.h),
+// read and rewritten whole on the primary. An added edge (x, y) reads the
+// lists of x and y, then the two-hop lists of x, y and their friends in one
+// batch, unions in the ids each gains and writes those that grew in one
+// batch; a removed edge recomputes the same users' lists from their
+// friends' adjacency lists. A task redone writes nothing new.
+//
 // Each task's router-operation count is tracked against the plan's
 // update_cost bound; overruns are counted (they indicate a planner bug or a
 // violated fan-out cap).
@@ -83,14 +90,22 @@ class IndexMaintainer {
   void RunTwoHopUpdate(const Registered& reg, std::optional<Row> old_edge,
                        std::optional<Row> new_edge, std::function<void(Status)> done);
 
-  /// Applies witness-count deltas for an edge change of a two-hop plan:
-  /// deltas are grouped per entry key, the current counts are read with one
-  /// batched (primary-pinned) MultiGet, and the new counts flush as one
-  /// batched write.
-  void ApplyWitnessDeltas(
-      const Registered& reg,
-      std::vector<std::tuple<std::string, std::string, int>> deltas,
-      std::function<void(Status)> done);
+  /// Adjacency or two-hop lists, by user (index/keys.h).
+  using Lists = std::map<uint64_t, std::vector<uint64_t>>;
+  /// A task's next step, handed the task's done() to call or pass on.
+  using Next = std::function<void(std::function<void(Status)>)>;
+
+  /// Adds to `*lists` the lists in `plan` of the `ids` it lacks (absent: empty)
+  /// with one primary-pinned MultiGet, then, while `hops` > 1, those of the
+  /// ids they list. Runs `next`, or done() with the first failed read.
+  void ReadLists(const IndexPlan& plan, std::vector<uint64_t> ids, int hops,
+                 std::shared_ptr<Lists> lists, std::function<void(Status)> done, Next next);
+
+  /// The two-hop task of an added edge (x, y), and of a removed one.
+  void UnionTwoHop(const Registered& reg, const IndexPlan& adjacency, uint64_t x, uint64_t y,
+                   std::function<void(Status)> done);
+  void RecomputeTwoHop(const Registered& reg, const IndexPlan& adjacency, uint64_t x,
+                       uint64_t y, std::function<void(Status)> done);
 
   /// Flushes index-entry mutations as one batched write (one message per
   /// owning primary); done() gets the first per-op failure, or Ok. Callers

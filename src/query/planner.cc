@@ -60,9 +60,18 @@ IndexPlan MakeAdjacencyPlan(const EntityDef& edge, const std::string& field_a,
   plan.edge_param_field = field_a;
   plan.edge_other_field = field_b;
   plan.symmetric = true;  // adjacency stores both directions
-  plan.update_cost = 4;   // two directed entries, delete+insert each
+  plan.update_cost = 4;   // the endpoints' lists, of the old edge and the new
   plan.maintenance.push_back(MaintenanceEntry{plan.name, edge.name, "*"});
   return plan;
+}
+
+/// Adjacency and two-hop indexes store an edge's endpoints as lists of
+/// int64 ids (index/keys.h).
+bool IdEndpoints(const EntityDef& edge, const IndexPlan& plan) {
+  const FieldDef* a = edge.FindField(plan.edge_param_field);
+  const FieldDef* b = edge.FindField(plan.edge_other_field);
+  return a != nullptr && b != nullptr && a->type == FieldType::kInt64 &&
+         b->type == FieldType::kInt64;
 }
 
 }  // namespace
@@ -171,6 +180,7 @@ Result<QueryPlan> PlanQuery(const Catalog& catalog, const std::string& query_nam
     plan.limit = query.limit;
     plan.bounds = bounds;
     plan.adjacency_index = AdjacencyIndexName(edge->name);
+    if (!IdEndpoints(*edge, plan)) return UnimplementedError("edge endpoints must be int64 ids");
 
     // Update cost: edge write -> lookup target + (delete+insert) per
     // direction; target write -> one entry per referring edge (capped).
@@ -235,6 +245,7 @@ Result<QueryPlan> PlanQuery(const Catalog& catalog, const std::string& query_nam
     plan.limit = query.limit;
     plan.bounds = bounds;
     plan.adjacency_index = AdjacencyIndexName(edge->name);
+    if (!IdEndpoints(*edge, plan)) return UnimplementedError("edge endpoints must be int64 ids");
 
     std::optional<int64_t> cap_a = edge->FanoutCap(plan.edge_param_field);
     std::optional<int64_t> cap_b = edge->FanoutCap(plan.edge_other_field);
@@ -243,7 +254,7 @@ Result<QueryPlan> PlanQuery(const Catalog& catalog, const std::string& query_nam
           "two-hop over '%s' needs fan-out caps on both endpoint fields", edge->name.c_str()));
     }
     int64_t cap = std::max(*cap_a, *cap_b);
-    plan.update_cost = 4 * cap;  // witness updates through both endpoints
+    plan.update_cost = 2 * cap + 2;  // the lists of the endpoints and their friends
     if (plan.update_cost > config.max_update_cost) {
       return FailedPreconditionError(
           StrFormat("two-hop update cost %lld exceeds budget %lld",

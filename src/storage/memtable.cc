@@ -356,7 +356,11 @@ MemTable::Entry* MemTable::FindMutable(std::string_view key) {
 void MemTable::Assign(Entry* entry, std::string_view value, Version version, bool tombstone) {
   payload_bytes_ += value.size();
   payload_bytes_ -= entry->value_size_;
-  if (value.size() > entry->value_size_) entry->value_data_ = arena_.Allocate(value.size());
+  if (value.size() > entry->value_capacity_) {
+    size_t capacity = entry->value_capacity_ == 0 ? value.size() : std::bit_ceil(value.size());
+    entry->value_data_ = arena_.Allocate(capacity);
+    entry->value_capacity_ = static_cast<uint32_t>(capacity);
+  }
   if (!value.empty()) std::memcpy(entry->value_data_, value.data(), value.size());
   entry->value_size_ = static_cast<uint32_t>(value.size());
   entry->timestamp_ = version.timestamp;

@@ -40,9 +40,10 @@ class MemTable {
   ///   [ header (this class, 32 B) ][ key bytes ]
   ///
   /// The key sits inline after the header, so no entry carries a key
-  /// pointer. The value lives in its own arena range: Assign rewrites it in
-  /// place when the new value is no longer than the current one, and only a
-  /// longer value takes a fresh range (stranding the old one).
+  /// pointer. The value lives in its own arena range, first sized to the
+  /// first value: Assign rewrites it in place while the new value fits, and
+  /// a longer value takes a fresh range of the next power of two (stranding
+  /// the old one), so a value rewritten ever longer strands O(final size).
   class Entry {
    public:
     std::string_view key() const {
@@ -54,14 +55,15 @@ class MemTable {
 
    private:
     friend class MemTable;
-    explicit Entry(uint32_t key_size) : key_size_(key_size) {}
+    explicit Entry(uint32_t key_size) : key_size_(key_size), tombstone_(false) {}
 
     char* value_data_ = nullptr;
     Time timestamp_ = 0;  // Version, split so the header packs without padding
     NodeId writer_ = kInvalidNode;
     uint32_t value_size_ = 0;
-    uint32_t key_size_;
-    bool tombstone_ = false;
+    uint32_t value_capacity_ = 0;  // bytes of value_data_'s range
+    uint32_t key_size_ : 31;
+    uint32_t tombstone_ : 1;
   };
   static_assert(sizeof(Entry) <= 32, "memtable entry header must stay within 32 bytes");
 
@@ -80,9 +82,9 @@ class MemTable {
   const Entry* Find(std::string_view key) const;
   Entry* FindMutable(std::string_view key);
 
-  /// Sets `entry`'s value, version and tombstone flag. A value no longer
-  /// than the current one is written over the current bytes; a longer one
-  /// is copied into a fresh arena range.
+  /// Sets `entry`'s value, version and tombstone flag. A value that fits
+  /// the entry's range is written over its bytes; a longer one is copied
+  /// into a fresh arena range (see Entry).
   void Assign(Entry* entry, std::string_view value, Version version, bool tombstone);
 
   /// Number of keys, including tombstoned ones.
@@ -93,7 +95,7 @@ class MemTable {
 
   /// Arena bytes actually handed out: entries (header and key), tree nodes
   /// and value ranges, including the ranges that a longer value replaced
-  /// (the arena never frees). A value overwritten in place strands nothing.
+  /// (the arena never frees). A value that fits its range strands nothing.
   size_t bytes_allocated() const { return arena_.BytesAllocated(); }
 
   /// Live payload bytes: key bytes plus each key's *current* value bytes.

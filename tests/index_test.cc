@@ -2,13 +2,19 @@
 // index maintenance + execution of the paper's example queries on a live
 // simulated cluster.
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster_state.h"
 #include "cluster/node.h"
 #include "cluster/router.h"
+#include "common/rng.h"
+#include "common/strings.h"
 #include "gtest/gtest.h"
 #include "index/executor.h"
 #include "index/keys.h"
@@ -129,7 +135,7 @@ TEST(UpdateQueueTest, FailuresCounted) {
 
 constexpr NodeId kClient = 1000;
 
-Catalog SocialCatalog() {
+Catalog SocialCatalog(int64_t friend_cap) {
   Catalog catalog;
   EntityDef profiles;
   profiles.name = "profiles";
@@ -142,8 +148,8 @@ Catalog SocialCatalog() {
   friendships.name = "friendships";
   friendships.fields = {{"f1", FieldType::kInt64}, {"f2", FieldType::kInt64}};
   friendships.key_fields = {"f1", "f2"};
-  friendships.fanout_caps["f1"] = 100;
-  friendships.fanout_caps["f2"] = 100;
+  friendships.fanout_caps["f1"] = friend_cap;
+  friendships.fanout_caps["f2"] = friend_cap;
   EXPECT_TRUE(catalog.AddEntity(friendships).ok());
   EntityDef listings;
   listings.name = "listings";
@@ -166,8 +172,17 @@ struct MiniScads {
   std::unique_ptr<IndexMaintainer> maintainer;
   std::unique_ptr<QueryExecutor> executor;
   std::map<std::string, QueryPlan> queries;
+  /// Every base change handed to maintenance, in order, so a test can
+  /// enqueue one again as a retry would.
+  struct Change {
+    std::string entity;
+    std::optional<Row> old_row;
+    std::optional<Row> new_row;
+  };
+  std::vector<Change> changes;
 
-  MiniScads() : network(&loop, 3), catalog(SocialCatalog()), queue(&loop) {
+  explicit MiniScads(int64_t friend_cap = 100)
+      : network(&loop, 3), catalog(SocialCatalog(friend_cap)), queue(&loop) {
     std::vector<NodeId> ids;
     for (int i = 0; i < 3; ++i) {
       auto node = std::make_unique<StorageNode>(i, &loop, &network, &cluster, NodeConfig{},
@@ -230,7 +245,8 @@ struct MiniScads {
         if (decoded.ok()) old_row = *decoded;
       }
       if (!put && !old_row.has_value()) return;
-      maintainer->OnBaseWrite(entity->name, old_row, put ? std::optional<Row>(row) : std::nullopt);
+      changes.push_back({entity->name, old_row, put ? std::optional<Row>(row) : std::nullopt});
+      maintainer->OnBaseWrite(entity->name, old_row, changes.back().new_row);
     });
     loop.RunFor(kSecond);
     ASSERT_TRUE(done);
@@ -241,10 +257,11 @@ struct MiniScads {
     loop.RunFor(kSecond);
   }
 
-  Result<std::vector<Row>> Run(const std::string& query, const ParamMap& params) {
+  Result<std::vector<Row>> Run(const std::string& query, const ParamMap& params,
+                               RequestOptions options = {}) {
     Result<std::vector<Row>> out(InternalError("pending"));
     bool done = false;
-    executor->Execute(queries.at(query), params, RequestOptions{}, [&](Result<std::vector<Row>> rows) {
+    executor->Execute(queries.at(query), params, options, [&](Result<std::vector<Row>> rows) {
       out = std::move(rows);
       done = true;
     });
@@ -412,7 +429,7 @@ TEST(IndexIntegrationTest, FriendsOfFriendsEndToEnd) {
   EXPECT_EQ(ids, (std::vector<int64_t>{3, 4}));
 }
 
-TEST(IndexIntegrationTest, FriendsOfFriendsSurvivesUnfriendWithWitnessCounting) {
+TEST(IndexIntegrationTest, FriendsOfFriendsSurvivesUnfriendWhileAnotherPathRemains) {
   MiniScads s;
   s.RegisterQuery("fof",
                   "SELECT p.* FROM friendships a JOIN friendships b ON a.f2 = b.f1 "
@@ -420,7 +437,7 @@ TEST(IndexIntegrationTest, FriendsOfFriendsSurvivesUnfriendWithWitnessCounting) 
   for (int64_t i = 1; i <= 4; ++i) {
     s.PutRow("profiles", s.Profile(i, "user" + std::to_string(i), 100 * i));
   }
-  // Two witness paths 1->3: via 2 and via 4.
+  // Two paths 1->3: via 2 and via 4.
   s.PutRow("friendships", s.Edge(1, 2));
   s.PutRow("friendships", s.Edge(2, 3));
   s.PutRow("friendships", s.Edge(1, 4));
@@ -428,24 +445,104 @@ TEST(IndexIntegrationTest, FriendsOfFriendsSurvivesUnfriendWithWitnessCounting) 
   s.Drain();
   auto rows = s.Run("fof", {{"user_id", Value(int64_t{1})}});
   ASSERT_TRUE(rows.ok());
-  // FoF(1) = N(N(1)) \ {1} = {3}; the two witness paths collapse to one
-  // entry with count 2.
+  // FoF(1) = N(N(1)) \ {1} = {3}; the two paths give 3 once.
   ASSERT_EQ(rows->size(), 1u);
   EXPECT_EQ((*rows)[0].GetInt("user_id"), 3);
-  // Remove one path: 3 must stay reachable via the other witness.
+  // Remove one path: 3 must stay reachable via the other.
   s.DeleteRow("friendships", s.Edge(2, 3));
   s.Drain();
   rows = s.Run("fof", {{"user_id", Value(int64_t{1})}});
   ASSERT_TRUE(rows.ok());
   bool has3 = false;
   for (const Row& row : *rows) has3 |= row.GetInt("user_id") == 3;
-  EXPECT_TRUE(has3) << "second witness path must keep the fof entry alive";
+  EXPECT_TRUE(has3) << "the second path must keep 3 in the fof list";
   // Remove the second path: now 3 disappears.
   s.DeleteRow("friendships", s.Edge(4, 3));
   s.Drain();
   rows = s.Run("fof", {{"user_id", Value(int64_t{1})}});
   ASSERT_TRUE(rows.ok());
   for (const Row& row : *rows) EXPECT_NE(row.GetInt("user_id"), 3);
+}
+
+// Seeded random friendship inserts and deletes, each change's maintenance
+// enqueued a second time after the rest of its round, as a retried task
+// would run. Users 0-3 are picked often enough to reach the fan-out cap.
+// After the drain every user's fof answer, read from the primaries, must
+// equal a brute-force two-hop set, and each node must hold at most one
+// adjacency and one fof record per user.
+TEST(IndexIntegrationTest, FriendsOfFriendsMatchBruteForceWhenMaintenanceRunsTwice) {
+  constexpr int64_t kUsers = 30;
+  constexpr int64_t kCap = 8;
+  MiniScads s(kCap);
+  s.RegisterQuery("fof",
+                  "SELECT p.* FROM friendships a JOIN friendships b ON a.f2 = b.f1 "
+                  "JOIN profiles p ON b.f2 = p.user_id WHERE a.f1 = <user_id>");
+  for (int64_t u = 0; u < kUsers; ++u) s.PutRow("profiles", s.Profile(u, "u", u));
+  s.Drain();
+
+  Rng rng(20090104);
+  std::set<std::pair<int64_t, int64_t>> rows;  // (f1, f2) of each live friendship
+  std::vector<std::set<int64_t>> friends(kUsers);
+  for (int round = 0; round < 15; ++round) {
+    size_t first = s.changes.size();
+    std::set<std::pair<int64_t, int64_t>> touched;  // pairs changed this round
+    for (int i = 0; i < 12; ++i) {
+      if (!rows.empty() && rng.Uniform(3) == 0) {
+        auto it = std::next(rows.begin(), static_cast<long>(rng.Uniform(rows.size())));
+        auto [a, b] = *it;
+        if (!touched.insert(std::minmax(a, b)).second) continue;
+        s.DeleteRow("friendships", s.Edge(a, b));
+        rows.erase(it);
+        friends[a].erase(b);
+        friends[b].erase(a);
+        continue;
+      }
+      int64_t a = static_cast<int64_t>(rng.Uniform(2) == 0 ? rng.Uniform(4) : rng.Uniform(kUsers));
+      int64_t b = static_cast<int64_t>(rng.Uniform(kUsers));
+      if (a == b || friends[a].count(b) > 0 || static_cast<int64_t>(friends[a].size()) >= kCap ||
+          static_cast<int64_t>(friends[b].size()) >= kCap ||
+          !touched.insert(std::minmax(a, b)).second) {
+        continue;
+      }
+      s.PutRow("friendships", s.Edge(a, b));
+      rows.emplace(a, b);
+      friends[a].insert(b);
+      friends[b].insert(a);
+    }
+    for (size_t c = first; c < s.changes.size(); ++c) {
+      const MiniScads::Change& change = s.changes[c];
+      s.maintainer->OnBaseWrite(change.entity, change.old_row, change.new_row);
+    }
+    s.Drain();
+  }
+  size_t at_cap = 0;
+  for (const std::set<int64_t>& list : friends) at_cap += list.size() == kCap ? 1 : 0;
+  EXPECT_GT(at_cap, 0u);
+
+  const IndexPlan& fof_plan = s.queries.at("fof").main();
+  const IndexPlan* adj_plan = s.maintainer->GetPlan(fof_plan.adjacency_index);
+  ASSERT_NE(adj_plan, nullptr);
+  for (int64_t u = 0; u < kUsers; ++u) {
+    std::set<int64_t> expected;
+    for (int64_t f : friends[u]) {
+      for (int64_t g : friends[f]) {
+        if (g != u) expected.insert(g);
+      }
+    }
+    auto got = s.Run("fof", {{"user_id", Value(u)}}, RequestOptions::PrimaryOnly());
+    ASSERT_TRUE(got.ok()) << got.status();
+    std::set<int64_t> ids;
+    for (const Row& row : *got) EXPECT_TRUE(ids.insert(row.GetInt("user_id")).second);
+    EXPECT_EQ(ids, expected) << "fof(" << u << ")";
+    for (const auto& node : s.nodes) {
+      for (const IndexPlan* plan : {&fof_plan, adj_plan}) {
+        std::string prefix = AnchorScanPrefix(*plan, EncodeKeyValue(Value(u)));
+        auto records = node->engine()->Scan(prefix, PrefixSuccessor(prefix), 0);
+        ASSERT_TRUE(records.ok());
+        EXPECT_LE(records->size(), 1u) << plan->name << " records of user " << u;
+      }
+    }
+  }
 }
 
 TEST(IndexIntegrationTest, MaintenanceTableContainsFigure3Rows) {

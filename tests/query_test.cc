@@ -387,6 +387,38 @@ TEST(PlannerTest, FriendsOfFriendsCascadesFromFriendIndex) {
   ASSERT_EQ(plan->main().maintenance.size(), 1u);
   EXPECT_EQ(plan->main().maintenance[0],
             (MaintenanceEntry{"idx_fof", "adj_friendships", "*"}));
+  // One task writes the two-hop lists of the edge's endpoints and their
+  // friends: at most 2 * cap + 2 records.
+  EXPECT_EQ(plan->main().update_cost, 2 * 300 + 2);
+}
+
+// Adjacency and two-hop indexes store endpoints as lists of int64 ids, so
+// a join or two-hop over an edge with string endpoints is refused.
+TEST(PlannerTest, EdgeIndexesNeedInt64Endpoints) {
+  Catalog catalog;
+  EntityDef members;
+  members.name = "members";
+  members.fields = {{"handle", FieldType::kString}, {"name", FieldType::kString}};
+  members.key_fields = {"handle"};
+  ASSERT_TRUE(catalog.AddEntity(members).ok());
+  EntityDef follows;
+  follows.name = "follows";
+  follows.fields = {{"a", FieldType::kString}, {"b", FieldType::kString}};
+  follows.key_fields = {"a", "b"};
+  follows.fanout_caps["a"] = 50;
+  follows.fanout_caps["b"] = 50;
+  ASSERT_TRUE(catalog.AddEntity(follows).ok());
+  for (const char* sql :
+       {"SELECT m.* FROM follows f JOIN members m ON f.b = m.handle WHERE f.a = <h>",
+        "SELECT m.* FROM follows x JOIN follows y ON x.b = y.a "
+        "JOIN members m ON y.b = m.handle WHERE x.a = <h>"}) {
+    auto q = ParseQueryTemplate(sql);
+    ASSERT_TRUE(q.ok()) << sql;
+    auto bounds = AnalyzeTemplate(catalog, *q);
+    ASSERT_TRUE(bounds.ok()) << bounds.status();
+    auto plan = PlanQuery(catalog, "q", *q, *bounds);
+    EXPECT_EQ(plan.status().code(), StatusCode::kUnimplemented) << sql;
+  }
 }
 
 TEST(PlannerTest, UpdateBudgetRejectsHotTwoHop) {
@@ -397,7 +429,7 @@ TEST(PlannerTest, UpdateBudgetRejectsHotTwoHop) {
   ASSERT_TRUE(q.ok());
   QueryBounds fake_bounds;  // bypass the analyzer read budget for this test
   PlannerConfig config;
-  config.max_update_cost = 1000;  // 4*5000 exceeds this
+  config.max_update_cost = 1000;  // 2*5000+2 exceeds this
   auto plan = PlanQuery(catalog, "fof", *q, fake_bounds, config);
   EXPECT_EQ(plan.status().code(), StatusCode::kFailedPrecondition);
 }

@@ -183,7 +183,7 @@ TEST(MemTableTest, PerEntryOverheadStaysWithin48Bytes) {
   EXPECT_LE(overhead, 48.0);
 }
 
-TEST(MemTableTest, OverwritesThatFitReuseTheValueBytes) {
+TEST(MemTableTest, SameSizeOverwritesAllocateNothing) {
   MemTable table;
   bool created;
   MemTable::Entry* entry = table.FindOrCreate("hot", &created);
@@ -198,20 +198,54 @@ TEST(MemTableTest, OverwritesThatFitReuseTheValueBytes) {
   EXPECT_EQ(table.bytes_allocated(), allocated);
   EXPECT_EQ(table.Find("hot")->value(), std::string(100, static_cast<char>('b' + 999 % 20)));
   EXPECT_EQ(table.Find("hot")->version(), V(1001));
+}
 
-  // A shorter value (and a tombstone's empty one) also fits in place.
-  table.Assign(entry, "short", V(2000), /*tombstone=*/false);
+// A value's range keeps its capacity: a shorter value, a tombstone's empty
+// one and any later value that fits all reuse its bytes. Only a value past
+// the range takes fresh bytes, a range of the next power of two.
+TEST(MemTableTest, OverwritesThatFitReuseTheValueBytes) {
+  MemTable table;
+  bool created;
+  MemTable::Entry* entry = table.FindOrCreate("hot", &created);
+  table.Assign(entry, std::string(100, 'a'), V(1), /*tombstone=*/false);
+  size_t allocated = table.bytes_allocated();
+
+  table.Assign(entry, "short", V(2), /*tombstone=*/false);
   EXPECT_EQ(table.Find("hot")->value(), "short");
-  table.Assign(entry, "", V(2001), /*tombstone=*/true);
+  table.Assign(entry, "", V(3), /*tombstone=*/true);
   EXPECT_TRUE(table.Find("hot")->tombstone());
   EXPECT_EQ(table.bytes_allocated(), allocated);
   EXPECT_EQ(table.payload_bytes(), 3u);
 
-  // Only a value longer than the current one takes fresh bytes.
-  table.Assign(entry, "revived", V(2002), /*tombstone=*/false);
-  EXPECT_EQ(table.bytes_allocated(), allocated + 7);
+  // Revived with a value that fits the 100-byte range: no fresh bytes.
+  table.Assign(entry, "revived", V(4), /*tombstone=*/false);
+  EXPECT_EQ(table.bytes_allocated(), allocated);
   EXPECT_EQ(table.Find("hot")->value(), "revived");
   EXPECT_FALSE(table.Find("hot")->tombstone());
+  table.Assign(entry, std::string(100, 'b'), V(5), /*tombstone=*/false);
+  EXPECT_EQ(table.bytes_allocated(), allocated);
+
+  table.Assign(entry, std::string(101, 'c'), V(6), /*tombstone=*/false);
+  EXPECT_EQ(table.bytes_allocated(), allocated + 128);
+  EXPECT_EQ(table.Find("hot")->value(), std::string(101, 'c'));
+  EXPECT_EQ(table.payload_bytes(), 3u + 101u);
+}
+
+// A record rewritten one byte longer each time (an index list gaining an
+// id per write) strands its old ranges. Growing by powers of two, they sum
+// to less than twice its final size, where exact-size ranges would strand
+// about 512 KB on the way to 1,024 bytes.
+TEST(MemTableTest, GrowingValueStrandsLessThanTwiceItsFinalSize) {
+  MemTable table;
+  bool created;
+  MemTable::Entry* entry = table.FindOrCreate("list", &created);
+  size_t allocated = table.bytes_allocated();
+  for (size_t size = 1; size <= 1024; ++size) {
+    table.Assign(entry, std::string(size, 'x'), V(static_cast<int64_t>(size)),
+                 /*tombstone=*/false);
+  }
+  EXPECT_EQ(table.Find("list")->value(), std::string(1024, 'x'));
+  EXPECT_LT(table.bytes_allocated() - allocated, 3u * 1024u);
 }
 
 // Keys that stress the tree's key heads (the bytes past the prefix a
