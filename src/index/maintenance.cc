@@ -34,11 +34,12 @@ void SortUnique(std::vector<uint64_t>* ids) {
 }  // namespace
 
 Status IndexMaintainer::RegisterPlan(const IndexPlan& plan, Duration staleness_bound) {
-  if (plans_.count(plan.name) > 0) return Status::Ok();  // shared helper
   if (catalog_->Get(plan.target_entity) == nullptr) {
     return InvalidArgumentError("plan target entity not in catalog: " + plan.target_entity);
   }
-  plans_.emplace(plan.name, Registered{plan, staleness_bound});
+  Duration bound = staleness_bound > 0 ? staleness_bound : kMinute;
+  auto [it, added] = plans_.try_emplace(plan.name, Registered{plan, bound});
+  if (!added) it->second.staleness_bound = std::min(it->second.staleness_bound, bound);
   return Status::Ok();
 }
 
@@ -85,7 +86,7 @@ void IndexMaintainer::OnBaseWrite(const std::string& entity, std::optional<Row> 
     const Registered* registered = &reg;
     auto enqueue = [&](const char* kind, Body body) {
       ++stats_.tasks_enqueued;
-      queue_->Enqueue(loop_->Now() + DeadlineBound(reg), kind + plan.name,
+      queue_->Enqueue(loop_->Now() + reg.staleness_bound, kind + plan.name,
                       [this, registered, old_row, new_row, body](std::function<void(Status)> done) {
                         (this->*body)(*registered, old_row, new_row, std::move(done));
                       });
@@ -418,10 +419,6 @@ void IndexMaintainer::RecomputeTwoHop(const Registered& reg, const IndexPlan& ad
   // friends' friends.
   auto adj = std::make_shared<Lists>();
   ReadLists(adjacency, {x, y}, 3, adj, std::move(done), [this, &reg, x, y, adj](auto done) {
-    // The edge leaves both lists here too, in case its adjacency task has
-    // not run yet.
-    std::erase((*adj)[x], y);
-    std::erase((*adj)[y], x);
     std::vector<uint64_t> users = (*adj)[x];
     users.insert(users.end(), (*adj)[y].begin(), (*adj)[y].end());
     users.push_back(x);

@@ -52,8 +52,9 @@ class IndexMaintainer {
       : loop_(loop), router_(router), cluster_(cluster), catalog_(catalog), queue_(queue) {}
 
   /// Registers a plan. `staleness_bound` sets task deadlines (0 = one
-  /// minute default). Duplicate names are ignored (the shared adjacency
-  /// helper arrives once per query).
+  /// minute default). The shared adjacency helper arrives once per query;
+  /// it keeps the tightest bound, so its task of a write always runs
+  /// before the tasks cascaded from it.
   Status RegisterPlan(const IndexPlan& plan, Duration staleness_bound);
 
   /// Notifies the maintainer that a base row changed. `old_row` is the
@@ -111,10 +112,6 @@ class IndexMaintainer {
   /// owning primary); done() gets the first per-op failure, or Ok. Callers
   /// that tolerate entry-write failures wrap `done` to swallow the status.
   void FlushEntryOps(std::vector<Router::WriteOp> ops, std::function<void(Status)> done);
-
-  Duration DeadlineBound(const Registered& reg) const {
-    return reg.staleness_bound > 0 ? reg.staleness_bound : kMinute;
-  }
 
   EventLoop* loop_;
   Router* router_;

@@ -545,6 +545,33 @@ TEST(IndexIntegrationTest, FriendsOfFriendsMatchBruteForceWhenMaintenanceRunsTwi
   }
 }
 
+// The adjacency helper is shared by every query over the edge. Registered
+// first by a query with a looser bound, it must still run before the fof
+// task of the same write, or a backlog in deadline order would let the fof
+// union read lists that lack the new edges.
+TEST(IndexIntegrationTest, FriendsOfFriendsWaitsForItsAdjacencyTaskInABacklog) {
+  MiniScads s;
+  s.RegisterQuery("birthday",
+                  "SELECT p.* FROM friendships f JOIN profiles p ON f.f2 = p.user_id "
+                  "WHERE f.f1 = <user_id> OR f.f2 = <user_id> ORDER BY p.bday",
+                  10 * kSecond);
+  s.RegisterQuery("fof",
+                  "SELECT p.* FROM friendships a JOIN friendships b ON a.f2 = b.f1 "
+                  "JOIN profiles p ON b.f2 = p.user_id WHERE a.f1 = <user_id>",
+                  kSecond);
+  for (int64_t i = 1; i <= 3; ++i) s.PutRow("profiles", s.Profile(i, "u", i));
+  s.Drain();
+  s.queue.SetPaused(true);
+  s.PutRow("friendships", s.Edge(1, 2));
+  s.PutRow("friendships", s.Edge(2, 3));
+  s.queue.SetPaused(false);
+  s.Drain();
+  auto rows = s.Run("fof", {{"user_id", Value(int64_t{3})}}, RequestOptions::PrimaryOnly());
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ((*rows)[0].GetInt("user_id"), 1);
+}
+
 TEST(IndexIntegrationTest, MaintenanceTableContainsFigure3Rows) {
   MiniScads s;
   s.RegisterQuery("birthday",
