@@ -91,9 +91,8 @@ Result<std::unique_ptr<Scads>> Scads::Create(ScadsOptions options) {
   scads->staleness_ = std::make_unique<StalenessController>(&scads->loop_, scads->router_.get(),
                                                             &scads->cluster_, spec);
   scads->staleness_->set_cache(scads->cache_.get());
-  scads->maintainer_ = std::make_unique<IndexMaintainer>(
-      &scads->loop_, scads->router_.get(), &scads->cluster_, &scads->catalog_,
-      &scads->update_queue_);
+  scads->maintainer_ = std::make_unique<IndexMaintainer>(&scads->loop_, scads->router_.get(),
+                                                         &scads->catalog_, &scads->update_queue_);
   scads->executor_ = std::make_unique<QueryExecutor>(scads->router_.get(), &scads->cluster_,
                                                      &scads->catalog_);
   scads->executor_->set_cache(scads->cache_.get(), &scads->loop_);

@@ -31,6 +31,13 @@ void SortUnique(std::vector<uint64_t>* ids) {
   ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
 }
 
+/// Whether two sorted id lists share an id.
+bool Meet(const std::vector<uint64_t>& a, const std::vector<uint64_t>& b) {
+  auto i = a.begin(), j = b.begin();
+  while (i != a.end() && j != b.end() && *i != *j) *i < *j ? ++i : ++j;
+  return i != a.end() && j != b.end();
+}
+
 }  // namespace
 
 Status IndexMaintainer::RegisterPlan(const IndexPlan& plan, Duration staleness_bound) {
@@ -358,7 +365,7 @@ void IndexMaintainer::RunTwoHopUpdate(const Registered& reg, std::optional<Row> 
     return std::pair{ListId(edge.GetInt(plan.edge_param_field)),
                      ListId(edge.GetInt(plan.edge_other_field))};
   };
-  // The removed edge's recompute, then the added edge's union. An edge
+  // The removed edge's prune, then the added edge's union. An edge
   // rewritten with the same endpoints leaves the graph as it was, so only
   // its union runs (a no-op on a current index).
   if (new_edge.has_value()) {
@@ -368,72 +375,60 @@ void IndexMaintainer::RunTwoHopUpdate(const Registered& reg, std::optional<Row> 
         done(std::move(status));
         return;
       }
-      UnionTwoHop(reg, *adjacency, edge.first, edge.second, std::move(done));
+      EditTwoHop(reg, *adjacency, edge.first, edge.second, true, std::move(done));
     };
   }
   if (old_edge.has_value() && (!new_edge.has_value() || ends(*old_edge) != ends(*new_edge))) {
     auto [x, y] = ends(*old_edge);
-    RecomputeTwoHop(reg, *adjacency, x, y, std::move(done));
+    EditTwoHop(reg, *adjacency, x, y, false, std::move(done));
     return;
   }
   done(Status::Ok());
 }
 
-void IndexMaintainer::UnionTwoHop(const Registered& reg, const IndexPlan& adjacency, uint64_t x,
-                                  uint64_t y, std::function<void(Status)> done) {
+void IndexMaintainer::EditTwoHop(const Registered& reg, const IndexPlan& adjacency, uint64_t x,
+                                 uint64_t y, bool added, std::function<void(Status)> done) {
+  // The adjacency lists of x and y, and for a removed edge those of their
+  // friends too.
   auto adj = std::make_shared<Lists>();
-  ReadLists(adjacency, {x, y}, 1, adj, std::move(done), [this, &reg, x, y, adj](auto done) {
-    // The paths the edge opens: x-y-w for w in N(y), and u-x-y for u in
-    // N(x). Each runs both ways, so w and x gain each other, as do u and y.
-    auto gains = std::make_shared<Lists>();
-    for (auto [self, other] : {std::pair{x, y}, std::pair{y, x}}) {
-      for (uint64_t id : (*adj)[other]) {
-        if (id == self) continue;
-        (*gains)[self].push_back(id);
-        (*gains)[id].push_back(self);
-      }
-    }
-    std::vector<uint64_t> users;
-    for (const auto& [user, ids] : *gains) users.push_back(user);
-    auto lists = std::make_shared<Lists>();
-    ReadLists(reg.plan, users, 1, lists, std::move(done), [this, &reg, gains, lists](auto done) {
-      std::vector<Router::WriteOp> ops;
-      for (auto& [user, ids] : *gains) {
-        SortUnique(&ids);
-        const std::vector<uint64_t>& list = (*lists)[user];
-        std::vector<uint64_t> merged;
-        merged.reserve(list.size() + ids.size());
-        std::set_union(list.begin(), list.end(), ids.begin(), ids.end(),
-                       std::back_inserter(merged));
-        if (merged.size() > list.size()) ops.push_back(ListWrite(ListKey(reg.plan, user), merged));
-      }
-      if (ops.size() > static_cast<size_t>(reg.plan.update_cost)) ++stats_.budget_overruns;
-      FlushEntryOps(std::move(ops), [done = std::move(done)](Status) { done(Status::Ok()); });
-    });
-  });
+  ReadLists(adjacency, {x, y}, added ? 1 : 2, adj, std::move(done),
+            [this, &reg, x, y, added, adj](auto done) {
+              // The paths over the edge: u-x-y for u in N(x), and x-y-w for
+              // w in N(y). Each runs both ways, so u and y gain or lose each
+              // other, as do x and w; a pair that still shares a friend
+              // keeps another path.
+              auto edits = std::make_shared<Lists>();
+              for (auto [self, other] : {std::pair{x, y}, std::pair{y, x}}) {
+                for (uint64_t id : (*adj)[self]) {
+                  if (id == other || (!added && Meet((*adj)[id], (*adj)[other]))) continue;
+                  (*edits)[other].push_back(id);
+                  (*edits)[id].push_back(other);
+                }
+              }
+              WriteTwoHop(reg, edits, added, std::move(done));
+            });
 }
 
-void IndexMaintainer::RecomputeTwoHop(const Registered& reg, const IndexPlan& adjacency,
-                                      uint64_t x, uint64_t y, std::function<void(Status)> done) {
-  // The adjacency lists of x and y, of their friends, and of those
-  // friends' friends.
-  auto adj = std::make_shared<Lists>();
-  ReadLists(adjacency, {x, y}, 3, adj, std::move(done), [this, &reg, x, y, adj](auto done) {
-    std::vector<uint64_t> users = (*adj)[x];
-    users.insert(users.end(), (*adj)[y].begin(), (*adj)[y].end());
-    users.push_back(x);
-    users.push_back(y);
-    SortUnique(&users);
+void IndexMaintainer::WriteTwoHop(const Registered& reg, std::shared_ptr<Lists> edits, bool add,
+                                  std::function<void(Status)> done) {
+  std::vector<uint64_t> users;
+  for (const auto& [user, ids] : *edits) users.push_back(user);
+  auto lists = std::make_shared<Lists>();
+  ReadLists(reg.plan, users, 1, lists, std::move(done), [this, &reg, edits, add, lists](auto done) {
     std::vector<Router::WriteOp> ops;
-    for (uint64_t user : users) {
-      std::vector<uint64_t> fof;
-      for (uint64_t friend_id : (*adj)[user]) {
-        for (uint64_t id : (*adj)[friend_id]) {
-          if (id != user) fof.push_back(id);
-        }
+    for (auto& [user, ids] : *edits) {
+      SortUnique(&ids);
+      const std::vector<uint64_t>& list = (*lists)[user];
+      std::vector<uint64_t> edited;
+      edited.reserve(list.size() + (add ? ids.size() : 0));
+      if (add) {
+        std::set_union(list.begin(), list.end(), ids.begin(), ids.end(),
+                       std::back_inserter(edited));
+      } else {
+        std::set_difference(list.begin(), list.end(), ids.begin(), ids.end(),
+                            std::back_inserter(edited));
       }
-      SortUnique(&fof);
-      ops.push_back(ListWrite(ListKey(reg.plan, user), fof));
+      if (edited.size() != list.size()) ops.push_back(ListWrite(ListKey(reg.plan, user), edited));
     }
     if (ops.size() > static_cast<size_t>(reg.plan.update_cost)) ++stats_.budget_overruns;
     FlushEntryOps(std::move(ops), [done = std::move(done)](Status) { done(Status::Ok()); });

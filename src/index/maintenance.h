@@ -9,10 +9,11 @@
 //
 // Adjacency and two-hop indexes hold one id list per user (index/keys.h),
 // read and rewritten whole on the primary. An added edge (x, y) reads the
-// lists of x and y, then the two-hop lists of x, y and their friends in one
-// batch, unions in the ids each gains and writes those that grew in one
-// batch; a removed edge recomputes the same users' lists from their
-// friends' adjacency lists. A task redone writes nothing new.
+// adjacency lists of x and y, then the two-hop lists of x, y and their
+// friends in one batch, unions in the ids each gains and writes those that
+// grew in one batch. A removed edge also reads its ends' friends' adjacency
+// lists: a pair whose path ran over the edge and whose users no longer
+// share a friend leaves both users' lists. A task redone writes nothing new.
 //
 // Each task's router-operation count is tracked against the plan's
 // update_cost bound; overruns are counted (they indicate a planner bug or a
@@ -27,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster_state.h"
 #include "cluster/router.h"
 #include "index/update_queue.h"
 #include "query/planner.h"
@@ -47,9 +47,8 @@ struct MaintenanceStats {
 /// Owns the registered index plans and drives their maintenance.
 class IndexMaintainer {
  public:
-  IndexMaintainer(EventLoop* loop, Router* router, ClusterState* cluster,
-                  const Catalog* catalog, UpdateQueue* queue)
-      : loop_(loop), router_(router), cluster_(cluster), catalog_(catalog), queue_(queue) {}
+  IndexMaintainer(EventLoop* loop, Router* router, const Catalog* catalog, UpdateQueue* queue)
+      : loop_(loop), router_(router), catalog_(catalog), queue_(queue) {}
 
   /// Registers a plan. `staleness_bound` sets task deadlines (0 = one
   /// minute default). The shared adjacency helper arrives once per query;
@@ -102,11 +101,14 @@ class IndexMaintainer {
   void ReadLists(const IndexPlan& plan, std::vector<uint64_t> ids, int hops,
                  std::shared_ptr<Lists> lists, std::function<void(Status)> done, Next next);
 
-  /// The two-hop task of an added edge (x, y), and of a removed one.
-  void UnionTwoHop(const Registered& reg, const IndexPlan& adjacency, uint64_t x, uint64_t y,
+  /// The two-hop task of an edge (x, y) that was `added` or removed: finds
+  /// the pairs whose paths run over the edge and hands them to WriteTwoHop,
+  /// which adds each user's `edits` to its two-hop list (`add`) or erases
+  /// them, and writes the lists that changed in one batch.
+  void EditTwoHop(const Registered& reg, const IndexPlan& adjacency, uint64_t x, uint64_t y,
+                  bool added, std::function<void(Status)> done);
+  void WriteTwoHop(const Registered& reg, std::shared_ptr<Lists> edits, bool add,
                    std::function<void(Status)> done);
-  void RecomputeTwoHop(const Registered& reg, const IndexPlan& adjacency, uint64_t x,
-                       uint64_t y, std::function<void(Status)> done);
 
   /// Flushes index-entry mutations as one batched write (one message per
   /// owning primary); done() gets the first per-op failure, or Ok. Callers
@@ -115,7 +117,6 @@ class IndexMaintainer {
 
   EventLoop* loop_;
   Router* router_;
-  ClusterState* cluster_;
   const Catalog* catalog_;
   UpdateQueue* queue_;
   std::map<std::string, Registered> plans_;

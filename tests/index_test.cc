@@ -196,8 +196,7 @@ struct MiniScads {
     EXPECT_TRUE(map.ok());
     cluster.set_partitions(std::move(map).value());
     router = std::make_unique<Router>(kClient, &loop, &network, &cluster, RouterConfig{}, 9);
-    maintainer =
-        std::make_unique<IndexMaintainer>(&loop, router.get(), &cluster, &catalog, &queue);
+    maintainer = std::make_unique<IndexMaintainer>(&loop, router.get(), &catalog, &queue);
     executor = std::make_unique<QueryExecutor>(router.get(), &cluster, &catalog);
   }
 
