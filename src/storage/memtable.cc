@@ -368,6 +368,21 @@ void MemTable::Assign(Entry* entry, std::string_view value, Version version, boo
   entry->tombstone_ = tombstone;
 }
 
+size_t MemTable::PurgeTombstonesBefore(Time cutoff) {
+  size_t purged = 0;
+  for (Leaf* leaf = first_leaf_; leaf != nullptr; leaf = leaf->next) {
+    for (uint32_t i = 0; i < leaf->count; ++i) {
+      Entry* entry = leaf->slots[i];
+      // No real writer stamps kInvalidNode, so Version{} marks a ghost.
+      if (entry->tombstone() && entry->timestamp_ < cutoff && !(entry->version() == Version{})) {
+        Assign(entry, "", Version{}, /*tombstone=*/true);
+        ++purged;
+      }
+    }
+  }
+  return purged;
+}
+
 void MemTable::Iterator::Settle() {
   while (leaf_ != nullptr && index_ >= leaf_->count) {
     leaf_ = leaf_->next;

@@ -87,6 +87,13 @@ class MemTable {
   /// into a fresh arena range (see Entry).
   void Assign(Entry* entry, std::string_view value, Version version, bool tombstone);
 
+  /// Turns each tombstone whose version timestamp is older than `cutoff`
+  /// into a ghost: the entry stays (the arena never frees), but its version
+  /// resets to Version{}, so the key behaves like an absent one and any
+  /// real write supersedes it. Returns how many tombstones it turned;
+  /// ghosts are not counted again.
+  size_t PurgeTombstonesBefore(Time cutoff);
+
   /// Number of keys, including tombstoned ones.
   size_t size() const { return count_; }
 

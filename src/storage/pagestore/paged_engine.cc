@@ -24,13 +24,13 @@ PagedEngine::PageCounters::PageCounters(MetricRegistry* registry)
       page_splits(registry->GetCounter("page_splits")) {}
 
 PagedEngine::PagedEngine(Executor* loop, PagedEngineOptions options)
-    : loop_(loop),
-      options_(options),
+    : EngineInterface(options),
+      loop_(loop),
+      config_(options.config),
       owned_file_(options.file != nullptr ? nullptr : std::make_unique<PageFile>()),
       file_(options.file != nullptr ? options.file : owned_file_.get()),
       pool_(options.config.buffer_pool_bytes),
       mem_(std::make_unique<MemTable>()),
-      counters_(&metrics_),
       page_counters_(&metrics_) {
   if (file_->page_count() == 0) {
     PageId root = file_->Allocate();
@@ -206,7 +206,7 @@ void PagedEngine::WriteBackNow(PageFrame* frame) const {
 }
 
 void PagedEngine::WriteBackTick() {
-  size_t budget = options_.config.write_back_batch;
+  size_t budget = config_.write_back_batch;
   Duration offset = 0;
   bool synced = false;
   while (budget > 0 && !dirty_queue_.empty()) {
@@ -257,168 +257,45 @@ void PagedEngine::CompleteWriteBack(PageId id, uint64_t epoch, std::string bytes
 }
 
 void PagedEngine::SyncWalBeforePageWrite() const {
-  if (options_.wal == nullptr) return;
-  WalWriter writer(options_.wal);
+  if (wal() == nullptr) return;
+  WalWriter writer(wal());
   writer.Sync();
 }
 
-Result<bool> PagedEngine::Put(std::string_view key, std::string_view value, Version version) {
-  return WriteImpl(key, value, version, /*tombstone=*/false);
-}
-
-Result<bool> PagedEngine::Delete(std::string_view key, Version version) {
-  return WriteImpl(key, "", version, /*tombstone=*/true);
-}
-
-Result<bool> PagedEngine::WriteImpl(std::string_view key, std::string_view value,
-                                    Version version, bool tombstone) {
-  if (key.empty()) return InvalidArgumentError("empty key");
-  // WAL first, exactly like the RAM engine: even a mutation the version
-  // check will supersede is logged before the check runs.
-  if (options_.wal != nullptr) {
-    WalRecord record;
-    record.type = tombstone ? WalRecord::Type::kDelete : WalRecord::Type::kPut;
-    record.key.assign(key);
-    if (!tombstone) record.value.assign(value);
-    record.version = version;
-    WalWriter writer(options_.wal);
-    SCADS_RETURN_IF_ERROR(writer.Append(record));
-    counters_.wal_appends->Increment();
-    if (options_.wal_sync_every_write) SCADS_RETURN_IF_ERROR(writer.Sync());
-  }
-  return ApplyVersioned(key, value, version, tombstone);
-}
-
-Result<bool> PagedEngine::ApplyVersioned(std::string_view key, std::string_view value,
-                                         Version version, bool tombstone) {
+bool PagedEngine::ApplyToTable(std::string_view key, std::string_view value, Version version,
+                               bool tombstone, bool* was_live) {
   // Authoritative current state: mem_ when present (its version is >= the
   // page tier's by invariant — no IO needed), else the covering page.
-  MemTable::Entry* in_mem = mem_->FindMutable(key);
-  bool exists = false;
-  bool was_live = false;
-  Version current;
-  if (in_mem != nullptr) {
-    exists = true;
-    was_live = !in_mem->tombstone();
-    current = in_mem->version();
+  MemTable::Entry* entry = mem_->FindMutable(key);
+  if (entry != nullptr) {
+    if (!(version > entry->version())) return false;
+    *was_live = !entry->tombstone();
   } else {
-    PageFrame* frame = Fault(SpanForKey(key));
-    size_t pos = FindInFrame(frame, key);
-    if (pos != kNpos) {
-      exists = true;
-      was_live = !frame->records[pos].tombstone;
-      current = frame->records[pos].version;
-    }
-  }
-  if (exists && !(version > current)) {
-    (tombstone ? counters_.deletes_superseded : counters_.puts_superseded)->Increment();
-    return false;
-  }
-  MemTable::Entry* entry = in_mem;
-  if (entry == nullptr) {
+    const Record* below = FindBelow(key);
+    if (below != nullptr && !(version > below->version)) return false;
+    *was_live = below != nullptr && !below->tombstone;
+    if (below == nullptr) ++total_count_;
     bool created = false;
     entry = mem_->FindOrCreate(key, &created);
   }
   mem_->Assign(entry, tombstone ? std::string_view() : value, version, tombstone);
-  if (!exists) ++total_count_;
-  if (tombstone) {
-    if (was_live) --live_count_;
-  } else if (!was_live) {
-    ++live_count_;
-  }
-  (tombstone ? counters_.deletes : counters_.puts)->Increment();
-  if (mem_->memory_usage() > options_.config.memtable_spill_bytes) SpillMemtable();
-  SyncResidentMetric();
+  if (mem_->memory_usage() > config_.memtable_spill_bytes) SpillMemtable();
   return true;
 }
 
-Result<Record> PagedEngine::Lookup(std::string_view key) const {
-  const MemTable::Entry* entry = mem_->Find(key);
-  if (entry != nullptr) {
-    if (entry->tombstone()) return NotFoundError(std::string(key));
-    Record record;
-    record.key.assign(key);
-    record.value.assign(entry->value());
-    record.version = entry->version();
-    return record;
-  }
+const Record* PagedEngine::FindBelow(std::string_view key) const {
   PageFrame* frame = Fault(SpanForKey(key));
   size_t pos = FindInFrame(frame, key);
-  if (pos == kNpos || frame->records[pos].tombstone) return NotFoundError(std::string(key));
-  Record record = frame->records[pos];
-  record.tombstone = false;
-  return record;
+  return pos == kNpos ? nullptr : &frame->records[pos];
 }
 
-Result<Record> PagedEngine::Get(std::string_view key) const {
-  counters_.gets->Increment();
-  Result<Record> result = Lookup(key);
-  if (!result.ok()) counters_.get_misses->Increment();
-  return result;
-}
-
-std::vector<Result<Record>> PagedEngine::MultiGet(const std::vector<std::string>& keys) const {
-  counters_.multigets->Increment();
-  if (keys.size() == 1) {
-    // Every point read arrives as a one-key batch: no sort order to build.
-    std::vector<Result<Record>> out;
-    out.push_back(Get(keys.front()));
-    return out;
-  }
-  counters_.gets->Increment(static_cast<int64_t>(keys.size()));
-  // Probe in sorted order so keys covered by the same page share one fault;
-  // duplicates copy the previous slot but still count as logical reads
-  // (gets/get_misses parity with the RAM engine).
-  std::vector<size_t> order(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&keys](size_t a, size_t b) { return keys[a] < keys[b]; });
-  // Placeholders (every slot is overwritten below) that build no status.
-  std::vector<Result<Record>> out(keys.size(), Result<Record>(Record{}));
-  for (size_t rank = 0; rank < order.size(); ++rank) {
-    size_t slot = order[rank];
-    const std::string& key = keys[slot];
-    if (rank > 0 && keys[order[rank - 1]] == key) {
-      out[slot] = out[order[rank - 1]];
-      if (!out[slot].ok()) counters_.get_misses->Increment();
-      continue;
-    }
-    Result<Record> result = Lookup(key);
-    if (!result.ok()) counters_.get_misses->Increment();
-    out[slot] = std::move(result);
-  }
-  return out;
-}
-
-std::optional<Record> PagedEngine::GetRaw(std::string_view key) const {
-  const MemTable::Entry* entry = mem_->Find(key);
-  if (entry != nullptr) {
-    Record record;
-    record.key.assign(key);
-    record.value.assign(entry->value());
-    record.version = entry->version();
-    record.tombstone = entry->tombstone();
-    return record;
-  }
-  PageFrame* frame = Fault(SpanForKey(key));
-  size_t pos = FindInFrame(frame, key);
-  if (pos == kNpos) return std::nullopt;
-  return frame->records[pos];
-}
-
-std::vector<Record> PagedEngine::MergeScan(std::string_view start, std::string_view end,
+std::vector<Record> PagedEngine::ScanTable(std::string_view start, std::string_view end,
                                            size_t limit, bool include_tombstones) const {
   std::vector<Record> out;
   bool done = false;
   auto emit_mem = [&](const MemTable::Iterator& mit) {
-    const MemTable::Entry& entry = mit.entry();
-    if (!include_tombstones && entry.tombstone()) return;
-    Record record;
-    record.key.assign(mit.key());
-    record.value.assign(entry.value());
-    record.version = entry.version();
-    record.tombstone = entry.tombstone();
-    out.push_back(std::move(record));
+    if (!include_tombstones && mit.entry().tombstone()) return;
+    out.push_back(RecordOf(mit.entry()));
     if (limit != 0 && out.size() >= limit) done = true;
   };
   auto emit_page = [&](const Record& record) {
@@ -440,7 +317,7 @@ std::vector<Record> PagedEngine::MergeScan(std::string_view start, std::string_v
     pool_.Pin(frame);
     // Readahead: kick off the next page's load before merging this one, so
     // its disk time hides behind the merge instead of serializing with it.
-    if (options_.config.scan_readahead && next != page_index_.end() &&
+    if (config_.scan_readahead && next != page_index_.end() &&
         (end.empty() || next->first < end)) {
       auto after = std::next(next);
       std::string_view next_upper =
@@ -480,76 +357,17 @@ std::vector<Record> PagedEngine::MergeScan(std::string_view start, std::string_v
   return out;
 }
 
-Result<std::vector<Record>> PagedEngine::Scan(std::string_view start, std::string_view end,
-                                              size_t limit) const {
-  if (!end.empty() && start > end) return InvalidArgumentError("scan start > end");
-  counters_.scans->Increment();
-  std::vector<Record> out = MergeScan(start, end, limit, /*include_tombstones=*/false);
-  counters_.scan_rows->Increment(static_cast<int64_t>(out.size()));
-  return out;
-}
-
-std::vector<Record> PagedEngine::ScanRaw(std::string_view start, std::string_view end,
-                                         size_t limit) const {
-  return MergeScan(start, end, limit, /*include_tombstones=*/true);
-}
-
-Status PagedEngine::Apply(const WalRecord& record) {
-  Result<bool> applied = WriteImpl(record.key, record.value, record.version,
-                                   record.type == WalRecord::Type::kDelete);
-  return applied.ok() ? Status::Ok() : applied.status();
-}
-
-Status PagedEngine::ApplyBatch(const std::vector<WalRecord>& records) {
-  if (records.empty()) return Status::Ok();
-  for (const WalRecord& record : records) {
-    if (record.key.empty()) return InvalidArgumentError("empty key");
-  }
-  if (options_.wal != nullptr) {
-    WalWriter writer(options_.wal);
-    SCADS_RETURN_IF_ERROR(writer.AppendBatch(records));
-    counters_.wal_appends->Increment(static_cast<int64_t>(records.size()));
-    if (options_.wal_sync_every_write) {
-      SCADS_RETURN_IF_ERROR(writer.Sync());
-      counters_.wal_batch_syncs->Increment();
-    }
-  }
-  for (const WalRecord& record : records) {
-    Result<bool> applied = ApplyVersioned(record.key, record.value, record.version,
-                                          record.type == WalRecord::Type::kDelete);
-    if (!applied.ok()) return applied.status();
-  }
-  return Status::Ok();
-}
-
 Result<std::unique_ptr<PagedEngine>> PagedEngine::Recover(
     Executor* loop, PagedEngineOptions options, const std::vector<WalRecord>& records) {
-  // Replay must not re-log: recover WAL-less, then attach. Records already
-  // written back before the crash replay as superseded no-ops (the page
-  // tier holds an equal version), so replay is idempotent.
-  WalSink* wal = options.wal;
-  options.wal = nullptr;
+  // Records already written back before the crash replay as superseded
+  // no-ops (the page tier holds an equal version).
   auto engine = std::make_unique<PagedEngine>(loop, options);
-  for (const WalRecord& record : records) {
-    SCADS_RETURN_IF_ERROR(engine->Apply(record));
-  }
-  engine->options_.wal = wal;
+  SCADS_RETURN_IF_ERROR(engine->Replay(records));
   return engine;
 }
 
 size_t PagedEngine::PurgeTombstonesBefore(Time cutoff) {
-  size_t purged = 0;
-  // Memtable sweep: identical ghosting to the RAM engine (entries stay,
-  // version floor resets so the key behaves like an absent one).
-  MemTable::Iterator it(mem_.get());
-  for (it.SeekToFirst(); it.Valid(); it.Next()) {
-    const MemTable::Entry& entry = it.entry();
-    if (entry.tombstone() && entry.version().timestamp < cutoff &&
-        !(entry.version() == Version{})) {
-      mem_->Assign(mem_->FindMutable(it.key()), "", Version{}, /*tombstone=*/true);
-      ++purged;
-    }
-  }
+  size_t purged = mem_->PurgeTombstonesBefore(cutoff);
   // Page sweep: unlike the memtable, pages can actually drop the record.
   // Keys shadowed by mem_ are removed but not counted (their ghost above
   // already was, or mem_ holds a newer live value).
@@ -606,12 +424,7 @@ void PagedEngine::SpillMemtable() {
         }
         --total_count_;
       } else {
-        Record record;
-        record.key.assign(it.key());
-        record.value.assign(entry.value());
-        record.version = entry.version();
-        record.tombstone = entry.tombstone();
-        MergeIntoFrame(frame, std::move(record));
+        MergeIntoFrame(frame, RecordOf(entry));
       }
       it.Next();
     }
@@ -646,7 +459,7 @@ void PagedEngine::MergeIntoFrame(PageFrame* frame, Record record) {
 }
 
 void PagedEngine::SplitIfOversized(PageFrame* frame) {
-  while (frame->bytes > options_.config.page_bytes && frame->records.size() >= 2) {
+  while (frame->bytes > config_.page_bytes && frame->records.size() >= 2) {
     size_t mid = frame->records.size() / 2;
     std::string split_key = frame->records[mid].key;
     PageId fresh_id = file_->Allocate();
@@ -684,10 +497,6 @@ Duration PagedEngine::TakeAccruedIo() {
 
 Duration PagedEngine::io_backlog() const {
   return static_cast<Duration>(dirty_pages_) * kPageWriteLatency;
-}
-
-void PagedEngine::SyncResidentMetric() const {
-  counters_.bytes_resident->Increment(bytes_resident() - counters_.bytes_resident->value());
 }
 
 }  // namespace scads

@@ -23,11 +23,11 @@
 //     go first (clock sweep); when only dirty frames remain one is
 //     written back synchronously (a "forced" write-back, accrued as IO).
 //
-// Counter parity: puts/puts_superseded/deletes/gets/get_misses/multigets/
-// scans/scan_rows/wal_appends/wal_batch_syncs match the RAM engine on the
-// same op trace; paging adds page_faults, pages_written_back,
-// forced_writebacks, page_splits, spills, pool_evictions, budget_overruns,
-// bytes_resident.
+// Counters: EngineInterface bumps the shared ones (engine.h), so they
+// match the RAM engine's on the same op trace by construction. The page
+// tier adds page_faults, pages_prefetched, prefetch_skips, pool_evictions,
+// budget_overruns, forced_writebacks, pages_written_back, spills and
+// page_splits.
 
 #ifndef SCADS_STORAGE_PAGESTORE_PAGED_ENGINE_H_
 #define SCADS_STORAGE_PAGESTORE_PAGED_ENGINE_H_
@@ -35,7 +35,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,12 +45,9 @@
 
 namespace scads {
 
-/// PagedEngine construction knobs. Superset of EngineOptions plus the
-/// paged-tier config and an optional external PageFile.
-struct PagedEngineOptions {
-  /// Optional write-ahead log, same contract as EngineOptions::wal.
-  WalSink* wal = nullptr;
-  bool wal_sync_every_write = false;
+/// PagedEngine construction knobs: EngineOptions plus the paged-tier config
+/// and an optional external PageFile.
+struct PagedEngineOptions : EngineOptions {
   PagedStorageConfig config;
   /// When set, pages live in this externally-owned file (which then
   /// survives engine teardown — the durable disk crash tests recover
@@ -71,20 +67,8 @@ class PagedEngine : public EngineInterface {
   PagedEngine(Executor* loop, PagedEngineOptions options);
   ~PagedEngine() override;
 
-  PagedEngine(const PagedEngine&) = delete;
-  PagedEngine& operator=(const PagedEngine&) = delete;
-
-  Result<bool> Put(std::string_view key, std::string_view value, Version version) override;
-  Result<bool> Delete(std::string_view key, Version version) override;
-  Result<Record> Get(std::string_view key) const override;
-  std::vector<Result<Record>> MultiGet(const std::vector<std::string>& keys) const override;
-  std::optional<Record> GetRaw(std::string_view key) const override;
-  Result<std::vector<Record>> Scan(std::string_view start, std::string_view end,
-                                   size_t limit) const override;
-  std::vector<Record> ScanRaw(std::string_view start, std::string_view end,
-                              size_t limit) const override;
-  Status Apply(const WalRecord& record) override;
-  Status ApplyBatch(const std::vector<WalRecord>& records) override;
+  /// Memtable tombstones become ghosts as in the RAM engine; pages drop
+  /// theirs outright.
   size_t PurgeTombstonesBefore(Time cutoff) override;
 
   /// Recovery: builds an engine over `options.file` (the surviving pages)
@@ -95,7 +79,6 @@ class PagedEngine : public EngineInterface {
                                                       PagedEngineOptions options,
                                                       const std::vector<WalRecord>& records);
 
-  size_t live_count() const override { return live_count_; }
   size_t total_count() const override { return total_count_; }
   size_t memory_usage() const override {
     return mem_->memory_usage() + pool_.resident_bytes();
@@ -104,8 +87,6 @@ class PagedEngine : public EngineInterface {
   int64_t bytes_resident() const override {
     return static_cast<int64_t>(pool_.resident_bytes() + mem_->memory_usage());
   }
-  const MetricRegistry& metrics() const override { return metrics_; }
-
   Duration TakeAccruedIo() override;
   Duration io_backlog() const override;
 
@@ -119,6 +100,19 @@ class PagedEngine : public EngineInterface {
     PageId id = 0;
     std::string_view upper;
   };
+
+  const MemTable& memtable() const override { return *mem_; }
+  /// The memtable's entry when it has the key (no IO), else the covering
+  /// page's record faults in for the version check; the write lands in the
+  /// memtable, which spills past memtable_spill_bytes.
+  bool ApplyToTable(std::string_view key, std::string_view value, Version version,
+                    bool tombstone, bool* was_live) override;
+  /// Faults the covering page.
+  const Record* FindBelow(std::string_view key) const override;
+  /// Ordered merge of the memtable and the page tier over [start, end);
+  /// mem_ wins key ties (its versions are newer by invariant).
+  std::vector<Record> ScanTable(std::string_view start, std::string_view end, size_t limit,
+                                bool include_tombstones) const override;
 
   PageSpan SpanForKey(std::string_view key) const;
   /// Resident frame for `id`, faulting (decode + read latency) on miss.
@@ -135,17 +129,6 @@ class PagedEngine : public EngineInterface {
   bool TryReserveClean(size_t incoming) const;
   /// Index of `key` in frame->records, or npos.
   static size_t FindInFrame(const PageFrame* frame, std::string_view key);
-
-  Result<bool> WriteImpl(std::string_view key, std::string_view value, Version version,
-                         bool tombstone);
-  Result<bool> ApplyVersioned(std::string_view key, std::string_view value, Version version,
-                              bool tombstone);
-  /// One key's live read, shared by Get/MultiGet (no counters).
-  Result<Record> Lookup(std::string_view key) const;
-  /// Ordered merge of the memtable and the page tier over [start, end);
-  /// mem_ wins key ties (its versions are newer by invariant).
-  std::vector<Record> MergeScan(std::string_view start, std::string_view end, size_t limit,
-                                bool include_tombstones) const;
 
   /// Evicts until resident + incoming fits the budget (forced write-backs
   /// for dirty-only pools); pinned frames can block it (budget_overruns).
@@ -166,8 +149,6 @@ class PagedEngine : public EngineInterface {
   /// Rebuilds page_index_/bounds_ and live/total counts from durable pages.
   void RebuildFromFile();
 
-  void SyncResidentMetric() const;
-
   /// The page tier's own counters, resolved once like EngineCounters.
   struct PageCounters {
     explicit PageCounters(MetricRegistry* registry);
@@ -184,7 +165,7 @@ class PagedEngine : public EngineInterface {
   };
 
   Executor* loop_;
-  PagedEngineOptions options_;
+  PagedStorageConfig config_;
   std::unique_ptr<PageFile> owned_file_;
   PageFile* file_;
   // Fault/eviction bookkeeping mutates on logically-const reads; same
@@ -207,10 +188,7 @@ class PagedEngine : public EngineInterface {
   Executor::TaskId write_back_event_ = Executor::kInvalidTask;
 
   mutable Duration accrued_io_ = 0;
-  mutable MetricRegistry metrics_;
-  EngineCounters counters_;
   PageCounters page_counters_;
-  size_t live_count_ = 0;
   size_t total_count_ = 0;
 };
 
