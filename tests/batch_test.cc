@@ -17,6 +17,7 @@
 #include "sim/event_loop.h"
 #include "sim/network.h"
 #include "storage/engine.h"
+#include "storage/pagestore/paged_engine.h"
 #include "storage/wal.h"
 
 namespace scads {
@@ -107,27 +108,33 @@ TEST(WalGroupCommitTest, AppendBatchBytesIdenticalToSequentialAppends) {
 }
 
 TEST(WalGroupCommitTest, ApplyBatchSyncsOncePerBatch) {
-  MemoryWalSink sink;
-  EngineOptions options;
-  options.wal = &sink;
-  options.wal_sync_every_write = true;
-  StorageEngine engine(options);
+  EventLoop loop;
+  // Both engines, the RAM one and the paged one, logging to `sink`.
+  auto make_engine = [&loop](bool paged, WalSink* sink) -> std::unique_ptr<EngineInterface> {
+    PagedEngineOptions options;
+    options.wal = sink;
+    options.wal_sync_every_write = true;
+    if (paged) return std::make_unique<PagedEngine>(&loop, options);
+    return std::make_unique<StorageEngine>(options);
+  };
   std::vector<WalRecord> batch;
   for (int i = 0; i < 10; ++i) {
     batch.push_back(MakeRecord("k" + std::to_string(i), "v", 100 + i));
   }
-  ASSERT_TRUE(engine.ApplyBatch(batch).ok());
-  EXPECT_EQ(sink.sync_count(), 1);
-  EXPECT_EQ(engine.metrics().CounterValue("wal_appends"), 10);
-  EXPECT_EQ(engine.metrics().CounterValue("wal_batch_syncs"), 1);
-  // The same ten records applied one at a time cost ten syncs.
-  MemoryWalSink sink2;
-  EngineOptions options2;
-  options2.wal = &sink2;
-  options2.wal_sync_every_write = true;
-  StorageEngine engine2(options2);
-  for (const WalRecord& record : batch) ASSERT_TRUE(engine2.Apply(record).ok());
-  EXPECT_EQ(sink2.sync_count(), 10);
+  for (bool paged : {false, true}) {
+    SCOPED_TRACE(paged ? "PagedEngine" : "StorageEngine");
+    MemoryWalSink sink;
+    std::unique_ptr<EngineInterface> engine = make_engine(paged, &sink);
+    ASSERT_TRUE(engine->ApplyBatch(batch).ok());
+    EXPECT_EQ(sink.sync_count(), 1);
+    EXPECT_EQ(engine->metrics().CounterValue("wal_appends"), 10);
+    EXPECT_EQ(engine->metrics().CounterValue("wal_batch_syncs"), 1);
+    // The same ten records applied one at a time cost ten syncs.
+    MemoryWalSink sink2;
+    std::unique_ptr<EngineInterface> engine2 = make_engine(paged, &sink2);
+    for (const WalRecord& record : batch) ASSERT_TRUE(engine2->Apply(record).ok());
+    EXPECT_EQ(sink2.sync_count(), 10);
+  }
 }
 
 TEST(WalGroupCommitTest, CrashReplayRecoversBatchedAndSequentialIdentically) {

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -207,6 +208,38 @@ TEST(PagedEngineTest, MatchesRamEngineOnRandomTrace) {
       Result<bool> a = paged.Delete(key, version);
       Result<bool> b = ram.Delete(key, version);
       ASSERT_EQ(*a, *b);
+    } else if (coin < 0.78) {
+      // A MultiGet of 2-13 keys: a key no op writes, random keys, and a
+      // repeat of one of them.
+      size_t size = 2 + rng.Uniform(12);
+      std::vector<std::string> keys = {Key(kKeys + static_cast<int>(rng.Uniform(kKeys)))};
+      while (keys.size() + 1 < size) keys.push_back(Key(static_cast<int>(rng.Uniform(kKeys))));
+      keys.push_back(keys[rng.Uniform(keys.size())]);
+      std::vector<Result<Record>> a = paged.MultiGet(keys);
+      std::vector<Result<Record>> b = ram.MultiGet(keys);
+      ASSERT_EQ(a.size(), keys.size());
+      ASSERT_EQ(b.size(), keys.size());
+      for (size_t i = 0; i < keys.size(); ++i) {
+        ASSERT_EQ(a[i].ok(), b[i].ok()) << keys[i];
+        if (a[i].ok()) {
+          EXPECT_EQ(a[i]->key, b[i]->key);
+          EXPECT_EQ(a[i]->value, b[i]->value);
+          EXPECT_EQ(a[i]->version, b[i]->version);
+        }
+      }
+    } else if (coin < 0.84) {
+      // A group commit of 1-6 puts and deletes; old timestamps (and a key
+      // repeated with an older one) make some of them superseded.
+      std::vector<WalRecord> batch(1 + rng.Uniform(6));
+      for (WalRecord& record : batch) {
+        int bk = static_cast<int>(rng.Uniform(kKeys));
+        record.key = Key(bk);
+        record.type = rng.Bernoulli(0.2) ? WalRecord::Type::kDelete : WalRecord::Type::kPut;
+        if (record.type == WalRecord::Type::kPut) record.value = ValueOf(bk);
+        record.version = rng.Bernoulli(0.25) ? V(ts / 2) : V(ts++);
+      }
+      ASSERT_TRUE(paged.ApplyBatch(batch).ok());
+      ASSERT_TRUE(ram.ApplyBatch(batch).ok());
     } else {
       Result<Record> a = paged.Get(key);
       Result<Record> b = ram.Get(key);
@@ -241,11 +274,35 @@ TEST(PagedEngineTest, MatchesRamEngineOnRandomTrace) {
   }
   EXPECT_EQ(paged.live_count(), ram.live_count());
 
+  // Tombstones included: every raw entry and the raw scan agree too.
+  for (int k = 0; k < kKeys; ++k) {
+    std::optional<Record> a = paged.GetRaw(Key(k));
+    std::optional<Record> b = ram.GetRaw(Key(k));
+    ASSERT_EQ(a.has_value(), b.has_value()) << Key(k);
+    if (a.has_value()) {
+      EXPECT_EQ(a->value, b->value);
+      EXPECT_EQ(a->version, b->version);
+      EXPECT_EQ(a->tombstone, b->tombstone);
+    }
+  }
+  std::vector<Record> raw_a = paged.ScanRaw("", "", 0);
+  std::vector<Record> raw_b = ram.ScanRaw("", "", 0);
+  ASSERT_EQ(raw_a.size(), raw_b.size());
+  EXPECT_GT(raw_a.size(), scan_a->size());  // the trace left tombstones
+  for (size_t i = 0; i < raw_a.size(); ++i) {
+    EXPECT_EQ(raw_a[i].key, raw_b[i].key);
+    EXPECT_EQ(raw_a[i].value, raw_b[i].value);
+    EXPECT_EQ(raw_a[i].version, raw_b[i].version);
+    EXPECT_EQ(raw_a[i].tombstone, raw_b[i].tombstone);
+  }
+
   // Read/write counters stay in lockstep with the RAM engine.
   for (const char* name : {"puts", "deletes", "puts_superseded", "deletes_superseded",
-                           "gets", "get_misses", "scans"}) {
+                           "gets", "get_misses", "multigets", "scans", "scan_rows"}) {
     EXPECT_EQ(paged.metrics().CounterValue(name), ram.metrics().CounterValue(name)) << name;
   }
+  EXPECT_GT(paged.metrics().CounterValue("puts_superseded"), 0);
+  EXPECT_GT(paged.metrics().CounterValue("multigets"), 0);
 
   // And the paging actually happened, within budget.
   EXPECT_GT(paged.metrics().CounterValue("page_faults"), 0);
