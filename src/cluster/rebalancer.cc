@@ -19,38 +19,16 @@ Rebalancer::Rebalancer(EventLoop* loop, ClusterState* cluster) : loop_(loop), cl
 
 void Rebalancer::MoveReplica(PartitionId pid, NodeId from, NodeId to,
                              std::function<void(Status)> done) {
-  PartitionInfo* partition = cluster_->partitions()->GetMutable(pid);
-  if (partition == nullptr) {
-    done(NotFoundError(StrFormat("partition %d", pid)));
-    return;
-  }
-  if (moving_.count(pid) > 0) {
-    done(FailedPreconditionError(StrFormat("partition %d already moving", pid)));
-    return;
-  }
-  auto& replicas = partition->replicas;
-  if (std::find(replicas.begin(), replicas.end(), from) == replicas.end()) {
-    done(FailedPreconditionError(StrFormat("node %d not a replica of partition %d", from, pid)));
-    return;
-  }
-  if (std::find(replicas.begin(), replicas.end(), to) != replicas.end()) {
-    done(FailedPreconditionError(StrFormat("node %d already a replica of partition %d", to, pid)));
-    return;
-  }
-  if (cluster_->GetNode(from) == nullptr || cluster_->GetNode(to) == nullptr) {
-    done(NotFoundError("source or target node not registered"));
-    return;
-  }
-  moving_.insert(pid);
-  // Step 1: target joins the replica set (as a trailing secondary) so live
-  // writes start flowing to it before the snapshot lands.
-  replicas.push_back(to);
-  // Step 2: stream the snapshot.
-  StreamNext(pid, from, to, partition->start, /*remove_source=*/true, std::move(done));
+  StartCopy(pid, from, to, /*remove_source=*/true, std::move(done));
 }
 
 void Rebalancer::CopyReplica(PartitionId pid, NodeId from, NodeId to,
                              std::function<void(Status)> done) {
+  StartCopy(pid, from, to, /*remove_source=*/false, std::move(done));
+}
+
+void Rebalancer::StartCopy(PartitionId pid, NodeId from, NodeId to, bool remove_source,
+                           std::function<void(Status)> done) {
   PartitionInfo* partition = cluster_->partitions()->GetMutable(pid);
   if (partition == nullptr) {
     done(NotFoundError(StrFormat("partition %d", pid)));
@@ -74,10 +52,11 @@ void Rebalancer::CopyReplica(PartitionId pid, NodeId from, NodeId to,
     return;
   }
   moving_.insert(pid);
-  // Same bootstrap as a move: join the replica set first so live writes
-  // flow while the snapshot streams; the source keeps its copy.
+  // Step 1: the target joins the replica set (as a trailing secondary) so
+  // live writes start flowing to it before the snapshot lands.
   replicas.push_back(to);
-  StreamNext(pid, from, to, partition->start, /*remove_source=*/false, std::move(done));
+  // Step 2: stream the snapshot; a copy's source keeps its replica.
+  StreamNext(pid, from, to, partition->start, remove_source, std::move(done));
 }
 
 Status Rebalancer::RemoveReplica(PartitionId pid, NodeId node) {
@@ -160,9 +139,6 @@ void Rebalancer::FinishMove(PartitionId pid, NodeId from, NodeId to, bool remove
       auto it = std::find(replicas.begin(), replicas.end(), to);
       if (it != replicas.end()) std::rotate(replicas.begin(), it, it + 1);
     }
-    ++moves_completed_;
-  } else {
-    ++copies_completed_;
   }
   moving_.erase(pid);
   done(Status::Ok());

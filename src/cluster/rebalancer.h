@@ -62,11 +62,14 @@ class Rebalancer {
   /// True while `pid` has a move in flight.
   bool IsMoving(PartitionId pid) const { return moving_.count(pid) > 0; }
 
-  int64_t moves_completed() const { return moves_completed_; }
-  int64_t copies_completed() const { return copies_completed_; }
   int64_t records_streamed() const { return records_streamed_; }
 
  private:
+  /// MoveReplica and CopyReplica: checks the preconditions, adds `to` to
+  /// the replica set and starts streaming; `remove_source` drops `from`
+  /// once the snapshot has landed.
+  void StartCopy(PartitionId pid, NodeId from, NodeId to, bool remove_source,
+                 std::function<void(Status)> done);
   void StreamNext(PartitionId pid, NodeId from, NodeId to, std::string cursor, bool remove_source,
                   std::function<void(Status)> done);
   void FinishMove(PartitionId pid, NodeId from, NodeId to, bool remove_source,
@@ -75,8 +78,6 @@ class Rebalancer {
   EventLoop* loop_;
   ClusterState* cluster_;
   std::set<PartitionId> moving_;
-  int64_t moves_completed_ = 0;
-  int64_t copies_completed_ = 0;
   int64_t records_streamed_ = 0;
 };
 
