@@ -70,10 +70,6 @@ const PartitionInfo& PartitionMap::ForKey(std::string_view key) const {
   return partitions_[IndexForKey(key)];
 }
 
-PartitionInfo* PartitionMap::MutableForKey(std::string_view key) {
-  return &partitions_[IndexForKey(key)];
-}
-
 const PartitionInfo* PartitionMap::Get(PartitionId id) const {
   for (const auto& p : partitions_) {
     if (p.id == id) return &p;

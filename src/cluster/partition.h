@@ -51,7 +51,6 @@ class PartitionMap {
 
   /// The partition containing `key` (always exists: ranges cover the space).
   const PartitionInfo& ForKey(std::string_view key) const;
-  PartitionInfo* MutableForKey(std::string_view key);
 
   /// Lookup by id; nullptr when unknown.
   const PartitionInfo* Get(PartitionId id) const;

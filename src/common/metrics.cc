@@ -1,7 +1,5 @@
 #include "common/metrics.h"
 
-#include "common/strings.h"
-
 namespace scads {
 
 Counter* MetricRegistry::GetCounter(std::string_view name) {
@@ -36,30 +34,10 @@ std::vector<std::string> MetricRegistry::CounterNames() const {
   return names;
 }
 
-std::vector<std::string> MetricRegistry::HistogramNames() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(histograms_.size());
-  for (const auto& [name, unused] : histograms_) names.push_back(name);
-  return names;
-}
-
 void MetricRegistry::ResetAll() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, counter] : counters_) counter->Reset();
   for (auto& [name, histogram] : histograms_) histogram->Reset();
-}
-
-std::string MetricRegistry::DebugString() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  for (const auto& [name, counter] : counters_) {
-    out += StrFormat("%s %lld\n", name.c_str(), static_cast<long long>(counter->value()));
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    out += StrFormat("%s %s\n", name.c_str(), histogram->Summary().c_str());
-  }
-  return out;
 }
 
 }  // namespace scads

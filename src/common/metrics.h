@@ -50,13 +50,9 @@ class MetricRegistry {
 
   /// Sorted names of all registered counters.
   std::vector<std::string> CounterNames() const;
-  std::vector<std::string> HistogramNames() const;
 
   /// Zeroes every counter and histogram.
   void ResetAll();
-
-  /// Multi-line "name value" dump for debugging.
-  std::string DebugString() const;
 
  private:
   mutable std::mutex mu_;

@@ -30,7 +30,6 @@ SlaReport SlaMonitor::Evaluate(const RouterWindow& window, Time now) {
     report.availability_ok = report.availability >= sla_.min_availability;
   }
   report.deadline_exceeded = window.deadline_exceeded;
-  ++windows_;
   if (!report.ok()) ++violations_;
   return report;
 }

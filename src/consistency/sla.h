@@ -47,12 +47,10 @@ class SlaMonitor {
   SlaReport Evaluate(const RouterWindow& window, Time now);
 
   const PerformanceSla& sla() const { return sla_; }
-  int64_t windows_evaluated() const { return windows_; }
   int64_t windows_violated() const { return violations_; }
 
  private:
   PerformanceSla sla_;
-  int64_t windows_ = 0;
   int64_t violations_ = 0;
 };
 

@@ -422,7 +422,6 @@ void Director::MaybeRepairReplicas() {
         continue;
       }
       repairing_.insert(pid);
-      ++repairs_started_;
       Time failed_at = since;
       LogEvent("repair",
                StrFormat("partition %d: node %d lost, copying %d -> %d", pid,

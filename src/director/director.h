@@ -177,7 +177,6 @@ class Director {
 
   int64_t scale_ups() const { return scale_ups_; }
   int64_t scale_downs() const { return scale_downs_; }
-  int64_t repairs_started() const { return repairs_started_; }
   int64_t repairs_completed() const { return repairs_completed_; }
   Duration last_restore_time() const { return last_restore_time_; }
 
@@ -234,7 +233,6 @@ class Director {
   // twice across ticks while its stream runs).
   std::map<NodeId, Time> down_since_;
   std::set<PartitionId> repairing_;
-  int64_t repairs_started_ = 0;
   int64_t repairs_completed_ = 0;
   Duration last_restore_time_ = 0;
 };

@@ -80,9 +80,6 @@ struct QueryTemplate {
   std::optional<Duration> deadline;
   /// Original text (diagnostics).
   std::string text;
-
-  /// The table bound to `alias`, or nullptr.
-  const TableRef* ResolveAlias(const std::string& alias) const;
 };
 
 }  // namespace scads

@@ -376,14 +376,6 @@ class Parser {
 
 }  // namespace
 
-const TableRef* QueryTemplate::ResolveAlias(const std::string& alias) const {
-  if (from.alias == alias) return &from;
-  for (const JoinClause& join : joins) {
-    if (join.table.alias == alias) return &join.table;
-  }
-  return nullptr;
-}
-
 Result<QueryTemplate> ParseQueryTemplate(std::string_view text) {
   Lexer lexer(text);
   Result<std::vector<Token>> tokens = lexer.Run();

@@ -1,7 +1,5 @@
 #include "query/schema.h"
 
-#include <algorithm>
-
 #include "common/strings.h"
 #include "storage/codec.h"
 
@@ -12,10 +10,6 @@ const FieldDef* EntityDef::FindField(std::string_view field) const {
     if (f.name == field) return &f;
   }
   return nullptr;
-}
-
-bool EntityDef::IsKeyField(std::string_view field) const {
-  return std::find(key_fields.begin(), key_fields.end(), field) != key_fields.end();
 }
 
 std::optional<int64_t> EntityDef::FanoutCap(std::string_view field) const {
@@ -149,13 +143,6 @@ Status Catalog::AddEntity(EntityDef entity) {
 const EntityDef* Catalog::Get(std::string_view name) const {
   auto it = entities_.find(name);
   return it == entities_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::string> Catalog::EntityNames() const {
-  std::vector<std::string> names;
-  names.reserve(entities_.size());
-  for (const auto& [name, unused] : entities_) names.push_back(name);
-  return names;
 }
 
 }  // namespace scads

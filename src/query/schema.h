@@ -45,7 +45,6 @@ struct EntityDef {
   std::map<std::string, int64_t> fanout_caps;
 
   const FieldDef* FindField(std::string_view field) const;
-  bool IsKeyField(std::string_view field) const;
   /// Cap for `field`, if declared.
   std::optional<int64_t> FanoutCap(std::string_view field) const;
 };
@@ -105,7 +104,6 @@ class Catalog {
   Status AddEntity(EntityDef entity);
 
   const EntityDef* Get(std::string_view name) const;
-  std::vector<std::string> EntityNames() const;
 
  private:
   std::map<std::string, EntityDef, std::less<>> entities_;

@@ -8,7 +8,6 @@ FailureInjector::FailureInjector(EventLoop* loop, SimNetwork* network, uint64_t 
     : loop_(loop), network_(network), rng_(seed) {}
 
 void FailureInjector::TakeDown(NodeId node) {
-  ++outages_;
   network_->SetPartitionGroup(node, next_down_group_--);
   if (node_down_) node_down_(node);
 }

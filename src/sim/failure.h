@@ -62,7 +62,6 @@ class FailureInjector {
   /// way still recovers).
   void DisableRandomOutages(NodeId node);
 
-  int64_t outages_injected() const { return outages_; }
   int64_t partitions_injected() const { return partitions_; }
   int64_t gray_failures_injected() const { return gray_; }
 
@@ -81,7 +80,6 @@ class FailureInjector {
     bool enabled;
   };
   std::unordered_map<NodeId, OutageParams> random_outages_;
-  int64_t outages_ = 0;
   int64_t partitions_ = 0;
   int64_t gray_ = 0;
   // Partition group ids for "down" nodes are unique negatives so two downed

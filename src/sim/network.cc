@@ -85,12 +85,6 @@ void SimNetwork::SetLinkLoss(NodeId from, NodeId to, double probability) {
   }
 }
 
-void SimNetwork::ClearGrayFailures() {
-  delay_multiplier_.clear();
-  node_loss_.clear();
-  link_loss_.clear();
-}
-
 int64_t SimNetwork::sent_to(NodeId to) const {
   auto it = sent_to_.find(to);
   return it == sent_to_.end() ? 0 : it->second;
@@ -118,13 +112,12 @@ void SimNetwork::Send(NodeId from, NodeId to, int64_t payload_bytes,
     }
   }
   Duration latency = SampleLatency(from, to);
-  loop_->ScheduleAfter(latency, [this, from, to, wire_bytes, fn = std::move(deliver)] {
+  loop_->ScheduleAfter(latency, [this, from, to, fn = std::move(deliver)] {
     if (!Connected(from, to)) {
       ++dropped_;
       return;
     }
     ++delivered_;
-    bytes_delivered_ += wire_bytes;
     fn();
   });
 }

@@ -80,9 +80,6 @@ class SimNetwork : public MessageFabric {
   /// with this probability. 0 restores the link.
   void SetLinkLoss(NodeId from, NodeId to, double probability);
 
-  /// Clears every gray-failure override (multipliers and loss rates).
-  void ClearGrayFailures();
-
   /// True when a->b messages can currently flow.
   bool Connected(NodeId a, NodeId b) const;
 
@@ -102,7 +99,6 @@ class SimNetwork : public MessageFabric {
   /// Bytes handed to the fabric (payload + per-message overhead), including
   /// messages later lost; mirrors what a NIC's tx counter would show.
   int64_t bytes_sent() const { return bytes_sent_; }
-  int64_t bytes_delivered() const { return bytes_delivered_; }
 
  private:
   int GroupOf(NodeId node) const;
@@ -122,7 +118,6 @@ class SimNetwork : public MessageFabric {
   int64_t delivered_ = 0;
   int64_t dropped_ = 0;
   int64_t bytes_sent_ = 0;
-  int64_t bytes_delivered_ = 0;
 };
 
 }  // namespace scads

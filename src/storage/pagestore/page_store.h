@@ -71,7 +71,6 @@ class PageFile {
   void Write(PageId id, std::string bytes) {
     pages_[id] = std::move(bytes);
     ++writes_;
-    bytes_written_ += static_cast<int64_t>(pages_[id].size());
     write_log_.push_back(id);
   }
 
@@ -79,14 +78,12 @@ class PageFile {
   size_t page_count() const { return pages_.size(); }
 
   int64_t writes() const { return writes_; }
-  int64_t bytes_written() const { return bytes_written_; }
   /// Every Write in order — write-back ordering tests read this.
   const std::vector<PageId>& write_log() const { return write_log_; }
 
  private:
   std::vector<std::string> pages_;
   int64_t writes_ = 0;
-  int64_t bytes_written_ = 0;
   std::vector<PageId> write_log_;
 };
 
