@@ -5,15 +5,6 @@
 
 namespace scads {
 
-Record RecordOf(const MemTable::Entry& entry) {
-  Record record;
-  record.key.assign(entry.key());
-  record.value.assign(entry.value());
-  record.version = entry.version();
-  record.tombstone = entry.tombstone();
-  return record;
-}
-
 EngineCounters::EngineCounters(MetricRegistry* registry)
     : puts(registry->GetCounter("puts")),
       puts_superseded(registry->GetCounter("puts_superseded")),
@@ -30,6 +21,15 @@ EngineCounters::EngineCounters(MetricRegistry* registry)
 
 EngineInterface::EngineInterface(EngineOptions options)
     : options_(options), counters_(&metrics_) {}
+
+Record EngineInterface::RecordOf(const MemTable::Entry& entry) {
+  Record record;
+  record.key.assign(entry.key());
+  record.value.assign(entry.value());
+  record.version = entry.version();
+  record.tombstone = entry.tombstone();
+  return record;
+}
 
 Result<bool> EngineInterface::Write(std::string_view key, std::string_view value,
                                     Version version, bool tombstone) {

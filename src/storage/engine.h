@@ -51,9 +51,6 @@ inline int64_t WireSize(const Record& record) {
          kRecordWireOverheadBytes;
 }
 
-/// A copy of a memtable entry, tombstone flag included.
-Record RecordOf(const MemTable::Entry& entry);
-
 /// The counters every engine bumps, resolved once from the engine's registry
 /// when it is built: a lookup by name takes the registry mutex and walks a
 /// std::map, too much for every Get.
@@ -205,6 +202,9 @@ class EngineInterface {
   void SyncResidentMetric() const;
 
   WalSink* wal() const { return options_.wal; }
+
+  /// A copy of a memtable entry, tombstone flag included.
+  static Record RecordOf(const MemTable::Entry& entry);
 
   // Read paths (logically const) still count: counters are observability,
   // not state, so the registry is mutable rather than const_cast at use.
